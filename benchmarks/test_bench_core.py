@@ -164,7 +164,7 @@ def test_mesh_greedy_independent_columns(benchmark, bench_mesh, mesh_estimate):
     assert len(kept) > 0
 
 
-# -- campaign-scale forest: block-diagonal batched phase-2 ----------------------
+# -- campaign-scale forest: packed phase-2 ---------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +173,11 @@ def bench_forest():
 
     The campaign-scale shape: thousands of trees whose individual solves
     are far too small to saturate BLAS, so the Python dispatch around
-    each one dominates a loop.  Fitting (phase 1) happens here, once;
-    the benches below time only the phase-2 inference dispatch.
+    each one dominates a loop.  Fitting (phase 1) happens here, once,
+    and one loop pass warms every engine's reduction and factorization
+    caches; the benches below time only the phase-2 inference dispatch.
     """
-    from repro.core.lia import infer_many
+    from repro.core.engine import InferenceEngine
     from repro.experiments.base import prepare_topology, scale_params
     from repro.probing import MeasurementCampaign, ProberConfig, ProbingSimulator
     from repro.utils.rng import derive_seed
@@ -198,116 +199,27 @@ def bench_forest():
         training = MeasurementCampaign(
             routing=campaign.routing, snapshots=campaign.snapshots[:-1]
         )
-        lia = LossInferenceAlgorithm(prepared.routing)
-        estimate = lia.learn_variances(training)
-        runs.append((lia, campaign.snapshots[-1], estimate))
-    infer_many(runs, mode="loop")  # warm: per-tree factorizations
-    infer_many(runs, mode="packed")  # warm: the packed forest plan
+        engine = InferenceEngine(prepared.routing)
+        estimate = engine.learn_variances(training)
+        runs.append((engine, campaign.snapshots[-1], estimate))
+    for engine, snapshot, estimate in runs:
+        engine.infer(snapshot, estimate)
     return runs
 
 
 def test_forest_infer_loop_warm(benchmark, bench_forest):
-    """512 per-tree engine solves, the batched mode's foil."""
-    from repro.core.lia import infer_many
+    """512 per-tree ``engine.infer`` calls, the packed pass's foil."""
 
-    results = benchmark(infer_many, bench_forest, mode="loop")
+    def loop():
+        return [engine.infer(snap, est) for engine, snap, est in bench_forest]
+
+    results = benchmark(loop)
     assert len(results) == 512
 
 
 def test_forest_infer_batched(benchmark, bench_forest):
-    """The same 512 trees as one block-diagonal packed solve."""
-    from repro.core.lia import infer_many
+    """The same 512 trees through one packed ``infer_many`` call."""
+    from repro.core.engine import infer_many
 
-    results = benchmark(infer_many, bench_forest, mode="packed")
+    results = benchmark(infer_many, bench_forest)
     assert len(results) == 512
-
-
-# -- kernel-tier microbenches (REPRO_KERNEL_TIER picks numpy vs numba) ----------
-#
-# Each sweep repeats one registry kernel over many campaign-scale-small
-# inputs, so per-iteration interpreter overhead — exactly what the numba
-# tier removes — dominates the numpy tier's time.  CI runs this file once
-# per tier and scripts/compare_kernel_tiers.py reports the speedups.
-
-
-@pytest.fixture(scope="module")
-def kernel_inputs():
-    from repro.core.kernels import get_kernels
-
-    rng = np.random.default_rng(17)
-    triangulars = [
-        (np.triu(rng.standard_normal((48, 48))) + 8.0 * np.eye(48),
-         rng.standard_normal(48))
-        for _ in range(256)
-    ]
-    basis = np.linalg.qr(rng.standard_normal((300, 24)))[0].copy(order="F")
-    offers = [rng.standard_normal(300) for _ in range(256)]
-    q, r = np.linalg.qr(rng.standard_normal((200, 40)))
-    panels = [rng.standard_normal((128, 16)) for _ in range(128)]
-    # one call per kernel up front so a numba tier pays its JIT cost
-    # outside the timed region
-    kern = get_kernels()
-    kern.back_substitution(*triangulars[0], 1e-12)
-    kern.cgs2_project(basis, 24, offers[0].copy())
-    kern.givens_downdate(r.copy(), q.copy(), 0)
-    panel = panels[0].copy()
-    kern.householder_panel(panel, np.zeros_like(panel), np.zeros(16), 0, 16)
-    return triangulars, basis, offers, (q, r), panels
-
-
-def test_kernel_back_substitution_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
-
-    triangulars = kernel_inputs[0]
-    kern = get_kernels()
-
-    def sweep():
-        return sum(kern.back_substitution(U, b, 1e-12)[0] for U, b in triangulars)
-
-    assert np.isfinite(benchmark(sweep))
-
-
-def test_kernel_cgs2_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
-
-    _, basis, offers, _, _ = kernel_inputs
-    kern = get_kernels()
-
-    def sweep():
-        return sum(
-            kern.cgs2_project(basis, 24, v.copy())[0] for v in offers
-        )
-
-    assert np.isfinite(benchmark(sweep))
-
-
-def test_kernel_givens_downdate_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
-
-    q, r = kernel_inputs[3]
-    kern = get_kernels()
-
-    def sweep():
-        for _ in range(64):
-            kern.givens_downdate(r.copy(), q.copy(), 0)
-
-    benchmark(sweep)
-
-
-def test_kernel_householder_panel_sweep(benchmark, kernel_inputs):
-    from repro.core.kernels import get_kernels
-
-    panels = kernel_inputs[4]
-    kern = get_kernels()
-
-    def sweep():
-        acc = 0.0
-        for panel in panels:
-            work = panel.copy()
-            V = np.zeros_like(work)
-            betas = np.zeros(work.shape[1])
-            T = kern.householder_panel(work, V, betas, 0, work.shape[1])
-            acc += T[0, 0]
-        return acc
-
-    assert np.isfinite(benchmark(sweep))

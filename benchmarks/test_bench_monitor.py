@@ -24,10 +24,8 @@ deployment sized so the factorization dominates:
 ``test_monitor_observe_update_path`` asserts the >= 10x acceptance ratio
 against inline refactor timings; the separate ``*_refactor_path``
 benchmark gives the slow path its own baseline entry so CI's regression
-gate and the kernel-tier comparison see both.  The steady-state tests
-record warm per-snapshot latency percentiles (p50/p99) at 1k and 4k
-paths in ``extra_info``; the CI bench-smoke job runs this file under
-both ``REPRO_KERNEL_TIER`` settings.
+gate sees both.  The steady-state tests record warm per-snapshot latency
+percentiles (p50/p99) at 1k and 4k paths in ``extra_info``.
 """
 
 from __future__ import annotations
@@ -230,8 +228,8 @@ def test_monitor_observe_refactor_path(benchmark, growth_scenario):
     """The same growth observe with the incremental paths disabled.
 
     Exists as its own benchmark so the baseline gate tracks the slow
-    path and ``compare_kernel_tiers.py`` can print the update-vs-
-    refactor speedup from the two entries.
+    path and the update-vs-refactor speedup can be read off the two
+    entries.
     """
     scenario = growth_scenario
 
@@ -254,8 +252,7 @@ def test_monitor_steady_state_latency(
 
     Streams 16 further snapshots into a copy of the warm monitor and
     records p50/p99 observe latency in ``extra_info`` — the
-    "sub-millisecond online monitoring" number of the README, per
-    kernel tier (CI runs this file under both tiers).
+    "sub-millisecond online monitoring" number of the README.
     """
     scenario = steady_scenario if scale == "1k" else growth_scenario
     monitor = copy.deepcopy(scenario.update_monitor)

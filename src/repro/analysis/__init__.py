@@ -8,9 +8,6 @@ runtime tests otherwise catch only after a violation ships:
   use no process-global RNG, no wall-clock reads, no bare-set iteration;
 * **registry sync** — static CLI choice tuples equal the runtime
   registries they mirror;
-* **kernel-tier parity** — both kernel tiers implement every
-  ``KERNEL_OPS`` op with the same signature, and ``@njit`` bodies avoid
-  nopython-hostile constructs;
 * **concurrency** — module-level registries/caches/globals are mutated
   under a lock (the ``thread`` backend shares the process).
 

@@ -2,7 +2,7 @@
 
 Every rule works on the parse tree alone — nothing here imports or
 executes project code, which is what lets the linter check modules
-whose runtime dependencies (scipy, numba) may be absent.
+whose runtime dependencies (numpy, scipy) may be absent.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ __all__ = [
     "call_name",
     "class_str_attribute",
     "constant_str_sequence",
-    "decorator_names",
     "dotted_name",
     "import_bindings",
     "top_level_assignment",
@@ -72,20 +71,6 @@ def call_name(
 ) -> Optional[str]:
     """Dotted path of a call target (see :func:`dotted_name`)."""
     return dotted_name(node.func, bindings)
-
-
-def decorator_names(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    bindings: Optional[Dict[str, str]] = None,
-) -> Tuple[str, ...]:
-    """Dotted names of decorators, unwrapping calls (``@njit(cache=True)``)."""
-    names = []
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = dotted_name(target, bindings)
-        if name is not None:
-            names.append(name)
-    return tuple(names)
 
 
 def top_level_assignment(

@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "Project-invariant static analysis: determinism, registry "
-            "sync, kernel-tier parity, concurrency (repro.analysis)."
+            "sync, concurrency (repro.analysis)."
         ),
     )
     parser.add_argument(

@@ -1,6 +1,6 @@
 """Built-in rules: importing this package registers all of them.
 
-Four families, eight rules, each targeting a failure mode this repo has
+Three families, six rules, each targeting a failure mode this repo has
 actually shipped fixes for (see CHANGES.md PRs 6–9):
 
 ========================  ====================================================
@@ -8,8 +8,6 @@ actually shipped fixes for (see CHANGES.md PRs 6–9):
 ``wall-clock``            ``time.time()`` & friends in payload modules
 ``set-iteration``         bare-set iteration order escaping into results
 ``registry-sync``         static CLI choice tuples vs runtime registries
-``kernel-parity``         KERNEL_OPS implemented in both kernel tiers
-``njit-unsupported``      nopython-hostile constructs in ``@njit`` bodies
 ``unlocked-global``       module globals rebound outside a lock
 ``unlocked-mutation``     module containers mutated outside a lock
 ========================  ====================================================
@@ -27,17 +25,11 @@ from repro.analysis.rules.determinism import (
     UnseededRandomRule,
     WallClockRule,
 )
-from repro.analysis.rules.kernel_parity import (
-    KernelTierParityRule,
-    NjitConstructsRule,
-)
 from repro.analysis.rules.registry_sync import RegistrySyncRule
 
 __all__ = [
     "ContainerMutationRule",
     "GlobalRebindRule",
-    "KernelTierParityRule",
-    "NjitConstructsRule",
     "RegistrySyncRule",
     "SetIterationRule",
     "UnseededRandomRule",
@@ -49,8 +41,6 @@ _BUILTINS = (
     WallClockRule,
     SetIterationRule,
     RegistrySyncRule,
-    KernelTierParityRule,
-    NjitConstructsRule,
     GlobalRebindRule,
     ContainerMutationRule,
 )

@@ -2,17 +2,15 @@
 
 The ``thread`` :class:`~repro.runner.backends.ExecutionBackend` (and the
 planned asyncio monitoring service) run trials concurrently *inside one
-process*, so every module-level registry, cache and tier switch is
-shared state.  Two statically checkable hazards:
+process*, so every module-level registry and cache is shared state.  Two statically checkable hazards:
 
 ``unlocked-global``
     a function rebinds a module global (``global x; x = ...``) outside
-    a ``with <module-level lock>:`` block.  Tier switches
-    (``set_kernel_tier``) and cache invalidation
-    (``invalidate_forest_plans``) are the canonical cases.
+    a ``with <module-level lock>:`` block.  Swapping out a registry or
+    a cache is the canonical case.
 ``unlocked-mutation``
     a function mutates a module-level container (``_REGISTRY[k] = v``,
-    ``_plans.move_to_end(...)``, ``cache.clear()``) outside a lock.
+    ``_cache.move_to_end(...)``, ``cache.clear()``) outside a lock.
 
 A mutation is considered guarded when it executes under ``with <lock>``
 where ``<lock>`` is a module-level ``threading.Lock()`` / ``RLock()`` /

@@ -1,10 +1,9 @@
 """Determinism rules: payload modules must be seed-for-seed reproducible.
 
 The repo's load-bearing contract — pinned at runtime by
-``tests/test_runner.py``, ``tests/test_kernels.py`` and
-``scripts/diff_result_stores.py`` — is that every experiment payload is
-a pure function of its seeds: identical across reruns, worker counts,
-execution backends and kernel tiers.  Three statically checkable ways
+``tests/test_runner.py`` and ``scripts/diff_result_stores.py`` — is
+that every experiment payload is a pure function of its seeds:
+identical across reruns, worker counts and execution backends.  Three statically checkable ways
 to break that:
 
 ``unseeded-random``

@@ -57,8 +57,6 @@ MIRRORS: Tuple[Mirror, ...] = (
            "EXPERIMENTS", "registry"),
     Mirror("repro.cli", "SCALE_CHOICES", "repro.experiments.base",
            "SCALES"),
-    Mirror("repro.cli", "KERNEL_TIER_CHOICES", "repro.core.kernels",
-           "KERNEL_TIERS"),
     Mirror("repro.runner.args", "BACKEND_CHOICES", "repro.runner.backends",
            "_BACKENDS", "registry"),
 )

@@ -577,11 +577,11 @@ def evaluate_forest(
     (phase 1) runs per tree exactly as :meth:`Scenario.evaluate` would,
     but the LIA phase-2 solves — one small triangular system per tree —
     are queued across the whole forest and dispatched as a single
-    block-diagonal :func:`repro.core.engine.infer_many` call, which
-    packs them into batched BLAS instead of a Python loop over trees.
+    :func:`repro.core.engine.infer_many` call, which packs the per-tree
+    log, clip and exp into one ufunc call each instead of one per tree.
 
-    Byte-identity: ``infer_many``'s packed mode is bit-identical to a
-    loop of ``engine.infer`` calls, and scoring goes through the same
+    Byte-identity: ``infer_many`` is bit-identical to a loop of
+    ``engine.infer`` calls, and scoring goes through the same
     ``_score_results`` tail as the sequential path, so the returned
     :class:`ScenarioResult`\\ s equal ``[s.evaluate(p, c) for s, p, c in
     runs]`` exactly (pinned in ``tests/test_api.py``).  Only single-target

@@ -28,9 +28,9 @@ Five verbs covering the operational loop without writing Python:
     (:mod:`repro.runner.remote`);
 ``lint``
     run the project-invariant static analysis (:mod:`repro.analysis`)
-    over the given paths — determinism, registry sync, kernel-tier
-    parity, concurrency — and exit non-zero on any unsuppressed
-    finding (CI blocks on ``repro lint src/``).
+    over the given paths — determinism, registry sync, concurrency —
+    and exit non-zero on any unsuppressed finding (CI blocks on
+    ``repro lint src/``).
 
 Examples::
 
@@ -75,7 +75,8 @@ TOPOLOGY_CHOICES = (
 # Static mirrors of repro.experiments.EXPERIMENTS / SCALES and of
 # repro.api.registry.available() so building the parser never imports
 # the experiment modules (scipy and the full netsim stack) for verbs
-# that don't use them; tests pin them in sync with the real registries.
+# that don't use them; tests and the ``registry-sync`` lint rule pin
+# them in sync with the real registries.
 EXPERIMENT_CHOICES = (
     "ablations", "congestion", "duration", "fig3", "fig5", "fig6", "fig7",
     "fig8", "fig9", "table2", "table3", "timing",
@@ -95,11 +96,6 @@ LOSS_METHOD_CHOICES = ("clink", "lia", "scfs", "tomo")
 #: tests).  ``--variance-solver`` picks LIA's phase-1 solver; the
 #: ``sparse``/``cg`` entries keep 10k-link meshes out of dense algebra.
 VARIANCE_SOLVER_CHOICES = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
-#: Static mirror of repro.core.kernels.KERNEL_TIERS: the global
-#: ``--kernel-tier`` flag must parse without importing the kernel
-#: registry.  Every mirror in this module is verified against its
-#: registry by the ``registry-sync`` lint rule (``repro lint src/``).
-KERNEL_TIER_CHOICES = ("auto", "numpy", "numba")
 
 
 def _build_topology(kind: str, size: int, hosts: int, seed: Optional[int]):
@@ -399,17 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Loss tomography from second-order flow statistics.",
     )
-    parser.add_argument(
-        "--kernel-tier",
-        choices=KERNEL_TIER_CHOICES,
-        default=None,
-        help=(
-            "compiled-kernel tier for the inner linear-algebra loops "
-            "(repro.core.kernels); 'auto' (the default, also via "
-            "REPRO_KERNEL_TIER) picks numba when installed, 'numba' "
-            "demands it, 'numpy' forces the pure-numpy fallback"
-        ),
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     audit = sub.add_parser("audit", help="identifiability report of a layout")
@@ -501,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static analysis: determinism, registry sync, tier parity",
+        help="static analysis: determinism, registry sync, concurrency",
         description=(
             "Run the rule-based AST lint engine (repro.analysis) over "
             "the given paths.  Exits 1 on any unsuppressed finding; "
@@ -583,14 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernel_tier is not None:
-        from repro.core.kernels import KernelTierError, set_kernel_tier
-
-        try:
-            set_kernel_tier(args.kernel_tier)
-        except KernelTierError as error:
-            print(f"--kernel-tier: {error}", file=sys.stderr)
-            return 2
     return args.func(args)
 
 

@@ -17,13 +17,6 @@ from repro.core.identifiability import (
     audit_identifiability,
     verify_theorem1,
 )
-from repro.core.kernels import (
-    KernelTierError,
-    available_tiers,
-    current_tier,
-    set_kernel_tier,
-    use_kernel_tier,
-)
 from repro.core.lia import LIAResult, LossInferenceAlgorithm
 from repro.core.reduction import (
     ReductionResult,
@@ -49,7 +42,6 @@ __all__ = [
     "IdentifiabilityReport",
     "InferenceEngine",
     "IntersectingPairs",
-    "KernelTierError",
     "LIAResult",
     "LossInferenceAlgorithm",
     "ReductionResult",
@@ -59,8 +51,6 @@ __all__ = [
     "audit_identifiability",
     "augmented_matrix",
     "augmented_rank",
-    "available_tiers",
-    "current_tier",
     "estimate_link_variances",
     "has_identifiable_variances",
     "infer_many",
@@ -69,12 +59,10 @@ __all__ = [
     "pair_from_row_index",
     "pair_row_index",
     "reduce_to_full_rank",
-    "set_kernel_tier",
     "solve_covariance_system",
     "solve_normal_cg",
     "solve_normal_sparse",
     "solve_reduced_system",
-    "use_kernel_tier",
     "variance_recovery_error",
     "verify_theorem1",
 ]

@@ -24,7 +24,6 @@ caches through it.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,13 +33,12 @@ from scipy import linalg as scipy_linalg
 from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
-from repro.core.kernels import get_kernels
+from repro.core import kernels
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
     solve_upper_triangular,
 )
-from repro.core.sparse_solvers import solve_normal_sparse
 from repro.core.reduction import (
     REDUCTION_STRATEGIES,
     ReductionResult,
@@ -591,13 +589,12 @@ class ReductionCache:
             (basis_cols.shape[0], rank + len(extras)), dtype=np.float64
         )
         storage[:, :rank] = basis_cols
-        kern = get_kernels()
         for column in extras:
             col = self._column(column)
             norm0 = float(np.linalg.norm(col))
             if norm0 == 0.0:
                 return None
-            v = kern.cgs2_project(storage, rank, col) if rank else col
+            v = kernels.cgs2_project(storage, rank, col) if rank else col
             norm1 = float(np.linalg.norm(v))
             if norm1 <= 1e-9 * norm0:
                 return None
@@ -863,338 +860,81 @@ class InferenceEngine:
         estimate = self.learn_variances(training)
         return self.infer(target, estimate)
 
-    @staticmethod
-    def infer_many(
-        runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-        mode: str = "auto",
-    ) -> List[LIAResult]:
-        """Batched inference across many independent trees; see the
-        module-level :func:`infer_many`."""
-        return infer_many(runs, mode=mode)
-
-
-#: Valid *mode* values for :func:`infer_many`.
-INFER_MANY_MODES = ("auto", "loop", "packed", "sparse")
-
-#: How many distinct forests keep a cached :class:`_ForestPlan` alive.
-FOREST_PLAN_LIMIT = 4
-
-#: Guards the plan LRU and its byte counter: the ``thread`` execution
-#: backend runs trials concurrently in one process, so plan lookups,
-#: insertions and evictions from different trials interleave.
-_FOREST_PLAN_LOCK = threading.Lock()
-_forest_plans: "OrderedDict[Tuple, _ForestPlan]" = OrderedDict()
-_forest_plan_max_bytes: Optional[int] = None
-_forest_plan_bytes = 0
-
-
-def set_forest_plan_budget(max_bytes: Optional[int]) -> None:
-    """Byte-bound the forest-plan LRU (None removes the bound).
-
-    Complements :data:`FOREST_PLAN_LIMIT` the way the engine caches'
-    ``max_bytes`` complements their entry counts: whichever bound is hit
-    first evicts least-recently-used plans (the current plan always
-    survives).  Takes effect on the next :func:`infer_many` call.
-    """
-    global _forest_plan_max_bytes
-    if max_bytes is not None and max_bytes < 1:
-        raise ValueError("max_bytes must be positive (or None)")
-    with _FOREST_PLAN_LOCK:
-        _forest_plan_max_bytes = max_bytes
-
-
-def invalidate_forest_plans() -> None:
-    """Drop every cached forest plan (releases engine/estimate refs).
-
-    Needed only if an engine's knobs (``floor`` is keyed, the others are
-    not) or an estimate's variance array were mutated *in place* after a
-    packed :func:`infer_many` call — identity-keyed plans cannot see
-    in-place mutation.  Fresh objects get fresh plans automatically.
-    """
-    global _forest_plan_bytes
-    with _FOREST_PLAN_LOCK:
-        _forest_plans.clear()
-        _forest_plan_bytes = 0
-
-
-class _ForestPlan:
-    """Per-tree solve state for one forest, reusable across windows.
-
-    ``infer_many``'s packed mode re-infers the *same* trees (engines and
-    variance estimates) for window after window of snapshots; everything
-    except the measured rates — the memoized reduction, the (full-rank)
-    thin-QR factors, the scatter indices into the flat output buffer,
-    the continuity-floor vector — is snapshot-independent.  Resolving it
-    per call costs more Python time than the solves themselves, so the
-    plan resolves it once and the warm path is reduced to one fused
-    clip+log, one ``Q^T y`` + ``trtrs`` pair per tree, and one fused
-    clip+exp.
-
-    The plan holds strong references to its engines and estimates: that
-    both keeps the factorizations it resolved coherent with the engine
-    caches and pins the object ids the plan-cache key is built from.
-    """
-
-    __slots__ = (
-        "engines",
-        "estimates",
-        "reductions",
-        "offsets",
-        "path_counts",
-        "path_offsets",
-        "floors_expanded",
-        "solves",
-        "total_links",
-        "nbytes",
-    )
-
-    def __init__(
-        self,
-        runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-    ) -> None:
-        self.engines = [eng for eng, _, _ in runs]
-        self.estimates = [est for _, _, est in runs]
-        n = len(runs)
-        self.reductions: List[ReductionResult] = []
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        path_counts = np.empty(n, dtype=np.int64)
-        floors = np.empty(n, dtype=np.float64)
-        for i, (eng, snap, est) in enumerate(runs):
-            self.reductions.append(eng.reduce(est, snap.num_probes))
-            offsets[i + 1] = offsets[i] + eng.routing.num_links
-            path_counts[i] = snap.path_transmission.shape[0]
-            floor = (
-                eng.floor
-                if eng.floor is not None
-                else 0.5 / float(snap.num_probes)
-            )
-            if not 0 < floor <= 1:
-                raise ValueError(f"floor must be in (0, 1], got {floor}")
-            floors[i] = floor
-        self.offsets = offsets
-        self.path_counts = path_counts
-        path_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(path_counts, out=path_offsets[1:])
-        self.path_offsets = path_offsets
-        self.floors_expanded = np.repeat(floors, path_counts)
-        self.total_links = int(offsets[-1])
-        # One entry per tree with a non-empty kept set:
-        # (p0, p1, scatter, r, q_t, block) — r/q_t for the full-rank
-        # triangular path, block for the lstsq fallback.
-        self.solves: List[Tuple] = []
-        for i, (eng, snap, est) in enumerate(runs):
-            kept = self.reductions[i].kept_columns
-            if len(kept) == 0:
-                continue
-            p0, p1 = int(path_offsets[i]), int(path_offsets[i + 1])
-            scatter = offsets[i] + np.asarray(kept, dtype=np.int64)
-            factorization = eng._factorizations.factorization(kept)
-            if factorization.full_rank:
-                self.solves.append(
-                    (p0, p1, scatter, factorization.r, factorization.q.T, None)
-                )
-            else:
-                self.solves.append(
-                    (p0, p1, scatter, None, None, eng._factorizations.block(kept))
-                )
-        # Arrays this plan keeps alive (the r/q_t views are shared with
-        # the engine caches; counting them here keeps the plan budget
-        # conservative), for the byte-bounded plan LRU.
-        total = (
-            self.offsets.nbytes
-            + self.path_counts.nbytes
-            + self.path_offsets.nbytes
-            + self.floors_expanded.nbytes
-        )
-        for _, _, scatter, r, q_t, block in self.solves:
-            total += scatter.nbytes
-            if r is not None:
-                total += r.nbytes + q_t.nbytes
-            else:
-                total += block.nbytes
-        self.nbytes = int(total)
-
-    def log_rates(
-        self,
-        runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-    ) -> np.ndarray:
-        """One fused clip+log over every tree's measured path rates.
-
-        Elementwise ufuncs are batching-invariant, so each slice is
-        bit-identical to the tree's own ``snapshot.path_log_rates``.
-        """
-        rates = np.concatenate(
-            [snap.path_transmission for _, snap, _ in runs]
-        )
-        return np.log(np.clip(rates, self.floors_expanded, 1.0))
-
-    def solve(self, log_concat: np.ndarray) -> np.ndarray:
-        """Embedded, clipped solutions for all trees in one flat buffer."""
-        flat = np.zeros(self.total_links, dtype=np.float64)
-        for p0, p1, scatter, r, q_t, block in self.solves:
-            y = log_concat[p0:p1]
-            if r is not None:
-                flat[scatter] = solve_upper_triangular(r, q_t @ y)
-            else:
-                x_star, *_ = np.linalg.lstsq(block, y, rcond=None)
-                flat[scatter] = x_star
-        np.minimum(flat, 0.0, out=flat)
-        return flat
-
-    def results(self, rates: np.ndarray) -> List[LIAResult]:
-        offsets = self.offsets
-        return [
-            LIAResult(
-                transmission_rates=rates[offsets[i] : offsets[i + 1]],
-                variance_estimate=self.estimates[i],
-                reduction=self.reductions[i],
-            )
-            for i in range(len(self.estimates))
-        ]
-
-
-def _forest_plan(
-    runs: Sequence[Tuple["InferenceEngine", Snapshot, VarianceEstimate]],
-) -> "_ForestPlan":
-    """The (cached) plan for this forest.
-
-    Keyed by per-tree (engine id, estimate id, probe count, floor knob);
-    the cached plan's strong references keep those ids from being
-    reused, which is what makes identity keying sound.  Engines with
-    factorization downdating or updating enabled get a fresh plan every
-    call — their factorization cache is history-dependent, and a stored
-    plan could disagree with what a plain loop would see.
-    """
-    global _forest_plan_bytes
-    if any(
-        eng._factorizations.downdate_limit or eng._factorizations.update_limit
-        for eng, _, _ in runs
-    ):
-        return _ForestPlan(runs)
-    key = tuple(
-        (id(eng), id(est), snap.num_probes, eng.floor)
-        for eng, snap, est in runs
-    )
-    with _FOREST_PLAN_LOCK:
-        plan = _forest_plans.get(key)
-        if plan is not None:
-            if np.array_equal(
-                plan.path_counts,
-                np.fromiter(
-                    (snap.path_transmission.shape[0] for _, snap, _ in runs),
-                    dtype=np.int64,
-                    count=len(runs),
-                ),
-            ):
-                _forest_plans.move_to_end(key)
-                return plan
-            del _forest_plans[key]
-            _forest_plan_bytes -= plan.nbytes
-    # Resolve the plan outside the lock — it walks every tree's
-    # reduction and factorization, and other threads' forests should
-    # not wait on that.  A racing thread building the same key would
-    # have to share these engine objects, which are not thread-safe to
-    # begin with; last insert simply wins.
-    plan = _ForestPlan(runs)
-    with _FOREST_PLAN_LOCK:
-        displaced = _forest_plans.get(key)
-        if displaced is not None:
-            _forest_plan_bytes -= displaced.nbytes
-        _forest_plans[key] = plan
-        _forest_plan_bytes += plan.nbytes
-        while len(_forest_plans) > 1 and (
-            len(_forest_plans) > FOREST_PLAN_LIMIT
-            or (
-                _forest_plan_max_bytes is not None
-                and _forest_plan_bytes > _forest_plan_max_bytes
-            )
-        ):
-            _, evicted = _forest_plans.popitem(last=False)
-            _forest_plan_bytes -= evicted.nbytes
-    return plan
-
 
 def infer_many(
     runs: Sequence[Tuple[InferenceEngine, Snapshot, VarianceEstimate]],
-    mode: str = "auto",
 ) -> List[LIAResult]:
     """Infer many *independent trees* — (engine, snapshot, estimate)
-    triples — as one batched operation instead of a Python loop.
+    triples — in one packed pass.
 
     A campaign grid point often evaluates hundreds of small trees, each
     with its own :class:`InferenceEngine`; looping ``engine.infer`` pays
-    Python dispatch, ufunc launch, and small-allocation overhead per
-    tree that dwarfs the tree's actual FLOPs.  Modes:
+    Python dispatch, ufunc launch and small-allocation overhead per tree
+    that dwarfs the tree's actual FLOPs.  This pass issues the identical
+    per-tree BLAS/LAPACK calls (``Q^T y`` then the LAPACK ``trtrs`` the
+    factorization's own ``solve`` uses) with everything batchable hoisted
+    out of the loop: one clip+log over every tree's path rates, and one
+    flat solution buffer so the negative-clip and the final ``exp`` run
+    as one ufunc call each.  Elementwise ufuncs are batching-invariant,
+    so the results equal ``[eng.infer(snap, est) for eng, snap, est in
+    runs]`` **to the byte** (pinned by ``tests/test_engine.py``).
 
-    ``"loop"``
-        the reference: literally ``engine.infer`` per tree.
-    ``"packed"`` (what ``"auto"`` selects)
-        one pass issuing the identical per-tree BLAS/LAPACK calls
-        (``Q^T y`` then the LAPACK ``trtrs`` the factorization's own
-        ``solve`` uses) with everything batchable hoisted out of the
-        loop: the embedded solutions land in one flat buffer so the
-        negative-clip and the final ``exp`` run as *one* ufunc call over
-        all trees.  Elementwise ufuncs are batching-invariant, so the
-        results match ``"loop"`` **to the byte** (pinned by
-        ``tests/test_engine.py``).
-    ``"sparse"``
-        assembles every tree's kept-column block into one block-diagonal
-        sparse system and solves it in a single
-        :func:`~repro.core.sparse_solvers.solve_normal_sparse` call —
-        the scale path for thousands of tiny trees, where even the
-        packed loop's per-tree factorization bookkeeping dominates.
-        Agrees with ``"loop"`` to solver precision (~1e-9 relative), not
-        bitwise, so experiments default to ``"packed"``.
-
-    All modes share each engine's reduction/factorization caches, so
-    repeated windows against the same trees stay warm.
+    Nothing outlives the call: reductions and factorizations come from
+    each engine's own caches, which stay warm across calls.
     """
-    if mode not in INFER_MANY_MODES:
-        raise ValueError(
-            f"unknown infer_many mode {mode!r}; "
-            f"choose one of {', '.join(INFER_MANY_MODES)}"
-        )
     runs = list(runs)
-    if mode == "loop":
-        return [eng.infer(snap, est) for eng, snap, est in runs]
     if not runs:
         return []
-    if mode == "auto":
-        mode = "packed"
+    reductions = [eng.reduce(est, snap.num_probes) for eng, snap, est in runs]
+    link_offsets = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(
+        [eng.routing.num_links for eng, _, _ in runs], out=link_offsets[1:]
+    )
+    path_counts = [snap.path_transmission.shape[0] for _, snap, _ in runs]
+    path_offsets = np.zeros(len(runs) + 1, dtype=np.int64)
+    np.cumsum(path_counts, out=path_offsets[1:])
+    floors = np.empty(len(runs), dtype=np.float64)
+    for i, (eng, snap, _) in enumerate(runs):
+        floor = (
+            eng.floor if eng.floor is not None else 0.5 / float(snap.num_probes)
+        )
+        if not 0 < floor <= 1:
+            raise ValueError(f"floor must be in (0, 1], got {floor}")
+        floors[i] = floor
+    # Each slice is bit-identical to the tree's own snapshot.path_log_rates.
+    log_rates = np.log(
+        np.clip(
+            np.concatenate([snap.path_transmission for _, snap, _ in runs]),
+            np.repeat(floors, path_counts),
+            1.0,
+        )
+    )
 
-    plan = _forest_plan(runs)
-    log_concat = plan.log_rates(runs)
-
-    if mode == "packed":
-        flat = plan.solve(log_concat)
-    else:  # mode == "sparse"
-        flat = np.zeros(plan.total_links, dtype=np.float64)
-        blocks = []
-        stacked_rhs = []
-        spans: List[Tuple[int, np.ndarray, int]] = []  # (run idx, kept, k)
-        for index, (eng, snap, est) in enumerate(runs):
-            kept = plan.reductions[index].kept_columns
-            if len(kept) == 0:
-                continue
-            blocks.append(eng._factorizations.block(kept))
-            stacked_rhs.append(
-                log_concat[
-                    plan.path_offsets[index] : plan.path_offsets[index + 1]
-                ]
+    flat = np.zeros(int(link_offsets[-1]), dtype=np.float64)
+    for i, (eng, _, _) in enumerate(runs):
+        kept = reductions[i].kept_columns
+        if len(kept) == 0:
+            continue
+        y = log_rates[path_offsets[i] : path_offsets[i + 1]]
+        scatter = link_offsets[i] + np.asarray(kept, dtype=np.int64)
+        factorization = eng.factorization_cache.factorization(kept)
+        if factorization.full_rank:
+            flat[scatter] = solve_upper_triangular(
+                factorization.r, factorization.q.T @ y
             )
-            spans.append((index, np.asarray(kept, dtype=np.int64), len(kept)))
-        if blocks:
-            system = sparse.block_diag(blocks, format="csr")
-            solution = solve_normal_sparse(system, np.concatenate(stacked_rhs))
-            start = 0
-            for index, kept, width in spans:
-                flat[plan.offsets[index] + kept] = (
-                    solution[start : start + width]
-                )
-                start += width
-        np.minimum(flat, 0.0, out=flat)
-
-    # One exp over every tree at once: elementwise, so each entry is
-    # bit-identical to the per-tree np.exp the loop mode applies (the
-    # never-kept entries stay exp(0) = 1).
-    return plan.results(np.exp(flat))
+        else:
+            x_star, *_ = np.linalg.lstsq(
+                eng.factorization_cache.block(kept), y, rcond=None
+            )
+            flat[scatter] = x_star
+    np.minimum(flat, 0.0, out=flat)
+    # The never-kept entries stay exp(0) = 1, as in engine.infer.
+    rates = np.exp(flat)
+    return [
+        LIAResult(
+            transmission_rates=rates[link_offsets[i] : link_offsets[i + 1]],
+            variance_estimate=est,
+            reduction=reductions[i],
+        )
+        for i, (_, _, est) in enumerate(runs)
+    ]

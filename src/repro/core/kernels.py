@@ -1,38 +1,32 @@
-"""The pure-numpy kernel tier: the implementations the modules shipped with.
+"""The inner loops of LIA's linear algebra, in plain numpy.
 
-Every function here is the inner loop extracted *verbatim* from
-``core/linalg.py`` (PR 2's blocked kernels) — same operations in the
-same order, so routing those modules through this backend changes no
-result by a single bit.  This tier is always available and is the
-arithmetic every experiment payload is pinned to.
-
-``gram_matvec`` is ``None``: the numpy tier lets
-:func:`repro.core.sparse_solvers.solve_normal_cg` apply the
-normal-equation operator with scipy's own sparse matvecs, exactly as
-PR 5 shipped it.  (The numba tier replaces that operator application
-with one fused CSR kernel that performs the same sequential per-row
-accumulations, so the CG iterates stay bit-identical — see
-``numba_backend``.)
+These loops run in the interpreter when no single BLAS/LAPACK call
+covers them: the CGS2 two-matvec basis offer (every phase-2 reduction),
+the zero-pivot-tolerant back-substitution, the Givens column-removal and
+column-insert sweeps, the Givens row fold-in, and the Householder panel
+factorization.  :mod:`repro.core.linalg` and :mod:`repro.core.engine`
+call them directly; every experiment payload is pinned to this
+arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 __all__ = [
-    "TIER",
     "back_substitution",
     "cgs2_project",
+    "current_tier",
     "givens_append_rows",
     "givens_downdate",
     "givens_insert_column",
-    "gram_matvec",
     "householder_panel",
 ]
 
-TIER = "numpy"
+
+def current_tier() -> str:
+    """The kernel implementation, as run reports record it: ``"numpy"``."""
+    return "numpy"
 
 
 def cgs2_project(
@@ -176,7 +170,3 @@ def householder_panel(
         T[j, j] = beta
     return T
 
-
-#: The numpy tier has no fused normal-equation matvec; the CG solver
-#: applies ``A^T (A x) + ridge x`` with scipy sparse products.
-gram_matvec: Optional[object] = None

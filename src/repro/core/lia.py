@@ -18,35 +18,15 @@ one routing matrix, mirroring the paper's presentation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.augmented import IntersectingPairs
 from repro.core.engine import InferenceEngine, LIAResult
-from repro.core.engine import infer_many as _engine_infer_many
 from repro.core.variance import VarianceEstimate
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
 from repro.topology.routing import RoutingMatrix
 
-__all__ = ["LIAResult", "LossInferenceAlgorithm", "infer_many"]
-
-
-def infer_many(
-    runs: Sequence[
-        Tuple["LossInferenceAlgorithm", Snapshot, VarianceEstimate]
-    ],
-    mode: str = "auto",
-) -> List[LIAResult]:
-    """Batched inference across many independent trees' LIA instances.
-
-    The wrapper-level face of :func:`repro.core.engine.infer_many`: each
-    run is one (algorithm, snapshot, estimate) triple for a *different*
-    tree, and the batch is solved without a Python loop over trees (see
-    the engine function for the mode semantics and the byte-identity
-    guarantee of the default packed mode).
-    """
-    return _engine_infer_many(
-        [(alg.engine, snap, est) for alg, snap, est in runs], mode=mode
-    )
+__all__ = ["LIAResult", "LossInferenceAlgorithm"]
 
 
 class LossInferenceAlgorithm:

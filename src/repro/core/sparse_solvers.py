@@ -44,8 +44,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from repro.core.kernels import get_kernels
-
 __all__ = [
     "SPARSE_AUTO_THRESHOLD",
     "gram_ridge",
@@ -138,27 +136,9 @@ def solve_normal_cg(
     inv_diag = 1.0 / np.maximum(diag, np.finfo(np.float64).tiny)
 
     At = A.T.tocsr()
-    kernel = get_kernels().gram_matvec
-    if kernel is not None:
-        # Compiled tier: one fused pass over both CSR structures with
-        # the same sequential per-row accumulation scipy's C matvec
-        # performs, so the operator — and every CG iterate it drives —
-        # is bit-identical to the scipy expression below.
-        a_data, a_indices, a_indptr = A.data, A.indices, A.indptr
-        at_data, at_indices, at_indptr = At.data, At.indices, At.indptr
-        n_rows = A.shape[0]
 
-        def gram_matvec(x: np.ndarray) -> np.ndarray:
-            return kernel(
-                a_data, a_indices, a_indptr,
-                at_data, at_indices, at_indptr,
-                n_rows, np.ascontiguousarray(x, dtype=np.float64), ridge,
-            )
-
-    else:
-
-        def gram_matvec(x: np.ndarray) -> np.ndarray:
-            return At @ (A @ x) + ridge * x
+    def gram_matvec(x: np.ndarray) -> np.ndarray:
+        return At @ (A @ x) + ridge * x
 
     operator = sparse_linalg.LinearOperator(
         (n, n), matvec=gram_matvec, dtype=np.float64

@@ -24,7 +24,8 @@ import time
 from typing import Optional
 
 from repro.core.augmented import intersecting_pairs
-from repro.core.lia import LossInferenceAlgorithm, infer_many
+from repro.core.engine import InferenceEngine, infer_many
+from repro.core.lia import LossInferenceAlgorithm
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
 from repro.experiments.base import (
     ExperimentResult,
@@ -88,9 +89,9 @@ def trial(spec: TrialSpec) -> dict:
 
     # Forest stage: the campaign-scale shape is many *small* independent
     # trees inferred per round.  Time a Python loop of engine.infer
-    # against the block-diagonal batched solve (infer_many's packed
-    # mode, bit-identical output).  One untimed pass first so both
-    # measurements run against warm reduction/factorization caches.
+    # against infer_many's packed pass (bit-identical output).  One
+    # untimed pass first so both measurements run against warm
+    # reduction/factorization caches.
     num_trees = {"tiny": 16, "small": 64, "paper": 256}.get(
         spec.params["scale"], 64
     )
@@ -108,14 +109,16 @@ def trial(spec: TrialSpec) -> dict:
             params.snapshots + 1, tree.routing, seed=derive_seed(seed, 1000 + i)
         )
         tree_training, tree_target = tree_campaign.split_training_target()
-        algorithm = LossInferenceAlgorithm(tree.routing)
+        engine = InferenceEngine(tree.routing)
         forest_runs.append(
-            (algorithm, tree_target, algorithm.learn_variances(tree_training))
+            (engine, tree_target, engine.learn_variances(tree_training))
         )
-    infer_many(forest_runs, mode="loop")  # warm the per-tree caches
+    for engine, snapshot, estimate in forest_runs:  # warm the caches
+        engine.infer(snapshot, estimate)
 
     t0 = time.perf_counter()
-    infer_many(forest_runs, mode="loop")
+    for engine, snapshot, estimate in forest_runs:
+        engine.infer(snapshot, estimate)
     t_forest_loop = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -6,10 +6,9 @@ Three layers:
   that fires and one that stays clean, built as scratch ``repro/``
   package trees so payload classification and module naming run the
   same code paths the real tree does;
-* the acceptance seams ISSUE 10 names — copies of the *real*
-  ``cli.py``/``registry.py`` and kernel backend sources with one
-  registry entry or one backend function deleted must fail the
-  ``registry-sync`` / ``kernel-parity`` rules;
+* the acceptance seam — copies of the *real* ``cli.py``/``registry.py``
+  sources with one registry entry deleted must fail the
+  ``registry-sync`` rule;
 * the engine/CLI surface — suppression comments, JSON/text reports,
   exit codes, and the pin that ``repro lint src/`` is clean at HEAD.
 """
@@ -39,10 +38,6 @@ from repro.analysis.rules.determinism import (
     SetIterationRule,
     UnseededRandomRule,
     WallClockRule,
-)
-from repro.analysis.rules.kernel_parity import (
-    KernelTierParityRule,
-    NjitConstructsRule,
 )
 from repro.analysis.rules.registry_sync import RegistrySyncRule
 
@@ -337,123 +332,6 @@ def test_registry_sync_catches_deleted_entry_in_real_sources(tmp_path):
     )
 
 
-# -- kernel parity -------------------------------------------------------------
-
-KERNEL_FILES = {
-    "repro/__init__.py": "",
-    "repro/core/__init__.py": "",
-    "repro/core/kernels/__init__.py": """
-        KERNEL_OPS = ("alpha", "beta")
-        """,
-    "repro/core/kernels/numpy_backend.py": """
-        def alpha(x, y):
-            return x + y
-
-        beta = None
-        """,
-    "repro/core/kernels/numba_backend.py": """
-        def alpha(x, y):
-            return x + y
-
-        def beta(x):
-            return x
-        """,
-}
-
-
-def test_kernel_parity_clean_with_explicit_none_optout(tmp_path):
-    write_tree(tmp_path, KERNEL_FILES)
-    assert findings_for(tmp_path, KernelTierParityRule()) == []
-
-
-def test_kernel_parity_fires_on_missing_backend_function(tmp_path):
-    files = dict(KERNEL_FILES)
-    files["repro/core/kernels/numba_backend.py"] = """
-        def alpha(x, y):
-            return x + y
-        """
-    write_tree(tmp_path, files)
-    findings = findings_for(tmp_path, KernelTierParityRule())
-    assert rule_ids(findings) == ["kernel-parity"]
-    assert "'beta'" in findings[0].message
-
-
-def test_kernel_parity_fires_on_signature_drift(tmp_path):
-    files = dict(KERNEL_FILES)
-    files["repro/core/kernels/numba_backend.py"] = """
-        def alpha(x, z):
-            return x + z
-
-        def beta(x):
-            return x
-        """
-    write_tree(tmp_path, files)
-    findings = findings_for(tmp_path, KernelTierParityRule())
-    assert rule_ids(findings) == ["kernel-parity"]
-    assert "signature drifted" in findings[0].message
-
-
-def test_kernel_parity_catches_deleted_op_in_real_sources(tmp_path):
-    """ISSUE acceptance: deleting one backend kernel fails the lint."""
-    kernels_dir = REPO_SRC / "repro/core/kernels"
-    numba_source = (kernels_dir / "numba_backend.py").read_text()
-    broken = numba_source.replace("def cgs2_project(", "def cgs2_gone(")
-    assert broken != numba_source
-    write_tree(
-        tmp_path,
-        {
-            "repro/__init__.py": "",
-            "repro/core/__init__.py": "",
-        },
-    )
-    target = tmp_path / "repro/core/kernels"
-    target.mkdir()
-    (target / "__init__.py").write_text(
-        (kernels_dir / "__init__.py").read_text()
-    )
-    (target / "numpy_backend.py").write_text(
-        (kernels_dir / "numpy_backend.py").read_text()
-    )
-    (target / "numba_backend.py").write_text(broken)
-    findings = findings_for(tmp_path, KernelTierParityRule())
-    assert any(
-        finding.rule_id == "kernel-parity"
-        and "'cgs2_project'" in finding.message
-        and "numba_backend" in finding.message
-        for finding in findings
-    )
-
-
-def test_njit_rule_flags_unsupported_constructs(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "mod.py": """
-            from numba import njit
-
-            @njit(cache=True)
-            def bad(n):
-                label = f"n={n}"
-                pairs = {i: i for i in range(n)}
-                return label, pairs
-
-            @njit
-            def good(n):
-                total = 0
-                for i in range(n):
-                    total += i
-                return total
-
-            def plain(n):
-                return f"{n}"
-            """,
-        },
-    )
-    findings = findings_for(tmp_path, NjitConstructsRule())
-    assert rule_ids(findings) == ["njit-unsupported"] * 2
-    assert all("'bad'" in finding.message for finding in findings)
-
-
 # -- concurrency ---------------------------------------------------------------
 
 
@@ -594,6 +472,22 @@ def test_syntax_error_becomes_finding_not_crash(tmp_path):
     report = lint_paths([tmp_path])
     assert rule_ids(report.findings) == ["syntax-error"]
     assert report.exit_code == 1
+
+
+def test_builtin_rules(capsys):
+    assert lint_main(["--list-rules"]) == 0
+    listed = capsys.readouterr().out
+    for rule_id in (
+        "unseeded-random",
+        "wall-clock",
+        "set-iteration",
+        "registry-sync",
+        "unlocked-global",
+        "unlocked-mutation",
+    ):
+        assert rule_id in listed
+    assert "kernel-parity" not in listed
+    assert "njit-unsupported" not in listed
 
 
 def test_rule_registry_round_trip():

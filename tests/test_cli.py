@@ -376,45 +376,3 @@ class TestWorkerVerb:
         assert code == 1
         assert "no coordinator" in capsys.readouterr().out
 
-
-class TestKernelTierFlag:
-    """The global --kernel-tier flag routes into the kernel registry."""
-
-    @pytest.fixture(autouse=True)
-    def reset_tier(self, monkeypatch):
-        from repro.core.kernels import ENV_VAR, set_kernel_tier
-
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        set_kernel_tier(None)
-        yield
-        set_kernel_tier(None)
-
-    AUDIT = ["audit", "--topology", "tree", "--size", "60", "--seed", "1"]
-
-    def test_numpy_tier_accepted(self, capsys):
-        from repro.core.kernels import current_tier
-
-        code = main(["--kernel-tier", "numpy"] + self.AUDIT)
-        assert code == 0
-        assert current_tier() == "numpy"
-
-    def test_default_leaves_tier_alone(self):
-        from repro.core.kernels import available_tiers, current_tier
-
-        assert main(self.AUDIT) == 0
-        assert current_tier() == available_tiers()[0]
-
-    def test_missing_numba_is_a_loud_failure(self, capsys):
-        from repro.core.kernels import numba_available
-
-        if numba_available():
-            pytest.skip("numba installed; the explicit request succeeds here")
-        code = main(["--kernel-tier", "numba"] + self.AUDIT)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--kernel-tier" in err and "numba is not installed" in err
-
-    def test_unknown_tier_rejected_at_parse_time(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--kernel-tier", "turbo"] + self.AUDIT)
-        assert "invalid choice" in capsys.readouterr().err

@@ -1,12 +1,10 @@
 """Thread-safety regressions for module-level shared state.
 
 The ``thread`` execution backend runs trials concurrently *inside one
-process*, so the kernel-tier switch, the forest-plan LRU and the
-estimator/backend registries are shared state.  Each test hammers one
-of those seams from many threads and asserts the invariant the lock
-exists to protect; before the locks landed these produced wrong modules
-(tier races), drifting byte counters (plan LRU) and lost registrations
-(registry check-then-set races).
+process*, so the estimator and backend registries are shared state.
+Each test hammers one of them from many threads and asserts the
+invariant the lock exists to protect; before the locks landed these
+lost registrations (registry check-then-set races).
 
 Races are probabilistic: these tests cannot prove absence, but they
 fail loudly (and did, pre-lock) when the guarded sections regress.
@@ -14,19 +12,10 @@ fail loudly (and did, pre-lock) when the guarded sections regress.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
-import numpy as np
-import pytest
-
+import repro.core
 from repro.api import registry
-from repro.core import engine as engine_module
-from repro.core import kernels
-from repro.core.engine import (
-    InferenceEngine,
-    infer_many,
-    invalidate_forest_plans,
-    set_forest_plan_budget,
-)
 from repro.runner.backends import (
     SerialBackend,
     available_backends,
@@ -43,52 +32,6 @@ def run_concurrently(tasks):
         futures = [pool.submit(task) for task in tasks]
         for future in futures:
             future.result()
-
-
-class TestKernelTierRaces:
-    def test_tier_flip_never_hands_out_a_mismatched_backend(self):
-        """get_kernels() under a racing set_kernel_tier() stays coherent."""
-        valid = {
-            f"repro.core.kernels.{tier}_backend"
-            for tier in ("numpy", "numba")
-        }
-        barrier = threading.Barrier(WORKERS)
-
-        def flipper():
-            barrier.wait()
-            for _ in range(200):
-                kernels.set_kernel_tier("numpy")
-                kernels.set_kernel_tier(None)
-
-        def reader():
-            barrier.wait()
-            for _ in range(200):
-                module = kernels.get_kernels()
-                assert module.__name__ in valid
-                assert kernels.current_tier() in ("numpy", "numba")
-
-        try:
-            run_concurrently([flipper] * (WORKERS // 2) + [reader] * (WORKERS // 2))
-        finally:
-            kernels.set_kernel_tier(None)
-
-    def test_use_kernel_tier_restores_after_concurrent_blocks(self):
-        barrier = threading.Barrier(WORKERS)
-
-        def pin():
-            barrier.wait()
-            for _ in range(100):
-                with kernels.use_kernel_tier("numpy") as tier:
-                    assert tier == "numpy"
-                    assert kernels.get_kernels().__name__.endswith(
-                        "numpy_backend"
-                    )
-
-        try:
-            run_concurrently([pin] * WORKERS)
-        finally:
-            kernels.set_kernel_tier(None)
-        assert kernels.current_tier() in kernels.available_tiers()
 
 
 class TestRegistryRaces:
@@ -149,79 +92,8 @@ class TestRegistryRaces:
         assert len(errors) == WORKERS
 
 
-class TestForestPlanRaces:
-    @pytest.fixture(scope="class")
-    def forest_runs(self):
-        """Three small trees — enough for the packed plan cache."""
-        from repro import (
-            ProberConfig,
-            ProbingSimulator,
-            RoutingMatrix,
-            build_paths,
-            random_tree,
-        )
-
-        runs = []
-        for i in range(3):
-            topo = random_tree(num_nodes=14 + 2 * i, seed=900 + i)
-            paths = build_paths(topo.network, topo.beacons, topo.destinations)
-            routing = RoutingMatrix.from_paths(paths)
-            simulator = ProbingSimulator(
-                paths,
-                topo.network.num_links,
-                config=ProberConfig(
-                    probes_per_snapshot=120,
-                    congestion_probability=0.15,
-                ),
-            )
-            campaign = simulator.run_campaign(4, routing, seed=950 + i)
-            training, target = campaign.split_training_target()
-            engine = InferenceEngine(routing)
-            runs.append((engine, target, engine.learn_variances(training)))
-        return runs
-
-    def test_infer_many_races_invalidation_without_corruption(self, forest_runs):
-        """Packed inference stays byte-identical while other threads
-        clear the plan LRU and flip its byte budget, and the LRU's byte
-        counter matches its contents afterwards."""
-        reference = [r.transmission_rates for r in infer_many(forest_runs, mode="loop")]
-        barrier = threading.Barrier(WORKERS)
-
-        def infer():
-            barrier.wait()
-            for _ in range(15):
-                results = infer_many(forest_runs, mode="packed")
-                for got, expected in zip(results, reference):
-                    assert np.array_equal(got.transmission_rates, expected)
-
-        def churn():
-            barrier.wait()
-            for step in range(60):
-                invalidate_forest_plans()
-                set_forest_plan_budget(1 if step % 2 else None)
-
-        try:
-            run_concurrently([infer] * (WORKERS - 2) + [churn] * 2)
-        finally:
-            set_forest_plan_budget(None)
-            invalidate_forest_plans()
-
-    def test_plan_byte_counter_matches_cache_contents(self, forest_runs):
-        barrier = threading.Barrier(WORKERS)
-
-        def infer():
-            barrier.wait()
-            for _ in range(10):
-                infer_many(forest_runs, mode="packed")
-                invalidate_forest_plans()
-
-        try:
-            run_concurrently([infer] * WORKERS)
-        finally:
-            set_forest_plan_budget(None)
-        with engine_module._FOREST_PLAN_LOCK:
-            expected = sum(
-                plan.nbytes for plan in engine_module._forest_plans.values()
-            )
-            assert engine_module._forest_plan_bytes == expected
-        invalidate_forest_plans()
+def test_core_holds_no_locks():
+    """repro.core keeps no module-level shared state, so it needs no lock."""
+    core = Path(repro.core.__file__).parent
+    for path in sorted(core.glob("*.py")):
+        assert "threading" not in path.read_text(), path.name

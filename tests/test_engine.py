@@ -595,78 +595,61 @@ class TestInferBatch:
             )
 
 
+def _forest(count, first_seed=300):
+    """*count* small trees with distinct sizes and probe counts."""
+    from repro import (
+        ProberConfig,
+        ProbingSimulator,
+        RoutingMatrix,
+        build_paths,
+        random_tree,
+    )
+
+    runs = []
+    for i in range(count):
+        topo = random_tree(num_nodes=25 + 3 * i, seed=first_seed + i)
+        paths = build_paths(topo.network, topo.beacons, topo.destinations)
+        routing = RoutingMatrix.from_paths(paths)
+        simulator = ProbingSimulator(
+            paths,
+            topo.network.num_links,
+            config=ProberConfig(
+                probes_per_snapshot=200 + 50 * i,
+                congestion_probability=0.15,
+            ),
+        )
+        campaign = simulator.run_campaign(9, routing, seed=first_seed + 200 + i)
+        training, target = campaign.split_training_target()
+        engine = InferenceEngine(routing)
+        runs.append((engine, target, engine.learn_variances(training)))
+    return runs
+
+
+def assert_matches_loop(runs, results):
+    """*results* equal a loop of ``engine.infer`` to the byte."""
+    loop = [engine.infer(snap, est) for engine, snap, est in runs]
+    assert len(results) == len(loop)
+    for reference, batched in zip(loop, results):
+        assert np.array_equal(
+            reference.transmission_rates, batched.transmission_rates
+        )
+        assert np.array_equal(
+            reference.reduction.kept_columns, batched.reduction.kept_columns
+        )
+
+
 class TestInferMany:
-    """Block-diagonal batched inference across independent trees."""
+    """Packed inference across independent trees."""
 
     @pytest.fixture(scope="class")
     def forest_runs(self):
-        """Five small trees with distinct sizes and probe counts."""
-        from repro import (
-            ProberConfig,
-            ProbingSimulator,
-            RoutingMatrix,
-            build_paths,
-            random_tree,
-        )
-
-        runs = []
-        for i in range(5):
-            topo = random_tree(num_nodes=25 + 3 * i, seed=300 + i)
-            paths = build_paths(
-                topo.network, topo.beacons, topo.destinations
-            )
-            routing = RoutingMatrix.from_paths(paths)
-            simulator = ProbingSimulator(
-                paths,
-                topo.network.num_links,
-                config=ProberConfig(
-                    probes_per_snapshot=200 + 50 * i,
-                    congestion_probability=0.15,
-                ),
-            )
-            campaign = simulator.run_campaign(9, routing, seed=500 + i)
-            training, target = campaign.split_training_target()
-            engine = InferenceEngine(routing)
-            runs.append((engine, target, engine.learn_variances(training)))
-        return runs
+        return _forest(5)
 
     def test_packed_matches_loop_to_the_byte(self, forest_runs):
-        loop = infer_many(forest_runs, mode="loop")
-        packed = infer_many(forest_runs, mode="packed")
-        assert len(loop) == len(packed) == len(forest_runs)
-        for reference, batched in zip(loop, packed):
-            assert np.array_equal(
-                reference.transmission_rates, batched.transmission_rates
-            )
-            assert np.array_equal(
-                reference.reduction.kept_columns,
-                batched.reduction.kept_columns,
-            )
-
-    def test_auto_selects_packed(self, forest_runs):
-        auto = infer_many(forest_runs)
-        packed = infer_many(forest_runs, mode="packed")
-        for a, p in zip(auto, packed):
-            assert np.array_equal(a.transmission_rates, p.transmission_rates)
-
-    def test_sparse_mode_matches_to_solver_precision(self, forest_runs):
-        loop = infer_many(forest_runs, mode="loop")
-        via_sparse = infer_many(forest_runs, mode="sparse")
-        for reference, batched in zip(loop, via_sparse):
-            assert np.allclose(
-                reference.transmission_rates,
-                batched.transmission_rates,
-                rtol=1e-8,
-                atol=1e-9,
-            )
+        assert_matches_loop(forest_runs, infer_many(forest_runs))
 
     def test_empty_runs(self):
         assert infer_many([]) == []
-        assert infer_many([], mode="loop") == []
-
-    def test_invalid_mode_raises(self, forest_runs):
-        with pytest.raises(ValueError, match="unknown infer_many mode"):
-            infer_many(forest_runs, mode="blocked")
 
     def test_empty_kept_set_tree(self, small_tree, tree_campaign):
         """A tree whose reduction keeps nothing still lands rate 1.0."""
@@ -680,63 +663,30 @@ class TestInferMany:
         )
         target = tree_campaign.snapshots[-1]
         runs = [(engine, target, quiet)]
-        for mode in ("packed", "sparse"):
-            (result,) = infer_many(runs, mode=mode)
-            assert np.array_equal(
-                result.transmission_rates, np.ones(routing.num_links)
-            )
-
-    def test_plan_cache_hit_and_lru(self, forest_runs):
-        from repro.core import engine as engine_module
-
-        engine_module.invalidate_forest_plans()
-        first = engine_module._forest_plan(forest_runs)
-        assert len(engine_module._forest_plans) == 1
-        assert engine_module._forest_plan(forest_runs) is first
-        # Distinct sub-forests get distinct plans, bounded by the LRU.
-        for size in range(1, 5):
-            engine_module._forest_plan(forest_runs[:size])
-        assert (
-            len(engine_module._forest_plans)
-            <= engine_module.FOREST_PLAN_LIMIT
+        (result,) = infer_many(runs)
+        assert np.array_equal(
+            result.transmission_rates, np.ones(routing.num_links)
         )
-        engine_module.invalidate_forest_plans()
-        assert len(engine_module._forest_plans) == 0
+        assert_matches_loop(runs, [result])
 
-    def test_downdating_engines_bypass_plan_cache(self, forest_runs):
-        from repro.core import engine as engine_module
-
-        engine_module.invalidate_forest_plans()
+    def test_downdating_engines_match_loop(self, forest_runs):
         engine, target, estimate = forest_runs[0]
         engine._factorizations.downdate_limit = 2
         try:
             runs = [(engine, target, estimate)]
-            engine_module._forest_plan(runs)
-            assert len(engine_module._forest_plans) == 0
-            loop = infer_many(runs, mode="loop")
-            packed = infer_many(runs, mode="packed")
-            assert np.array_equal(
-                loop[0].transmission_rates, packed[0].transmission_rates
-            )
+            assert_matches_loop(runs, infer_many(runs))
         finally:
             engine._factorizations.downdate_limit = 0
-            engine_module.invalidate_forest_plans()
 
-    def test_staticmethod_and_lia_wrapper_delegate(self, forest_runs):
-        from repro.core.lia import infer_many as lia_infer_many
-
-        packed = infer_many(forest_runs, mode="packed")
-        via_static = InferenceEngine.infer_many(forest_runs, mode="packed")
-        for a, b in zip(packed, via_static):
-            assert np.array_equal(a.transmission_rates, b.transmission_rates)
-        wrapped = []
-        for engine, target, estimate in forest_runs:
-            algorithm = LossInferenceAlgorithm.__new__(LossInferenceAlgorithm)
-            algorithm.engine = engine
-            wrapped.append((algorithm, target, estimate))
-        via_lia = lia_infer_many(wrapped, mode="packed")
-        for a, b in zip(packed, via_lia):
-            assert np.array_equal(a.transmission_rates, b.transmission_rates)
+    def test_sees_estimates_mutated_in_place(self):
+        """Nothing is keyed on object identity across calls: zeroing an
+        estimate's variances in place changes the next call's answer
+        exactly as it changes a loop of ``engine.infer``."""
+        runs = _forest(3)
+        infer_many(runs)
+        for _, _, estimate in runs:
+            estimate.variances[:] = 0.0
+        assert_matches_loop(runs, infer_many(runs))
 
     def test_full_rank_property_is_cached(self):
         from repro.core.linalg import QRFactorization

@@ -1,15 +1,6 @@
-"""Kernel-tier registry and backend correctness tests.
-
-Two layers:
-
-* tier selection — the ``REPRO_KERNEL_TIER`` environment variable, the
-  explicit :func:`set_kernel_tier` call, the ``use_kernel_tier`` context
-  manager, and the numba-missing fallback/raise rules;
-* kernel arithmetic — the numpy tier pinned to the ``*_reference``
-  oracles (it *is* the extracted historical code), and, when numba is
-  installed (CI's ``[fast]`` legs), the compiled tier pinned to the
-  numpy tier: bit-for-bit for the fused CG matvec, machine precision
-  for the BLAS-replacing loops, and seed-identical end-to-end payloads.
+"""Kernel correctness tests: the numpy loops of :mod:`repro.core.kernels`
+pinned to the ``*_reference`` oracles (they *are* the extracted
+historical code), edge cases included.
 """
 
 import numpy as np
@@ -18,121 +9,15 @@ from scipy import linalg as scipy_linalg
 from scipy import sparse
 
 from repro.core import kernels
-from repro.core.kernels import (
-    ENV_VAR,
-    KERNEL_OPS,
-    KernelTierError,
-    available_tiers,
-    current_tier,
-    get_kernels,
-    numba_available,
-    set_kernel_tier,
-    use_kernel_tier,
-)
-from repro.core.kernels import numpy_backend
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
     back_substitution,
     householder_qr,
     householder_qr_reference,
-    solve_least_squares_qr,
     solve_upper_triangular,
 )
 from repro.core.sparse_solvers import solve_normal_cg, solve_normal_sparse
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed (pip install repro[fast])"
-)
-without_numba = pytest.mark.skipif(
-    numba_available(), reason="test covers the numba-missing machine"
-)
-
-
-@pytest.fixture(autouse=True)
-def clean_tier_state(monkeypatch):
-    """Each test starts from auto selection and an unset environment."""
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    set_kernel_tier(None)
-    yield
-    # Drop any test-set env value before resetting: set_kernel_tier(None)
-    # re-resolves the environment and must not see a bogus entry.
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    set_kernel_tier(None)
-
-
-class TestTierSelection:
-    def test_numpy_always_available(self):
-        assert "numpy" in available_tiers()
-
-    def test_available_matches_numba_presence(self):
-        if numba_available():
-            assert available_tiers() == ("numba", "numpy")
-        else:
-            assert available_tiers() == ("numpy",)
-
-    def test_auto_resolves_to_best_available(self):
-        assert current_tier() == available_tiers()[0]
-        assert get_kernels().TIER == current_tier()
-
-    def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert current_tier() == "numpy"
-        assert get_kernels().TIER == "numpy"
-
-    def test_env_var_bogus_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fortran")
-        with pytest.raises(KernelTierError, match="fortran"):
-            current_tier()
-
-    @without_numba
-    def test_env_var_numba_missing_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numba")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            tier = current_tier()
-        assert tier == "numpy"
-
-    @needs_numba
-    def test_env_var_selects_numba(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numba")
-        assert current_tier() == "numba"
-        assert get_kernels().TIER == "numba"
-
-    @without_numba
-    def test_explicit_numba_missing_raises(self):
-        with pytest.raises(KernelTierError, match="repro\\[fast\\]"):
-            set_kernel_tier("numba")
-
-    def test_explicit_bogus_raises(self):
-        with pytest.raises(KernelTierError, match="unknown kernel tier"):
-            set_kernel_tier("cython")
-
-    def test_explicit_selection_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fortran")  # would raise if consulted
-        assert set_kernel_tier("numpy") == "numpy"
-        assert current_tier() == "numpy"
-
-    def test_set_none_reenables_auto(self):
-        set_kernel_tier("numpy")
-        set_kernel_tier(None)
-        assert current_tier() == available_tiers()[0]
-
-    def test_use_kernel_tier_restores_selection(self):
-        before = current_tier()
-        with use_kernel_tier("numpy") as tier:
-            assert tier == "numpy"
-            assert current_tier() == "numpy"
-            assert get_kernels().TIER == "numpy"
-        assert current_tier() == before
-
-    def test_backends_export_every_op(self):
-        backend = get_kernels()
-        for op in KERNEL_OPS:
-            assert hasattr(backend, op), op
-
-    def test_numpy_tier_has_no_fused_gram_matvec(self):
-        with use_kernel_tier("numpy"):
-            assert get_kernels().gram_matvec is None
 
 
 def _back_substitution_oracle(U, b, tol):
@@ -180,8 +65,12 @@ def _append_rows_state(seed, m=14, k=5, t=3):
     return A, np.ascontiguousarray(r0), A[m:].copy(), q
 
 
+def test_current_tier_names_the_numpy_kernels():
+    assert kernels.current_tier() == "numpy"
+
+
 class TestNumpyKernels:
-    """The numpy backend pinned to the seed oracles, edge cases included."""
+    """The kernels pinned to the seed oracles, edge cases included."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 25])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -192,7 +81,7 @@ class TestNumpyKernels:
             U[n // 2, n // 2] = 0.0  # force the degenerate pivot branch
         b = rng.normal(size=n).astype(dtype)
         tol = 1e-12
-        got = numpy_backend.back_substitution(
+        got = kernels.back_substitution(
             np.ascontiguousarray(U, dtype=np.float64),
             np.ascontiguousarray(b, dtype=np.float64),
             tol,
@@ -277,14 +166,13 @@ class TestNumpyKernels:
         rng = np.random.default_rng(7)
         A = sparse.random(60, 25, density=0.2, random_state=8, format="csr")
         b = rng.normal(size=60)
-        with use_kernel_tier("numpy"):
-            cg = solve_normal_cg(A, b)
+        cg = solve_normal_cg(A, b)
         direct = solve_normal_sparse(A, b)
         assert np.allclose(cg, direct, rtol=1e-8, atol=1e-10)
 
     def test_givens_insert_column_restores_factorization(self):
         A, r, q, position = _insert_column_state(seed=31)
-        numpy_backend.givens_insert_column(r, q, position)
+        kernels.givens_insert_column(r, q, position)
         k = r.shape[0]
         assert np.allclose(r, np.triu(r), atol=1e-12)
         assert np.allclose(q.T @ q, np.eye(k), atol=1e-10)
@@ -292,7 +180,7 @@ class TestNumpyKernels:
 
     def test_givens_append_rows_restores_factorization(self):
         A, r, rows, q = _append_rows_state(seed=32)
-        numpy_backend.givens_append_rows(r, rows, q)
+        kernels.givens_append_rows(r, rows, q)
         k = r.shape[1]
         assert np.allclose(r, np.triu(r), atol=1e-12)
         # Eliminated rows are fully absorbed into R.
@@ -300,136 +188,3 @@ class TestNumpyKernels:
         assert np.allclose(q[:, :k].T @ q[:, :k], np.eye(k), atol=1e-10)
         assert np.allclose(q[:, :k] @ r, A, atol=1e-10)
 
-
-@needs_numba
-class TestNumbaKernels:
-    """The compiled tier pinned to the numpy tier (CI ``[fast]`` legs)."""
-
-    @pytest.fixture()
-    def numba_backend(self):
-        from repro.core.kernels import numba_backend
-
-        return numba_backend
-
-    def test_tier_reports_numba(self, numba_backend):
-        assert numba_backend.TIER == "numba"
-        with use_kernel_tier("numba"):
-            assert get_kernels() is numba_backend
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
-    def test_back_substitution_matches_numpy_tier(self, numba_backend, n):
-        rng = np.random.default_rng(n)
-        U = np.ascontiguousarray(np.triu(rng.normal(size=(n, n))))
-        if n > 2:
-            U[n // 2, n // 2] = 0.0
-        b = rng.normal(size=n)
-        tol = 1e-12
-        got = numba_backend.back_substitution(U, b, tol)
-        expected = numpy_backend.back_substitution(U.copy(), b.copy(), tol)
-        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
-        assert np.array_equal(got == 0.0, expected == 0.0)
-
-    def test_cgs2_matches_numpy_tier(self, numba_backend):
-        rng = np.random.default_rng(2)
-        B, _ = np.linalg.qr(rng.normal(size=(30, 6)))
-        storage = np.ascontiguousarray(B)
-        v = rng.normal(size=30)
-        got = numba_backend.cgs2_project(storage, 6, v.copy())
-        expected = numpy_backend.cgs2_project(storage, 6, v.copy())
-        assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
-
-    def test_givens_downdate_matches_numpy_tier(self, numba_backend):
-        rng = np.random.default_rng(9)
-        A = rng.normal(size=(20, 7))
-        q, r = np.linalg.qr(A)
-        r_deleted = np.ascontiguousarray(np.delete(r, 2, axis=1))
-        q0, r0 = q.copy(), r_deleted.copy()
-        q1, r1 = q.copy(), r_deleted.copy()
-        numba_backend.givens_downdate(r0, q0, 2)
-        numpy_backend.givens_downdate(r1, q1, 2)
-        assert np.allclose(r0, r1, rtol=1e-12, atol=1e-13)
-        assert np.allclose(q0, q1, rtol=1e-12, atol=1e-13)
-
-    def test_givens_insert_column_matches_numpy_tier(self, numba_backend):
-        _, r, q, position = _insert_column_state(seed=17)
-        r0, q0 = r.copy(), q.copy()
-        r1, q1 = r.copy(), q.copy()
-        numba_backend.givens_insert_column(r0, q0, position)
-        numpy_backend.givens_insert_column(r1, q1, position)
-        assert np.allclose(r0, r1, rtol=1e-12, atol=1e-13)
-        assert np.allclose(q0, q1, rtol=1e-12, atol=1e-13)
-
-    def test_givens_append_rows_matches_numpy_tier(self, numba_backend):
-        _, r, rows, q = _append_rows_state(seed=18)
-        r0, rows0, q0 = r.copy(), rows.copy(), q.copy()
-        r1, rows1, q1 = r.copy(), rows.copy(), q.copy()
-        numba_backend.givens_append_rows(r0, rows0, q0)
-        numpy_backend.givens_append_rows(r1, rows1, q1)
-        assert np.allclose(r0, r1, rtol=1e-12, atol=1e-13)
-        assert np.allclose(q0, q1, rtol=1e-12, atol=1e-13)
-        assert np.allclose(rows0, rows1, atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(5, 1), (12, 8), (50, 20)])
-    def test_householder_panel_matches_numpy_tier(self, numba_backend, shape):
-        rng = np.random.default_rng(shape[1])
-        base = rng.normal(size=shape)
-        m, n = shape
-        results = []
-        for backend in (numba_backend, numpy_backend):
-            A = base.copy()
-            V = np.zeros((m, n))
-            betas = np.zeros(n)
-            T = backend.householder_panel(A, V, betas, 0, n)
-            results.append((A, V, betas, T))
-        for got, expected in zip(results[0], results[1]):
-            assert np.allclose(got, expected, rtol=1e-10, atol=1e-11)
-
-    def test_gram_matvec_bit_identical_to_scipy(self, numba_backend):
-        # The load-bearing identity: the fused kernel must reproduce
-        # scipy's sequential CSR accumulation exactly, or "cg" payloads
-        # would drift across tiers.
-        rng = np.random.default_rng(21)
-        A = sparse.random(80, 35, density=0.15, random_state=5, format="csr")
-        At = A.T.tocsr()
-        x = rng.normal(size=35)
-        ridge = 1e-8
-        got = numba_backend.gram_matvec(
-            A.data, A.indices, A.indptr,
-            At.data, At.indices, At.indptr,
-            A.shape[0], np.ascontiguousarray(x), ridge,
-        )
-        expected = At @ (A @ x) + ridge * x
-        assert np.array_equal(got, expected)
-
-    def test_cg_solver_identical_across_tiers(self):
-        rng = np.random.default_rng(13)
-        A = sparse.random(70, 30, density=0.2, random_state=3, format="csr")
-        b = rng.normal(size=70)
-        with use_kernel_tier("numpy"):
-            reference = solve_normal_cg(A, b)
-        with use_kernel_tier("numba"):
-            compiled = solve_normal_cg(A, b)
-        assert np.array_equal(reference, compiled)
-
-    def test_qr_ablation_solver_identical_across_tiers(self):
-        # solve_least_squares_qr pins the numpy backend by parameter, so
-        # the "qr" phase-1 ablation payload cannot follow the tier.
-        rng = np.random.default_rng(17)
-        A = rng.normal(size=(40, 12))
-        b = rng.normal(size=40)
-        with use_kernel_tier("numpy"):
-            reference = solve_least_squares_qr(A, b)
-        with use_kernel_tier("numba"):
-            compiled = solve_least_squares_qr(A, b)
-        assert np.array_equal(reference, compiled)
-
-    def test_lia_payload_identical_across_tiers(self, small_tree, tree_campaign):
-        from repro.core.lia import LossInferenceAlgorithm
-
-        _, _, routing = small_tree
-        outputs = []
-        for tier in ("numpy", "numba"):
-            with use_kernel_tier(tier):
-                lia = LossInferenceAlgorithm(routing)
-                outputs.append(lia.run(tree_campaign).loss_rates)
-        assert np.array_equal(outputs[0], outputs[1])

@@ -2,8 +2,9 @@
 
 The package is layered bottom-up:
 
-* :mod:`~repro.netsim.sim.clock` — monotonic clock + heap scheduler
-  with (time, sequence) total-order tie-breaking;
+* :mod:`~repro.netsim.sim.clock` — the heap scheduler, which owns the
+  simulation time (``scheduler.now``; there is no separate clock) and
+  breaks ties in (time, sequence) total order;
 * :mod:`~repro.netsim.sim.packet`, :mod:`~repro.netsim.sim.link` —
   packets and finite-buffer FIFO links that drop on overflow;
 * :mod:`~repro.netsim.sim.pacer`, :mod:`~repro.netsim.sim.host`,
@@ -22,7 +23,7 @@ from repro.netsim.sim.cc import (
     OnOffCBR,
     RateProber,
 )
-from repro.netsim.sim.clock import Clock, EventScheduler
+from repro.netsim.sim.clock import EventScheduler
 from repro.netsim.sim.config import TRAFFIC_KINDS, TrafficConfig
 from repro.netsim.sim.host import Host, ProbeTap
 from repro.netsim.sim.link import SimLink
@@ -35,7 +36,6 @@ from repro.netsim.sim.simulator import (
 
 __all__ = [
     "AIMDController",
-    "Clock",
     "CongestionController",
     "CongestionSimulator",
     "ConstantBitRate",

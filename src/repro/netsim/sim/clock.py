@@ -1,17 +1,18 @@
-"""The simulator's clock and heap-based event scheduler.
+"""The simulator's heap-based event scheduler, which also owns time.
 
-Discrete-event core of :mod:`repro.netsim.sim`: a monotonic
-:class:`Clock` advanced only by the :class:`EventScheduler`, which pops
-``(time, sequence, callback)`` entries off a binary heap.  Two design
-rules make whole simulations bit-reproducible:
+Discrete-event core of :mod:`repro.netsim.sim`.  There is no separate
+clock object: :attr:`EventScheduler.now` is the simulation time, a
+plain float the scheduler advances as it pops ``(time, sequence,
+callback, args)`` entries off a binary heap.  Two design rules make
+whole simulations bit-reproducible:
 
 * **Tie-breaking is total.**  Events scheduled for the same instant fire
   in *scheduling* order — the heap key is ``(time, sequence)`` where
-  ``sequence`` is a monotonically increasing counter assigned when the
-  event is pushed, never the (non-deterministic) identity of the
-  callback.
-* **Time never runs backwards.**  Scheduling an event before the
-  current clock reading raises instead of silently reordering history.
+  ``sequence`` is a per-scheduler counter drawn when the event is
+  pushed, never the (non-deterministic) identity of the callback.
+* **Time never runs backwards.**  Scheduling an event before ``now`` (or
+  at NaN, which would silently break heap order) raises instead of
+  reordering history, and dispatch re-checks every popped time.
 
 Time is unit-agnostic; :mod:`repro.netsim.sim` measures it in *probe
 slots* (one slot = one probe inter-departure interval).
@@ -19,62 +20,39 @@ slots* (one slot = one probe inter-departure interval).
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional, Tuple
-
-
-class Clock:
-    """Monotonic simulation time, advanced by the scheduler only."""
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, time: float) -> None:
-        if time < self._now:
-            raise ValueError(
-                f"clock cannot run backwards: at {self._now}, asked for {time}"
-            )
-        self._now = time
+from heapq import heappop, heappush
+from itertools import count
+from typing import Any, Callable, List, Tuple
 
 
 class EventScheduler:
     """A heap of timestamped callbacks with deterministic tie-breaking."""
 
-    __slots__ = ("clock", "_heap", "_sequence", "events_dispatched")
+    __slots__ = ("now", "_heap", "_sequence", "events_dispatched")
 
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self.clock = clock if clock is not None else Clock()
+    def __init__(self, start: float = 0.0) -> None:
+        #: Current simulation time; advanced by :meth:`run_until` only.
+        self.now = float(start)
         self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
-        self._sequence = 0
+        self._sequence = count()
         self.events_dispatched = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
     def schedule(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> None:
-        """Schedule ``callback(*args)`` at absolute *time*.
+        """Schedule ``callback(*args)`` at absolute float *time*.
 
-        The callback receives no clock argument; read ``scheduler.now``
-        inside it (the clock has been advanced by dispatch time).
+        The callback receives no time argument; read ``scheduler.now``
+        inside it (it equals *time* by dispatch).
         """
-        if time < self.clock.now:
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule at {time}: clock already at {self.clock.now}"
+                f"cannot schedule at {time}: scheduler already at {self.now}"
             )
-        heapq.heappush(self._heap, (float(time), self._sequence, callback, args))
-        self._sequence += 1
+        heappush(self._heap, (time, next(self._sequence), callback, args))
 
     def run_until(self, horizon: float) -> None:
         """Dispatch events in ``(time, sequence)`` order up to *horizon*.
@@ -84,12 +62,21 @@ class EventScheduler:
         builds a fresh scheduler per snapshot).
         """
         heap = self._heap
-        clock = self.clock
-        while heap and heap[0][0] <= horizon:
-            time, _, callback, args = heapq.heappop(heap)
-            clock.advance_to(time)
-            self.events_dispatched += 1
-            callback(*args)
+        pop = heappop
+        now = self.now
+        dispatched = 0
+        try:
+            while heap and heap[0][0] <= horizon:
+                time, _, callback, args = pop(heap)
+                if time < now:
+                    raise ValueError(
+                        f"time cannot run backwards: at {now}, popped {time}"
+                    )
+                self.now = now = time
+                dispatched += 1
+                callback(*args)
+        finally:
+            self.events_dispatched += dispatched
 
     def run_until_idle(self) -> None:
         """Dispatch until no events remain."""

@@ -28,10 +28,17 @@ the delay byproducts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Mapping
 
 TRAFFIC_KINDS = ("analytic", "congestion")
+
+#: Fields holding counts; every other field but ``kind`` is a float.
+_COUNT_FIELDS = frozenset(
+    {"buffer_packets", "num_aimd_flows", "num_prober_flows"}
+)
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,9 @@ class TrafficConfig:
             raise ValueError(
                 f"traffic kind must be one of {TRAFFIC_KINDS}, got {self.kind!r}"
             )
+        for field in fields(self):
+            if field.name != "kind":
+                self._check_number(field.name)
         if self.capacity_per_slot <= 0:
             raise ValueError("capacity_per_slot must be positive")
         if self.buffer_packets < 1:
@@ -118,6 +128,25 @@ class TrafficConfig:
             raise ValueError("probe_size must be positive")
         if self.slot_ms <= 0:
             raise ValueError("slot_ms must be positive")
+
+    def _check_number(self, name: str) -> None:
+        """Reject non-finite numbers and non-integral counts by name.
+
+        An integral float count (``12.0``) is stored as the ``int`` the
+        simulator indexes with; an integral number in a float field (a
+        JSON ``20``) is kept as given.
+        """
+        value = getattr(self, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if name in _COUNT_FIELDS:
+            if value != int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     @property
     def is_congestion(self) -> bool:

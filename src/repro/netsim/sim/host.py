@@ -18,6 +18,7 @@ simulator can record the link's drop/delay realisation — the row of the
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 from repro.netsim.sim.cc.base import CongestionController
@@ -45,6 +46,7 @@ class Host:
         "losses",
         "_sequence",
         "_running",
+        "_on_emit",
     )
 
     def __init__(
@@ -86,44 +88,40 @@ class Host:
         self.losses = 0
         self._sequence = 0
         self._running = False
+        self._on_emit = self._emit
 
     def start(self) -> None:
         if self._running:
             raise RuntimeError("host already started")
         self._running = True
-        self.scheduler.schedule(self.start_time, self._emit)
+        self.scheduler.schedule(self.start_time, self._on_emit)
 
     # -- emission loop ---------------------------------------------------------
 
     def _emit(self) -> None:
-        now = self.scheduler.now
-        if now >= self.stop_time:
+        scheduler = self.scheduler
+        cc = self.cc
+        stop_time = self.stop_time
+        now = scheduler.now
+        if now >= stop_time:
             return
-        rate = self.cc.pacing_rate(now)
+        rate = cc.pacing_rate(now)
         if rate <= 0.0:
-            wake = self.cc.wake_time(now)
-            if wake != float("inf"):
-                self.scheduler.schedule(
-                    min(max(wake, now), self.stop_time), self._emit
-                )
+            wake = cc.wake_time(now)
+            if wake != math.inf:
+                scheduler.schedule(min(max(wake, now), stop_time), self._on_emit)
             return
-        self.pacer.set_rate(rate, now)
-        if self.pacer.try_send(now, self.packet_size):
-            packet = Packet(
-                flow_id=self.flow_id,
-                sequence=self._sequence,
-                route=self.route,
-                sent_at=now,
-                size=self.packet_size,
-            )
+        size = self.packet_size
+        sent, next_time = self.pacer.pace(now, rate, size)
+        if sent:
+            packet = Packet(self.flow_id, self._sequence, self.route, now, size)
             self._sequence += 1
             self.packets_sent += 1
-            self.cc.on_sent(now, packet)
+            cc.on_sent(now, packet)
             self.route[0].enqueue(packet)
-        next_time = self.pacer.ready_time(now, self.packet_size)
-        if next_time == float("inf"):
-            next_time = now + self.packet_size  # rate hit 0 mid-refill; re-poll
-        self.scheduler.schedule(min(next_time, self.stop_time), self._emit)
+        if next_time == math.inf:
+            next_time = now + size  # rate hit 0 mid-refill; re-poll
+        scheduler.schedule(min(next_time, stop_time), self._on_emit)
 
     # -- feedback (invoked by the simulator's link callbacks) ------------------
 
@@ -158,6 +156,8 @@ class ProbeTap:
         "phase",
         "probe_size",
         "scheduler",
+        "_route",
+        "_on_emit",
     )
 
     def __init__(
@@ -181,22 +181,23 @@ class ProbeTap:
         self.phase = float(phase)
         self.probe_size = float(probe_size)
         self.scheduler = scheduler
+        self._route = (link,)
+        self._on_emit = self._emit
 
     def start(self) -> None:
-        self.scheduler.schedule(self.phase, self._emit, 0)
+        self.scheduler.schedule(self.phase, self._on_emit, 0)
 
     def _emit(self, slot: int) -> None:
-        packet = Packet(
-            flow_id=self.flow_id,
-            sequence=slot,
-            route=(self.link,),
-            sent_at=self.scheduler.now,
-            size=self.probe_size,
-            probe_slot=slot,
+        scheduler = self.scheduler
+        self.link.enqueue(
+            Packet(
+                self.flow_id, slot, self._route, scheduler.now,
+                self.probe_size, slot,
+            )
         )
-        self.link.enqueue(packet)
         if slot + 1 < self.num_probes:
-            self.scheduler.schedule(self.phase + slot + 1, self._emit, slot + 1)
+            # keep the association (phase + slot) + 1: payloads pin it
+            scheduler.schedule(self.phase + slot + 1, self._on_emit, slot + 1)
 
 
 DeliveryDispatcher = Callable[[Packet, float], None]

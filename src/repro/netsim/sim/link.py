@@ -47,6 +47,8 @@ class SimLink:
         "drops",
         "served",
         "busy_until",
+        "_on_depart",
+        "_on_arrive",
     )
 
     def __init__(
@@ -78,6 +80,8 @@ class SimLink:
         self.drops = 0
         self.served = 0
         self.busy_until = 0.0
+        self._on_depart = self._depart
+        self._on_arrive = self._arrive_downstream
 
     # -- queue state -----------------------------------------------------------
 
@@ -90,46 +94,53 @@ class SimLink:
     def is_full(self) -> bool:
         return len(self._queue) >= self.buffer
 
-    def service_time(self, packet: Packet) -> float:
-        return packet.size / self.rate
-
     # -- the FIFO --------------------------------------------------------------
+    #
+    # The hot path of the whole simulator: a departure is due at
+    # ``now + packet.size / self.rate``, written out in both places, and
+    # the bound callbacks are cached, so one event costs few lookups.
 
     def enqueue(self, packet: Packet) -> bool:
         """Accept *packet* (``True``) or drop it on overflow (``False``)."""
-        now = self.scheduler.now
         self.arrivals += 1
-        if len(self._queue) >= self.buffer:
+        queue = self._queue
+        if len(queue) >= self.buffer:
             self.drops += 1
             if self.on_drop is not None:
-                self.on_drop(packet, self, now)
+                self.on_drop(packet, self, self.scheduler.now)
             return False
-        self._queue.append(packet)
+        queue.append(packet)
         if not self._busy:
+            # An idle link has an empty queue, so *packet* is its head.
             self._busy = True
-            self._schedule_departure(now)
+            scheduler = self.scheduler
+            self.busy_until = busy_until = (
+                scheduler.now + packet.size / self.rate
+            )
+            scheduler.schedule(busy_until, self._on_depart)
         return True
 
-    def _schedule_departure(self, now: float) -> None:
-        head = self._queue[0]
-        self.busy_until = now + self.service_time(head)
-        self.scheduler.schedule(self.busy_until, self._depart)
-
     def _depart(self) -> None:
-        now = self.scheduler.now
-        packet = self._queue.popleft()
+        scheduler = self.scheduler
+        now = scheduler.now
+        queue = self._queue
+        packet = queue.popleft()
         self.served += 1
-        self.scheduler.schedule(now + self.delay, self._arrive_downstream, packet)
-        if self._queue:
-            self._schedule_departure(now)
+        scheduler.schedule(now + self.delay, self._on_arrive, packet)
+        if queue:
+            self.busy_until = busy_until = now + queue[0].size / self.rate
+            scheduler.schedule(busy_until, self._on_depart)
         else:
             self._busy = False
 
     def _arrive_downstream(self, packet: Packet) -> None:
-        if packet.at_last_hop():
-            packet.delivered_at = self.scheduler.now
+        hop = packet.hop + 1
+        route = packet.route
+        if hop == len(route):
+            now = self.scheduler.now
+            packet.delivered_at = now
             if self.on_deliver is not None:
-                self.on_deliver(packet, self.scheduler.now)
+                self.on_deliver(packet, now)
             return
-        packet.hop += 1
-        packet.current_link().enqueue(packet)
+        packet.hop = hop
+        route[hop].enqueue(packet)

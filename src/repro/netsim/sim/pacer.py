@@ -36,6 +36,37 @@ class Pacer:
         self._refill(now)
         self.rate = float(rate)
 
+    def pace(self, now: float, rate: float, size: float) -> tuple[bool, float]:
+        """Set the rate, try to send *size*, and report the next ready time.
+
+        One refill does the work of :meth:`set_rate`, :meth:`try_send`
+        and :meth:`ready_time` called in that order at the same *now*,
+        with the same float operations: returns ``(sent, ready)`` where
+        *ready* is the earliest time the next *size* tokens are there
+        (``now`` if they already are, ``inf`` at rate 0).
+        """
+        if rate < 0:
+            raise ValueError(f"pacing rate must be non-negative, got {rate}")
+        tokens = self._tokens
+        if now > self._updated:
+            # accrual up to now runs at the old rate, as in set_rate
+            tokens = min(self.bucket, tokens + (now - self._updated) * self.rate)
+            self._updated = now
+        self.rate = rate
+        sent = not tokens + 1e-12 < size
+        if sent:
+            tokens -= size
+        self._tokens = tokens
+        deficit = size - tokens
+        if deficit <= 1e-12:
+            return sent, now
+        if rate <= 0.0:
+            return sent, math.inf
+        ready = now + deficit / rate
+        if ready <= now:
+            ready = math.nextafter(now, math.inf)  # see ready_time
+        return sent, ready
+
     def _refill(self, now: float) -> None:
         if now > self._updated:
             self._tokens = min(

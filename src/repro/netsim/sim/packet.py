@@ -50,12 +50,6 @@ class Packet:
     def is_probe(self) -> bool:
         return self.probe_slot is not None
 
-    def current_link(self):
-        return self.route[self.hop]
-
-    def at_last_hop(self) -> bool:
-        return self.hop == len(self.route) - 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = f"probe[{self.probe_slot}]" if self.is_probe else "data"
         return (

@@ -107,12 +107,26 @@ class CongestionSimulator:
     def run_snapshot(
         self, loss_rates: np.ndarray, num_probes: int, seed: int
     ) -> SnapshotTrace:
-        """Simulate one snapshot; returns the per-active-link trace."""
+        """Simulate one snapshot; returns the per-active-link trace.
+
+        *loss_rates* holds one assigned rate per physical link, each
+        finite and in [0, 1] (``ValueError`` names the first bad link).
+        Rates at or below :data:`MIN_DRIVER_LOSS` get no driver; rates
+        above 0.95 are calibrated as 0.95.
+        """
         rates = np.asarray(loss_rates, dtype=np.float64)
         if rates.shape != (self.num_links,):
             raise ValueError(
                 f"need one loss rate per link ({self.num_links}), "
                 f"got shape {rates.shape}"
+            )
+        # NaN fails both comparisons, so it is caught here too.
+        bad = np.flatnonzero(~((rates >= 0.0) & (rates <= 1.0)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"loss rate of link {k} must be finite and in [0, 1], "
+                f"got {rates[k]}"
             )
         if num_probes <= 0:
             raise ValueError(f"num_probes must be positive, got {num_probes}")

@@ -1,14 +1,16 @@
 """The discrete-event packet simulator and its LossProcess seam."""
 
+import hashlib
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lossmodel import CongestionLossProcess
 from repro.netsim.sim import (
     AIMDController,
-    Clock,
     CongestionSimulator,
     EventScheduler,
     Host,
@@ -23,13 +25,78 @@ from repro.netsim.sim import (
 CONGESTION = TrafficConfig(kind="congestion")
 
 
+#: Event times and follow-up delays drawn from small exact-binary sets,
+#: so schedules are dense with exact-time ties (``d = 0`` included).
+EVENT_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+FOLLOW_UP_DELAYS = st.lists(
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), max_size=3
+)
+
+
 class TestClockAndScheduler:
-    def test_clock_is_monotonic(self):
-        clock = Clock()
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        events=st.lists(
+            st.tuples(EVENT_TIMES, st.lists(FOLLOW_UP_DELAYS, max_size=3)),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_dispatch_order_and_time_properties(self, events):
+        """Dispatch is sorted by (time, push order); ``now`` never falls.
+
+        Each drawn event carries follow-up plans: on dispatch it pushes
+        one follow-up per plan at ``now + plan[0]``, which in turn pushes
+        ``plan[1:]`` as its own single plan, so callbacks schedule into
+        the present and the future while the loop runs.
+        """
+        sched = EventScheduler()
+        pushed = []
+        dispatched = []
+        seen_now = []
+
+        def push(time, plans):
+            key = (time, len(pushed))
+            pushed.append(key)
+            sched.schedule(time, fire, key, plans)
+
+        def fire(key, plans):
+            assert sched.now == key[0]
+            seen_now.append(sched.now)
+            dispatched.append(key)
+            for plan in plans:
+                if plan:
+                    push(sched.now + plan[0], [plan[1:]])
+
+        for time, plans in events:
+            push(time, plans)
+        sched.run_until_idle()
+
+        assert dispatched == sorted(pushed)
+        assert seen_now == sorted(seen_now)
+        assert sched.events_dispatched == len(dispatched)
+        assert len(sched) == 0
+
+    def test_scheduling_at_nan_raises(self):
+        """A NaN key would break heap order without a word; refuse it."""
         with pytest.raises(ValueError):
-            clock.advance_to(1.0)
+            EventScheduler().schedule(float("nan"), lambda: None)
+
+    def test_dispatch_rejects_time_running_backwards(self):
+        sched = EventScheduler()
+        sched.schedule(5.0, lambda: None)
+        sched.run_until_idle()
+        # bypass schedule()'s check: the loop's own check must fire
+        heapq.heappush(sched._heap, (1.0, 99, lambda: None, ()))
+        with pytest.raises(ValueError, match="backwards"):
+            sched.run_until_idle()
+        assert sched.now == 5.0 and sched.events_dispatched == 1
+
+    def test_start_sets_now(self):
+        sched = EventScheduler(start=3.0)
+        assert sched.now == 3.0
+        with pytest.raises(ValueError):
+            sched.schedule(2.0, lambda: None)
 
     def test_events_fire_in_time_order(self):
         sched = EventScheduler()
@@ -117,6 +184,36 @@ class TestPacer:
             Pacer(rate=-1.0)
         with pytest.raises(ValueError):
             Pacer(rate=1.0, bucket=0.0)
+        with pytest.raises(ValueError):
+            Pacer(rate=1.0).set_rate(-1.0, 0.0)
+        with pytest.raises(ValueError):
+            Pacer(rate=1.0).pace(0.0, -1.0, 1.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=2.0),
+                st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        size=st.sampled_from([0.05, 1.0, 1.5]),
+    )
+    def test_pace_equals_set_rate_try_send_ready_time(self, steps, size):
+        """``pace`` is the old three-call sequence, float for float."""
+        fused = Pacer(rate=1.0, bucket=2.0)
+        split = Pacer(rate=1.0, bucket=2.0)
+        now = 0.0
+        for gap, rate in steps:
+            now += gap
+            split.set_rate(rate, now)
+            expected = (split.try_send(now, size), split.ready_time(now, size))
+            assert fused.pace(now, rate, size) == expected
+            assert (fused.rate, fused._tokens, fused._updated) == (
+                split.rate, split._tokens, split._updated,
+            )
 
 
 class TestSimLink:
@@ -318,6 +415,27 @@ class TestTrafficConfig:
         with pytest.raises(ValueError):
             TrafficConfig(cross_rate_fraction=0.5, cross_max_fraction=0.4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity_per_slot", float("nan")),
+            ("probe_size", float("nan")),
+            ("prop_delay_slots", float("inf")),
+            ("buffer_packets", 12.7),
+            ("num_aimd_flows", 1.5),
+        ],
+    )
+    def test_rejects_malformed_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrafficConfig(kind="congestion", **{field: value})
+
+    def test_integral_numbers_load(self):
+        cfg = TrafficConfig.from_dict(
+            {"kind": "congestion", "capacity_per_slot": 20, "buffer_packets": 8.0}
+        )
+        assert cfg.capacity_per_slot == 20.0
+        assert cfg.buffer_packets == 8 and isinstance(cfg.buffer_packets, int)
+
     def test_is_congestion(self):
         assert not TrafficConfig().is_congestion
         assert TrafficConfig(kind="congestion").is_congestion
@@ -380,6 +498,26 @@ class TestCongestionSimulator:
             sim.run_snapshot(np.zeros(3), 50, seed=0)
         with pytest.raises(ValueError):
             sim.run_snapshot(np.zeros(5), 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad", [-0.01, float("nan"), float("inf"), 1.5],
+    )
+    def test_rejects_malformed_rates(self, bad):
+        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        rates = self._rates()
+        rates[[2, 4]] = bad
+        with pytest.raises(ValueError, match="link 2 "):
+            sim.run_snapshot(rates, 50, seed=0)
+
+    def test_accepts_boundary_rates(self):
+        """0 and 1 are valid; rates above 0.95 calibrate as 0.95."""
+        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        rates = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
+        clamped = rates.copy()
+        clamped[[1, 4]] = 0.95
+        a = sim.run_snapshot(rates, 40, seed=2)
+        b = sim.run_snapshot(clamped, 40, seed=2)
+        assert np.array_equal(a.drops, b.drops)
 
 
 class TestCongestionLossProcess:
@@ -477,3 +615,42 @@ class TestEndToEndCampaign:
             s.realized_loss_fractions.max() > 0
             for s in outcome.campaign.snapshots
         )
+
+
+#: The 12-link chain-and-branch layout of ``benchmarks/test_bench_netsim``.
+GOLDEN_PATHS = [
+    (0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6),
+    (7, 8), (7, 9), (10, 11), (10, 2),
+]
+
+
+def test_snapshot_trace_golden():
+    """Absolute pins: any change to a dispatched event or float fails.
+
+    The digests were recorded before the event core was rewritten for
+    speed; the rewrite must reproduce them bit for bit.  Changing the
+    association of a time expression (``phase + (slot + 1)`` for
+    ``(phase + slot) + 1``) is enough to break them.
+    """
+    from repro.experiments import congestion_vs_analytic
+
+    rates = np.zeros(12)
+    rates[[1, 5, 8]] = (0.05, 0.1, 0.03)
+    sim = CongestionSimulator(GOLDEN_PATHS, 12, CONGESTION)
+    trace = sim.run_snapshot(rates, 600, 17)
+    digest = hashlib.sha256(
+        trace.drops.tobytes() + trace.delays_ms.tobytes()
+    ).hexdigest()
+    assert digest == (
+        "d10c2b50a437ac36ccaeed62c8bcc21bec64bce9d352ca4ce9255df60a0707bb"
+    )
+    counts = (
+        trace.events, trace.packets_forwarded,
+        trace.background_sent, trace.probe_drops,
+    )
+    assert counts == (113293, 37064, 15853, 80)
+
+    data = congestion_vs_analytic.run(scale="tiny", seed=0).data
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == (
+        "c52b6e20b1ea20cc62384e9b3d3cc06e35663085758e9ac9d644c3e767d847f1"
+    )

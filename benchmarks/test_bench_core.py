@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.augmented import intersecting_pairs
-from repro.core.lia import LossInferenceAlgorithm
+from repro.core.engine import InferenceEngine
 from repro.core.linalg import greedy_independent_columns, householder_qr
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
 from repro.core.variance import estimate_link_variances
@@ -75,7 +75,7 @@ def test_per_snapshot_inference(benchmark, bench_tree):
     """The paper's headline: after A is built, inference is sub-second."""
     prepared, _, campaign = bench_tree
     training, target = campaign.split_training_target()
-    lia = LossInferenceAlgorithm(prepared.routing)
+    lia = InferenceEngine(prepared.routing)
     estimate = lia.learn_variances(training)  # warm: A cached
     result = benchmark(lia.infer, target, estimate)
     assert result.num_links == prepared.routing.num_links
@@ -113,7 +113,7 @@ def test_mesh_reduced_solve_warm(benchmark, bench_mesh, mesh_estimate):
     """
     prepared, _, campaign = bench_mesh
     _, target = campaign.split_training_target()
-    lia = LossInferenceAlgorithm(prepared.routing)
+    lia = InferenceEngine(prepared.routing)
     lia.infer(target, mesh_estimate)  # warm: reduction memo + factorization
     result = benchmark(lia.infer, target, mesh_estimate)
     assert result.num_links == prepared.routing.num_links
@@ -123,7 +123,7 @@ def test_mesh_infer_batch(benchmark, bench_mesh, mesh_estimate):
     """A 16-snapshot window as one multi-RHS solve."""
     prepared, _, campaign = bench_mesh
     tail = campaign.snapshots[-16:]
-    lia = LossInferenceAlgorithm(prepared.routing)
+    lia = InferenceEngine(prepared.routing)
     lia.infer(tail[0], mesh_estimate)  # warm
     results = benchmark(lia.infer_batch, tail, mesh_estimate)
     assert len(results) == len(tail)
@@ -133,7 +133,7 @@ def test_mesh_infer_loop_warm(benchmark, bench_mesh, mesh_estimate):
     """The same 16 snapshots as per-snapshot calls (infer_batch's foil)."""
     prepared, _, campaign = bench_mesh
     tail = campaign.snapshots[-16:]
-    lia = LossInferenceAlgorithm(prepared.routing)
+    lia = InferenceEngine(prepared.routing)
     lia.infer(tail[0], mesh_estimate)  # warm
 
     def loop():
@@ -177,7 +177,6 @@ def bench_forest():
     and one loop pass warms every engine's reduction and factorization
     caches; the benches below time only the phase-2 inference dispatch.
     """
-    from repro.core.engine import InferenceEngine
     from repro.experiments.base import prepare_topology, scale_params
     from repro.probing import MeasurementCampaign, ProberConfig, ProbingSimulator
     from repro.utils.rng import derive_seed

@@ -126,7 +126,7 @@ class _Scenario:
 
         self.update_monitor = build()
         self.refactor_monitor = (
-            build(downdate_limit=0, update_limit=0) if warm_refactor else None
+            build(incremental_limit=0) if warm_refactor else None
         )
         self.growth_snapshot = self.snapshot(2 * window)
 

@@ -30,7 +30,7 @@ registry, and the declarative ``Scenario`` pipeline); see the README's
 """
 
 from repro.api import EstimatorSpec, InferenceResult, Scenario, ScenarioResult
-from repro.core.lia import LIAResult, LossInferenceAlgorithm
+from repro.core.engine import LIAResult, LossInferenceAlgorithm
 from repro.core.identifiability import audit_identifiability
 from repro.core.variance import VarianceEstimate, estimate_link_variances
 from repro.lossmodel import (

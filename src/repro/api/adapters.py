@@ -100,14 +100,14 @@ class LIAEstimator(_EstimatorBase):
 
     @property
     def algorithm(self):
-        """The bound :class:`~repro.core.lia.LossInferenceAlgorithm`."""
+        """The bound :class:`~repro.core.engine.InferenceEngine`."""
         return self._algorithm
 
     def fit(self, campaign, paths: Optional[Sequence] = None) -> "LIAEstimator":
-        from repro.core.lia import LossInferenceAlgorithm
+        from repro.core.engine import InferenceEngine
 
         if self._algorithm is None or self._algorithm.routing is not campaign.routing:
-            self._algorithm = LossInferenceAlgorithm(
+            self._algorithm = InferenceEngine(
                 campaign.routing,
                 variance_method=self.variance_method,
                 reduction_strategy=self.reduction_strategy,

@@ -1,7 +1,7 @@
 """The unified Estimator protocol and its result/config types.
 
 Before this seam existed every inference backend had its own calling
-convention — ``LossInferenceAlgorithm.run(campaign)``, a near-duplicate
+convention — ``InferenceEngine.run(campaign)``, a near-duplicate
 ``DelayInferenceAlgorithm``, and three free functions
 (``scfs_localize``/``clink_localize``/``tomo_localize``) with ad-hoc
 signatures — so every consumer (experiments, CLI, monitor) hand-wired

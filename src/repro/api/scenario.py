@@ -627,7 +627,7 @@ def evaluate_forest(
                 index = len(queued)
                 queued.append(
                     (
-                        estimator._algorithm.engine,
+                        estimator.algorithm,
                         targets[0],
                         estimator._estimate,
                     )

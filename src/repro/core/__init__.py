@@ -1,7 +1,6 @@
 """Core algorithm: the augmented matrix, variance learning, and LIA."""
 
 from repro.core.augmented import (
-    AugmentedMatrixBuilder,
     IntersectingPairs,
     augmented_matrix,
     augmented_rank,
@@ -11,13 +10,18 @@ from repro.core.augmented import (
     pair_from_row_index,
     pair_row_index,
 )
-from repro.core.engine import FactorizationCache, InferenceEngine, infer_many
+from repro.core.engine import (
+    FactorizationCache,
+    InferenceEngine,
+    LIAResult,
+    LossInferenceAlgorithm,
+    infer_many,
+)
 from repro.core.identifiability import (
     IdentifiabilityReport,
     audit_identifiability,
     verify_theorem1,
 )
-from repro.core.lia import LIAResult, LossInferenceAlgorithm
 from repro.core.reduction import (
     ReductionResult,
     reduce_to_full_rank,
@@ -37,7 +41,6 @@ from repro.core.variance import (
 )
 
 __all__ = [
-    "AugmentedMatrixBuilder",
     "FactorizationCache",
     "IdentifiabilityReport",
     "InferenceEngine",

@@ -18,7 +18,7 @@ object for tests, small systems and the paper's worked example.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -134,15 +134,8 @@ def intersecting_pairs(routing_matrix: np.ndarray) -> IntersectingPairs:
 
     if not row_keys:
         raise ValueError("routing matrix covers no links")
-    return _assemble_pairs(
-        np.concatenate(row_keys), np.concatenate(col_ids), n_paths, n_links
-    )
-
-
-def _assemble_pairs(
-    all_keys: np.ndarray, all_cols: np.ndarray, n_paths: int, n_links: int
-) -> IntersectingPairs:
-    """Turn (canonical pair key, column) entries into an IntersectingPairs."""
+    all_keys = np.concatenate(row_keys)
+    all_cols = np.concatenate(col_ids)
     unique_keys, compact_rows = np.unique(all_keys, return_inverse=True)
 
     matrix = sparse.csr_matrix(
@@ -177,126 +170,3 @@ def has_identifiable_variances(routing_matrix: np.ndarray) -> bool:
     """Lemma 2: variances are identifiable iff ``A`` has full column rank."""
     R = np.asarray(routing_matrix)
     return augmented_rank(R) == R.shape[1]
-
-
-class AugmentedMatrixBuilder:
-    """Incrementally maintained augmented matrix.
-
-    Section 5.1 notes that when beacons come and go "only the rows
-    corresponding to the changes need to be updated".  This builder keeps
-    the per-link path sets and rebuilds lazily, recomputing the pair list
-    only for columns whose membership changed since the last build; the
-    untouched columns' pair lists are reused verbatim.  It is the
-    bookkeeping object a long-running monitoring service would hold.
-
-    Paths carry stable internal ids (rows are ids in insertion order, so
-    id order and row order always agree); per-column pair lists are
-    cached in id space and translated to current row indices only during
-    :meth:`build`, which makes path removal — which renumbers every later
-    row — a cheap vectorised re-translation instead of a rebuild.
-    """
-
-    def __init__(self, num_links: int) -> None:
-        if num_links <= 0:
-            raise ValueError("num_links must be positive")
-        self.num_links = num_links
-        self._path_links: List[np.ndarray] = []
-        self._path_ids: List[int] = []
-        self._next_id = 0
-        self._column_members: List[Set[int]] = [set() for _ in range(num_links)]
-        # Column -> (i_ids, j_ids) pair arrays in stable-id space.
-        self._column_pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._dirty_columns: Set[int] = set()
-        self._rows_renumbered = True
-        self._cache: Optional[IntersectingPairs] = None
-
-    @property
-    def num_paths(self) -> int:
-        return len(self._path_links)
-
-    @property
-    def _dirty(self) -> bool:
-        return self._cache is None or bool(self._dirty_columns) or self._rows_renumbered
-
-    def add_path(self, link_columns) -> int:
-        """Register a path by its routing-matrix column indices; return row."""
-        cols = np.unique(np.asarray(link_columns, dtype=np.int64))
-        if len(cols) == 0:
-            raise ValueError("a path must traverse at least one link")
-        if cols[0] < 0 or cols[-1] >= self.num_links:
-            raise ValueError("column index out of range")
-        path_id = self._next_id
-        self._next_id += 1
-        self._path_links.append(cols)
-        self._path_ids.append(path_id)
-        for col in cols:
-            self._column_members[int(col)].add(path_id)
-            self._dirty_columns.add(int(col))
-        self._rows_renumbered = True
-        return len(self._path_links) - 1
-
-    def remove_path(self, row: int) -> None:
-        """Drop a path (rows above it shift down by one).
-
-        Only the removed path's own columns are marked dirty; every other
-        column keeps its cached pair list and is merely re-translated to
-        the new row numbering at the next :meth:`build`.
-        """
-        if not 0 <= row < len(self._path_links):
-            raise IndexError(f"no path row {row}")
-        cols = self._path_links[row]
-        path_id = self._path_ids[row]
-        del self._path_links[row]
-        del self._path_ids[row]
-        for col in cols:
-            self._column_members[int(col)].discard(path_id)
-            self._dirty_columns.add(int(col))
-        self._rows_renumbered = True
-
-    def routing_matrix(self) -> np.ndarray:
-        R = np.zeros((len(self._path_links), self.num_links), dtype=np.uint8)
-        for i, cols in enumerate(self._path_links):
-            R[i, cols] = 1
-        return R
-
-    def build(self) -> IntersectingPairs:
-        if not self._dirty:
-            assert self._cache is not None
-            return self._cache
-        # Recompute pair lists only for columns whose membership changed.
-        for col in self._dirty_columns:
-            members = np.fromiter(
-                self._column_members[col], dtype=np.int64, count=len(self._column_members[col])
-            )
-            members.sort()
-            if len(members) == 0:
-                self._column_pairs.pop(col, None)
-                continue
-            iu, ju = np.triu_indices(len(members))
-            self._column_pairs[col] = (members[iu], members[ju])
-        self._dirty_columns.clear()
-
-        if not self._column_pairs:
-            raise ValueError("routing matrix covers no links")
-        # Translate stable ids to current rows (ids are row-ordered, so
-        # this is one searchsorted per build) and assemble.
-        id_order = np.asarray(self._path_ids, dtype=np.int64)
-        n_paths = len(id_order)
-        columns = sorted(self._column_pairs)
-        key_blocks: List[np.ndarray] = []
-        col_blocks: List[np.ndarray] = []
-        for col in columns:
-            i_ids, j_ids = self._column_pairs[col]
-            i_rows = np.searchsorted(id_order, i_ids)
-            j_rows = np.searchsorted(id_order, j_ids)
-            keys = pair_row_index(i_rows, j_rows, n_paths)
-            key_blocks.append(np.atleast_1d(keys))
-            col_blocks.append(np.full(len(i_ids), col, dtype=np.int64))
-        self._cache = _assemble_pairs(
-            np.concatenate(key_blocks),
-            np.concatenate(col_blocks),
-            n_paths,
-            self.num_links,
-        )
-        self._rows_renumbered = False
-        return self._cache

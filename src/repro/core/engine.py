@@ -1,42 +1,44 @@
-"""The factorization-reusing inference engine (LIA's hot path).
+"""The Loss Inference Algorithm (LIA), Section 5.3, and its caches.
+
+LIA is two phases over one routing matrix::
+
+    Input:  reduced routing matrix R and m + 1 snapshots
+    Phase 1: solve Sigma_hat* = A v for the link variances v
+    Phase 2: sort links by variance; drop lowest-variance columns until
+             R* has full column rank; solve Y = R* X* on the (m+1)-th
+             snapshot; removed links get transmission rate ~ 1
 
 The paper stresses that "the inference method is fast": after the
 augmented matrix ``A`` is built once per network, per-snapshot inference
-should cost little more than a pair of triangular solves.  The seed code
-met the first half (cached intersecting pairs) but re-ran the phase-2
-column reduction *and* re-factorized ``R*`` from scratch on every
-``infer()`` call — even when consecutive snapshots keep exactly the same
-column set, which is the common case for rolling-window monitoring and
-every fig*/table* campaign.
-
-:class:`InferenceEngine` closes that gap.  It owns the cached
+should cost little more than a pair of triangular solves.
+:class:`InferenceEngine` (exported under the paper's name as
+``LossInferenceAlgorithm`` too) owns the cached
 :class:`~repro.core.augmented.IntersectingPairs`, memoizes phase-2
-reductions keyed by (variance vector, cutoff), and memoizes the thin QR
-factorization of ``R*`` keyed by the kept-column set
-(:class:`FactorizationCache`).  :meth:`InferenceEngine.infer_batch`
-solves a whole window of snapshots as one multi-RHS triangular solve
-against a single factorization.
-
-:class:`repro.core.lia.LossInferenceAlgorithm` is the user-facing wrapper
-bound to this engine; the delay and monitoring layers reuse the same
-caches through it.
+reductions keyed by (variance vector, cutoff) (:class:`ReductionCache`),
+and memoizes the thin QR factorization of ``R*`` keyed by the
+kept-column set (:class:`FactorizationCache`).
+:meth:`InferenceEngine.infer_batch` solves a whole window of snapshots
+as one multi-RHS triangular solve against a single factorization, and
+:func:`infer_many` packs many independent trees into one pass.  The
+delay and monitoring layers reuse the same caches.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as scipy_linalg
-from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
-from repro.core import kernels
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
+    as_csc,
+    dense_column,
     solve_upper_triangular,
 )
 from repro.core.reduction import (
@@ -51,6 +53,11 @@ from repro.core.variance import (
 )
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
 from repro.topology.routing import RoutingMatrix
+
+#: Entries each engine cache holds before it evicts the least recently
+#: used one.  An entry is one ``R*`` factorization or one reduction, so
+#: the count bounds the caches' memory too.
+CACHE_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -82,9 +89,6 @@ class CacheInfo:
     (column adds for the factorization cache, sweep-free reuse for the
     reduction cache), ``downdates`` by Givens column removals;
     ``misses`` are the requests that paid full price.
-    ``resident_bytes`` tracks the arrays the cache keeps alive (shared
-    arrays between entries are counted once per entry, a deliberate
-    overcount that keeps the byte budget conservative).
     """
 
     hits: int
@@ -93,94 +97,34 @@ class CacheInfo:
     downdates: int
     evictions: int
     entries: int
-    resident_bytes: int
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
 
-class FactorizationCache:
-    """LRU cache of thin QR factorizations of kept-column blocks ``R*``.
+class _LRUCache:
+    """The store, eviction and counters both engine caches share.
 
-    Holds the routing matrix once (as CSC for cheap column slicing) and
-    hands out :class:`~repro.core.linalg.QRFactorization` objects keyed
-    by the kept-column index set.  Consecutive inferences with the same
-    kept set — rolling-window monitoring, consecutive-snapshot
-    experiments, every batch — pay for one factorization total.
-
-    With ``downdate_limit > 0``, a requested kept set that is a subset
-    of a cached one missing at most that many columns — the
-    rolling-monitor pattern where a variance refresh exonerates a link
-    or two — is served by *downdating* the cached factorization with
-    Givens rotations
-    (:meth:`~repro.core.linalg.QRFactorization.remove_column`) instead
-    of refactorizing from scratch: O(m k) per removed column versus
-    O(m k^2) for a fresh QR.  ``update_limit > 0`` is the mirror-image
-    grow direction — a kept set that is a *superset* of a cached one is
-    served by CGS2 column adds
-    (:meth:`~repro.core.linalg.QRFactorization.add_column`) — covering
-    the congestion-churn pattern where links re-enter the kept set.
-    Updated/downdated factors equal a fresh QR only to working
-    precision, so both limits default to 0 (off) and long-lived
-    consumers (:class:`repro.monitor.OnlineLossMonitor`) opt in; batch
-    experiment pipelines stay bit-identical to a cold engine.
-
-    *max_bytes*, when set, bounds the bytes resident across cached
-    ``Q``/``R`` factors: least-recently-used entries are evicted past
-    either the entry or the byte budget (at least one entry always
-    stays, so the working set never thrashes to nothing).
+    Holds the routing matrix as CSC, for cheap dense column reads, and
+    at most :data:`CACHE_ENTRIES` entries.  *incremental_limit* is how
+    many columns a request may differ from a cached entry and still be
+    served from it incrementally; 0 turns incremental reuse off.
     """
 
-    def __init__(
-        self,
-        matrix,
-        max_entries: int = 8,
-        downdate_limit: int = 0,
-        update_limit: int = 0,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        if downdate_limit < 0:
-            raise ValueError("downdate_limit must be non-negative")
-        if update_limit < 0:
-            raise ValueError("update_limit must be non-negative")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None)")
-        if sparse.issparse(matrix):
-            self._matrix = matrix.tocsc().astype(np.float64)
-        else:
-            dense = np.asarray(matrix, dtype=np.float64)
-            if dense.ndim != 2:
-                raise ValueError("matrix must be two-dimensional")
-            self._matrix = sparse.csc_matrix(dense)
-        self.max_entries = max_entries
-        self.downdate_limit = downdate_limit
-        self.update_limit = update_limit
-        self.max_bytes = max_bytes
-        self._cache: "OrderedDict[bytes, QRFactorization]" = OrderedDict()
+    def __init__(self, matrix, incremental_limit: int = 0) -> None:
+        if incremental_limit < 0:
+            raise ValueError("incremental_limit must be non-negative")
+        self._matrix = as_csc(matrix)
+        self.incremental_limit = incremental_limit
+        self._cache: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.updates = 0
         self.downdates = 0
         self.evictions = 0
-        self._resident_bytes = 0
-
-    @property
-    def num_rows(self) -> int:
-        return int(self._matrix.shape[0])
-
-    @property
-    def num_columns(self) -> int:
-        return int(self._matrix.shape[1])
 
     def __len__(self) -> int:
         return len(self._cache)
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes held by cached ``Q``/``R`` factors."""
-        return self._resident_bytes
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(
@@ -190,47 +134,61 @@ class FactorizationCache:
             downdates=self.downdates,
             evictions=self.evictions,
             entries=len(self._cache),
-            resident_bytes=self._resident_bytes,
         )
+
+    def _lookup(self, key):
+        """The entry under *key* (counted as a hit), or ``None``."""
+        entry = self._cache.get(key)
+        if entry is not None:
+            self.hits += 1
+            self._cache.move_to_end(key)
+        return entry
+
+    def _store(self, key, entry) -> None:
+        self._cache[key] = entry
+        if len(self._cache) > CACHE_ENTRIES:
+            self._cache.popitem(last=False)
+            self.evictions += 1
+
+    def _column(self, index: int) -> np.ndarray:
+        return dense_column(self._matrix, index)
+
+
+class FactorizationCache(_LRUCache):
+    """LRU cache of thin QR factorizations of kept-column blocks ``R*``.
+
+    Hands out :class:`~repro.core.linalg.QRFactorization` objects keyed
+    by the kept-column index set.  Consecutive inferences with the same
+    kept set — rolling-window monitoring, consecutive-snapshot
+    experiments, every batch — pay for one factorization total.
+
+    With ``incremental_limit > 0``, a requested kept set that is a
+    subset of a cached one missing at most that many columns — the
+    rolling-monitor pattern where a variance refresh exonerates a link
+    or two — is served by *downdating* the cached factorization with
+    Givens rotations
+    (:meth:`~repro.core.linalg.QRFactorization.remove_column`) instead
+    of refactorizing from scratch: O(m k) per removed column versus
+    O(m k^2) for a fresh QR.  A kept set that is a *superset* of a
+    cached one is served by CGS2 column adds
+    (:meth:`~repro.core.linalg.QRFactorization.add_column`), covering
+    the congestion-churn pattern where links re-enter the kept set.
+    Updated/downdated factors equal a fresh QR only to working
+    precision, so batch experiment pipelines keep the limit at 0 and
+    stay bit-identical to a cold engine.
+    """
 
     def block(self, kept: np.ndarray) -> np.ndarray:
         """The dense kept-column block ``R*`` (never the full matrix)."""
         kept = np.asarray(kept, dtype=np.int64)
         return np.asarray(self._matrix[:, kept].todense(), dtype=np.float64)
 
-    def column(self, index: int) -> np.ndarray:
-        """One dense matrix column (for incremental factorization adds)."""
-        out = np.zeros(self.num_rows, dtype=np.float64)
-        start, end = self._matrix.indptr[index], self._matrix.indptr[index + 1]
-        out[self._matrix.indices[start:end]] = self._matrix.data[start:end]
-        return out
-
-    @staticmethod
-    def _entry_bytes(factorization: QRFactorization) -> int:
-        return int(factorization.q.nbytes + factorization.r.nbytes)
-
-    def _store(self, key: bytes, factorization: QRFactorization) -> None:
-        self._cache[key] = factorization
-        self._resident_bytes += self._entry_bytes(factorization)
-        while len(self._cache) > 1 and (
-            len(self._cache) > self.max_entries
-            or (
-                self.max_bytes is not None
-                and self._resident_bytes > self.max_bytes
-            )
-        ):
-            _, evicted = self._cache.popitem(last=False)
-            self._resident_bytes -= self._entry_bytes(evicted)
-            self.evictions += 1
-
     def factorization(self, kept: np.ndarray) -> QRFactorization:
         """The (cached) thin QR of ``R*`` for this kept-column set."""
         kept = np.asarray(kept, dtype=np.int64)
         key = kept.tobytes()
-        cached = self._cache.get(key)
+        cached = self._lookup(key)
         if cached is not None:
-            self.hits += 1
-            self._cache.move_to_end(key)
             return cached
         factorization = self._downdate_from_superset(kept)
         if factorization is not None:
@@ -254,18 +212,18 @@ class FactorizationCache:
 
         Scans most-recently-used first for a full-rank cached
         factorization whose column set contains *kept* with at most
-        ``downdate_limit`` extras; the best (fewest-extras) candidate is
-        shrunk column by column.  Returns ``None`` when no candidate
+        ``incremental_limit`` extras; the best (fewest-extras) candidate
+        is shrunk column by column.  Returns ``None`` when no candidate
         exists or the downdated factorization lost full rank (the caller
         then refactorizes from scratch).
         """
-        if self.downdate_limit == 0 or not len(self._cache):
+        if self.incremental_limit == 0 or not len(self._cache):
             return None
         wanted = set(int(c) for c in kept)
         best: Optional[QRFactorization] = None
         for candidate in reversed(self._cache.values()):
             extra = len(candidate.columns) - len(wanted)
-            if not 0 < extra <= self.downdate_limit:
+            if not 0 < extra <= self.incremental_limit:
                 continue
             if best is not None and extra >= len(best.columns) - len(wanted):
                 continue
@@ -292,20 +250,20 @@ class FactorizationCache:
         The mirror image of :meth:`_downdate_from_superset`: scans
         most-recently-used first for a full-rank cached factorization
         whose column set is contained in *kept* missing at most
-        ``update_limit`` columns; the best (fewest-missing) candidate is
-        grown one CGS2 column offer at a time.  Returns ``None`` when no
-        candidate exists, a missing column turns out (numerically)
-        dependent, or the grown column order cannot match *kept* — the
-        caller then refactorizes from scratch.
+        ``incremental_limit`` columns; the best (fewest-missing)
+        candidate is grown one CGS2 column offer at a time.  Returns
+        ``None`` when no candidate exists, a missing column turns out
+        (numerically) dependent, or the grown column order cannot match
+        *kept* — the caller then refactorizes from scratch.
         """
-        if self.update_limit == 0 or not len(self._cache):
+        if self.incremental_limit == 0 or not len(self._cache):
             return None
         wanted = tuple(int(c) for c in kept)
         wanted_set = set(wanted)
         best: Optional[QRFactorization] = None
         for candidate in reversed(self._cache.values()):
             missing = len(wanted) - len(candidate.columns)
-            if not 0 < missing <= self.update_limit:
+            if not 0 < missing <= self.incremental_limit:
                 continue
             if best is not None and missing >= len(wanted) - len(best.columns):
                 continue
@@ -324,7 +282,7 @@ class FactorizationCache:
             )
             try:
                 factorization = factorization.add_column(
-                    self.column(column), column, position
+                    self._column(column), column, position
                 )
             except scipy_linalg.LinAlgError:
                 return None  # dependent column; fall back to a fresh QR
@@ -353,101 +311,31 @@ class _ReductionEntry:
     result: ReductionResult
     candidates: Optional[np.ndarray] = None
     all_accepted: bool = False
-    basis: Optional[np.ndarray] = None
-
-    @property
-    def nbytes(self) -> int:
-        total = (
-            self.result.kept_columns.nbytes + self.result.removed_columns.nbytes
-        )
-        if self.candidates is not None:
-            total += self.candidates.nbytes
-        if self.basis is not None:
-            total += self.basis.nbytes
-        return int(total)
+    basis: Optional[IncrementalColumnBasis] = None
 
 
-class ReductionCache:
+class ReductionCache(_LRUCache):
     """LRU memo of phase-2 column reductions for one routing matrix.
 
     Keyed by (strategy, variance vector, cutoff): a rolling monitor — or
     any consumer re-inferring against one variance estimate — re-reduces
     only when the estimate or a reduction knob actually changes.  Shared
     by :class:`InferenceEngine` and the delay layer
-    (:class:`repro.delay.inference.DelayInferenceAlgorithm`), which used
-    to reimplement the same memoized kept-column selection by hand.
+    (:class:`repro.delay.inference.DelayInferenceAlgorithm`).
 
-    With ``reuse_limit > 0`` the ``"threshold"`` strategy also reuses
-    *across* variance vectors: a refresh whose above-cutoff candidate
-    set matches a cached one reuses its sweep outright; a candidate set
-    that shrank by at most ``reuse_limit`` columns from a cached
-    all-accepted sweep keeps the remaining candidates without any sweep
-    (a subset of an independent set is independent); one that *grew* by
-    at most ``reuse_limit`` columns offers only the new columns against
-    the cached orthonormal basis — O(n_p k) per new link instead of the
-    O(n_p k^2) full basis sweep.  Near the 1e-9 independence tolerance
-    the offer order can differ from a cold sweep's, so reuse defaults to
-    0 (off) and only long-lived monitors opt in; batch pipelines stay
+    With ``incremental_limit > 0`` the ``"threshold"`` strategy also
+    reuses *across* variance vectors: a refresh whose above-cutoff
+    candidate set matches a cached one reuses its sweep outright; a
+    candidate set that shrank by at most ``incremental_limit`` columns
+    from a cached all-accepted sweep keeps the remaining candidates
+    without any sweep (a subset of an independent set is independent);
+    one that *grew* by at most ``incremental_limit`` columns offers only
+    the new columns against the cached orthonormal basis — O(n_p k) per
+    new link instead of the O(n_p k^2) full basis sweep.  Near the 1e-9
+    independence tolerance the offer order can differ from a cold
+    sweep's, so batch pipelines keep the limit at 0 and stay
     bit-identical.
     """
-
-    def __init__(
-        self,
-        matrix,
-        max_entries: int = 8,
-        reuse_limit: int = 0,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        if reuse_limit < 0:
-            raise ValueError("reuse_limit must be non-negative")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive (or None)")
-        self._matrix = matrix
-        self.max_entries = max_entries
-        self.reuse_limit = reuse_limit
-        self.max_bytes = max_bytes
-        self._cache: "OrderedDict[Tuple[str, bytes, Optional[float]], _ReductionEntry]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.updates = 0
-        self.evictions = 0
-        self._resident_bytes = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident_bytes
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            updates=self.updates,
-            downdates=0,
-            evictions=self.evictions,
-            entries=len(self._cache),
-            resident_bytes=self._resident_bytes,
-        )
-
-    def _store(self, key, entry: _ReductionEntry) -> None:
-        self._cache[key] = entry
-        self._resident_bytes += entry.nbytes
-        while len(self._cache) > 1 and (
-            len(self._cache) > self.max_entries
-            or (
-                self.max_bytes is not None
-                and self._resident_bytes > self.max_bytes
-            )
-        ):
-            _, evicted = self._cache.popitem(last=False)
-            self._resident_bytes -= evicted.nbytes
-            self.evictions += 1
 
     def reduce(
         self,
@@ -458,14 +346,12 @@ class ReductionCache:
         """The (memoized) reduction for one variance vector."""
         variances = np.asarray(variances, dtype=np.float64)
         key = (strategy, variances.tobytes(), variance_cutoff)
-        cached = self._cache.get(key)
+        cached = self._lookup(key)
         if cached is not None:
-            self.hits += 1
-            self._cache.move_to_end(key)
             return cached.result
         entry = None
         if (
-            self.reuse_limit
+            self.incremental_limit
             and strategy == "threshold"
             and variance_cutoff is not None
             and variance_cutoff > 0
@@ -522,8 +408,7 @@ class ReductionCache:
         Decision-identical to ``reduce_to_full_rank``'s threshold path
         (same :class:`IncrementalColumnBasis` offers in the same order).
         """
-        num_rows = int(self._matrix.shape[0])
-        basis = IncrementalColumnBasis(dimension=num_rows)
+        basis = IncrementalColumnBasis(dimension=int(self._matrix.shape[0]))
         kept: List[int] = []
         for col in candidates:
             if basis.try_add(self._column(int(col))):
@@ -533,7 +418,7 @@ class ReductionCache:
             result=self._result_for(kept),
             candidates=candidates,
             all_accepted=all_accepted,
-            basis=np.array(basis.basis_matrix) if all_accepted else None,
+            basis=basis if all_accepted else None,
         )
 
     def _reuse(self, candidates: np.ndarray) -> Optional[_ReductionEntry]:
@@ -550,7 +435,7 @@ class ReductionCache:
                 continue
             entry_set = set(int(c) for c in entry.candidates)
             shrunk = len(entry_set) - len(cand_set)
-            if 0 < shrunk <= self.reuse_limit and cand_set <= entry_set:
+            if 0 < shrunk <= self.incremental_limit and cand_set <= entry_set:
                 # A subset of an independent set is independent: every
                 # candidate survives the sweep without running it.  (The
                 # subset's basis is not cheaply derivable, so grow reuse
@@ -563,7 +448,7 @@ class ReductionCache:
                 )
             grown = len(cand_set) - len(entry_set)
             if (
-                0 < grown <= self.reuse_limit
+                0 < grown <= self.incremental_limit
                 and entry.basis is not None
                 and entry_set <= cand_set
             ):
@@ -576,73 +461,58 @@ class ReductionCache:
     def _grow(
         self, entry: _ReductionEntry, extras: List[int]
     ) -> Optional[_ReductionEntry]:
-        """Offer *extras* against a cached basis; None on any rejection.
+        """Offer *extras* against a copy of a cached basis; None on any rejection.
 
         If every extra column enlarges the span then the grown candidate
         set is linearly independent, and a cold sweep — in any scan
         order — would keep all of it.  A rejection means the cold sweep
         could keep a different subset, so fall back to running it.
         """
-        basis_cols = entry.basis
-        rank = basis_cols.shape[1]
-        storage = np.empty(
-            (basis_cols.shape[0], rank + len(extras)), dtype=np.float64
-        )
-        storage[:, :rank] = basis_cols
+        basis = copy.deepcopy(entry.basis)
         for column in extras:
-            col = self._column(column)
-            norm0 = float(np.linalg.norm(col))
-            if norm0 == 0.0:
+            if not basis.try_add(self._column(column)):
                 return None
-            v = kernels.cgs2_project(storage, rank, col) if rank else col
-            norm1 = float(np.linalg.norm(v))
-            if norm1 <= 1e-9 * norm0:
-                return None
-            storage[:, rank] = v / norm1
-            rank += 1
         kept = set(int(c) for c in entry.candidates) | set(extras)
         return _ReductionEntry(
             result=self._result_for(kept),
             all_accepted=True,
-            basis=storage,
+            basis=basis,
         )
-
-    def _column(self, index: int) -> np.ndarray:
-        """One dense routing-matrix column (for the incremental offers)."""
-        matrix = self._csc
-        out = np.zeros(int(matrix.shape[0]), dtype=np.float64)
-        start, end = matrix.indptr[index], matrix.indptr[index + 1]
-        out[matrix.indices[start:end]] = matrix.data[start:end]
-        return out
-
-    @property
-    def _csc(self):
-        csc = getattr(self, "_csc_matrix", None)
-        if csc is None:
-            if sparse.issparse(self._matrix):
-                csc = self._matrix.tocsc().astype(np.float64)
-            else:
-                csc = sparse.csc_matrix(
-                    np.asarray(self._matrix, dtype=np.float64)
-                )
-            self._csc_matrix = csc
-        return csc
 
 
 class InferenceEngine:
-    """LIA phases 1+2 with every reusable intermediate cached.
+    """LIA bound to one routing matrix, every reusable intermediate cached.
 
-    Parameters mirror :class:`repro.core.lia.LossInferenceAlgorithm`
-    (which delegates here); see its docstring for the statistical
-    meaning of each knob.  *max_cached_factorizations* bounds the
-    kept-column-set LRU; the reduction memo is bounded to the same size.
-
-    *downdate_limit* / *update_limit* / *reduction_reuse_limit* enable
-    the incremental cache paths (Givens downdates, CGS2 column adds,
-    sweep-free reduction reuse) for kept-set changes of at most that
-    many columns; all default to 0 (off) so batch pipelines stay
-    bit-identical, and :class:`repro.monitor.OnlineLossMonitor` opts in.
-    *max_cache_bytes* byte-bounds each cache's resident arrays.
+    Parameters
+    ----------
+    routing:
+        The reduced routing matrix (Section 3.1 object).
+    variance_method:
+        Phase-1 solver, see :data:`repro.core.variance.VARIANCE_METHODS`.
+    reduction_strategy:
+        Phase-2 column selection: ``"threshold"`` (default), ``"gap"``,
+        ``"paper"`` or ``"greedy"`` — see :mod:`repro.core.reduction`.
+    drop_negative:
+        Drop negative sample-covariance equations (paper behaviour).
+    floor:
+        Continuity floor for log transforms (default ``0.5 / S``).
+    congestion_threshold, cutoff_scale:
+        Parameters of the default ``"threshold"`` reduction: the loss
+        rate ``t_l`` separating good from congested links and the safety
+        factor on the implied variance cutoff ``cutoff_scale * t_l / S``
+        (S is read off each snapshot).  The default scale of 16 sits well
+        above the good-link variance band (~2 t_l / S with burstiness)
+        yet a factor of ~5 below the variance of the mildest congested
+        link the LLRD models produce, and is validated across scales in
+        the ablation benchmarks.
+    incremental_limit:
+        How many columns a kept set may differ from a cached one and
+        still be served incrementally: Givens downdates and CGS2 column
+        adds of the cached ``R*`` factorization, and sweep-free reuse of
+        the phase-2 reduction.  Incremental answers equal a fresh
+        computation only to working precision, so the default 0 keeps
+        batch pipelines bit-identical;
+        :class:`repro.monitor.OnlineLossMonitor` sets 2.
     """
 
     def __init__(
@@ -654,11 +524,7 @@ class InferenceEngine:
         floor: Optional[float] = None,
         congestion_threshold: float = 0.002,
         cutoff_scale: float = 16.0,
-        max_cached_factorizations: int = 8,
-        downdate_limit: int = 0,
-        update_limit: int = 0,
-        reduction_reuse_limit: int = 0,
-        max_cache_bytes: Optional[int] = None,
+        incremental_limit: int = 0,
     ) -> None:
         if variance_method not in VARIANCE_METHODS:
             raise ValueError(f"unknown variance method {variance_method!r}")
@@ -676,20 +542,9 @@ class InferenceEngine:
         self.congestion_threshold = congestion_threshold
         self.cutoff_scale = cutoff_scale
         self._pairs: Optional[IntersectingPairs] = None
-        self._routing_sparse = routing.to_sparse()
-        self._factorizations = FactorizationCache(
-            self._routing_sparse,
-            max_entries=max_cached_factorizations,
-            downdate_limit=downdate_limit,
-            update_limit=update_limit,
-            max_bytes=max_cache_bytes,
-        )
-        self._reductions = ReductionCache(
-            self._routing_sparse,
-            max_entries=max_cached_factorizations,
-            reuse_limit=reduction_reuse_limit,
-            max_bytes=max_cache_bytes,
-        )
+        matrix = as_csc(routing.to_sparse())
+        self._factorizations = FactorizationCache(matrix, incremental_limit)
+        self._reductions = ReductionCache(matrix, incremental_limit)
 
     # -- cached structures ----------------------------------------------------
 
@@ -767,6 +622,13 @@ class InferenceEngine:
         if estimate.num_links != self.routing.num_links:
             raise ValueError("variance vector does not match routing matrix")
 
+    def _check_snapshot(self, snapshot: Snapshot) -> None:
+        if snapshot.num_paths != self.routing.num_paths:
+            raise ValueError(
+                f"snapshot has {snapshot.num_paths} paths but the routing "
+                f"matrix has {self.routing.num_paths}"
+            )
+
     def _solve_reduced(
         self, reduction: ReductionResult, y: np.ndarray
     ) -> np.ndarray:
@@ -805,6 +667,7 @@ class InferenceEngine:
         self, snapshot: Snapshot, estimate: VarianceEstimate
     ) -> LIAResult:
         """Infer link loss rates on one snapshot using learned variances."""
+        self._check_snapshot(snapshot)
         reduction = self.reduce(estimate, snapshot.num_probes)
         y = snapshot.path_log_rates(self.floor)
         x = self._solve_reduced(reduction, y)
@@ -831,6 +694,7 @@ class InferenceEngine:
             OrderedDict()
         )
         for index, snapshot in enumerate(snapshots):
+            self._check_snapshot(snapshot)
             reduction = self.reduce(estimate, snapshot.num_probes)
             entry = groups.setdefault(reduction.key(), (reduction, []))
             entry[1].append(index)
@@ -861,6 +725,10 @@ class InferenceEngine:
         return self.infer(target, estimate)
 
 
+#: The paper's name for the engine.
+LossInferenceAlgorithm = InferenceEngine
+
+
 def infer_many(
     runs: Sequence[Tuple[InferenceEngine, Snapshot, VarianceEstimate]],
 ) -> List[LIAResult]:
@@ -885,6 +753,8 @@ def infer_many(
     runs = list(runs)
     if not runs:
         return []
+    for eng, snap, _ in runs:
+        eng._check_snapshot(snap)
     reductions = [eng.reduce(est, snap.num_probes) for eng, snap, est in runs]
     link_offsets = np.zeros(len(runs) + 1, dtype=np.int64)
     np.cumsum(
@@ -938,3 +808,4 @@ def infer_many(
         )
         for i, (_, _, est) in enumerate(runs)
     ]
+

@@ -3,8 +3,7 @@
 These loops run in the interpreter when no single BLAS/LAPACK call
 covers them: the CGS2 two-matvec basis offer (every phase-2 reduction),
 the zero-pivot-tolerant back-substitution, the Givens column-removal and
-column-insert sweeps, the Givens row fold-in, and the Householder panel
-factorization.  :mod:`repro.core.linalg` and :mod:`repro.core.engine`
+column-insert sweeps, and the Householder panel factorization.  :mod:`repro.core.linalg` and :mod:`repro.core.engine`
 call them directly; every experiment payload is pinned to this
 arithmetic.
 """
@@ -17,7 +16,6 @@ __all__ = [
     "back_substitution",
     "cgs2_project",
     "current_tier",
-    "givens_append_rows",
     "givens_downdate",
     "givens_insert_column",
     "householder_panel",
@@ -102,34 +100,6 @@ def givens_insert_column(r: np.ndarray, q: np.ndarray, position: int) -> None:
         rot = np.array([[c, s], [-s, c]])
         r[[i, i + 1], position:] = rot @ r[[i, i + 1], position:]
         q[:, [i, i + 1]] = q[:, [i, i + 1]] @ rot.T
-
-
-def givens_append_rows(r: np.ndarray, rows: np.ndarray, q: np.ndarray) -> None:
-    """Fold appended matrix rows into a triangular ``R`` (in place).
-
-    *r* is the ``(k, k)`` upper-triangular factor, *rows* the ``(t, k)``
-    block of new matrix rows, and *q* the ``(m + t, k + t)`` orthonormal
-    block whose last ``t`` columns are the unit vectors of the new rows.
-    Each new row is eliminated left to right against the diagonal of
-    ``R``; the rotation mixing ``r[i]`` with ``rows[j]`` acts on ``q``
-    columns ``i`` and ``k + j``.  After the sweep ``q[:, :k]`` spans the
-    extended matrix and *rows* is numerically zero.
-    """
-    k = r.shape[1]
-    for j in range(rows.shape[0]):
-        for i in range(k):
-            a, b = r[i, i], rows[j, i]
-            if b == 0.0:
-                continue
-            h = np.hypot(a, b)
-            c, s = a / h, b / h
-            upper = r[i, i:].copy()
-            r[i, i:] = c * upper + s * rows[j, i:]
-            rows[j, i:] = -s * upper + c * rows[j, i:]
-            qi = q[:, i].copy()
-            qj = q[:, k + j]
-            q[:, i] = c * qi + s * qj
-            q[:, k + j] = -s * qi + c * qj
 
 
 def householder_panel(

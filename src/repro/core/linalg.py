@@ -13,15 +13,15 @@ trailing-matrix update and the thin-Q accumulation run as matrix-matrix
 products, and the incremental basis stores its vectors in a preallocated
 2-D array so each orthogonalisation is two ``B.T @ v`` / ``B @ w``
 matvecs instead of a Python loop over basis vectors.  The pre-blocking
-seed implementations are kept as ``*_reference`` functions: they are the
-pinning oracles for the equivalence tests.
+seed implementations live on in the test suite as the pinning oracles
+for the equivalence tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as scipy_linalg
@@ -81,7 +81,7 @@ def householder_qr(
     the identity block for thin ``Q``) as two matrix products.  Requires
     ``m >= n``.  Bit-for-bit this reorders the sums of the unblocked
     reference, but the factorization it returns is the same to machine
-    precision (see ``householder_qr_reference`` and the equivalence
+    precision (pinned to the seed's unblocked loop by the equivalence
     tests).
     """
     A = np.array(matrix, dtype=np.float64)
@@ -118,41 +118,6 @@ def householder_qr(
     for k0, k1, T in reversed(panels):
         Vp = V[k0:, k0:k1]
         Q[k0:, :] -= Vp @ (T @ (Vp.T @ Q[k0:, :]))
-    return Q, R
-
-
-def householder_qr_reference(
-    matrix: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The seed (unblocked, one reflection per column) Householder QR.
-
-    Kept verbatim as the pinning oracle for the blocked kernel; do not
-    use on hot paths.
-    """
-    A = np.array(matrix, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"householder_qr requires m >= n, got {m} x {n}")
-    vs: List[np.ndarray] = []
-    for k in range(n):
-        x = A[k:, k].copy()
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            vs.append(np.zeros_like(x))
-            continue
-        v = x.copy()
-        v[0] += np.sign(x[0]) * norm_x if x[0] != 0 else norm_x
-        v /= np.linalg.norm(v)
-        vs.append(v)
-        A[k:, k:] -= 2.0 * np.outer(v, v @ A[k:, k:])
-    R = np.triu(A[:n, :])
-    Q = np.zeros((m, n), dtype=np.float64)
-    Q[:n, :n] = np.eye(n)
-    for k in range(n - 1, -1, -1):
-        v = vs[k]
-        Q[k:, :] -= 2.0 * np.outer(v, v @ Q[k:, :])
     return Q, R
 
 
@@ -211,9 +176,8 @@ class QRFactorization:
     ``remove_column`` returns the factorization of the same matrix with
     one column deleted, restored to triangular form with Givens
     rotations — an O(m k) downdate versus an O(m k^2) refactorization.
-    ``add_column`` and ``append_rows`` are the matching *updates*: a
-    CGS2 column offer plus a Givens sweep, and a Givens row fold-in,
-    each O(m k) against the O(m k^2) fresh QR they replace.
+    ``add_column`` is the matching *update*: a CGS2 column offer plus a
+    Givens sweep, O(m k) against the O(m k^2) fresh QR it replaces.
     """
 
     q: np.ndarray  # (m, k), orthonormal columns
@@ -225,14 +189,8 @@ class QRFactorization:
         cls,
         matrix: np.ndarray,
         columns: Optional[Sequence[int]] = None,
-        method: str = "lapack",
     ) -> "QRFactorization":
-        """Factorize a dense (or sparse, densified) matrix.
-
-        *method* ``"lapack"`` uses the economy LAPACK QR; ``"householder"``
-        uses this module's blocked kernel (the paper's algorithm, kept for
-        reference and cross-checking).
-        """
+        """Factorize a dense (or sparse, densified) matrix by economy LAPACK QR."""
         if sparse.issparse(matrix):
             matrix = matrix.toarray()
         A = np.asarray(matrix, dtype=np.float64)
@@ -245,12 +203,7 @@ class QRFactorization:
         cols = tuple(int(c) for c in columns)
         if len(cols) != A.shape[1]:
             raise ValueError("one column label per matrix column required")
-        if method == "lapack":
-            q, r = scipy_linalg.qr(A, mode="economic", check_finite=False)
-        elif method == "householder":
-            q, r = householder_qr(A)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        q, r = scipy_linalg.qr(A, mode="economic", check_finite=False)
         # LAPACK hands back Fortran-order arrays; the update/downdate
         # kernels want C-contiguous Q, and paying the layout copy once
         # here keeps it out of every incremental refresh.
@@ -379,54 +332,36 @@ class QRFactorization:
         )
         return QRFactorization(q=q, r=np.triu(r), columns=inserted)
 
-    def append_rows(self, rows: np.ndarray) -> "QRFactorization":
-        """Update: the factorization of the matrix with *rows* stacked below.
 
-        Each new row is Givens-eliminated into ``R`` left to right —
-        O(t k (m + k)) for *t* new rows versus a fresh O((m + t) k^2)
-        QR.  The column set (and its labels) is unchanged; only the row
-        space grows, e.g. when new probing paths join a deployment.
-        """
-        B = np.array(rows, dtype=np.float64, ndmin=2)
-        k = self.num_columns
-        m = self.num_rows
-        if B.ndim != 2 or B.shape[1] != k:
-            raise ValueError(
-                f"expected rows of width {k}, got shape {B.shape}"
-            )
-        t = B.shape[0]
-        if t == 0:
-            return self
-        r = np.array(self.r, dtype=np.float64, order="C")
-        q = np.zeros((m + t, k + t), dtype=np.float64)
-        q[:m, :k] = self.q
-        for j in range(t):
-            q[m + j, k + j] = 1.0
-        kernels.givens_append_rows(r, np.ascontiguousarray(B), q)
-        return QRFactorization(
-            q=np.ascontiguousarray(q[:, :k]),
-            r=np.triu(r),
-            columns=self.columns,
-        )
+def column_source(matrix):
+    """*matrix* in a form :func:`dense_column` reads without densifying it.
 
-
-def _column_accessor(matrix) -> Tuple[int, int, Callable[[int], np.ndarray]]:
-    """Shape plus a dense-column getter for a dense or sparse matrix."""
+    Sparse input becomes float64 CSC, dense input a float64 array.  A
+    float64 CSC input comes back as is, so a caller that converts once
+    can hand the result to every consumer for free.
+    """
     if sparse.issparse(matrix):
-        A = matrix.tocsc()
-        m, n = A.shape
-
-        def column(j: int) -> np.ndarray:
-            out = np.zeros(m, dtype=np.float64)
-            start, end = A.indptr[j], A.indptr[j + 1]
-            out[A.indices[start:end]] = A.data[start:end]
-            return out
-
-        return m, n, column
-    A = np.asarray(matrix, dtype=np.float64)
-    if A.ndim != 2:
+        return matrix.tocsc().astype(np.float64, copy=False)
+    dense = np.asarray(matrix, dtype=np.float64)
+    if dense.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
-    return A.shape[0], A.shape[1], lambda j: A[:, j]
+    return dense
+
+
+def as_csc(matrix) -> sparse.csc_matrix:
+    """*matrix* (dense or sparse) as a float64 CSC matrix."""
+    source = column_source(matrix)
+    return source if sparse.issparse(source) else sparse.csc_matrix(source)
+
+
+def dense_column(matrix, index: int) -> np.ndarray:
+    """Column *index* of a :func:`column_source` result as a fresh vector."""
+    if isinstance(matrix, np.ndarray):
+        return matrix[:, index].copy()
+    out = np.zeros(matrix.shape[0], dtype=np.float64)
+    start, end = matrix.indptr[index], matrix.indptr[index + 1]
+    out[matrix.indices[start:end]] = matrix.data[start:end]
+    return out
 
 
 def qr_column_rank(matrix, rel_tol: float = 1e-9) -> int:
@@ -437,10 +372,10 @@ def qr_column_rank(matrix, rel_tol: float = 1e-9) -> int:
     that enlarge the span instead — the same primitive the phase-2
     reduction uses.
     """
-    m, n, column = _column_accessor(matrix)
-    basis = IncrementalColumnBasis(dimension=m, rel_tol=rel_tol)
-    for col in range(n):
-        basis.try_add(column(col))
+    A = column_source(matrix)
+    basis = IncrementalColumnBasis(dimension=A.shape[0], rel_tol=rel_tol)
+    for col in range(A.shape[1]):
+        basis.try_add(dense_column(A, col))
     return basis.rank
 
 
@@ -461,8 +396,8 @@ class IncrementalColumnBasis:
     orthogonalises with two classical Gram–Schmidt passes — four BLAS-2
     products total — instead of a Python loop over basis vectors.  Two
     passes make classical GS as robust as the seed's modified GS
-    ("twice is enough"); the seed loop survives as
-    :meth:`try_add_reference` for the equivalence tests.
+    ("twice is enough"); the equivalence tests pin the two to the same
+    decisions.
     """
 
     dimension: int
@@ -494,23 +429,14 @@ class IncrementalColumnBasis:
         storage[:, : self._rank] = self._storage[:, : self._rank]
         self._storage = storage
 
-    def _prepare(self, column: np.ndarray) -> Tuple[np.ndarray, float]:
+    def try_add(self, column: np.ndarray) -> bool:
+        """Add *column* if it enlarges the span; return whether it did."""
         v = np.array(column, dtype=np.float64)
         if v.shape != (self.dimension,):
             raise ValueError(
                 f"expected column of length {self.dimension}, got {v.shape}"
             )
-        return v, float(np.linalg.norm(v))
-
-    def _accept(self, v: np.ndarray, norm1: float) -> bool:
-        self._grow()
-        self._storage[:, self._rank] = v / norm1
-        self._rank += 1
-        return True
-
-    def try_add(self, column: np.ndarray) -> bool:
-        """Add *column* if it enlarges the span; return whether it did."""
-        v, norm0 = self._prepare(column)
+        norm0 = float(np.linalg.norm(v))
         if norm0 == 0.0:
             return False
         if self._rank:
@@ -518,22 +444,10 @@ class IncrementalColumnBasis:
         norm1 = float(np.linalg.norm(v))
         if norm1 <= self.rel_tol * norm0:
             return False
-        return self._accept(v, norm1)
-
-    def try_add_reference(self, column: np.ndarray) -> bool:
-        """The seed per-vector modified-Gram–Schmidt loop (pinning oracle)."""
-        v, norm0 = self._prepare(column)
-        if norm0 == 0.0:
-            return False
-        basis = [self._storage[:, j] for j in range(self._rank)]
-        for b in basis:
-            v -= (b @ v) * b
-        for b in basis:
-            v -= (b @ v) * b
-        norm1 = float(np.linalg.norm(v))
-        if norm1 <= self.rel_tol * norm0:
-            return False
-        return self._accept(v, norm1)
+        self._grow()
+        self._storage[:, self._rank] = v / norm1
+        self._rank += 1
+        return True
 
 
 def greedy_independent_columns(
@@ -549,10 +463,10 @@ def greedy_independent_columns(
     restricted to the scanned columns: every rejected column is dependent
     on accepted ones.
     """
-    m, _, column = _column_accessor(matrix)
-    basis = IncrementalColumnBasis(dimension=m, rel_tol=rel_tol)
+    A = column_source(matrix)
+    basis = IncrementalColumnBasis(dimension=A.shape[0], rel_tol=rel_tol)
     kept: List[int] = []
     for col in priority:
-        if basis.try_add(column(int(col))):
+        if basis.try_add(dense_column(A, int(col))):
             kept.append(int(col))
     return kept

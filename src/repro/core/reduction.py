@@ -22,8 +22,8 @@ Four strategies (ablated against each other in the benchmarks):
     burstiness factor); anything safely above that is congested, anything
     below is noise.  The operator knows both ``t_l`` and ``S``, so unlike
     the gap search this cutoff cannot be fooled by a smooth variance
-    spectrum.  :class:`repro.core.lia.LossInferenceAlgorithm` computes
-    the cutoff as ``cutoff_scale * t_l / S``.
+    spectrum.  :meth:`repro.core.engine.InferenceEngine.variance_cutoff`
+    computes the cutoff as ``cutoff_scale * t_l / S``.
 ``"gap"``
     implements the abstract's description — "remove the un-congested
     links with small variances" — literally: split the variance spectrum
@@ -59,7 +59,8 @@ from scipy import sparse
 
 from repro.core.linalg import (
     IncrementalColumnBasis,
-    _column_accessor,
+    column_source,
+    dense_column,
     greedy_independent_columns,
 )
 
@@ -206,11 +207,11 @@ def _paper_reduction(R, ascending: np.ndarray) -> np.ndarray:
     independent; the first rejection marks the answer and ends the sweep
     early.  Replaces the seed's binary search over full SVD ranks.
     """
-    m, _, column = _column_accessor(R)
+    A = column_source(R)
     descending = ascending[::-1]
-    basis = IncrementalColumnBasis(dimension=m)
+    basis = IncrementalColumnBasis(dimension=A.shape[0])
     for position, col in enumerate(descending):
-        if not basis.try_add(column(int(col))):
+        if not basis.try_add(dense_column(A, int(col))):
             return descending[:position]
     return descending
 

@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
 from repro.core.covariance import sample_covariance_pairs
 from repro.core.engine import FactorizationCache, ReductionCache
+from repro.core.linalg import as_csc
 from repro.core.variance import (
     VARIANCE_METHODS,
     _equation_weights,
@@ -94,9 +95,9 @@ class DelayInferenceAlgorithm:
         self.variance_cutoff_ms2 = variance_cutoff_ms2
         self.variance_method = variance_method
         self._pairs: Optional[IntersectingPairs] = None
-        self._routing_sparse = routing.to_sparse()
-        self._factorizations = FactorizationCache(self._routing_sparse)
-        self._reductions = ReductionCache(self._routing_sparse)
+        matrix = as_csc(routing.to_sparse())
+        self._factorizations = FactorizationCache(matrix)
+        self._reductions = ReductionCache(matrix)
 
     @property
     def pairs(self) -> IntersectingPairs:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api import EstimatorSpec, Scenario
-from repro.core.lia import LIAResult
+from repro.core.engine import LIAResult
 from repro.lossmodel import LLRD1, LossRateModel
 from repro.lossmodel.processes import LossProcess
 from repro.metrics import AccuracyReport, DetectionOutcome

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.core.augmented import intersecting_pairs
 from repro.core.engine import InferenceEngine, infer_many
-from repro.core.lia import LossInferenceAlgorithm
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
 from repro.experiments.base import (
     ExperimentResult,
@@ -58,16 +57,20 @@ def trial(spec: TrialSpec) -> dict:
     pairs = intersecting_pairs(prepared.routing.matrix)
     t_build_a = time.perf_counter() - t0
 
-    lia = LossInferenceAlgorithm(prepared.routing)
-    lia.engine.pairs = pairs  # reuse, as a monitoring service would
+    lia = InferenceEngine(prepared.routing)
+    lia.pairs = pairs  # reuse, as a monitoring service would
 
     t0 = time.perf_counter()
     estimate = lia.learn_variances(training)
     t_phase1 = time.perf_counter() - t0
 
+    # The reduction the engine itself runs: its strategy and cutoff.
     t0 = time.perf_counter()
     reduction = reduce_to_full_rank(
-        prepared.routing.matrix, estimate.variances, strategy="gap"
+        prepared.routing.matrix,
+        estimate.variances,
+        strategy=lia.reduction_strategy,
+        variance_cutoff=lia.variance_cutoff(target.num_probes),
     )
     t_reduce = time.perf_counter() - t0
 
@@ -126,7 +129,7 @@ def trial(spec: TrialSpec) -> dict:
     t_forest_batched = time.perf_counter() - t0
 
     cache_info = {
-        name: info.as_dict() for name, info in lia.engine.cache_info().items()
+        name: info.as_dict() for name, info in lia.cache_info().items()
     }
 
     return {
@@ -182,7 +185,6 @@ def run(
             "downdates",
             "evictions",
             "entries",
-            "resident bytes",
         ]
     )
     for cache_name, info in payload["cache_info"].items():
@@ -195,7 +197,6 @@ def run(
                 info["downdates"],
                 info["evictions"],
                 info["entries"],
-                info["resident_bytes"],
             ]
         )
 

@@ -25,7 +25,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.core.lia import LIAResult
+from repro.core.engine import LIAResult
 from repro.topology.graph import Path
 from repro.topology.routing import RoutingMatrix
 

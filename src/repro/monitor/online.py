@@ -16,23 +16,24 @@ running service that sentence implies:
   :class:`~repro.core.engine.InferenceEngine` underneath memoizes the
   phase-2 reduction per estimate and the ``R*`` factorization per
   kept-column set, so between variance refreshes each localisation is a
-  pair of triangular solves.  A refresh that *shrinks* the kept set by
-  at most ``downdate_limit`` columns — a watched link clearing —
-  Givens-downdates the cached factorization
-  (:meth:`~repro.core.linalg.QRFactorization.remove_column`); one that
-  *grows* it by at most ``update_limit`` columns — congestion churn
-  re-flagging links — CGS2-updates it
+  pair of triangular solves.  A refresh that changes the kept set by at
+  most ``incremental_limit`` columns never refactorizes from scratch:
+  a shrink — a watched link clearing — Givens-downdates the cached
+  factorization
+  (:meth:`~repro.core.linalg.QRFactorization.remove_column`); a growth
+  — congestion churn re-flagging links — CGS2-updates it
   (:meth:`~repro.core.linalg.QRFactorization.add_column`) and reuses
-  the phase-2 basis sweep, so neither direction refactorizes from
-  scratch (see :meth:`OnlineLossMonitor.cache_info`);
+  the phase-2 basis sweep (see :meth:`OnlineLossMonitor.cache_info`);
 * every arriving snapshot is screened by a cheap **path-level z-score**
   against the window's running statistics; snapshots with anomalous
   paths trigger full LIA localisation;
 * per-link congestion state is tracked across snapshots, emitting
   ``onset`` / ``cleared`` events with durations — the Section 7.2.2
-  run-length analysis as a live signal;
-* ``max_cache_bytes`` byte-bounds the engine caches so monitor state
-  stays bounded over days of traffic.
+  run-length analysis as a live signal.
+
+The engine caches hold a fixed number of entries
+(:data:`~repro.core.engine.CACHE_ENTRIES`), so monitor state stays
+bounded over days of traffic.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.engine import CacheInfo
-from repro.core.lia import LossInferenceAlgorithm
+from repro.core.engine import CacheInfo, InferenceEngine
 from repro.core.variance import (
     VarianceEstimate,
     estimate_link_variances_from_moments,
@@ -185,16 +185,12 @@ class OnlineLossMonitor:
     localize_always:
         Run LIA on every snapshot instead of only on screened ones
         (costlier, catches sub-threshold drift).
-    downdate_limit, update_limit:
-        How many kept-set columns a variance refresh may remove / add
+    incremental_limit:
+        How many kept-set columns a variance refresh may remove or add
         while still reusing the cached ``R*`` factorization (Givens
-        downdates / CGS2 column adds) and, for updates, the phase-2
-        basis sweep.  Larger limits absorb heavier congestion churn at
-        the cost of longer update chains; 0 disables that direction.
-    max_cache_bytes:
-        Byte bound on each engine cache's resident arrays (``None``:
-        entry-count bounds only) so monitor state stays bounded over
-        days of traffic.
+        downdates / CGS2 column adds) and the phase-2 basis sweep.
+        Larger limits absorb heavier congestion churn at the cost of
+        longer update chains; 0 refactorizes on every kept-set change.
     incremental_variance:
         Maintain rolling sufficient statistics so a variance refresh
         re-solves from O(pairs) running moments instead of re-reading
@@ -211,9 +207,7 @@ class OnlineLossMonitor:
         congestion_threshold: float = 0.002,
         z_threshold: float = 4.0,
         localize_always: bool = False,
-        downdate_limit: int = 2,
-        update_limit: int = 2,
-        max_cache_bytes: Optional[int] = None,
+        incremental_limit: int = 2,
         incremental_variance: bool = True,
     ) -> None:
         if window < 2:
@@ -222,8 +216,6 @@ class OnlineLossMonitor:
             raise ValueError("refresh_interval must be at least 1")
         if z_threshold <= 0:
             raise ValueError("z_threshold must be positive")
-        if downdate_limit < 0 or update_limit < 0:
-            raise ValueError("cache update limits must be non-negative")
         self.routing = routing
         self.window = window
         self.refresh_interval = refresh_interval
@@ -237,13 +229,10 @@ class OnlineLossMonitor:
         # cached R* factorization (and the phase-2 basis sweep) instead
         # of refactorizing.  (Off by default in the engine so batch
         # pipelines stay bit-identical.)
-        self._lia = LossInferenceAlgorithm(
+        self.engine = InferenceEngine(
             routing,
             congestion_threshold=congestion_threshold,
-            downdate_limit=downdate_limit,
-            update_limit=update_limit,
-            reduction_reuse_limit=max(downdate_limit, update_limit),
-            max_cache_bytes=max_cache_bytes,
+            incremental_limit=incremental_limit,
         )
         self._history: Deque[Snapshot] = deque(maxlen=window)
         self._log_history: Deque[np.ndarray] = deque(maxlen=window)
@@ -260,11 +249,6 @@ class OnlineLossMonitor:
     # -- state queries -------------------------------------------------------
 
     @property
-    def engine(self):
-        """The underlying :class:`~repro.core.engine.InferenceEngine`."""
-        return self._lia.engine
-
-    @property
     def is_warm(self) -> bool:
         """True once the training window is full."""
         return len(self._history) >= self.window
@@ -274,7 +258,7 @@ class OnlineLossMonitor:
         """Refreshes absorbed by a Givens downdate instead of a fresh QR.
 
         Incremented when a variance refresh shrank the kept-column set
-        within ``downdate_limit`` and the engine reused the previous
+        within ``incremental_limit`` and the engine reused the previous
         ``R*`` factorization via column-removal downdates.  (One counter
         of the fuller :meth:`cache_info` picture.)
         """
@@ -367,15 +351,15 @@ class OnlineLossMonitor:
                 sigma,
                 self._moments.path_variances(),
                 self._moments.count,
-                method=self._lia.variance_method,
-                drop_negative=self._lia.drop_negative,
+                method=self.engine.variance_method,
+                drop_negative=self.engine.drop_negative,
             )
             self._last_sigma = sigma
             return
         training = MeasurementCampaign(
             routing=self.routing, snapshots=list(self._history)
         )
-        self._estimate = self._lia.learn_variances(training)
+        self._estimate = self.engine.learn_variances(training)
 
     def _screen(self, snapshot: Snapshot) -> np.ndarray:
         """Cheap per-path z-score against the rolling window."""

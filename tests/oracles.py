@@ -1,0 +1,84 @@
+"""Seed implementations kept as pinning oracles for the equivalence tests.
+
+The blocked Householder QR and the array-backed incremental basis in
+:mod:`repro.core.linalg` reorder floating-point sums relative to the
+seed's pure-Python loops, so the tests pin them to these loops to tight
+tolerances.  Do not use them outside the tests.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+import numpy as np
+
+
+def householder_qr_reference(
+    matrix: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The seed (unblocked, one reflection per column) Householder QR."""
+    A = np.array(matrix, dtype=np.float64)
+    if A.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    m, n = A.shape
+    if m < n:
+        raise ValueError(f"householder_qr requires m >= n, got {m} x {n}")
+    vs: List[np.ndarray] = []
+    for k in range(n):
+        x = A[k:, k].copy()
+        norm_x = np.linalg.norm(x)
+        if norm_x == 0.0:
+            vs.append(np.zeros_like(x))
+            continue
+        v = x.copy()
+        v[0] += np.sign(x[0]) * norm_x if x[0] != 0 else norm_x
+        v /= np.linalg.norm(v)
+        vs.append(v)
+        A[k:, k:] -= 2.0 * np.outer(v, v @ A[k:, k:])
+    R = np.triu(A[:n, :])
+    Q = np.zeros((m, n), dtype=np.float64)
+    Q[:n, :n] = np.eye(n)
+    for k in range(n - 1, -1, -1):
+        v = vs[k]
+        Q[k:, :] -= 2.0 * np.outer(v, v @ Q[k:, :])
+    return Q, R
+
+
+class SeedColumnBasis:
+    """The seed's incremental basis: a per-vector Gram–Schmidt loop.
+
+    Same interface as :class:`repro.core.linalg.IncrementalColumnBasis`
+    (``try_add``, ``rank``, ``basis_matrix``) and the same acceptance
+    rule, with the orthogonalisation written as two passes over the
+    basis vectors one at a time.
+    """
+
+    def __init__(self, dimension: int, rel_tol: float = 1e-9) -> None:
+        self.dimension = dimension
+        self.rel_tol = rel_tol
+        self._vectors: List[np.ndarray] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._vectors)
+
+    @property
+    def basis_matrix(self) -> np.ndarray:
+        if not self._vectors:
+            return np.empty((self.dimension, 0))
+        return np.column_stack(self._vectors)
+
+    def try_add(self, column: np.ndarray) -> bool:
+        v = np.array(column, dtype=np.float64)
+        norm0 = float(np.linalg.norm(v))
+        if norm0 == 0.0:
+            return False
+        for b in self._vectors:
+            v -= (b @ v) * b
+        for b in self._vectors:
+            v -= (b @ v) * b
+        norm1 = float(np.linalg.norm(v))
+        if norm1 <= self.rel_tol * norm0:
+            return False
+        self._vectors.append(v / norm1)
+        return True

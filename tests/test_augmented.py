@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.augmented import (
-    AugmentedMatrixBuilder,
     augmented_matrix,
     augmented_rank,
     has_identifiable_variances,
@@ -117,44 +116,3 @@ class TestRankAndIdentifiability:
         # Two identical columns (alias links) can never be separated.
         R = np.array([[1, 1], [1, 1]], dtype=np.uint8)
         assert not has_identifiable_variances(R)
-
-
-class TestBuilder:
-    def test_incremental_matches_batch(self, figure2):
-        _, _, routing = figure2
-        builder = AugmentedMatrixBuilder(routing.num_links)
-        for i in range(routing.num_paths):
-            builder.add_path(np.flatnonzero(routing.matrix[i]))
-        built = builder.build()
-        direct = intersecting_pairs(routing.matrix)
-        assert np.array_equal(
-            built.matrix.toarray(), direct.matrix.toarray()
-        )
-
-    def test_remove_path(self, figure2):
-        _, _, routing = figure2
-        builder = AugmentedMatrixBuilder(routing.num_links)
-        for i in range(routing.num_paths):
-            builder.add_path(np.flatnonzero(routing.matrix[i]))
-        builder.remove_path(0)
-        assert builder.num_paths == routing.num_paths - 1
-        rebuilt = builder.routing_matrix()
-        assert np.array_equal(rebuilt, routing.matrix[1:])
-
-    def test_caching(self, figure1):
-        _, _, routing = figure1
-        builder = AugmentedMatrixBuilder(routing.num_links)
-        builder.add_path([0, 1])
-        first = builder.build()
-        assert builder.build() is first  # cached
-        builder.add_path([0, 2])
-        assert builder.build() is not first  # invalidated
-
-    def test_invalid_paths_rejected(self):
-        builder = AugmentedMatrixBuilder(4)
-        with pytest.raises(ValueError):
-            builder.add_path([])
-        with pytest.raises(ValueError):
-            builder.add_path([7])
-        with pytest.raises(IndexError):
-            builder.remove_path(0)

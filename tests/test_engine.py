@@ -6,12 +6,12 @@ from scipy import sparse
 
 from repro.core.covariance import CovarianceSummary
 from repro.core.engine import (
+    CACHE_ENTRIES,
     FactorizationCache,
     InferenceEngine,
     ReductionCache,
     infer_many,
 )
-from repro.core.lia import LossInferenceAlgorithm
 from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
 from repro.core.variance import VarianceEstimate
 
@@ -19,7 +19,7 @@ from repro.core.variance import VarianceEstimate
 @pytest.fixture(scope="module")
 def trained(small_tree, tree_campaign):
     _, _, routing = small_tree
-    lia = LossInferenceAlgorithm(routing)
+    lia = InferenceEngine(routing)
     training, target = tree_campaign.split_training_target()
     estimate = lia.learn_variances(training)
     return routing, lia, training, target, estimate
@@ -45,18 +45,22 @@ class TestFactorizationCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_eviction(self):
-        R = np.eye(8)
-        cache = FactorizationCache(R, max_entries=2)
+        R = np.eye(CACHE_ENTRIES + 1)
+        cache = FactorizationCache(R)
         a = cache.factorization(np.array([0]))
-        cache.factorization(np.array([1]))
-        cache.factorization(np.array([2]))  # evicts [0]
-        assert len(cache) == 2
+        for column in range(1, CACHE_ENTRIES + 1):
+            cache.factorization(np.array([column]))  # the last evicts [0]
+        assert len(cache) == CACHE_ENTRIES
+        assert cache.evictions == 1
         again = cache.factorization(np.array([0]))
         assert again is not a
 
-    def test_rejects_bad_max_entries(self):
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), max_entries=0)
+    def test_reduction_cache_shares_the_entry_bound(self):
+        cache = ReductionCache(np.eye(4))
+        for scale in range(CACHE_ENTRIES + 1):
+            cache.reduce(np.full(4, 1.0 + scale), "greedy")
+        assert len(cache) == CACHE_ENTRIES
+        assert cache.cache_info().evictions == 1
 
 
 class TestFactorizationDowndate:
@@ -70,7 +74,7 @@ class TestFactorizationDowndate:
         )
 
     def test_subset_request_downdates(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
+        cache = FactorizationCache(matrix, incremental_limit=2)
         full = np.arange(8)
         cache.factorization(full)
         shrunk = np.array([0, 1, 2, 4, 5, 7])  # drops columns 3 and 6
@@ -87,18 +91,19 @@ class TestFactorizationDowndate:
         )
 
     def test_shrink_beyond_limit_refactorizes(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
+        cache = FactorizationCache(matrix, incremental_limit=2)
         cache.factorization(np.arange(8))
         cache.factorization(np.array([0, 2, 4, 6, 7]))  # 3 columns removed
         assert cache.downdates == 0
         assert cache.misses == 2
 
-    def test_growing_set_refactorizes(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
+    def test_growing_set_is_an_update_not_a_downdate(self, matrix):
+        cache = FactorizationCache(matrix, incremental_limit=2)
         cache.factorization(np.array([0, 1, 2]))
         cache.factorization(np.array([0, 1, 2, 3]))
         assert cache.downdates == 0
-        assert cache.misses == 2
+        assert cache.updates == 1
+        assert cache.misses == 1
 
     def test_downdate_is_off_by_default(self, matrix):
         """Batch pipelines stay bit-identical: only opted-in consumers
@@ -110,7 +115,7 @@ class TestFactorizationDowndate:
         assert cache.misses == 2
 
     def test_downdated_entry_is_cached(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2)
+        cache = FactorizationCache(matrix, incremental_limit=2)
         cache.factorization(np.arange(6))
         shrunk = np.arange(5)
         first = cache.factorization(shrunk)
@@ -127,7 +132,7 @@ class TestFactorizationDowndate:
         _, _, routing = small_tree
         engine = InferenceEngine(routing)
         # Opt in the way OnlineLossMonitor does.
-        engine.factorization_cache.downdate_limit = 2
+        engine.factorization_cache.incremental_limit = 2
 
         def estimate_with(columns):
             variances = np.zeros(routing.num_links)
@@ -167,7 +172,7 @@ class TestFactorizationUpdate:
         )
 
     def test_superset_request_updates(self, matrix):
-        cache = FactorizationCache(matrix, update_limit=2)
+        cache = FactorizationCache(matrix, incremental_limit=2)
         cache.factorization(np.array([0, 1, 2, 4, 5, 7]))
         grown = np.arange(8)  # adds columns 3 and 6
         updated = cache.factorization(grown)
@@ -183,7 +188,7 @@ class TestFactorizationUpdate:
         )
 
     def test_grow_beyond_limit_refactorizes(self, matrix):
-        cache = FactorizationCache(matrix, update_limit=2)
+        cache = FactorizationCache(matrix, incremental_limit=2)
         cache.factorization(np.arange(5))
         cache.factorization(np.arange(8))  # 3 columns added
         assert cache.updates == 0
@@ -202,7 +207,7 @@ class TestFactorizationUpdate:
         rng = np.random.default_rng(5)
         A = rng.random(size=(10, 6))
         A[:, 4] = A[:, 0] + A[:, 1]
-        cache = FactorizationCache(A, update_limit=2)
+        cache = FactorizationCache(A, incremental_limit=2)
         cache.factorization(np.array([0, 1, 2]))
         grown = cache.factorization(np.array([0, 1, 2, 4]))
         # The CGS2 offer rejects the dependent column; the cache falls
@@ -212,7 +217,7 @@ class TestFactorizationUpdate:
         assert not grown.full_rank
 
     def test_updated_entry_is_cached(self, matrix):
-        cache = FactorizationCache(matrix, update_limit=2)
+        cache = FactorizationCache(matrix, incremental_limit=2)
         cache.factorization(np.arange(5))
         grown = np.arange(6)
         first = cache.factorization(grown)
@@ -221,17 +226,15 @@ class TestFactorizationUpdate:
         assert cache.updates == 1 and cache.hits == 1
 
     def test_negative_limits_rejected(self):
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), update_limit=-1)
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), downdate_limit=-1)
+        with pytest.raises(ValueError, match="incremental_limit"):
+            FactorizationCache(np.eye(2), incremental_limit=-1)
 
     def test_engine_updates_on_growing_kept_set(self, small_tree):
         """A refresh that implicates ≤2 new columns rides the add path."""
         from repro.probing.snapshot import Snapshot
 
         _, _, routing = small_tree
-        engine = InferenceEngine(routing, update_limit=2)
+        engine = InferenceEngine(routing, incremental_limit=2)
 
         def estimate_with(columns):
             variances = np.zeros(routing.num_links)
@@ -261,7 +264,7 @@ class TestFactorizationUpdate:
 
 
 class TestCacheBudgets:
-    """max_bytes bounds resident arrays with byte-accounted LRU eviction."""
+    """Both caches count hits, misses, updates, downdates and evictions."""
 
     @pytest.fixture()
     def matrix(self):
@@ -270,47 +273,8 @@ class TestCacheBudgets:
             [np.eye(12), np.zeros((12, 12))]
         )
 
-    @staticmethod
-    def entry_bytes(factorization):
-        return factorization.q.nbytes + factorization.r.nbytes
-
-    def test_byte_budget_evicts_lru(self, matrix):
-        probe = FactorizationCache(matrix).factorization(np.arange(6))
-        cache = FactorizationCache(
-            matrix, max_bytes=self.entry_bytes(probe) + 64
-        )
-        first = cache.factorization(np.arange(6))
-        cache.factorization(np.arange(6, 12))  # same size: evicts the first
-        assert cache.evictions == 1
-        assert len(cache) == 1
-        assert cache.resident_bytes <= cache.max_bytes
-        again = cache.factorization(np.arange(6))
-        assert again is not first
-
-    def test_single_entry_may_exceed_budget(self, matrix):
-        cache = FactorizationCache(matrix, max_bytes=1)
-        cache.factorization(np.arange(6))
-        # The eviction loop never empties the cache entirely.
-        assert len(cache) == 1
-        assert cache.evictions == 0
-        assert cache.resident_bytes > cache.max_bytes
-
-    def test_resident_bytes_tracks_evictions(self, matrix):
-        cache = FactorizationCache(matrix, max_entries=2)
-        sizes = []
-        for kept in (np.arange(4), np.arange(4, 10), np.arange(10, 12)):
-            sizes.append(self.entry_bytes(cache.factorization(kept)))
-        assert cache.evictions == 1
-        assert cache.resident_bytes == sum(sizes[1:])
-
-    def test_max_bytes_validated(self):
-        with pytest.raises(ValueError):
-            FactorizationCache(np.eye(2), max_bytes=0)
-        with pytest.raises(ValueError):
-            ReductionCache(np.eye(2), max_bytes=0)
-
     def test_cache_info_snapshot(self, matrix):
-        cache = FactorizationCache(matrix, downdate_limit=2, update_limit=2)
+        cache = FactorizationCache(matrix, incremental_limit=2)
         cache.factorization(np.arange(6))
         cache.factorization(np.arange(6))  # hit
         cache.factorization(np.arange(5))  # downdate
@@ -323,7 +287,6 @@ class TestCacheBudgets:
             "downdates": 1,
             "evictions": 0,
             "entries": 3,
-            "resident_bytes": cache.resident_bytes,
         }
 
     def test_engine_cache_info_keys(self, small_tree):
@@ -360,7 +323,7 @@ class TestReductionReuse:
         )
 
     def test_exact_vector_hits(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental_limit=2)
         first = self.reduce(cache, [0, 3, 5])
         second = self.reduce(cache, [0, 3, 5])
         assert first is second
@@ -368,21 +331,21 @@ class TestReductionReuse:
 
     def test_identical_candidates_skip_the_sweep(self, matrix):
         """Same above-cutoff set under different variance values."""
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental_limit=2)
         first = self.reduce(cache, [0, 3, 5])
         second = self.reduce(cache, [0, 3, 5], scale=2.0)
         assert cache.updates == 1 and cache.misses == 1
         assert np.array_equal(first.kept_columns, second.kept_columns)
 
     def test_shrunk_candidates_skip_the_sweep(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental_limit=2)
         self.reduce(cache, [0, 3, 5, 8])
         shrunk = self.reduce(cache, [0, 5, 8])
         assert cache.updates == 1 and cache.misses == 1
         assert list(shrunk.kept_columns) == [0, 5, 8]
 
     def test_grown_candidates_offer_only_new_columns(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental_limit=2)
         self.reduce(cache, [0, 3, 5])
         grown = self.reduce(cache, [0, 3, 5, 8, 9])
         assert cache.updates == 1 and cache.misses == 1
@@ -397,7 +360,7 @@ class TestReductionReuse:
         assert np.array_equal(grown.kept_columns, cold.kept_columns)
 
     def test_grow_beyond_limit_sweeps(self, matrix):
-        cache = ReductionCache(matrix, reuse_limit=2)
+        cache = ReductionCache(matrix, incremental_limit=2)
         self.reduce(cache, [0, 3])
         self.reduce(cache, [0, 3, 5, 8, 9])  # 3 new candidates
         assert cache.updates == 0 and cache.misses == 2
@@ -411,7 +374,7 @@ class TestReductionReuse:
     def test_dependent_growth_falls_back_to_the_sweep(self, matrix):
         dependent = np.array(matrix)
         dependent[:, 11] = dependent[:, 0] + dependent[:, 3]
-        cache = ReductionCache(dependent, reuse_limit=2)
+        cache = ReductionCache(dependent, incremental_limit=2)
         self.reduce(cache, [0, 3])
         grown = self.reduce(cache, [0, 3, 11])
         # The basis offer rejects column 11, so the cold sweep runs; its
@@ -428,7 +391,7 @@ class TestReductionReuse:
 
     def test_negative_reuse_limit_rejected(self):
         with pytest.raises(ValueError):
-            ReductionCache(np.eye(2), reuse_limit=-1)
+            ReductionCache(np.eye(2), incremental_limit=-1)
 
 
 class TestBatchByteIdentity:
@@ -444,14 +407,14 @@ class TestBatchByteIdentity:
     ):
         routing, lia, training, target, estimate = trained
         snapshots = list(training.snapshots[-3:]) + [target]
-        warm_lia = LossInferenceAlgorithm(routing)
+        warm_lia = InferenceEngine(routing)
         results = [warm_lia.infer(s, estimate) for s in snapshots]
-        info = warm_lia.engine.cache_info()
+        info = warm_lia.cache_info()
         assert info["factorization"].updates == 0
         assert info["factorization"].downdates == 0
         assert info["reduction"].updates == 0
         for snapshot, warm in zip(snapshots, results):
-            cold = LossInferenceAlgorithm(routing).infer(snapshot, estimate)
+            cold = InferenceEngine(routing).infer(snapshot, estimate)
             assert np.array_equal(warm.loss_rates, cold.loss_rates)
             assert np.array_equal(
                 warm.transmission_rates, cold.transmission_rates
@@ -491,10 +454,10 @@ class TestEngineInference:
 
     def test_factorization_reused_across_snapshots(self, small_tree, tree_campaign):
         _, _, routing = small_tree
-        lia = LossInferenceAlgorithm(routing)
+        lia = InferenceEngine(routing)
         training, _ = tree_campaign.split_training_target()
         estimate = lia.learn_variances(training)
-        cache = lia.engine.factorization_cache
+        cache = lia.factorization_cache
         for snapshot in tree_campaign.snapshots[-5:]:
             lia.infer(snapshot, estimate)
         assert cache.misses == 1
@@ -517,16 +480,69 @@ class TestEngineInference:
     def test_pairs_setter_validates(self, trained, small_mesh):
         routing, lia, _, _, _ = trained
         _, _, other_routing = small_mesh
-        other = LossInferenceAlgorithm(other_routing)
+        other = InferenceEngine(other_routing)
         with pytest.raises(ValueError, match="do not match"):
-            lia.engine.pairs = other.pairs
-        lia.engine.pairs = lia.pairs  # same structure is accepted
+            lia.pairs = other.pairs
+        lia.pairs = lia.pairs  # same structure is accepted
+
+    def test_paper_name_is_the_engine(self):
+        import repro
+        import repro.core
+
+        assert repro.LossInferenceAlgorithm is InferenceEngine
+        assert repro.core.LossInferenceAlgorithm is InferenceEngine
+
+
+def _estimate_flagging(routing, columns):
+    variances = np.zeros(routing.num_links)
+    variances[list(columns)] = 1e-2
+    return VarianceEstimate(
+        variances=variances,
+        method="wls",
+        covariance_summary=CovarianceSummary(2, 1, 0),
+        residual_norm=0.0,
+    )
+
+
+class TestSnapshotPathCount:
+    """A snapshot with the wrong path count is rejected, naming both counts."""
+
+    @pytest.fixture(params=["empty kept set", "kept columns"])
+    def case(self, request, small_tree):
+        from repro.probing.snapshot import Snapshot
+
+        _, _, routing = small_tree
+        columns = [] if request.param == "empty kept set" else [1, 3]
+        short = Snapshot(
+            path_transmission=np.full(routing.num_paths - 3, 0.98),
+            num_probes=1000,
+        )
+        return InferenceEngine(routing), short, _estimate_flagging(routing, columns)
+
+    def message(self, engine):
+        paths = engine.routing.num_paths
+        return f"snapshot has {paths - 3} paths but the routing matrix has {paths}"
+
+    def test_infer(self, case):
+        engine, short, estimate = case
+        with pytest.raises(ValueError, match=self.message(engine)):
+            engine.infer(short, estimate)
+
+    def test_infer_batch(self, case):
+        engine, short, estimate = case
+        with pytest.raises(ValueError, match=self.message(engine)):
+            engine.infer_batch([short], estimate)
+
+    def test_infer_many(self, case):
+        engine, short, estimate = case
+        with pytest.raises(ValueError, match=self.message(engine)):
+            infer_many([(engine, short, estimate)])
 
 
 class TestInferBatch:
     def test_matches_per_snapshot_infer(self, small_tree, tree_campaign):
         _, _, routing = small_tree
-        lia = LossInferenceAlgorithm(routing)
+        lia = InferenceEngine(routing)
         training, _ = tree_campaign.split_training_target()
         estimate = lia.learn_variances(training)
         tail = tree_campaign.snapshots[-6:]
@@ -546,10 +562,10 @@ class TestInferBatch:
 
     def test_single_factorization_for_uniform_batch(self, small_tree, tree_campaign):
         _, _, routing = small_tree
-        lia = LossInferenceAlgorithm(routing)
+        lia = InferenceEngine(routing)
         training, _ = tree_campaign.split_training_target()
         estimate = lia.learn_variances(training)
-        cache = lia.engine.factorization_cache
+        cache = lia.factorization_cache
         lia.infer_batch(tree_campaign.snapshots[-8:], estimate)
         assert cache.misses == 1
 
@@ -581,7 +597,7 @@ class TestInferBatch:
         from dataclasses import replace
 
         _, _, routing = small_tree
-        lia = LossInferenceAlgorithm(routing)
+        lia = InferenceEngine(routing)
         training, target = tree_campaign.split_training_target()
         estimate = lia.learn_variances(training)
         halved = replace(target, num_probes=target.num_probes // 2)
@@ -671,12 +687,12 @@ class TestInferMany:
 
     def test_downdating_engines_match_loop(self, forest_runs):
         engine, target, estimate = forest_runs[0]
-        engine._factorizations.downdate_limit = 2
+        engine._factorizations.incremental_limit = 2
         try:
             runs = [(engine, target, estimate)]
             assert_matches_loop(runs, infer_many(runs))
         finally:
-            engine._factorizations.downdate_limit = 0
+            engine._factorizations.incremental_limit = 0
 
     def test_sees_estimates_mutated_in_place(self):
         """Nothing is keyed on object identity across calls: zeroing an

@@ -1,5 +1,5 @@
 """Kernel correctness tests: the numpy loops of :mod:`repro.core.kernels`
-pinned to the ``*_reference`` oracles (they *are* the extracted
+pinned to the seed oracles in ``tests/oracles.py`` (they *are* the
 historical code), edge cases included.
 """
 
@@ -14,10 +14,10 @@ from repro.core.linalg import (
     QRFactorization,
     back_substitution,
     householder_qr,
-    householder_qr_reference,
     solve_upper_triangular,
 )
 from repro.core.sparse_solvers import solve_normal_cg, solve_normal_sparse
+from tests.oracles import SeedColumnBasis, householder_qr_reference
 
 
 def _back_substitution_oracle(U, b, tol):
@@ -51,18 +51,6 @@ def _insert_column_state(seed, m=18, k=6, position=2):
     r[:k, position] = q0.T @ (a - v)
     r[k, position] = rho
     return A, r, q, position
-
-
-def _append_rows_state(seed, m=14, k=5, t=3):
-    """Pre-sweep ``(A, r, rows, q)`` as ``append_rows`` assembles them."""
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(m + t, k))
-    q0, r0 = np.linalg.qr(A[:m])
-    q = np.zeros((m + t, k + t))
-    q[:m, :k] = q0
-    for j in range(t):
-        q[m + j, k + j] = 1.0
-    return A, np.ascontiguousarray(r0), A[m:].copy(), q
 
 
 def test_current_tier_names_the_numpy_kernels():
@@ -120,14 +108,12 @@ class TestNumpyKernels:
     def test_cgs2_matches_reference_decisions(self, seed):
         rng = np.random.default_rng(seed)
         fast = IncrementalColumnBasis(dimension=12)
-        slow = IncrementalColumnBasis(dimension=12)
+        slow = SeedColumnBasis(dimension=12)
         for _ in range(20):
             column = rng.normal(size=12)
             if rng.random() < 0.3 and fast.rank:
                 column = fast.basis_matrix @ rng.normal(size=fast.rank)
-            assert fast.try_add(column.copy()) == slow.try_add_reference(
-                column.copy()
-            )
+            assert fast.try_add(column.copy()) == slow.try_add(column.copy())
         assert fast.rank == slow.rank
         assert np.allclose(fast.basis_matrix, slow.basis_matrix, atol=1e-10)
 
@@ -177,14 +163,3 @@ class TestNumpyKernels:
         assert np.allclose(r, np.triu(r), atol=1e-12)
         assert np.allclose(q.T @ q, np.eye(k), atol=1e-10)
         assert np.allclose(q @ r, A, atol=1e-10)
-
-    def test_givens_append_rows_restores_factorization(self):
-        A, r, rows, q = _append_rows_state(seed=32)
-        kernels.givens_append_rows(r, rows, q)
-        k = r.shape[1]
-        assert np.allclose(r, np.triu(r), atol=1e-12)
-        # Eliminated rows are fully absorbed into R.
-        assert np.allclose(rows, 0.0, atol=1e-10)
-        assert np.allclose(q[:, :k].T @ q[:, :k], np.eye(k), atol=1e-10)
-        assert np.allclose(q[:, :k] @ r, A, atol=1e-10)
-

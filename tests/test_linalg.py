@@ -213,35 +213,3 @@ class TestQRColumnUpdates:
             back = grown.remove_column(position)
             assert back.columns == base.columns
             assert self.solve_gap(back, base) < 1e-8
-
-
-class TestQRRowAppends:
-    def test_append_matches_fresh_qr(self):
-        A = random_matrix(18, 5, seed=30)
-        for split in (17, 13):
-            factorization = QRFactorization.factorize(A[:split])
-            appended = factorization.append_rows(A[split:])
-            fresh = QRFactorization.factorize(A)
-            assert appended.columns == fresh.columns
-            assert np.allclose(appended.q @ appended.r, A, atol=1e-10)
-            assert np.allclose(
-                appended.q.T @ appended.q, np.eye(5), atol=1e-10
-            )
-            rhs = np.linspace(0.0, 1.0, 18)
-            assert np.allclose(
-                appended.solve(rhs), fresh.solve(rhs), atol=1e-8
-            )
-
-    def test_single_row_as_1d(self):
-        A = random_matrix(9, 4, seed=31)
-        appended = QRFactorization.factorize(A[:8]).append_rows(A[8])
-        assert np.allclose(appended.q @ appended.r, A, atol=1e-10)
-
-    def test_zero_rows_returns_self(self):
-        factorization = QRFactorization.factorize(random_matrix(7, 3, seed=32))
-        assert factorization.append_rows(np.empty((0, 3))) is factorization
-
-    def test_width_validated(self):
-        factorization = QRFactorization.factorize(random_matrix(7, 3, seed=33))
-        with pytest.raises(ValueError):
-            factorization.append_rows(np.ones((2, 4)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.lia import LIAResult
+from repro.core.engine import LIAResult
 from repro.core.reduction import ReductionResult
 from repro.core.variance import VarianceEstimate
 from repro.core.covariance import CovarianceSummary

@@ -96,10 +96,8 @@ class TestMonitor:
             OnlineLossMonitor(routing, refresh_interval=0)
         with pytest.raises(ValueError):
             OnlineLossMonitor(routing, z_threshold=0)
-        with pytest.raises(ValueError):
-            OnlineLossMonitor(routing, downdate_limit=-1)
-        with pytest.raises(ValueError):
-            OnlineLossMonitor(routing, update_limit=-1)
+        with pytest.raises(ValueError, match="incremental_limit"):
+            OnlineLossMonitor(routing, incremental_limit=-1)
 
     def test_cache_info_passthrough(self, monitored_stream):
         _, _, routing, _, _ = monitored_stream
@@ -198,8 +196,7 @@ class TestRefreshUpdate:
             window=6,
             refresh_interval=2,
             localize_always=True,
-            downdate_limit=0,
-            update_limit=0,
+            incremental_limit=0,
         )
         cold_report = None
         for t in range(28):

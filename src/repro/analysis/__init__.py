@@ -6,8 +6,6 @@ runtime tests otherwise catch only after a violation ships:
 * **determinism** — payload-affecting modules (anything transitively
   imported by ``repro.experiments``/``api``/``lossmodel``/``netsim``)
   use no process-global RNG, no wall-clock reads, no bare-set iteration;
-* **registry sync** — static CLI choice tuples equal the runtime
-  registries they mirror;
 * **concurrency** — module-level registries/caches/globals are mutated
   under a lock (the ``thread`` backend shares the process).
 
@@ -23,9 +21,9 @@ Suppress a finding per line with a justification comment::
     created = time.time()  # reprolint: disable=wall-clock -- metadata only
 
 New rules subclass :class:`Rule`, yield :class:`Finding` objects and
-call :func:`register_rule` — the registry mirrors ``repro.api.registry``.
-The package is pure stdlib: linting never imports, let alone executes,
-the code under analysis.
+call :func:`register_rule`.  The rules use only the stdlib and never
+import, let alone execute, the code under analysis; importing the
+package still runs ``repro/__init__.py``, so numpy must be installed.
 """
 
 from repro.analysis.base import (

@@ -1,4 +1,4 @@
-"""Shared AST helpers: import bindings, dotted-name resolution, literals.
+"""Shared AST helpers: import bindings and dotted-name resolution.
 
 Every rule works on the parse tree alone — nothing here imports or
 executes project code, which is what lets the linter check modules
@@ -8,15 +8,12 @@ whose runtime dependencies (numpy, scipy) may be absent.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "call_name",
-    "class_str_attribute",
-    "constant_str_sequence",
     "dotted_name",
     "import_bindings",
-    "top_level_assignment",
 ]
 
 
@@ -71,56 +68,3 @@ def call_name(
 ) -> Optional[str]:
     """Dotted path of a call target (see :func:`dotted_name`)."""
     return dotted_name(node.func, bindings)
-
-
-def top_level_assignment(
-    tree: ast.Module, name: str
-) -> Optional[Tuple[ast.stmt, ast.expr]]:
-    """The last module-level assignment to *name* and its value node."""
-    found: Optional[Tuple[ast.stmt, ast.expr]] = None
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    found = (node, node.value)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name) and node.target.id == name:
-                found = (node, node.value)
-    return found
-
-
-def constant_str_sequence(value: ast.expr) -> Optional[Tuple[str, ...]]:
-    """The strings of a tuple/list display of constants, else None."""
-    if not isinstance(value, (ast.Tuple, ast.List)):
-        return None
-    items: List[str] = []
-    for element in value.elts:
-        if not (isinstance(element, ast.Constant) and isinstance(element.value, str)):
-            return None
-        items.append(element.value)
-    return tuple(items)
-
-
-def class_str_attribute(
-    tree: ast.Module, class_name: str, attribute: str
-) -> Optional[str]:
-    """The string constant ``attribute`` assigned in ``class class_name``."""
-    for node in tree.body:
-        if not (isinstance(node, ast.ClassDef) and node.name == class_name):
-            continue
-        for stmt in node.body:
-            targets: Sequence[ast.expr] = ()
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == attribute
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    return value.value
-    return None

@@ -1,12 +1,12 @@
 """The :class:`Rule` protocol and the string-keyed rule registry.
 
-Mirrors the ``repro.api.registry`` idiom: concrete rules register under
-a stable ``rule_id`` (the id users write in ``# reprolint: disable=``
-comments), downstream code can plug in project-specific rules with
-:func:`register_rule`, and the engine dispatches exclusively through
-:func:`all_rules`.  Registry mutation is lock-guarded — the same
-concurrency contract the ``unlocked-mutation`` rule enforces on every
-other registry in the tree.
+Concrete rules register under a stable ``rule_id`` (the id users write
+in ``# reprolint: disable=`` comments), downstream code can plug in
+project-specific rules with :func:`register_rule`, and the engine
+dispatches exclusively through :func:`all_rules`.  Unlike the estimator
+and backend registries, which are constants, this one stays open to
+plugins, so its mutation is lock-guarded — the contract the
+``unlocked-mutation`` rule enforces on every module-level container.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ class Rule:
     """One named invariant checked against the parse tree.
 
     Subclasses set ``rule_id``/``description`` and override
-    :meth:`check_module` (called once per parsed file) and/or
-    :meth:`check_project` (called once per lint run, for cross-file
-    invariants like registry mirrors).  Both yield :class:`Finding`\\ s;
-    the engine applies suppressions afterwards, so rules never need to
-    read comments.
+    :meth:`check_module` (called once per parsed file, with the whole
+    :class:`Project` for cross-file lookups).  It yields
+    :class:`Finding`\\ s; the engine applies suppressions afterwards, so
+    rules never need to read comments.
     """
 
     rule_id: ClassVar[str] = ""
@@ -46,9 +45,6 @@ class Rule:
     def check_module(
         self, module: "ModuleInfo", project: "Project"
     ) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: "Project") -> Iterator[Finding]:
         return iter(())
 
     def finding(

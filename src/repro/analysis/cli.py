@@ -1,8 +1,7 @@
-"""Argparse front end for ``repro lint`` and ``scripts/run_reprolint.py``.
+"""Argparse front end of the lint engine.
 
-Kept separate from :mod:`repro.cli` so the linter can run standalone
-(``python -m repro.analysis.cli src``) without pulling in numpy — the
-analysis package is pure stdlib.
+:func:`run_lint` backs the ``repro lint`` verb; ``python -m
+repro.analysis.cli --list-rules`` prints the registered rules.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Project-invariant static analysis: determinism, registry "
-            "sync, concurrency (repro.analysis)."
+            "Project-invariant static analysis: determinism, "
+            "concurrency (repro.analysis)."
         ),
     )
     parser.add_argument(
@@ -102,5 +101,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via scripts/
+if __name__ == "__main__":  # pragma: no cover - exercised via python -m
     sys.exit(main())

@@ -78,7 +78,6 @@ def lint_project(
     active = tuple(rules) or all_rules()
     raw: List[Finding] = list(extra_findings)
     for rule in active:
-        raw.extend(rule.check_project(project))
         for module in project.modules:
             raw.extend(rule.check_module(module, project))
 

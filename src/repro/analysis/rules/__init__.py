@@ -1,13 +1,12 @@
 """Built-in rules: importing this package registers all of them.
 
-Three families, six rules, each targeting a failure mode this repo has
+Two families, five rules, each targeting a failure mode this repo has
 actually shipped fixes for (see CHANGES.md PRs 6–9):
 
 ========================  ====================================================
 ``unseeded-random``       process-global / unseeded RNG in payload modules
 ``wall-clock``            ``time.time()`` & friends in payload modules
 ``set-iteration``         bare-set iteration order escaping into results
-``registry-sync``         static CLI choice tuples vs runtime registries
 ``unlocked-global``       module globals rebound outside a lock
 ``unlocked-mutation``     module containers mutated outside a lock
 ========================  ====================================================
@@ -25,12 +24,10 @@ from repro.analysis.rules.determinism import (
     UnseededRandomRule,
     WallClockRule,
 )
-from repro.analysis.rules.registry_sync import RegistrySyncRule
 
 __all__ = [
     "ContainerMutationRule",
     "GlobalRebindRule",
-    "RegistrySyncRule",
     "SetIterationRule",
     "UnseededRandomRule",
     "WallClockRule",
@@ -40,7 +37,6 @@ _BUILTINS = (
     UnseededRandomRule,
     WallClockRule,
     SetIterationRule,
-    RegistrySyncRule,
     GlobalRebindRule,
     ContainerMutationRule,
 )

@@ -6,8 +6,8 @@ One composable seam over every inference backend:
   ``predict(snapshot) -> InferenceResult`` / ``predict_batch(window)``,
   plus a ``spec()``/``from_spec()`` config round-trip;
 * :mod:`repro.api.registry` — string-keyed construction
-  (``get("lia"|"delay"|"scfs"|"clink"|"tomo")``) and ``register`` for
-  external backends;
+  (``get("lia"|"delay"|"scfs"|"clink"|"tomo")``) from one constant
+  table;
 * :class:`Scenario` — a declarative topology → prober → estimator(s) →
   metrics pipeline returning a :class:`ScenarioResult` with
   per-estimator accuracy reports;
@@ -45,7 +45,7 @@ from repro.api.estimator import (
     InferenceResult,
     NotFittedError,
 )
-from repro.api.registry import available, from_spec, get, register, unregister
+from repro.api.registry import available, from_spec, get
 from repro.api.scenario import (
     MODEL_REGISTRY,
     EstimatorEvaluation,
@@ -74,6 +74,4 @@ __all__ = [
     "evaluate_forest",
     "from_spec",
     "get",
-    "register",
-    "unregister",
 ]

@@ -6,16 +6,15 @@ The one place that maps method names to adapter classes::
     estimator = registry.get("lia", reduction_strategy="gap")
     registry.available()            # ("clink", "delay", "lia", "scfs", "tomo")
 
-``register`` lets downstream code (a distributed backend, a notebook
-prototype) plug in new estimators without touching this package; the CLI
-(``repro infer --method`` / ``repro compare``) and
-:class:`~repro.api.scenario.Scenario` dispatch exclusively through here.
+The table is a constant: the CLI (``repro infer --method`` /
+``repro compare``) reads its names directly, and
+:class:`~repro.api.scenario.Scenario` dispatches exclusively through
+here.  A new estimator is one adapter class plus one entry below.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 from repro.api.adapters import (
     CLINKEstimator,
@@ -26,61 +25,32 @@ from repro.api.adapters import (
 )
 from repro.api.estimator import Estimator, EstimatorSpec
 
-_REGISTRY: Dict[str, Callable[..., Estimator]] = {
+_REGISTRY: Dict[str, Type[Estimator]] = {
     LIAEstimator.name: LIAEstimator,
     DelayEstimator.name: DelayEstimator,
     SCFSEstimator.name: SCFSEstimator,
     CLINKEstimator.name: CLINKEstimator,
     TomoEstimator.name: TomoEstimator,
 }
-#: Guards registry mutation: the thread execution backend (and any
-#: embedding service) may register estimators concurrently.
-_REGISTRY_LOCK = threading.Lock()
 
 
-def available() -> Tuple[str, ...]:
-    """Registered method names, sorted."""
-    return tuple(sorted(_REGISTRY))
+def available(exclude_kind: Optional[str] = None) -> Tuple[str, ...]:
+    """Registered method names, sorted; *exclude_kind* drops the
+    estimators whose output ``kind`` it names (e.g. ``"delay"``)."""
+    return tuple(
+        sorted(name for name, cls in _REGISTRY.items() if cls.kind != exclude_kind)
+    )
 
 
 def get(name: str, **params) -> Estimator:
     """Build a fresh estimator for *name* with the given parameters."""
     try:
-        factory = _REGISTRY[name]
+        cls = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown estimator {name!r}; registered: {', '.join(available())}"
         ) from None
-    return factory(**params)
-
-
-def register(
-    name: str, factory: Callable[..., Estimator], overwrite: bool = False
-) -> None:
-    """Add (or, with *overwrite*, replace) a backend under *name*."""
-    if not name:
-        raise ValueError("estimator name must be non-empty")
-    with _REGISTRY_LOCK:
-        if name in _REGISTRY and not overwrite:
-            raise ValueError(
-                f"estimator {name!r} already registered (pass overwrite=True)"
-            )
-        _REGISTRY[name] = factory
-
-
-def unregister(name: str) -> None:
-    """Remove a backend (built-ins included — tests restore them)."""
-    with _REGISTRY_LOCK:
-        _REGISTRY.pop(name, None)
-
-
-def estimator_class(name: str) -> Type:
-    """The registered factory itself (for ``from_spec`` classmethods)."""
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown estimator {name!r}; registered: {', '.join(available())}"
-        )
-    return _REGISTRY[name]  # type: ignore[return-value]
+    return cls(**params)
 
 
 def from_spec(spec) -> Estimator:

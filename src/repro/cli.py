@@ -28,8 +28,8 @@ Five verbs covering the operational loop without writing Python:
     (:mod:`repro.runner.remote`);
 ``lint``
     run the project-invariant static analysis (:mod:`repro.analysis`)
-    over the given paths — determinism, registry sync, concurrency —
-    and exit non-zero on any unsuppressed finding (CI blocks on
+    over the given paths — determinism, concurrency — and exit
+    non-zero on any unsuppressed finding (CI blocks on
     ``repro lint src/``).
 
 Examples::
@@ -58,9 +58,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 import numpy as np
+
+from repro.api import registry
+from repro.core.variance import VARIANCE_METHODS
+from repro.experiments import EXPERIMENTS, SCALES
+from repro.netsim.sim.config import TRAFFIC_KINDS
+from repro.runner.args import _positive, add_runner_arguments, runner_from_args
 
 TOPOLOGY_CHOICES = (
     "tree",
@@ -72,30 +79,9 @@ TOPOLOGY_CHOICES = (
     "dimes",
 )
 
-# Static mirrors of repro.experiments.EXPERIMENTS / SCALES and of
-# repro.api.registry.available() so building the parser never imports
-# the experiment modules (scipy and the full netsim stack) for verbs
-# that don't use them; tests and the ``registry-sync`` lint rule pin
-# them in sync with the real registries.
-EXPERIMENT_CHOICES = (
-    "ablations", "congestion", "duration", "fig3", "fig5", "fig6", "fig7",
-    "fig8", "fig9", "table2", "table3", "timing",
-)
-SCALE_CHOICES = ("tiny", "small", "paper")
-#: Static mirror of repro.netsim.sim.config.TRAFFIC_KINDS (pinned in
-#: sync by tests): how ``simulate`` realises per-link loss — sampled
-#: from an analytic process, or induced by queue overflow in the
-#: discrete-event packet simulator.
-TRAFFIC_CHOICES = ("analytic", "congestion")
-METHOD_CHOICES = ("clink", "delay", "lia", "scfs", "tomo")
 #: The methods a *loss* campaign document can drive (``delay`` consumes
 #: delay campaigns, which have no document format yet).
-LOSS_METHOD_CHOICES = ("clink", "lia", "scfs", "tomo")
-#: Static mirror of repro.core.variance.VARIANCE_METHODS (same
-#: no-heavy-imports rule as the registries above; pinned in sync by
-#: tests).  ``--variance-solver`` picks LIA's phase-1 solver; the
-#: ``sparse``/``cg`` entries keep 10k-link meshes out of dense algebra.
-VARIANCE_SOLVER_CHOICES = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
+LOSS_METHOD_CHOICES = registry.available(exclude_kind="delay")
 
 
 def _build_topology(kind: str, size: int, hosts: int, seed: Optional[int]):
@@ -202,8 +188,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _build_estimator(method: str, threshold: float, variance_solver: str = "wls"):
     """Registry dispatch with the CLI threshold routed to the right knob."""
-    from repro.api import registry
-
     if method == "lia":
         return registry.get(
             "lia",
@@ -288,10 +272,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("no methods given", file=sys.stderr)
         return 2
     for method in methods:
-        if method not in METHOD_CHOICES:
+        if method not in registry.available():
             print(
                 f"unknown method {method!r}; choose from "
-                f"{', '.join(METHOD_CHOICES)}",
+                f"{', '.join(registry.available())}",
                 file=sys.stderr,
             )
             return 2
@@ -379,14 +363,29 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import EXPERIMENTS
-    from repro.experiments.__main__ import run_experiments
-    from repro.runner.args import runner_from_args
+    """Run experiments in order, printing each result and runner stats.
 
+    Every experiment — timing and duration included — routes its trials
+    through ``runner.run()``, so ``last_stats`` always describes the
+    experiment just printed.
+    """
+    runner = runner_from_args(args)
     names = (
         sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     )
-    run_experiments(names, args.scale, args.seed, runner_from_args(args))
+    for name in names:
+        start = time.perf_counter()
+        result = EXPERIMENTS[name](scale=args.scale, seed=args.seed, runner=runner)
+        elapsed = time.perf_counter() - start
+        print(result.render())
+        stats = runner.last_stats
+        print(
+            f"[{name} finished in {elapsed:.1f}s: "
+            f"{stats.trials_executed} trials executed, "
+            f"{stats.trials_cached} recalled from cache, "
+            f"backend={runner.backend.name}, jobs={runner.n_jobs}]"
+        )
+        print()
     return 0
 
 
@@ -419,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--traffic",
-        choices=TRAFFIC_CHOICES,
+        choices=TRAFFIC_KINDS,
         default="analytic",
         help=(
             "loss realisation: 'analytic' samples the configured loss "
@@ -436,12 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("document")
     infer.add_argument(
         "--method",
-        choices=METHOD_CHOICES,
+        choices=registry.available(),
         default="lia",
         help="estimator to run (repro.api registry name)",
     )
     infer.add_argument("--threshold", type=float, default=0.002)
-    infer.add_argument("--top", type=int, default=20, help="rows to print")
+    infer.add_argument("--top", type=_positive, default=20, help="rows to print")
     infer.set_defaults(func=cmd_infer)
 
     compare = sub.add_parser(
@@ -455,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated registry names (default: all loss estimators)",
     )
     compare.add_argument("--threshold", type=float, default=0.002)
-    compare.add_argument("--top", type=int, default=30, help="rows to print")
+    compare.add_argument("--top", type=_positive, default=30, help="rows to print")
     compare.set_defaults(func=cmd_compare)
 
     for p in (infer, compare):
         p.add_argument(
             "--variance-solver",
-            choices=VARIANCE_SOLVER_CHOICES,
+            choices=VARIANCE_METHODS,
             default="wls",
             help=(
                 "LIA phase-1 solver (repro.core.variance.VARIANCE_METHODS); "
@@ -469,24 +468,22 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
 
-    from repro.runner.args import add_runner_arguments
-
     experiments = sub.add_parser(
         "experiments", help="regenerate paper tables/figures (parallel runner)"
     )
     experiments.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENT_CHOICES) + ["all"],
+        choices=sorted(EXPERIMENTS) + ["all"],
         help="experiment id (table/figure number) or 'all'",
     )
-    experiments.add_argument("--scale", choices=SCALE_CHOICES, default="small")
+    experiments.add_argument("--scale", choices=SCALES, default="small")
     experiments.add_argument("--seed", type=int, default=0, help="master seed")
     add_runner_arguments(experiments)
     experiments.set_defaults(func=cmd_experiments)
 
     lint = sub.add_parser(
         "lint",
-        help="static analysis: determinism, registry sync, concurrency",
+        help="static analysis: determinism, concurrency",
         description=(
             "Run the rule-based AST lint engine (repro.analysis) over "
             "the given paths.  Exits 1 on any unsuppressed finding; "

@@ -3,8 +3,8 @@
 Every module exposes ``run(scale, seed) -> ExperimentResult``; the
 registry below maps experiment ids to runners.  Use the CLI::
 
-    python -m repro.experiments fig5 --scale small --seed 0
-    python -m repro.experiments all --scale tiny
+    repro experiments fig5 --scale small --seed 0
+    repro experiments all --scale tiny
 """
 
 from typing import Callable, Dict

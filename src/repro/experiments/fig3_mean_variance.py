@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.api import Scenario
 from repro.experiments.base import (
@@ -79,6 +78,10 @@ def run(
         )
     ]
     (payload,) = execute_trials(runner, "fig3", trial, specs)
+    # Imported here: scipy.stats is the one heavy module the experiment
+    # registry would otherwise load for every CLI verb.
+    from scipy import stats
+
     means = np.asarray(payload["means"])
     variances = np.asarray(payload["variances"])
     rho = float(stats.spearmanr(means, variances).statistic)

@@ -15,9 +15,7 @@ per-link packet loss:
 The config is JSON-round-trippable (:meth:`to_dict` /
 :meth:`from_dict`) so it can ride inside ``Scenario.spec()``, a
 ``TrialSpec``, or a shard-cache key.  ``TRAFFIC_KINDS`` is the
-canonical choice tuple; the CLI keeps a static mirror
-(``repro.cli.TRAFFIC_CHOICES``) pinned in sync by tests, mirroring how
-``METHOD_CHOICES`` shadows the estimator registry.
+canonical choice tuple; ``repro simulate --traffic`` reads it directly.
 
 All times are measured in *probe slots* (one slot = one probe
 inter-departure interval) and all sizes in service units of one

@@ -5,7 +5,8 @@ loss-model x parameter) trials; this package schedules them.  See
 :class:`ParallelRunner` for the execution/caching contract,
 :class:`~repro.runner.spec.TrialSpec` for the unit of work,
 :mod:`repro.runner.backends` for the pluggable execution seam
-(serial/process/thread/remote + registry), :mod:`repro.runner.remote`
+(serial/process/thread/remote by name, or any
+:class:`ExecutionBackend` instance), :mod:`repro.runner.remote`
 for the TCP work-stealing scheduler behind the ``remote`` backend
 (imported lazily — building it is the only thing that touches sockets)
 and :mod:`repro.runner.store` for the streaming result store that
@@ -19,8 +20,6 @@ from repro.runner.backends import (
     ThreadBackend,
     available_backends,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 from repro.runner.cache import ShardCache, compute_code_version
 from repro.runner.core import (
@@ -55,8 +54,6 @@ __all__ = [
     "compute_code_version",
     "default_n_jobs",
     "get_backend",
-    "register_backend",
     "shard_key",
     "shard_specs",
-    "unregister_backend",
 ]

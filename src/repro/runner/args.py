@@ -1,31 +1,19 @@
-"""Argparse glue for the runner knobs.
+"""Argparse glue for the runner knobs of ``repro experiments``.
 
-Shared by ``python -m repro.experiments`` and the ``repro experiments``
-verb so both expose identical ``--jobs``/``--backend``/``--cache-dir``/
-``--shard-size``/``--store-dir`` flags with parse-time validation.
-:class:`RunnerArgs` is the typed form of those flags — the one record a
-caller (CLI, notebook, service config) needs to hold to rebuild the
-same :class:`ParallelRunner`.  Lives in ``repro.runner`` (not the
-experiments package) so building a parser never has to import the
-experiment modules and their scipy/netsim dependency stack.
+:func:`add_runner_arguments` attaches the ``--jobs``/``--backend``/
+``--cache-dir``/``--shard-size``/``--store-dir`` flags (plus the
+``remote`` backend's ``--workers``/``--remote-workers``/``--bind``) with
+parse-time validation; :func:`runner_from_args` turns the parsed flags
+into a :class:`ParallelRunner`.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-from dataclasses import dataclass
-from typing import Optional
 
 from repro.runner.backends import available_backends
 from repro.runner.core import ParallelRunner
-
-#: Static mirror of the built-in ``repro.runner.backends._BACKENDS``
-#: registry, kept literal so help text and docs can cite the choices
-#: without importing executor machinery.  The ``registry-sync`` lint
-#: rule verifies it matches the registry; runtime parsing still uses
-#: :func:`available_backends` so plugins appear automatically.
-BACKEND_CHOICES = ("process", "remote", "serial", "thread")
 
 
 def _jobs(value: str) -> int:
@@ -61,68 +49,6 @@ def _positive(value: str) -> int:
     if count <= 0:
         raise argparse.ArgumentTypeError("must be a positive count")
     return count
-
-
-@dataclass(frozen=True)
-class RunnerArgs:
-    """The runner configuration one command line (or service) carries.
-
-    ``backend=None`` defers to the runner's default: ``serial`` for
-    ``jobs=1``, ``process`` otherwise.  ``store_dir=None`` keeps
-    payloads in RAM; a directory streams them to a JSONL spill file as
-    workers finish (larger-than-memory campaigns).  ``workers``/
-    ``remote_workers``/``bind`` configure the ``remote`` backend only:
-    an expected externally-started fleet (count or comma-separated
-    names), an auto-spawned localhost fleet, and the coordinator's
-    listen address.
-    """
-
-    jobs: int = 1
-    backend: Optional[str] = None
-    cache_dir: Optional[str] = None
-    shard_size: int = 1
-    store_dir: Optional[str] = None
-    workers: Optional[str] = None
-    remote_workers: Optional[int] = None
-    bind: Optional[str] = None
-
-    @classmethod
-    def from_namespace(cls, args: argparse.Namespace) -> "RunnerArgs":
-        return cls(
-            jobs=args.jobs,
-            backend=args.backend,
-            cache_dir=args.cache_dir,
-            shard_size=args.shard_size,
-            store_dir=args.store_dir,
-            workers=getattr(args, "workers", None),
-            remote_workers=getattr(args, "remote_workers", None),
-            bind=getattr(args, "bind", None),
-        )
-
-    def backend_options(self) -> dict:
-        """The remote-backend factory options these flags imply."""
-        options: dict = {}
-        if self.workers is not None:
-            options["workers"] = self.workers
-        if self.remote_workers is not None:
-            options["spawn_workers"] = self.remote_workers
-        if self.bind is not None:
-            options["bind"] = self.bind
-        if options and self.backend != "remote":
-            raise ValueError(
-                "--workers/--remote-workers/--bind require --backend remote"
-            )
-        return options
-
-    def build(self) -> ParallelRunner:
-        return ParallelRunner(
-            n_jobs=self.jobs,
-            backend=self.backend,
-            cache_dir=self.cache_dir,
-            shard_size=self.shard_size,
-            store_dir=self.store_dir,
-            backend_options=self.backend_options() or None,
-        )
 
 
 def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
@@ -194,4 +120,28 @@ def add_runner_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def runner_from_args(args: argparse.Namespace) -> ParallelRunner:
-    return RunnerArgs.from_namespace(args).build()
+    """The :class:`ParallelRunner` the parsed runner flags describe.
+
+    ``--backend`` unset defers to the runner's default: ``serial`` for
+    ``--jobs 1``, ``process`` otherwise.  The ``remote``-only flags
+    become that backend's factory options and are rejected with any
+    other backend.
+    """
+    options = {
+        "workers": args.workers,
+        "spawn_workers": args.remote_workers,
+        "bind": args.bind,
+    }
+    options = {key: value for key, value in options.items() if value is not None}
+    if options and args.backend != "remote":
+        raise ValueError(
+            "--workers/--remote-workers/--bind require --backend remote"
+        )
+    return ParallelRunner(
+        n_jobs=args.jobs,
+        backend=args.backend,
+        cache_dir=args.cache_dir,
+        shard_size=args.shard_size,
+        store_dir=args.store_dir,
+        backend_options=options or None,
+    )

@@ -14,8 +14,8 @@ yielded in *any* order (the runner merges by ``spec.index``), and must
 be yielded **as shards finish** so the runner can stream payloads to its
 result store and memoize completed shards before later ones run.
 
-Four backends ship in-tree, selected through a string-keyed registry
-mirroring ``repro.api.registry``:
+Four backends ship in-tree, selected by name from one constant registry
+(the ``--backend`` choices):
 
 ``serial``
     In-process, in-order execution — the ``n_jobs=1`` path.  No pool,
@@ -36,19 +36,17 @@ mirroring ``repro.api.registry``:
     a code-version handshake refuses workers running different sources.
 
 Writing a remote backend (SSH, cluster scheduler, job queue) means
-implementing exactly one class: accept ``(n_jobs, mp_context)`` keyword
-arguments in the factory, ship each shard's ``TrialSpec`` list to a
+implementing exactly one class: ship each shard's ``TrialSpec`` list to a
 worker (specs are JSON-canonical by construction — see
 ``TrialSpec.identity``), run ``execute_shard`` remotely, and yield
-``(shard_index, ("ok", payloads))`` as results come back.  Register it
-with :func:`register_backend` and every experiment, scenario and CLI
-verb (``--backend``) can reach it; the shard cache and the streaming
-result store keep working unchanged because they live runner-side.
+``(shard_index, ("ok", payloads))`` as results come back.  Pass an
+instance as ``ParallelRunner(backend=...)`` and every experiment and
+scenario can run on it; the shard cache and the streaming result store
+keep working unchanged because they live runner-side.
 """
 
 from __future__ import annotations
 
-import threading
 import traceback
 from abc import ABC, abstractmethod
 from concurrent.futures import (
@@ -113,7 +111,7 @@ def shard_worker_inprocess(
 
 
 class ExecutionBackend(ABC):
-    """Where shards run.  Subclass + :func:`register_backend` to extend."""
+    """Where shards run.  Subclass and pass an instance to the runner."""
 
     #: Registry key and the name failure reports blame.
     name: str = "?"
@@ -237,8 +235,6 @@ _BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     ThreadBackend.name: ThreadBackend,
     "remote": _remote_factory,
 }
-#: Guards registry mutation (same contract as repro.api.registry).
-_BACKENDS_LOCK = threading.Lock()
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -255,10 +251,9 @@ def get_backend(
     """Build the backend registered under *name*.
 
     Factories are called as ``factory(n_jobs=..., mp_context=...,
-    **options)``; custom backends must accept (and may ignore) the two
-    standard keywords.  Extra *options* are backend-specific (the
-    ``remote`` backend takes ``bind``/``workers``/``spawn_workers``);
-    backends that take none reject them with a ``TypeError``.
+    **options)``.  Extra *options* are backend-specific (the ``remote``
+    backend takes ``bind``/``workers``/``spawn_workers``); backends that
+    take none reject them with a ``TypeError``.
     """
     try:
         factory = _BACKENDS[name]
@@ -268,25 +263,3 @@ def get_backend(
             f"{', '.join(available_backends())}"
         ) from None
     return factory(n_jobs=n_jobs, mp_context=mp_context, **options)
-
-
-def register_backend(
-    name: str,
-    factory: Callable[..., ExecutionBackend],
-    overwrite: bool = False,
-) -> None:
-    """Add (or, with *overwrite*, replace) an execution backend."""
-    if not name:
-        raise ValueError("backend name must be non-empty")
-    with _BACKENDS_LOCK:
-        if name in _BACKENDS and not overwrite:
-            raise ValueError(
-                f"backend {name!r} already registered (pass overwrite=True)"
-            )
-        _BACKENDS[name] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend (built-ins included — tests restore them)."""
-    with _BACKENDS_LOCK:
-        _BACKENDS.pop(name, None)

@@ -146,9 +146,9 @@ class ParallelRunner:
         ``process`` backend.
     backend:
         Execution backend: a registered name (``"serial"``,
-        ``"process"``, ``"thread"``, ``"remote"``, or anything added
-        through :func:`~repro.runner.backends.register_backend`) or an
-        :class:`~repro.runner.backends.ExecutionBackend` instance.
+        ``"process"``, ``"thread"``, ``"remote"``) or an
+        :class:`~repro.runner.backends.ExecutionBackend` instance (the
+        way to run on a backend of your own).
         ``None`` (default) selects ``serial`` for ``n_jobs=1`` and
         ``process`` otherwise — exactly the historical behaviour.
     backend_options:

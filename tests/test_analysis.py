@@ -1,14 +1,11 @@
 """repro.analysis lint engine tests.
 
-Three layers:
+Two layers:
 
 * per-rule fixtures — for every built-in rule, at least one snippet
   that fires and one that stays clean, built as scratch ``repro/``
   package trees so payload classification and module naming run the
   same code paths the real tree does;
-* the acceptance seam — copies of the *real* ``cli.py``/``registry.py``
-  sources with one registry entry deleted must fail the
-  ``registry-sync`` rule;
 * the engine/CLI surface — suppression comments, JSON/text reports,
   exit codes, and the pin that ``repro lint src/`` is clean at HEAD.
 """
@@ -39,7 +36,6 @@ from repro.analysis.rules.determinism import (
     UnseededRandomRule,
     WallClockRule,
 )
-from repro.analysis.rules.registry_sync import RegistrySyncRule
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -235,103 +231,6 @@ def test_set_iteration_clean_when_sorted(tmp_path):
     assert findings_for(tmp_path, SetIterationRule()) == []
 
 
-# -- registry-sync -------------------------------------------------------------
-
-SYNC_FILES = {
-    "repro/__init__.py": "",
-    "repro/api/__init__.py": "",
-    "repro/api/adapters.py": """
-        class LIAEstimator:
-            name = "lia"
-
-        class TomoEstimator:
-            name = "tomo"
-        """,
-    "repro/api/registry.py": """
-        from repro.api.adapters import LIAEstimator, TomoEstimator
-
-        _REGISTRY = {
-            LIAEstimator.name: LIAEstimator,
-            TomoEstimator.name: TomoEstimator,
-            "scfs": object,
-        }
-
-        def register(name, factory):
-            _REGISTRY[name] = factory
-
-        register("clink", object)
-        """,
-    "repro/cli.py": """
-        METHOD_CHOICES = ("clink", "lia", "scfs", "tomo")
-        """,
-}
-
-
-def test_registry_sync_clean_when_mirror_matches(tmp_path):
-    write_tree(tmp_path, SYNC_FILES)
-    assert findings_for(tmp_path, RegistrySyncRule()) == []
-
-
-def test_registry_sync_fires_on_drift_both_ways(tmp_path):
-    files = dict(SYNC_FILES)
-    files["repro/cli.py"] = """
-        METHOD_CHOICES = ("clink", "lia", "scfs", "vanished")
-        """
-    write_tree(tmp_path, files)
-    findings = findings_for(tmp_path, RegistrySyncRule())
-    assert rule_ids(findings) == ["registry-sync"]
-    assert "missing tomo" in findings[0].message
-    assert "stale vanished" in findings[0].message
-
-
-def test_registry_sync_fires_when_mirror_is_deleted(tmp_path):
-    files = dict(SYNC_FILES)
-    files["repro/cli.py"] = "OTHER = 1\n"
-    write_tree(tmp_path, files)
-    findings = findings_for(tmp_path, RegistrySyncRule())
-    assert rule_ids(findings) == ["registry-sync"]
-    assert "METHOD_CHOICES is gone" in findings[0].message
-
-
-def test_registry_sync_fires_on_unresolvable_registry_key(tmp_path):
-    files = dict(SYNC_FILES)
-    files["repro/api/registry.py"] = """
-        _REGISTRY = {compute_name(): object}
-        """
-    write_tree(tmp_path, files)
-    findings = findings_for(tmp_path, RegistrySyncRule())
-    assert rule_ids(findings) == ["registry-sync"]
-    assert "cannot statically resolve" in findings[0].message
-
-
-def test_registry_sync_catches_deleted_entry_in_real_sources(tmp_path):
-    """ISSUE acceptance: deleting one registry entry fails the lint."""
-    registry_source = (REPO_SRC / "repro/api/registry.py").read_text()
-    broken = registry_source.replace(
-        "    TomoEstimator.name: TomoEstimator,\n", ""
-    )
-    assert broken != registry_source
-    write_tree(
-        tmp_path,
-        {
-            "repro/__init__.py": "",
-            "repro/api/__init__.py": "",
-        },
-    )
-    (tmp_path / "repro/cli.py").write_text(
-        (REPO_SRC / "repro/cli.py").read_text()
-    )
-    (tmp_path / "repro/api/adapters.py").write_text(
-        (REPO_SRC / "repro/api/adapters.py").read_text()
-    )
-    (tmp_path / "repro/api/registry.py").write_text(broken)
-    findings = findings_for(tmp_path, RegistrySyncRule())
-    assert any(
-        finding.rule_id == "registry-sync" and "tomo" in finding.message
-        for finding in findings
-    )
-
-
 # -- concurrency ---------------------------------------------------------------
 
 
@@ -481,13 +380,13 @@ def test_builtin_rules(capsys):
         "unseeded-random",
         "wall-clock",
         "set-iteration",
-        "registry-sync",
         "unlocked-global",
         "unlocked-mutation",
     ):
         assert rule_id in listed
     assert "kernel-parity" not in listed
     assert "njit-unsupported" not in listed
+    assert "registry-sync" not in listed
 
 
 def test_rule_registry_round_trip():

@@ -1,8 +1,39 @@
 """Tests for the command-line interface."""
 
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.runner import SerialBackend, backends
+from repro.runner.args import add_runner_arguments, runner_from_args
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_building_the_parser_never_imports_scipy_stats():
+    """The CLI reads the real registries; doing so must stay cheap.
+
+    Checked in a fresh interpreter: the test session itself has long
+    since imported scipy.stats through other tests.
+    """
+    code = (
+        "import sys, repro.experiments, repro.cli\n"
+        "repro.cli.build_parser()\n"
+        "sys.exit('scipy.stats' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_ROOT), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
 
 
 class TestAudit:
@@ -177,6 +208,21 @@ class TestMethodDispatch:
         out = capsys.readouterr().out
         assert "scfs" not in out
 
+    @pytest.mark.parametrize("top", ["-1", "0"])
+    def test_infer_rejects_non_positive_top(self, document, top, capsys):
+        # A negative count used to slice rows off the end of the table.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["infer", document, "--top", top])
+        assert excinfo.value.code == 2
+        assert "positive count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["-1", "0"])
+    def test_compare_rejects_non_positive_top(self, document, top, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", document, "--top", top])
+        assert excinfo.value.code == 2
+        assert "positive count" in capsys.readouterr().err
+
     def test_compare_rejects_unknown_method(self, document, capsys):
         assert main(["compare", document, "--methods", "lia,bogus"]) == 2
         assert "unknown method" in capsys.readouterr().err
@@ -192,27 +238,6 @@ class TestMethodDispatch:
 
 
 class TestExperimentsVerb:
-    def test_static_choices_match_registry(self):
-        from repro.api import registry
-        from repro.cli import (
-            EXPERIMENT_CHOICES,
-            LOSS_METHOD_CHOICES,
-            METHOD_CHOICES,
-            SCALE_CHOICES,
-            TRAFFIC_CHOICES,
-            VARIANCE_SOLVER_CHOICES,
-        )
-        from repro.core.variance import VARIANCE_METHODS
-        from repro.experiments import EXPERIMENTS, SCALES
-        from repro.netsim.sim import TRAFFIC_KINDS
-
-        assert sorted(EXPERIMENT_CHOICES) == sorted(EXPERIMENTS)
-        assert SCALE_CHOICES == SCALES
-        assert METHOD_CHOICES == registry.available()
-        assert set(LOSS_METHOD_CHOICES) == set(METHOD_CHOICES) - {"delay"}
-        assert VARIANCE_SOLVER_CHOICES == VARIANCE_METHODS
-        assert TRAFFIC_CHOICES == TRAFFIC_KINDS
-
     def test_timing_routes_through_runner(self, capsys):
         # timing is one (non-cacheable) trial through the runner now, so
         # the stats line is real — no last_stats workaround needed.
@@ -336,32 +361,47 @@ class TestRemoteFlags:
 
     @staticmethod
     def _parse(argv):
-        import argparse
-
-        from repro.runner.args import RunnerArgs, add_runner_arguments
-
         parser = argparse.ArgumentParser()
         add_runner_arguments(parser)
-        return RunnerArgs.from_namespace(parser.parse_args(argv))
+        return parser.parse_args(argv)
 
-    def test_remote_flags_become_backend_options(self):
-        args = self._parse(
+    @pytest.fixture
+    def remote_options(self, monkeypatch):
+        """Build a runner from flags; return the ``remote`` factory's options."""
+        captured = {}
+
+        def factory(n_jobs=1, mp_context=None, **options):
+            captured.update(options)
+            return SerialBackend()
+
+        monkeypatch.setitem(backends._BACKENDS, "remote", factory)
+
+        def build(argv):
+            captured.clear()
+            runner_from_args(self._parse(argv))
+            return dict(captured)
+
+        return build
+
+    def test_remote_flags_become_backend_options(self, remote_options):
+        options = remote_options(
             ["--backend", "remote", "--workers", "alpha,beta",
              "--bind", "0.0.0.0:7787"]
         )
-        assert args.backend_options() == {
-            "workers": "alpha,beta", "bind": "0.0.0.0:7787",
-        }
-        args = self._parse(["--backend", "remote", "--remote-workers", "3"])
-        assert args.backend_options() == {"spawn_workers": 3}
+        assert options == {"workers": "alpha,beta", "bind": "0.0.0.0:7787"}
+        options = remote_options(["--backend", "remote", "--remote-workers", "3"])
+        assert options == {"spawn_workers": 3}
 
     def test_remote_flags_require_remote_backend(self):
-        args = self._parse(["--workers", "2"])
         with pytest.raises(ValueError, match="--backend remote"):
-            args.backend_options()
+            runner_from_args(self._parse(["--workers", "2"]))
 
     def test_plain_flags_build_without_options(self):
-        assert self._parse(["--jobs", "2"]).backend_options() == {}
+        # process/serial factories reject any option, so building at all
+        # proves none were passed.
+        runner = runner_from_args(self._parse(["--jobs", "2"]))
+        assert runner.backend.name == "process"
+        assert runner.n_jobs == 2
 
     def test_bad_flag_values_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):

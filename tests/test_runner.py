@@ -22,11 +22,10 @@ from repro.runner import (
     available_backends,
     compute_code_version,
     get_backend,
-    register_backend,
     shard_key,
     shard_specs,
-    unregister_backend,
 )
+from repro.runner import backends
 from repro.runner.spec import json_roundtrip
 
 
@@ -146,7 +145,7 @@ class TestBackends:
 
     def test_register_custom_backend(self):
         # The "write your own backend" contract from the README: one
-        # class, registered by name, reachable from the runner.
+        # class, passed to the runner as an instance.
         class LoggingBackend(SerialBackend):
             name = "logging"
             seen: list = []
@@ -155,22 +154,14 @@ class TestBackends:
                 self.seen.append(len(shards))
                 return super().run_shards(trial_fn, shards)
 
-        register_backend("logging", LoggingBackend)
-        try:
-            specs = make_specs(4)
-            runner = ParallelRunner(backend="logging")
-            got = runner.run("unit", square_trial, specs)
-            assert got == ParallelRunner().run("unit", square_trial, specs)
-            assert runner.backend.name == "logging"
-            assert LoggingBackend.seen == [4]
-        finally:
-            unregister_backend("logging")
+        specs = make_specs(4)
+        runner = ParallelRunner(backend=LoggingBackend())
+        got = runner.run("unit", square_trial, specs)
+        assert got == ParallelRunner().run("unit", square_trial, specs)
+        assert runner.backend.name == "logging"
+        assert LoggingBackend.seen == [4]
         with pytest.raises(ValueError):
             get_backend("logging")
-
-    def test_register_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", SerialBackend)
 
     def test_optionless_backends_reject_backend_options(self):
         # serial/process/thread take no options; a typo'd or misrouted
@@ -186,22 +177,18 @@ class TestBackends:
                 backend=SerialBackend(), backend_options={"bind": "x"}
             )
 
-    def test_backend_options_reach_the_factory(self):
+    def test_backend_options_reach_the_factory(self, monkeypatch):
         captured = {}
 
         def factory(n_jobs=1, mp_context=None, **options):
             captured.update(options, n_jobs=n_jobs)
             return SerialBackend()
 
-        register_backend("capturing", factory)
-        try:
-            ParallelRunner(
-                n_jobs=3, backend="capturing",
-                backend_options={"flavor": "mesh"},
-            )
-            assert captured == {"flavor": "mesh", "n_jobs": 3}
-        finally:
-            unregister_backend("capturing")
+        monkeypatch.setitem(backends._BACKENDS, "capturing", factory)
+        ParallelRunner(
+            n_jobs=3, backend="capturing", backend_options={"flavor": "mesh"}
+        )
+        assert captured == {"flavor": "mesh", "n_jobs": 3}
 
     def test_shared_cache_across_backends(self, tmp_path):
         specs = make_specs(6)

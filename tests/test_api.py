@@ -28,6 +28,7 @@ from repro.api import (
     evaluate_forest,
     from_spec,
     get,
+    registry,
 )
 from repro.experiments.base import prepare_topology, scale_params
 from repro.inference import (
@@ -106,6 +107,36 @@ class TestRegistry:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             get("bogus")
+
+    def test_register_external_backend(self, monkeypatch):
+        # A new estimator is one adapter class plus one registry entry.
+        class Constant:
+            name = "constant"
+            kind = "rates"
+            uses_training = False
+
+            def fit(self, campaign, paths=None):
+                self._n = campaign.routing.num_links
+                return self
+
+            def predict(self, snapshot):
+                return InferenceResult(
+                    method="constant", kind="rates", values=np.zeros(self._n)
+                )
+
+            def predict_batch(self, window):
+                return [self.predict(s) for s in window]
+
+            def spec(self):
+                return EstimatorSpec("constant")
+
+        monkeypatch.setitem(registry._REGISTRY, "constant", Constant)
+        assert "constant" in available()
+        assert "constant" not in available(exclude_kind="rates")
+        assert isinstance(get("constant"), Constant)
+        assert isinstance(from_spec(EstimatorSpec("constant")), Constant)
+        monkeypatch.undo()
+        assert "constant" not in available()
 
 
 class TestAdapterPins:

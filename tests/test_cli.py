@@ -238,6 +238,40 @@ class TestMethodDispatch:
 
 
 class TestExperimentsVerb:
+    def test_static_choices_match_registry(self):
+        """Every choice list the parser offers is the registry itself."""
+        from repro.api import registry
+        from repro.cli import LOSS_METHOD_CHOICES, build_parser
+        from repro.core.variance import VARIANCE_METHODS
+        from repro.experiments import EXPERIMENTS, SCALES
+        from repro.netsim.sim import TRAFFIC_KINDS
+        from repro.runner import available_backends
+
+        commands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+
+        def choices(command, dest):
+            (action,) = [
+                action
+                for action in commands[command]._actions
+                if action.dest == dest
+            ]
+            return tuple(action.choices)
+
+        assert choices("experiments", "experiment") == (
+            *sorted(EXPERIMENTS), "all",
+        )
+        assert choices("experiments", "scale") == SCALES
+        assert choices("experiments", "backend") == available_backends()
+        assert choices("infer", "method") == registry.available()
+        assert set(LOSS_METHOD_CHOICES) == set(registry.available()) - {"delay"}
+        for command in ("infer", "compare"):
+            assert choices(command, "variance_solver") == VARIANCE_METHODS
+        assert choices("simulate", "traffic") == TRAFFIC_KINDS
+
     def test_timing_routes_through_runner(self, capsys):
         # timing is one (non-cacheable) trial through the runner now, so
         # the stats line is real — no last_stats workaround needed.

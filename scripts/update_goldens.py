@@ -1,18 +1,10 @@
-"""Rewrite the golden corpus and report which entries moved.
+"""Rewrite ``tests/golden/corpus.json``: ``python scripts/update_goldens.py``.
 
-Usage (from the repository root)::
-
-    python scripts/update_goldens.py          # rewrite tests/golden/corpus.json
-    python scripts/update_goldens.py --check  # report only; exit 1 if moved
-
-The corpus is computed in two fresh interpreters, under
-``PYTHONHASHSEED=0`` and ``=1``; it is refused if they disagree.  Every
-moved entry prints one line with its old and new digest and the shift
-in each summary statistic, so an intentional numeric change is a
-reviewed event.
+The corpus is computed under ``PYTHONHASHSEED=0`` and ``=1`` and refused
+if the two disagree.  Each moved entry prints its old and new digest and
+the shift in each summary statistic, so a numeric change is reviewed.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -21,28 +13,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "golden")
 import corpus  # noqa: E402
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check", action="store_true", help="report moved entries, write nothing"
-    )
-    args = parser.parse_args(argv)
-    runs = [corpus.spawn(hash_seed) for hash_seed in (0, 1)]
-    first, second = (corpus.collect(run) for run in runs)
-    between = corpus.diff(first, second)
+def main() -> int:
+    computed, between = corpus.compute_under_two_hash_seeds()
     if between:
         print("PYTHONHASHSEED=0 and =1 disagree; corpus not written:")
         print("\n".join(between))
         return 1
-    old = corpus.load() if corpus.CORPUS_PATH.exists() else {}
-    moved = corpus.diff(old, first)
+    moved = corpus.diff(corpus.load(), computed)
     print("\n".join(moved) if moved else "no entry moved")
-    if args.check:
-        return 1 if moved else 0
-    corpus.CORPUS_PATH.write_text(corpus.dump(first))
-    print(f"wrote {len(first)} entries to {corpus.CORPUS_PATH}")
+    corpus.CORPUS_PATH.write_text(corpus.dump(computed))
+    print(f"wrote {len(computed)} entries to {corpus.CORPUS_PATH}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

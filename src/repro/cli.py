@@ -1,6 +1,6 @@
-"""Command-line interface: audit, simulate, infer, compare, experiments.
+"""Command-line interface: audit, simulate, infer, compare, experiments, worker.
 
-Five verbs covering the operational loop without writing Python:
+Six verbs covering the operational loop without writing Python:
 
 ``audit``
     generate (or size up) a monitoring layout and print its
@@ -25,12 +25,7 @@ Five verbs covering the operational loop without writing Python:
     serve shards to a ``--backend remote`` coordinator from this
     machine: connect to ``host:port`` (retrying until the coordinator
     is up), pull shards, stream results back
-    (:mod:`repro.runner.remote`);
-``lint``
-    run the project-invariant static analysis (:mod:`repro.analysis`)
-    over the given paths — determinism, concurrency — and exit
-    non-zero on any unsuppressed finding (CI blocks on
-    ``repro lint src/``).
+    (:mod:`repro.runner.remote`).
 
 Examples::
 
@@ -50,8 +45,6 @@ Examples::
     python -m repro experiments fig5 --scale small --backend remote \
         --remote-workers 4
     python -m repro worker coordinator.example.org:7787
-    python -m repro lint src
-    python -m repro lint --format json src scripts examples
 """
 
 from __future__ import annotations
@@ -351,17 +344,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run_lint
-
-    return run_lint(
-        args.paths,
-        fmt=args.format,
-        rule_ids=args.rule,
-        summary_file=args.summary_file,
-    )
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
     """Run experiments in order, printing each result and runner stats.
 
@@ -480,41 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--seed", type=int, default=0, help="master seed")
     add_runner_arguments(experiments)
     experiments.set_defaults(func=cmd_experiments)
-
-    lint = sub.add_parser(
-        "lint",
-        help="static analysis: determinism, concurrency",
-        description=(
-            "Run the rule-based AST lint engine (repro.analysis) over "
-            "the given paths.  Exits 1 on any unsuppressed finding; "
-            "suppress per line with `# reprolint: disable=<rule> -- why`."
-        ),
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    lint.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="RULE_ID",
-        help="run only this rule (repeatable; default: all rules)",
-    )
-    lint.add_argument(
-        "--summary-file",
-        default=None,
-        help="append a markdown summary to this file (CI step summaries)",
-    )
-    lint.set_defaults(func=cmd_lint)
 
     worker = sub.add_parser(
         "worker",

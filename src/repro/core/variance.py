@@ -132,34 +132,18 @@ def estimate_link_variances(
         campaigns over one routing matrix ("we only need to do this once
         for the whole network").
     """
-    if method not in VARIANCE_METHODS:
-        raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
     if len(campaign) < 2:
         raise ValueError("variance estimation needs at least two snapshots")
-
     if pairs is None:
         pairs = intersecting_pairs(campaign.routing.matrix)
     log_matrix = campaign.log_matrix(floor)
-    sigma = sample_covariance_pairs(log_matrix, pairs.pair_i, pairs.pair_j)
-
-    summary = CovarianceSummary(
-        num_snapshots=len(campaign),
-        num_pairs=pairs.num_pairs,
-        num_negative=int(negative_pair_mask(sigma).sum()),
-    )
-    weights = None
-    if method == "wls":
-        weights = _equation_weights(log_matrix, pairs, sigma)
-    solution = solve_covariance_system(
-        pairs.matrix, sigma, method=method, weights=weights,
-        drop_negative=drop_negative,
-    )
-    return VarianceEstimate(
-        variances=solution.variances,
+    return estimate_link_variances_from_moments(
+        pairs,
+        sample_covariance_pairs(log_matrix, pairs.pair_i, pairs.pair_j),
+        log_matrix.var(axis=0, ddof=1),
+        len(campaign),
         method=method,
-        covariance_summary=summary,
-        residual_norm=solution.residual_norm,
-        weighted_residual_norm=solution.weighted_residual_norm,
+        drop_negative=drop_negative,
     )
 
 
@@ -216,32 +200,20 @@ def solve_covariance_system(
 
 
 def _equation_weights(
-    measurements: np.ndarray, pairs: IntersectingPairs, sigma: np.ndarray
-) -> np.ndarray:
-    """Square-root inverse sampling variance of each covariance equation.
-
-    ``var(Sigma_hat_ij) ~= (Sigma_ii Sigma_jj + Sigma_ij^2) / (m - 1)``;
-    the per-path variances are taken from the sample (*measurements* is
-    the ``(m, n_p)`` matrix the covariances were computed from — log
-    rates for the loss layer, raw delays for the delay layer).  Floored
-    so that perfectly quiet path pairs (zero sample variance) cannot
-    produce infinite weights.
-    """
-    return _equation_weights_from_moments(
-        measurements.var(axis=0, ddof=1),
-        pairs,
-        sigma,
-        measurements.shape[0],
-    )
-
-
-def _equation_weights_from_moments(
     path_variances: np.ndarray,
     pairs: IntersectingPairs,
     sigma: np.ndarray,
     num_snapshots: int,
 ) -> np.ndarray:
-    """:func:`_equation_weights` from pre-computed per-path variances."""
+    """Square-root inverse sampling variance of each covariance equation.
+
+    ``var(Sigma_hat_ij) ~= (Sigma_ii Sigma_jj + Sigma_ij^2) / (m - 1)``,
+    with the per-path sample variances *path_variances* of the
+    measurements the covariances came from (log rates for the loss
+    layer, raw delays for the delay layer).  Floored so that perfectly
+    quiet path pairs (zero sample variance) cannot produce infinite
+    weights.
+    """
     eq_var = (
         path_variances[pairs.pair_i] * path_variances[pairs.pair_j] + sigma**2
     ) / max(num_snapshots - 1, 1)
@@ -257,13 +229,14 @@ def estimate_link_variances_from_moments(
     method: str = "wls",
     drop_negative: bool = True,
 ) -> VarianceEstimate:
-    """Phase 1 from pre-computed window moments (the streaming path).
+    """Phase 1 from pre-computed window moments (the one phase-1 body).
 
     A rolling monitor maintains per-equation covariance sums
     incrementally — O(pairs) per snapshot — instead of re-reading the
-    whole window; this entry point runs the same filtering, weighting
-    and solve as :func:`estimate_link_variances` on those moments
-    without ever materialising the ``(m, n_p)`` measurement matrix.
+    whole window; this entry point runs the filtering, weighting and
+    solve on those moments without ever materialising the ``(m, n_p)``
+    measurement matrix.  :func:`estimate_link_variances` computes the
+    same moments from a campaign and delegates here.
     *sigma* is the per-pair sample covariance vector (entry order
     matching *pairs*), *path_variances* the per-path sample variances.
     """
@@ -281,7 +254,7 @@ def estimate_link_variances_from_moments(
     )
     weights = None
     if method == "wls":
-        weights = _equation_weights_from_moments(
+        weights = _equation_weights(
             np.asarray(path_variances, dtype=np.float64),
             pairs,
             sigma,

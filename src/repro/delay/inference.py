@@ -113,9 +113,9 @@ class DelayInferenceAlgorithm:
         Delegates to the loss layer's
         :func:`repro.core.variance.solve_covariance_system` — the same
         negative-equation filter, WLS weighting
-        (:func:`~repro.core.variance._equation_weights`, which this
-        module used to carry as a drifted copy), underdetermined-system
-        guard and solver dispatch — with raw delays in place of log
+        (:func:`~repro.core.variance._equation_weights`),
+        underdetermined-system guard and solver dispatch — with raw
+        delays in place of log
         rates.  A campaign whose surviving equations cannot determine
         ``v`` (e.g. every cross-path covariance negative) raises the
         same clear ``ValueError`` the loss layer does instead of
@@ -128,7 +128,9 @@ class DelayInferenceAlgorithm:
         sigma = sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j)
         weights = None
         if self.variance_method == "wls":
-            weights = _equation_weights(Y, pairs, sigma)
+            weights = _equation_weights(
+                Y.var(axis=0, ddof=1), pairs, sigma, Y.shape[0]
+            )
         solution = solve_covariance_system(
             pairs.matrix, sigma, method=self.variance_method, weights=weights
         )

@@ -85,13 +85,20 @@ def paths_to_list(paths: Sequence[Path]) -> List[Dict]:
 def paths_from_list(payload: Sequence[Dict], network: Network) -> List[Path]:
     paths: List[Path] = []
     for index, entry in enumerate(payload):
-        links = tuple(network.link(int(i)) for i in entry["links"])
+        links = []
+        for i in map(int, entry["links"]):
+            if not 0 <= i < network.num_links:
+                raise ValueError(
+                    f"path {index} names link {i}, but the network has "
+                    f"links 0..{network.num_links - 1}"
+                )
+            links.append(network.link(i))
         paths.append(
             Path(
                 index=index,
                 source=int(entry["source"]),
                 dest=int(entry["dest"]),
-                links=links,
+                links=tuple(links),
             )
         )
     return paths

@@ -49,7 +49,7 @@ from repro.core.variance import (
     VarianceEstimate,
     estimate_link_variances_from_moments,
 )
-from repro.probing.snapshot import MeasurementCampaign, Snapshot
+from repro.probing.snapshot import Snapshot
 from repro.topology.routing import RoutingMatrix
 
 
@@ -191,12 +191,11 @@ class OnlineLossMonitor:
         downdates / CGS2 column adds) and the phase-2 basis sweep.
         Larger limits absorb heavier congestion churn at the cost of
         longer update chains; 0 refactorizes on every kept-set change.
-    incremental_variance:
-        Maintain rolling sufficient statistics so a variance refresh
-        re-solves from O(pairs) running moments instead of re-reading
-        the whole window (and skips the solve when no equation went
-        dirty).  The moments match the batch path to rounding, not to
-        the byte; disable to reproduce batch arithmetic exactly.
+
+    Variance refreshes re-solve from the rolling sufficient statistics
+    (and skip the solve when no equation went dirty).  The moments match
+    the batch :meth:`InferenceEngine.learn_variances` over the same
+    window to rounding, not to the byte.
     """
 
     def __init__(
@@ -208,7 +207,6 @@ class OnlineLossMonitor:
         z_threshold: float = 4.0,
         localize_always: bool = False,
         incremental_limit: int = 2,
-        incremental_variance: bool = True,
     ) -> None:
         if window < 2:
             raise ValueError("window must be at least 2")
@@ -222,7 +220,6 @@ class OnlineLossMonitor:
         self.congestion_threshold = congestion_threshold
         self.z_threshold = z_threshold
         self.localize_always = localize_always
-        self.incremental_variance = incremental_variance
 
         # Long-lived monitors opt into the incremental cache paths: a
         # refresh that exonerates or re-flags a link or two reuses the
@@ -234,7 +231,6 @@ class OnlineLossMonitor:
             congestion_threshold=congestion_threshold,
             incremental_limit=incremental_limit,
         )
-        self._history: Deque[Snapshot] = deque(maxlen=window)
         self._log_history: Deque[np.ndarray] = deque(maxlen=window)
         self._moments: Optional[_RollingMoments] = None
         self._estimate: Optional[VarianceEstimate] = None
@@ -251,7 +247,7 @@ class OnlineLossMonitor:
     @property
     def is_warm(self) -> bool:
         """True once the training window is full."""
-        return len(self._history) >= self.window
+        return len(self._log_history) >= self.window
 
     @property
     def factorization_downdates(self) -> int:
@@ -303,18 +299,16 @@ class OnlineLossMonitor:
             if len(self._log_history) == self.window
             else None
         )
-        self._history.append(snapshot)
         self._log_history.append(log_rates)
-        if self.incremental_variance:
-            if self._moments is None:
-                self._moments = _RollingMoments(
-                    self.engine.pairs.pair_i,
-                    self.engine.pairs.pair_j,
-                    self.routing.num_paths,
-                )
-            self._moments.push(log_rates, evicted)
-            if self._moments.needs_rebase:
-                self._moments.rebase(list(self._log_history))
+        if self._moments is None:
+            self._moments = _RollingMoments(
+                self.engine.pairs.pair_i,
+                self.engine.pairs.pair_j,
+                self.routing.num_paths,
+            )
+        self._moments.push(log_rates, evicted)
+        if self._moments.needs_rebase:
+            self._moments.rebase(list(self._log_history))
         if not self.is_warm:
             return report
 
@@ -335,43 +329,28 @@ class OnlineLossMonitor:
     def _refresh_estimate(self) -> None:
         """Re-learn link variances from the current window."""
         self.variance_refreshes += 1
-        if self.incremental_variance and self._moments is not None:
-            sigma = self._moments.pair_covariances()
-            if (
-                self._estimate is not None
-                and self._last_sigma is not None
-                and np.array_equal(sigma, self._last_sigma)
-            ):
-                # No covariance equation went dirty since the last
-                # solve; the estimate is still exact.
-                self.variance_solves_skipped += 1
-                return
-            self._estimate = estimate_link_variances_from_moments(
-                self.engine.pairs,
-                sigma,
-                self._moments.path_variances(),
-                self._moments.count,
-                method=self.engine.variance_method,
-                drop_negative=self.engine.drop_negative,
-            )
-            self._last_sigma = sigma
+        sigma = self._moments.pair_covariances()
+        if self._last_sigma is not None and np.array_equal(sigma, self._last_sigma):
+            # No covariance equation went dirty since the last
+            # solve; the estimate is still exact.
+            self.variance_solves_skipped += 1
             return
-        training = MeasurementCampaign(
-            routing=self.routing, snapshots=list(self._history)
+        self._estimate = estimate_link_variances_from_moments(
+            self.engine.pairs,
+            sigma,
+            self._moments.path_variances(),
+            self._moments.count,
+            method=self.engine.variance_method,
+            drop_negative=self.engine.drop_negative,
         )
-        self._estimate = self.engine.learn_variances(training)
+        self._last_sigma = sigma
 
     def _screen(self, snapshot: Snapshot) -> np.ndarray:
         """Cheap per-path z-score against the rolling window."""
         if len(self._log_history) < 2:
             return np.zeros(snapshot.num_paths, dtype=bool)
-        if self.incremental_variance and self._moments is not None:
-            mean = self._moments.path_means()
-            std = np.maximum(np.sqrt(self._moments.path_variances()), 1e-6)
-        else:
-            Y = np.vstack(list(self._log_history))
-            mean = Y.mean(axis=0)
-            std = np.maximum(Y.std(axis=0, ddof=1), 1e-6)
+        mean = self._moments.path_means()
+        std = np.maximum(np.sqrt(self._moments.path_variances()), 1e-6)
         z = (snapshot.path_log_rates() - mean) / std
         return z < -self.z_threshold
 

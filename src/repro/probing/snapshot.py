@@ -66,15 +66,16 @@ class Snapshot:
         rates = np.asarray(self.path_transmission, dtype=np.float64)
         if rates.ndim != 1:
             raise ValueError("path_transmission must be one-dimensional")
-        if np.any((rates < 0) | (rates > 1)):
-            raise ValueError("transmission rates must lie in [0, 1]")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not np.all((rates >= 0) & (rates <= 1)):
+            raise ValueError("path_transmission rates must lie in [0, 1]")
         if self.num_probes <= 0:
             raise ValueError("num_probes must be positive")
         object.__setattr__(self, "path_transmission", rates)
         if self.realized_loss_fractions is not None:
             realized = np.asarray(self.realized_loss_fractions, dtype=np.float64)
-            if np.any((realized < 0) | (realized > 1)):
-                raise ValueError("realized loss fractions must lie in [0, 1]")
+            if not np.all((realized >= 0) & (realized <= 1)):
+                raise ValueError("realized_loss_fractions must lie in [0, 1]")
             object.__setattr__(self, "realized_loss_fractions", realized)
 
     @property

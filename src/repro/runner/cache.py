@@ -54,7 +54,7 @@ def compute_code_version(root: "Optional[os.PathLike]" = None) -> str:
     if _code_version_cache is None:
         import repro
 
-        # reprolint: disable=unlocked-global -- idempotent: racing writers compute the same hash
+        # Unlocked on purpose: racing writers compute the same hash.
         _code_version_cache = _hash_tree(Path(repro.__file__).resolve().parent)
     return _code_version_cache
 
@@ -103,7 +103,8 @@ class ShardCache:
             "format": CACHE_FORMAT,
             "experiment": experiment,
             "code_version": code_version,
-            # reprolint: disable=wall-clock -- cache-entry metadata, never read back into payloads
+            # Wall clock is fine here: cache-entry metadata, never read
+            # back into payloads.
             "created_unix": time.time(),
             "trials": [spec.identity() for spec in shard],
             "payloads": list(payloads),

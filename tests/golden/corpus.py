@@ -7,10 +7,9 @@ corpus covers every experiment except ``timing`` (its payload is wall
 clock) at tiny scale with seeds 0 and 1, the ``repro simulate``
 documents of both traffic kinds, and one packet-simulator trace.
 
-Run as a script, this module computes every entry and prints the corpus
-as JSON on stdout.  ``tests/test_golden.py`` runs it under two
-``PYTHONHASHSEED`` values and checks both against ``corpus.json``;
-``scripts/update_goldens.py`` rewrites that file.
+Run as a script, this module prints the corpus as JSON on stdout.
+``tests/test_golden.py`` checks ``corpus.json`` against two such runs;
+``scripts/update_goldens.py`` rewrites it.
 """
 
 from __future__ import annotations
@@ -25,37 +24,25 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[2]
 CORPUS_PATH = Path(__file__).with_name("corpus.json")
-SEEDS = (0, 1)
-#: BLAS and OpenMP pools pinned to one thread, as ``perfbench`` does,
-#: so a reduction's summation order cannot depend on the host.
-THREAD_ENV = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 SIMULATE_ARGS = (
     "simulate", "--topology", "tree", "--size", "20", "--hosts", "4",
     "--snapshots", "4", "--probes", "200", "--seed", "0",
 )
 #: Data keys whose numbers feed each summary statistic.
-_STAT_KEYS = {
+STAT_KEYS = {
     "dr": ("dr", "lia_dr"),
     "fpr": ("fpr", "lia_fpr"),
     "ef": ("error_factors", "error_factor", "factor_cdf"),
 }
 
-Entry = Dict[str, object]
 
-
-def _feed(update: Callable[[bytes], None], value: object) -> None:
+def _feed(update, value: object) -> None:
     """Feed a tagged, unambiguous byte encoding of *value* to *update*.
 
     Floats go in as ``float.hex()`` and arrays as dtype, shape and raw
@@ -70,33 +57,25 @@ def _feed(update: Callable[[bytes], None], value: object) -> None:
     elif isinstance(value, (int, np.integer)):
         update(b"i%d;" % int(value))
     elif isinstance(value, (float, np.floating)):
-        update(b"f" + float(value).hex().encode() + b";")
-    elif isinstance(value, str):
-        data = value.encode()
-        update(b"s%d:" % len(data) + data)
-    elif isinstance(value, bytes):
-        update(b"y%d:" % len(value) + value)
-    elif isinstance(value, np.ndarray):
-        update(b"a" + value.dtype.str.encode() + repr(value.shape).encode())
-        if value.dtype.hasobject:
-            for item in value.ravel():
-                _feed(update, item)
-        else:
-            update(np.ascontiguousarray(value).tobytes())
+        update(b"f%s;" % float(value).hex().encode())
+    elif isinstance(value, (str, bytes)):
+        tag, data = (b"s", value.encode()) if isinstance(value, str) else (b"y", value)
+        update(b"%s%d:%s" % (tag, len(data), data))
+    elif isinstance(value, np.ndarray) and not value.dtype.hasobject:
+        update(b"a%s%r" % (value.dtype.str.encode(), value.shape))
+        update(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, dict):
         update(b"d%d:" % len(value))
         for key, item in value.items():
             _feed(update, key)
             _feed(update, item)
     elif isinstance(value, (list, tuple)):
-        update((b"l%d:" if isinstance(value, list) else b"t%d:") % len(value))
+        update(b"%s%d:" % (b"l" if isinstance(value, list) else b"t", len(value)))
         for item in value:
             _feed(update, item)
     elif dataclasses.is_dataclass(value):
         _feed(update, type(value).__qualname__)
-        _feed(update, {
-            f.name: getattr(value, f.name) for f in dataclasses.fields(value)
-        })
+        _feed(update, {f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     elif hasattr(value, "__dict__"):
         _feed(update, type(value).__qualname__)
         _feed(update, vars(value))
@@ -110,160 +89,122 @@ def digest(value: object) -> str:
     return sha.hexdigest()
 
 
-def _numbers(value: object) -> List[float]:
-    if isinstance(value, dict):
-        return [x for item in value.values() for x in _numbers(item)]
-    if isinstance(value, (list, tuple)):
-        return [x for item in value for x in _numbers(item)]
-    if isinstance(value, np.ndarray):
-        return [float(x) for x in value.ravel()]
-    if dataclasses.is_dataclass(value):
-        return [x for f in dataclasses.fields(value)
-                for x in _numbers(getattr(value, f.name))]
-    return [float(value)]
-
-
-def _gather(data: object, keys, out: List[float]) -> List[float]:
+def _gather(data: object, keys, out: List[float], take: bool = False) -> List[float]:
+    """Every number in *data* under one of *keys*, depth first."""
     if isinstance(data, dict):
         for key, item in data.items():
-            if key in keys:
-                out.extend(_numbers(item))
-            else:
-                _gather(item, keys, out)
+            _gather(item, keys, out, take or key in keys)
+    elif isinstance(data, (list, tuple)):
+        for item in data:
+            _gather(item, keys, out, take)
+    elif dataclasses.is_dataclass(data):
+        _gather(vars(data), keys, out, take)
+    elif take:
+        out.extend(np.ravel(data).astype(float))
     return out
-
-
-def _table_column(table, header: str) -> List[float]:
-    if header not in table.headers:
-        return []
-    column = table.headers.index(header)
-    return [float(row[column]) for row in table._rows]
 
 
 def experiment_stats(result) -> Dict[str, float]:
     """DR, FPR and error-factor summaries, where the payload has them."""
     stats: Dict[str, float] = {}
     for name, header in (("dr", "DR"), ("fpr", "FPR")):
-        values = _gather(result.data, _STAT_KEYS[name], [])
-        values = values or _table_column(result.table, header)
+        values = _gather(result.data, STAT_KEYS[name], [])
+        if not values and header in result.table.headers:
+            # ablations carries its payload in the rendered table only.
+            column = result.table.headers.index(header)
+            values = [float(row[column]) for row in result.table._rows]
         if values:
             stats[name] = float(np.mean(values))
-    factors = _gather(result.data, _STAT_KEYS["ef"], [])
+    factors = _gather(result.data, STAT_KEYS["ef"], [])
     if factors:
         stats["ef_median"] = float(np.median(factors))
         stats["ef_max"] = float(np.max(factors))
     return stats
 
 
-def _experiment_entries() -> Dict[str, Entry]:
-    from repro.experiments import EXPERIMENTS
-
-    entries: Dict[str, Entry] = {}
-    for name, run in EXPERIMENTS.items():
-        if name == "timing":
-            continue
-        for seed in SEEDS:
-            result = run(scale="tiny", seed=seed)
-            entries[f"experiment/{name}/seed{seed}"] = {
-                "sha256": digest(result),
-                "stats": experiment_stats(result),
-            }
-    return entries
-
-
-def _simulate_entries() -> Dict[str, Entry]:
+def compute() -> Dict[str, Dict]:
+    """Every corpus entry, computed in this process."""
     from repro.cli import main
-
-    entries: Dict[str, Entry] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for traffic in ("analytic", "congestion"):
-            out = Path(tmp) / f"{traffic}.json"
-            argv = [*SIMULATE_ARGS, "--traffic", traffic, "--out", os.fspath(out)]
-            with contextlib.redirect_stdout(io.StringIO()):
-                if main(argv) != 0:
-                    raise RuntimeError(f"repro {' '.join(argv)} failed")
-            entries[f"simulate/{traffic}"] = {
-                "sha256": digest(out.read_bytes()),
-                "stats": {},
-            }
-    return entries
-
-
-def _trace_entry() -> Dict[str, Entry]:
-    """One snapshot of the packet simulator: every dispatched event."""
+    from repro.experiments import EXPERIMENTS
     from repro.netsim.sim import CongestionSimulator, TrafficConfig
 
-    paths = [
-        (0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6),
-        (7, 8), (7, 9), (10, 11), (10, 2),
-    ]
+    corpus = {}
+    for name, run in EXPERIMENTS.items():
+        for seed in () if name == "timing" else (0, 1):
+            result = run(scale="tiny", seed=seed)
+            corpus[f"experiment/{name}/seed{seed}"] = {
+                "sha256": digest(result), "stats": experiment_stats(result),
+            }
+    with tempfile.TemporaryDirectory() as tmp:
+        for traffic in ("analytic", "congestion"):
+            out = Path(tmp) / "campaign.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                main([*SIMULATE_ARGS, "--traffic", traffic, "--out", str(out)])
+            corpus[f"simulate/{traffic}"] = {
+                "sha256": digest(out.read_bytes()), "stats": {},
+            }
+    # The 12-link chain-and-branch layout of benchmarks/test_bench_netsim.py.
+    paths = [(0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6), (7, 8), (7, 9), (10, 11), (10, 2)]
     rates = np.zeros(12)
     rates[[1, 5, 8]] = (0.05, 0.1, 0.03)
     simulator = CongestionSimulator(paths, 12, TrafficConfig(kind="congestion"))
     trace = simulator.run_snapshot(rates, 600, 17)
     counts = ("events", "packets_forwarded", "background_sent", "probe_drops")
-    return {
-        "netsim/trace": {
-            "sha256": digest(trace),
-            "stats": {name: getattr(trace, name) for name in counts},
-        }
+    corpus["netsim/trace"] = {
+        "sha256": digest(trace),
+        "stats": {name: getattr(trace, name) for name in counts},
     }
+    return corpus
 
 
-def compute() -> Dict[str, Entry]:
-    """Every corpus entry, computed in this process."""
-    return {**_experiment_entries(), **_simulate_entries(), **_trace_entry()}
+def compute_under_two_hash_seeds() -> Tuple[Dict, List[str]]:
+    """The corpus from fresh interpreters under ``PYTHONHASHSEED=0`` and
+    ``=1``, run concurrently, plus the entries on which the two disagree.
+
+    BLAS and OpenMP pools are pinned to one thread, as in ``perfbench``,
+    so no reduction's summation order depends on the host.
+    """
+    runs = []
+    for hash_seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), VECLIB_MAXIMUM_THREADS="1")
+        env.update({f"{pool}_NUM_THREADS": "1" for pool in ("OPENBLAS", "OMP", "MKL", "NUMEXPR")})
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        runs.append(subprocess.Popen(
+            [sys.executable, __file__], cwd=ROOT, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ))
+    outputs = [run.communicate() for run in runs]
+    for run, (_, stderr) in zip(runs, outputs):
+        if run.returncode != 0:
+            raise RuntimeError(f"golden corpus run failed:\n{stderr}")
+    first, second = (json.loads(stdout) for stdout, _ in outputs)
+    return first, diff(first, second)
 
 
-def spawn(hash_seed: int) -> subprocess.Popen:
-    """Start this module as a script under ``PYTHONHASHSEED=hash_seed``."""
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-    env.update({name: "1" for name in THREAD_ENV})
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.fspath(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return subprocess.Popen(
-        [sys.executable, os.fspath(Path(__file__).resolve())],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True,
-    )
+def load() -> Dict[str, Dict]:
+    return json.loads(CORPUS_PATH.read_text()) if CORPUS_PATH.exists() else {}
 
 
-def collect(process: subprocess.Popen) -> Dict[str, Entry]:
-    """Wait for a :func:`spawn` ed run and parse the corpus it printed."""
-    stdout, stderr = process.communicate()
-    if process.returncode != 0:
-        raise RuntimeError(f"golden corpus run failed:\n{stderr}")
-    return json.loads(stdout)
-
-
-def load() -> Dict[str, Entry]:
-    return json.loads(CORPUS_PATH.read_text())
-
-
-def dump(corpus: Dict[str, Entry]) -> str:
+def dump(corpus: Dict[str, Dict]) -> str:
     return json.dumps(corpus, indent=1, sort_keys=True) + "\n"
 
 
-def diff(old: Dict[str, Entry], new: Dict[str, Entry]) -> List[str]:
+def diff(old: Dict[str, Dict], new: Dict[str, Dict]) -> List[str]:
     """One line per entry that is new, gone or moved between two corpora."""
     lines = []
     for key in sorted(set(old) | set(new)):
-        if key not in new:
-            lines.append(f"{key}: gone (was {old[key]['sha256'][:16]})")
-        elif key not in old:
-            lines.append(f"{key}: new ({new[key]['sha256'][:16]})")
-        elif old[key]["sha256"] != new[key]["sha256"]:
-            before, after = old[key]["stats"], new[key]["stats"]
+        before, after = old.get(key), new.get(key)
+        if before and after and before["sha256"] == after["sha256"]:
+            continue
+        line = f"{key}: {before['sha256'][:16] if before else 'new'} -> "
+        line += after["sha256"][:16] if after else "gone"
+        if before and after:
             shifts = [
-                f"{name} {after[name] - before[name]:+.3g}"
-                for name in sorted(set(before) & set(after))
+                f"{name} {after['stats'][name] - before['stats'][name]:+.3g}"
+                for name in sorted(set(before["stats"]) & set(after["stats"]))
             ]
-            lines.append(
-                f"{key}: {old[key]['sha256'][:16]} -> "
-                f"{new[key]['sha256'][:16]}"
-                + (f" ({', '.join(shifts)})" if shifts else "")
-            )
+            line += f" ({', '.join(shifts)})" if shifts else ""
+        lines.append(line)
     return lines
 
 

@@ -160,6 +160,25 @@ class TestSimulateInfer:
         assert main(["infer", str(doc)]) == 0
 
 
+def test_infer_rejects_nan_rate(tmp_path):
+    """A NaN rate in a campaign document fails loudly, naming the field."""
+    import json
+
+    doc = tmp_path / "campaign.json"
+    main(["simulate", "--topology", "tree", "--size", "20", "--hosts", "4",
+          "--snapshots", "4", "--probes", "200", "--out", str(doc)])
+    payload = json.loads(doc.read_text())
+    payload["snapshots"][1]["path_transmission"][0] = float("nan")
+    doc.write_text(json.dumps(payload))
+    path = os.pathsep.join(filter(None, [str(SRC_ROOT), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "infer", str(doc)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert "path_transmission rates must lie in [0, 1]" in proc.stderr
+
+
 class TestMethodDispatch:
     @pytest.fixture(scope="class")
     def document(self, tmp_path_factory):

@@ -17,13 +17,11 @@ import corpus  # noqa: E402
 
 
 def test_corpus_matches_under_two_hash_seeds():
-    runs = [corpus.spawn(hash_seed) for hash_seed in (0, 1)]
-    first, second = (corpus.collect(run) for run in runs)
-    between = corpus.diff(first, second)
+    computed, between = corpus.compute_under_two_hash_seeds()
     assert not between, (
         "PYTHONHASHSEED=0 and =1 disagree:\n" + "\n".join(between)
     )
-    moved = corpus.diff(corpus.load(), first)
+    moved = corpus.diff(corpus.load(), computed)
     assert not moved, (
         "payloads moved against tests/golden/corpus.json "
         "(run scripts/update_goldens.py if intended):\n" + "\n".join(moved)

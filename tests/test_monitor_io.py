@@ -208,7 +208,7 @@ class TestRefreshUpdate:
 
 
 class TestIncrementalVariance:
-    """Rolling-moment refreshes agree with the batch window path."""
+    """Rolling-moment refreshes agree with batch phase 1 over the window."""
 
     @staticmethod
     def stream(routing, steps):
@@ -222,31 +222,43 @@ class TestIncrementalVariance:
             yield Snapshot(path_transmission=np.exp(R @ x), num_probes=800)
 
     def test_matches_batch_refresh(self, small_tree, monkeypatch):
+        from collections import deque
+
         import repro.monitor.online as online
+        from repro.core.engine import InferenceEngine
+        from repro.probing.snapshot import MeasurementCampaign
 
         # A tiny rebase interval so the drift-bounding resummation runs
         # mid-stream too.
         monkeypatch.setattr(online, "MOMENTS_REBASE_INTERVAL", 7)
         _, _, routing = small_tree
-        kwargs = dict(window=6, refresh_interval=2, localize_always=True)
-        fast = OnlineLossMonitor(routing, **kwargs)
-        batch = OnlineLossMonitor(
-            routing, incremental_variance=False, **kwargs
+        monitor = OnlineLossMonitor(
+            routing, window=6, refresh_interval=2, localize_always=True
         )
-        compared = 0
+        batch = InferenceEngine(routing)
+        window = deque(maxlen=6)
+        refreshes = localisations = 0
         for snap in self.stream(routing, 24):
-            fast_report = fast.observe(snap)
-            batch_report = batch.observe(snap)
-            if fast_report.loss_rates is not None:
-                assert batch_report.loss_rates is not None
+            before = monitor.variance_refreshes
+            report = monitor.observe(snap)
+            window.append(snap)
+            if monitor.variance_refreshes > before:
+                estimate = batch.learn_variances(
+                    MeasurementCampaign(routing=routing, snapshots=list(window))
+                )
                 assert np.allclose(
-                    fast_report.loss_rates,
-                    batch_report.loss_rates,
+                    monitor._estimate.variances, estimate.variances, atol=1e-8
+                )
+                refreshes += 1
+            if report.loss_rates is not None:
+                assert np.allclose(
+                    report.loss_rates,
+                    batch.infer(snap, estimate).loss_rates,
                     atol=1e-8,
                 )
-                compared += 1
-        assert compared >= 10
-        assert fast.variance_refreshes == batch.variance_refreshes
+                localisations += 1
+        assert refreshes >= 5
+        assert localisations >= 10
 
     def test_constant_stream_skips_the_solve(self, small_tree):
         from repro.probing.snapshot import Snapshot
@@ -265,17 +277,6 @@ class TestIncrementalVariance:
         # skipped, the estimate stays exact.
         assert monitor.variance_refreshes >= 2
         assert monitor.variance_solves_skipped >= 1
-
-        batch = OnlineLossMonitor(
-            routing,
-            window=4,
-            refresh_interval=1,
-            localize_always=True,
-            incremental_variance=False,
-        )
-        for _ in range(12):
-            batch.observe(snap)
-        assert batch.variance_solves_skipped == 0
 
 
 class TestSerialization:
@@ -341,4 +342,19 @@ class TestSerialization:
         payload = document_to_dict(document)
         payload["snapshots"][0]["path_transmission"] = [1.0]
         with pytest.raises(ValueError, match="width"):
+            document_from_dict(payload)
+
+    @pytest.mark.parametrize("link", [10**6, -1])
+    def test_unknown_link_index_rejected(self, small_tree, tree_campaign, link):
+        topo, paths, _ = small_tree
+        document = CampaignDocument(
+            network=topo.network,
+            beacons=topo.beacons,
+            destinations=topo.destinations,
+            paths=paths,
+            snapshots=list(tree_campaign.snapshots),
+        )
+        payload = document_to_dict(document)
+        payload["paths"][3]["links"][0] = link
+        with pytest.raises(ValueError, match=f"path 3 names link {link}"):
             document_from_dict(payload)

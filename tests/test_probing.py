@@ -36,6 +36,17 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             Snapshot(path_transmission=np.array([0.5]), num_probes=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValueError, match="path_transmission"):
+            Snapshot(path_transmission=[0.9, bad], num_probes=10)
+        with pytest.raises(ValueError, match="realized_loss_fractions"):
+            Snapshot(
+                path_transmission=[0.9, 1.0],
+                num_probes=10,
+                realized_loss_fractions=[0.0, bad],
+            )
+
     def test_loss_complement(self):
         snap = Snapshot(path_transmission=np.array([0.9, 1.0]), num_probes=10)
         assert np.allclose(snap.path_loss_rates(), [0.1, 0.0])

@@ -8,10 +8,12 @@ running service that sentence implies:
 * a **rolling window** of the last ``window`` snapshots feeds phase 1
   through **running sufficient statistics**: per-path and per-equation
   sums maintained in O(pairs) per snapshot (:class:`_RollingMoments`),
-  so a variance refresh — every ``refresh_interval`` snapshots — hands
-  :func:`~repro.core.variance.estimate_link_variances_from_moments`
+  so a variance refresh — once every ``refresh_interval + 1`` snapshots —
+  hands :func:`~repro.core.variance.estimate_link_variances_from_moments`
   ready-made moments instead of re-reading the whole window, and skips
-  the solve outright when no covariance equation went dirty;
+  the solve outright when no covariance equation went dirty.  Each push
+  also re-sums one fixed slice of the sums from the window, so every sum
+  is exact again once per :data:`MOMENTS_REBASE_INTERVAL` pushes;
 * the expensive intersecting-pairs structure is built once, and the
   :class:`~repro.core.engine.InferenceEngine` underneath memoizes the
   phase-2 reduction per estimate and the ``R*`` factorization per
@@ -38,9 +40,8 @@ bounded over days of traffic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -53,19 +54,20 @@ from repro.probing.snapshot import Snapshot
 from repro.topology.routing import RoutingMatrix
 
 
-#: Rebuild :class:`_RollingMoments` sums from the stored window every
-#: this many pushes: rolling add/subtract accumulates float drift, and a
-#: periodic O(window * pairs) rebase bounds it without showing up in the
-#: per-snapshot cost.
+#: Every :class:`_RollingMoments` sum is re-summed from the stored window
+#: once per this many pushes: rolling add/subtract accumulates float
+#: drift, so each push re-sums one of this many fixed slices of the sums,
+#: which bounds the drift without any push doing O(window * pairs) work.
 MOMENTS_REBASE_INTERVAL = 64
 
 
 class _RollingMoments:
     """Running per-path and per-equation sufficient statistics.
 
-    Over the rolling window of log-rate vectors ``y_t`` it maintains
-    ``sum_t y``, ``sum_t y^2`` and ``sum_t y_i y_j`` for every
-    intersecting path pair — enough to emit the exact sample covariances
+    Over the rolling window of log-rate vectors ``y_t`` — one
+    zero-initialised path-major ring buffer ``(num_paths, window)`` — it
+    maintains ``sum_t y``, ``sum_t y^2`` and ``sum_t y_i y_j`` for every
+    intersecting path pair: enough to emit the exact sample covariances
     and path variances phase 1 consumes, in O(pairs) per snapshot
     instead of O(window x pairs) per refresh:
 
@@ -77,42 +79,48 @@ class _RollingMoments:
     byte — one reason the incremental path is monitor-only).
     """
 
-    def __init__(self, pair_i: np.ndarray, pair_j: np.ndarray, num_paths: int):
+    def __init__(self, pair_i: np.ndarray, pair_j: np.ndarray, num_paths: int, window: int):
         self._pair_i = pair_i
         self._pair_j = pair_j
+        self._ring = np.zeros((num_paths, window), dtype=np.float64)
         self.sum_y = np.zeros(num_paths, dtype=np.float64)
         self.sum_sq = np.zeros(num_paths, dtype=np.float64)
         self.sum_pair = np.zeros(len(pair_i), dtype=np.float64)
         self.count = 0
-        self._pushes_since_rebase = 0
+        self._pushes = 0
+        self._interval = MOMENTS_REBASE_INTERVAL
+        # Reused pair re-sum gather buffers: fresh multi-megabyte temporaries
+        # on every push cost more in page faults than the arithmetic.
+        self._gather = np.empty((2, -(-len(pair_i) // self._interval), window))
 
-    def push(
-        self, y: np.ndarray, evicted: Optional[np.ndarray] = None
-    ) -> None:
-        """Add one window row; subtract the one that fell out, if any."""
-        self.sum_y += y
-        self.sum_sq += y * y
-        self.sum_pair += y[self._pair_i] * y[self._pair_j]
-        self.count += 1
-        if evicted is not None:
-            self.sum_y -= evicted
-            self.sum_sq -= evicted * evicted
-            self.sum_pair -= evicted[self._pair_i] * evicted[self._pair_j]
-            self.count -= 1
-        self._pushes_since_rebase += 1
+    def push(self, y: np.ndarray) -> None:
+        """Add one row, evict the column it overwrites (zeros until the
+        window fills, which subtract exactly), then re-sum one slice."""
+        i, j = self._pair_i, self._pair_j
+        column = self._pushes % self._ring.shape[1]
+        old = self._ring[:, column].copy()
+        self._ring[:, column] = y
+        self.sum_y += y - old
+        self.sum_sq += y * y - old * old
+        self.sum_pair += y[i] * y[j] - old[i] * old[j]
+        self.count = min(self.count + 1, self._ring.shape[1])
 
-    @property
-    def needs_rebase(self) -> bool:
-        return self._pushes_since_rebase >= MOMENTS_REBASE_INTERVAL
+        paths = self._stagger(len(self.sum_y))
+        rows = self._ring[paths]
+        self.sum_y[paths] = rows.sum(axis=1)
+        self.sum_sq[paths] = np.einsum("pw,pw->p", rows, rows)
+        pairs = self._stagger(len(self.sum_pair))
+        left, right = self._gather[:, : pairs.stop - pairs.start]
+        # mode="clip" lets take write straight into the buffers.
+        np.take(self._ring, i[pairs], axis=0, out=left, mode="clip")
+        np.take(self._ring, j[pairs], axis=0, out=right, mode="clip")
+        self.sum_pair[pairs] = np.einsum("pw,pw->p", left, right)
+        self._pushes += 1
 
-    def rebase(self, window_rows: List[np.ndarray]) -> None:
-        """Recompute the sums from scratch (bounds rolling float drift)."""
-        Y = np.vstack(window_rows)
-        self.sum_y = Y.sum(axis=0)
-        self.sum_sq = (Y * Y).sum(axis=0)
-        self.sum_pair = (Y[:, self._pair_i] * Y[:, self._pair_j]).sum(axis=0)
-        self.count = Y.shape[0]
-        self._pushes_since_rebase = 0
+    def _stagger(self, n: int) -> slice:
+        """The fixed slice of ``n`` sums this push re-sums."""
+        k, step = self._interval, self._pushes % self._interval
+        return slice(n * step // k, n * (step + 1) // k)
 
     def path_means(self) -> np.ndarray:
         return self.sum_y / self.count
@@ -175,7 +183,10 @@ class OnlineLossMonitor:
     window:
         Rolling training-window length (the paper's m).
     refresh_interval:
-        Re-learn variances every this many snapshots once warm.
+        How many snapshots pass between variance refreshes once warm:
+        the first warm snapshot re-learns variances, then one in every
+        ``refresh_interval + 1`` (window 4 and 1 refresh at t = 3, 5,
+        7, ...).
     congestion_threshold:
         Loss rate above which a link counts as congested (``t_l``).
     z_threshold:
@@ -231,7 +242,6 @@ class OnlineLossMonitor:
             congestion_threshold=congestion_threshold,
             incremental_limit=incremental_limit,
         )
-        self._log_history: Deque[np.ndarray] = deque(maxlen=window)
         self._moments: Optional[_RollingMoments] = None
         self._estimate: Optional[VarianceEstimate] = None
         self._last_sigma: Optional[np.ndarray] = None
@@ -240,14 +250,13 @@ class OnlineLossMonitor:
         self._since_refresh = 0
         self._time = -1
         self._congested_since: Dict[int, int] = {}
-        self._last_rates: Dict[int, float] = {}
 
     # -- state queries -------------------------------------------------------
 
     @property
     def is_warm(self) -> bool:
         """True once the training window is full."""
-        return len(self._log_history) >= self.window
+        return self._moments is not None and self._moments.count >= self.window
 
     @property
     def factorization_downdates(self) -> int:
@@ -293,22 +302,14 @@ class OnlineLossMonitor:
             anomalous_paths=np.flatnonzero(anomalous),
         )
 
-        log_rates = snapshot.path_log_rates()
-        evicted = (
-            self._log_history[0]
-            if len(self._log_history) == self.window
-            else None
-        )
-        self._log_history.append(log_rates)
         if self._moments is None:
             self._moments = _RollingMoments(
                 self.engine.pairs.pair_i,
                 self.engine.pairs.pair_j,
                 self.routing.num_paths,
+                self.window,
             )
-        self._moments.push(log_rates, evicted)
-        if self._moments.needs_rebase:
-            self._moments.rebase(list(self._log_history))
+        self._moments.push(snapshot.path_log_rates())
         if not self.is_warm:
             return report
 
@@ -347,7 +348,7 @@ class OnlineLossMonitor:
 
     def _screen(self, snapshot: Snapshot) -> np.ndarray:
         """Cheap per-path z-score against the rolling window."""
-        if len(self._log_history) < 2:
+        if self._moments is None or self._moments.count < 2:
             return np.zeros(snapshot.num_paths, dtype=bool)
         mean = self._moments.path_means()
         std = np.maximum(np.sqrt(self._moments.path_variances()), 1e-6)
@@ -380,6 +381,4 @@ class OnlineLossMonitor:
                     duration_snapshots=self._time - onset,
                 )
             )
-        for column in congested_now:
-            self._last_rates[column] = float(loss_rates[column])
         return events

@@ -106,6 +106,48 @@ class TestMonitor:
         assert set(info) == {"factorization", "reduction"}
         assert all(value.entries == 0 for value in info.values())
 
+    @pytest.mark.parametrize(
+        "refresh_interval, expected", [(1, [3, 5, 7, 9, 11, 13]), (2, [3, 6, 9, 12])]
+    )
+    def test_refresh_cadence(self, monitored_stream, refresh_interval, expected):
+        # The first warm snapshot refreshes, then one in every
+        # refresh_interval + 1.
+        _, _, routing, _, calm = monitored_stream
+        monitor = OnlineLossMonitor(
+            routing, window=4, refresh_interval=refresh_interval
+        )
+        refreshed_at = []
+        for t, snap in enumerate(calm.snapshots):
+            before = monitor.variance_refreshes
+            monitor.observe(snap)
+            if monitor.variance_refreshes > before:
+                refreshed_at.append(t)
+        assert refreshed_at == expected
+
+    def test_congestion_age(self, small_tree):
+        _, _, routing = small_tree
+        monitor = OnlineLossMonitor(
+            routing, window=6, refresh_interval=2, localize_always=True
+        )
+        onsets = {}
+        congested_steps = 0
+        for t in range(28):
+            report = monitor.observe(
+                TestRefreshUpdate.snapshot_at(routing, t, joining=20)
+            )
+            for event in report.events:
+                if event.kind == "onset":
+                    onsets[event.column] = t
+                else:
+                    del onsets[event.column]
+            assert sorted(onsets) == monitor.currently_congested()
+            for column in range(routing.num_links):
+                onset = onsets.get(column)
+                expected = None if onset is None else t - onset + 1
+                assert monitor.congestion_age(column) == expected
+            congested_steps += bool(onsets)
+        assert congested_steps >= 10
+
 
 class TestRefreshDowndate:
     """A refresh that clears a link downdates R* instead of refactorizing."""
@@ -228,8 +270,8 @@ class TestIncrementalVariance:
         from repro.core.engine import InferenceEngine
         from repro.probing.snapshot import MeasurementCampaign
 
-        # A tiny rebase interval so the drift-bounding resummation runs
-        # mid-stream too.
+        # A tiny re-sum interval so every sum is re-summed from the
+        # window several times mid-stream.
         monkeypatch.setattr(online, "MOMENTS_REBASE_INTERVAL", 7)
         _, _, routing = small_tree
         monitor = OnlineLossMonitor(
@@ -277,6 +319,75 @@ class TestIncrementalVariance:
         # skipped, the estimate stays exact.
         assert monitor.variance_refreshes >= 2
         assert monitor.variance_solves_skipped >= 1
+
+
+class TestRollingMoments:
+    """The staggered re-sum keeps the running sums exact to rounding."""
+
+    NUM_PATHS = 12
+    WINDOW = 50
+
+    @classmethod
+    def moments(cls):
+        from repro.monitor.online import _RollingMoments
+
+        pair_i, pair_j = np.triu_indices(cls.NUM_PATHS, k=1)
+        return _RollingMoments(pair_i, pair_j, cls.NUM_PATHS, cls.WINDOW)
+
+    @classmethod
+    def rows(cls, count, seed):
+        rng = np.random.default_rng(seed)
+        return -0.02 + 0.002 * rng.standard_normal((count, cls.NUM_PATHS))
+
+    def test_long_stream_stays_within_drift_bound(self):
+        from repro.core.covariance import sample_covariance_pairs
+
+        moments = self.moments()
+        rows = self.rows(100_000, seed=5)
+        for t, y in enumerate(rows, start=1):
+            moments.push(y)
+            if t % 20_000:
+                continue
+            window = rows[t - self.WINDOW : t]
+            batch_cov = sample_covariance_pairs(
+                window, moments._pair_i, moments._pair_j
+            )
+            batch_var = window.var(axis=0, ddof=1)
+            assert np.max(
+                np.abs(moments.pair_covariances() - batch_cov)
+            ) <= 1e-10 * np.max(np.abs(batch_cov))
+            assert np.max(
+                np.abs(moments.path_variances() - batch_var)
+            ) <= 1e-10 * np.max(np.abs(batch_var))
+
+    @pytest.mark.parametrize("interval", [7, 64])
+    def test_every_sum_is_resummed_once_per_interval(self, monkeypatch, interval):
+        import repro.monitor.online as online
+
+        monkeypatch.setattr(online, "MOMENTS_REBASE_INTERVAL", interval)
+        moments = self.moments()
+        rows = self.rows(2 * self.WINDOW + interval, seed=9)
+        for y in rows[: 2 * self.WINDOW]:
+            moments.push(y)
+        # Corrupt every sum; rolling updates keep NaN, only a re-sum
+        # from the window clears it.
+        for sums in (moments.sum_y, moments.sum_sq, moments.sum_pair):
+            sums[:] = np.nan
+        for y in rows[2 * self.WINDOW : -1]:
+            moments.push(y)
+        # The re-sum is staggered: one push short, a slice is still stale.
+        assert np.isnan(moments.sum_pair).any()
+        moments.push(rows[-1])
+
+        window = rows[-self.WINDOW :]
+        i, j = moments._pair_i, moments._pair_j
+        for got, exact in (
+            (moments.sum_y, window.sum(axis=0)),
+            (moments.sum_sq, (window * window).sum(axis=0)),
+            (moments.sum_pair, (window[:, i] * window[:, j]).sum(axis=0)),
+        ):
+            assert np.allclose(got, exact, rtol=1e-12, atol=0)
+        assert moments.count == self.WINDOW
 
 
 class TestSerialization:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.delay.model import DEFAULT_DELAY_MODEL, DelayModel
-from repro.topology.graph import Path
+from repro.topology.graph import Path, path_link_arrays
 from repro.topology.routing import RoutingMatrix
 from repro.utils.rng import SeedLike, as_rng
 
@@ -109,6 +109,7 @@ class DelayProbingSimulator:
             raise ValueError("congestion_probability must be in [0, 1]")
         if probes_per_snapshot <= 0:
             raise ValueError("probes_per_snapshot must be positive")
+        self._path_links = path_link_arrays(paths, num_physical_links)
         rng = as_rng(seed)
         self.paths = list(paths)
         self.num_physical_links = num_physical_links
@@ -117,10 +118,6 @@ class DelayProbingSimulator:
         self.base_delays = model.draw_base_delays(num_physical_links, seed=rng)
         self.congested = rng.random(num_physical_links) < congestion_probability
         self.queue_means = model.draw_queue_means(self.congested, seed=rng)
-        self._path_links = [
-            np.fromiter((link.index for link in p.links), dtype=np.int64)
-            for p in self.paths
-        ]
 
     def run_snapshot(self, seed: SeedLike = None) -> DelaySnapshot:
         rng = as_rng(seed)

@@ -15,7 +15,10 @@ fidelity for speed:
 ``sample_states(loss_rates, num_probes, seed)``
     ``(num_links, num_probes)`` boolean array, True where the link drops
     the probe sent at that index.  All paths crossing a link observe the
-    same realisation, which is exactly Assumption S.1.
+    same realisation, which is exactly Assumption S.1.  The matrix is
+    dense but mostly False at realistic rates: the Gilbert process
+    writes only its bad runs into it, and the packet prober reads back
+    only its True entries.
 
 ``sample_loss_fractions(loss_rates, num_probes, seed)``
     Per-link fraction of dropped probes for the snapshot (the flow-level
@@ -29,7 +32,8 @@ For long snapshots the fraction path *streams*: above
 The default chunk iterator yields one full block (always correct);
 processes whose draw order permits it override with true fixed-size
 chunks, and the override must keep the result bit-identical to the
-unchunked path.
+unchunked path.  The Gilbert process does: its uniforms are drawn
+time-major, and only each chain's state crosses a chunk boundary.
 """
 
 from __future__ import annotations

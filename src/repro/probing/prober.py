@@ -22,8 +22,9 @@ driven by per-link congestion propensities (the Section 7 churn regime).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -38,7 +39,7 @@ from repro.lossmodel.assignment import (
 from repro.lossmodel.gilbert import GilbertProcess
 from repro.lossmodel.models import LLRD1, LossRateModel
 from repro.lossmodel.processes import LossProcess
-from repro.topology.graph import Path
+from repro.topology.graph import Path, path_link_arrays
 from repro.topology.routing import RoutingMatrix
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
 from repro.utils.rng import SeedLike, as_rng
@@ -85,7 +86,12 @@ class ProberConfig:
     path_sampling_noise: bool = True
 
     def __post_init__(self) -> None:
-        if self.probes_per_snapshot <= 0:
+        count = self.probes_per_snapshot
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(
+                f"probes_per_snapshot must be an integer, got {count!r}"
+            )
+        if count <= 0:
             raise ValueError("probes_per_snapshot must be positive")
         if not 0 <= self.congestion_probability <= 1:
             raise ValueError("congestion_probability must be in [0, 1]")
@@ -131,30 +137,17 @@ class ProbingSimulator:
             raise ValueError("need at least one probing path")
         if num_physical_links <= 0:
             raise ValueError("num_physical_links must be positive")
-        max_index = max(link.index for p in paths for link in p.links)
-        if max_index >= num_physical_links:
-            raise ValueError(
-                f"path references link {max_index} but only "
-                f"{num_physical_links} links declared"
-            )
+        path_links = path_link_arrays(paths, num_physical_links)
         self.paths = list(paths)
         self.num_physical_links = num_physical_links
         self.model = model
         self.process = process if process is not None else GilbertProcess()
         self.config = config if config is not None else ProberConfig()
-        self._path_links: List[np.ndarray] = [
-            np.fromiter((link.index for link in p.links), dtype=np.int64)
-            for p in self.paths
-        ]
-        # Sparse (paths x physical links) membership matrix: one batched
-        # matmul replaces the per-path gather loops in both fidelity modes.
+        # Sparse (paths x physical links) membership matrix: flow mode's
+        # path rates are one matmul with the per-link log survivals.
         indptr = np.zeros(len(self.paths) + 1, dtype=np.int64)
-        np.cumsum([links.size for links in self._path_links], out=indptr[1:])
-        indices = (
-            np.concatenate(self._path_links)
-            if self.paths
-            else np.empty(0, dtype=np.int64)
-        )
+        np.cumsum([links.size for links in path_links], out=indptr[1:])
+        indices = np.concatenate(path_links)
         self._membership = sparse.csr_matrix(
             (
                 np.ones(indices.size, dtype=np.float64),
@@ -163,6 +156,11 @@ class ProbingSimulator:
             ),
             shape=(len(self.paths), num_physical_links),
         )
+        # Its transpose for packet mode: the paths through link ``l`` are
+        # ``_link_paths[_link_ptr[l]:_link_ptr[l + 1]]``.
+        by_link = self._membership.tocsc()
+        self._link_ptr = by_link.indptr.astype(np.int64)
+        self._link_paths = by_link.indices.astype(np.int64)
 
     # -- single snapshot -----------------------------------------------------
 
@@ -199,11 +197,24 @@ class ProbingSimulator:
     ) -> "tuple[np.ndarray, np.ndarray]":
         num_probes = self.config.probes_per_snapshot
         drops = self.process.sample_states(truth.loss_rates, num_probes, seed=rng)
-        # counts[i, t] = how many of path i's links dropped probe slot t;
-        # a probe survives iff that count is zero.
-        counts = self._membership @ drops.astype(np.float64)
-        rates = 1.0 - (counts > 0).mean(axis=1)
-        return rates, drops.mean(axis=1)
+        # A probe is lost on a path iff some link of the path dropped its
+        # slot.  Drops are sparse, so each dropped (link, slot) is fanned
+        # out to the paths through that link and marked in a path x slot
+        # mask.
+        num_slots = drops.shape[1]
+        link, slot = np.divmod(np.flatnonzero(drops), num_slots)
+        begin = self._link_ptr[link]
+        fanout = self._link_ptr[link + 1] - begin
+        index = np.arange(int(fanout.sum())) + np.repeat(
+            begin - (np.cumsum(fanout) - fanout), fanout
+        )
+        lost = np.zeros((len(self.paths), num_slots), dtype=bool)
+        lost.ravel()[
+            self._link_paths[index] * num_slots + np.repeat(slot, fanout)
+        ] = True
+        rates = 1.0 - np.count_nonzero(lost, axis=1) / num_slots
+        dropped = np.bincount(link, minlength=drops.shape[0])
+        return rates, dropped / num_slots
 
     def _measure_flow(
         self, truth: SnapshotGroundTruth, rng: np.random.Generator

@@ -9,7 +9,9 @@ provide the same filter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.topology.graph import Path
 
@@ -49,42 +51,77 @@ def paths_flutter(path_a: Path, path_b: Path) -> bool:
 def find_fluttering_pairs(paths: Sequence[Path]) -> List[Tuple[int, int]]:
     """All fluttering pairs, as (row, row) index tuples with row_a < row_b.
 
-    Pairs that share at most one link can never flutter, so we first bucket
-    paths by link to avoid the quadratic scan over unrelated pairs.
+    Works on the path-by-link incidence with each link's position on its
+    path.  Every pair of incidences of one link on two paths is one
+    shared link of that pair; a pair sharing at most one link can never
+    flutter.  For a pair of simple paths, its shared links are
+    contiguous along a path exactly when their positions there span
+    ``count`` consecutive slots, so the pair flutters when
+    ``max - min + 1 != count`` on either path.  A path that visits a
+    link twice breaks that count, so its candidate pairs are settled by
+    :func:`paths_flutter` instead.
     """
-    by_link: Dict[int, List[int]] = {}
-    for i, path in enumerate(paths):
-        for link_index in path.link_indices():
-            by_link.setdefault(link_index, []).append(i)
+    lengths = np.fromiter((len(p.links) for p in paths), dtype=np.int64)
+    links = np.fromiter(
+        (link.index for p in paths for link in p.links),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    size = links.size
+    path_of = np.repeat(np.arange(lengths.size), lengths)
+    position = np.arange(size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # Group incidences by link; a stable sort keeps paths ascending.
+    order = np.argsort(links, kind="stable")
+    links, path_of, position = links[order], path_of[order], position[order]
+    repeat = (links[1:] == links[:-1]) & (path_of[1:] == path_of[:-1])
+    walks = np.unique(path_of[1:][repeat]) if repeat.any() else None
 
-    candidate_pairs: Set[Tuple[int, int]] = set()
-    seen_once: Set[Tuple[int, int]] = set()
-    for rows in by_link.values():
-        for a_pos, a in enumerate(rows):
-            for b in rows[a_pos + 1 :]:
-                pair = (a, b)
-                if pair in seen_once:
-                    candidate_pairs.add(pair)  # shares >= 2 links
-                else:
-                    seen_once.add(pair)
+    # Every within-group pair (i, j), i < j: incidence i is followed by
+    # the rest of its group.
+    later = np.searchsorted(links, links, side="right") - np.arange(size) - 1
+    first = np.repeat(np.arange(size), later)
+    # second runs over i + 1, ..., i + later[i] for each i in turn.
+    skip = np.arange(1, size + 1) - (np.cumsum(later) - later)
+    second = np.arange(first.size) + np.repeat(skip, later)
+    a, b = path_of[first], path_of[second]
+    distinct = a != b
+    if not distinct.any():
+        return []
+    # Per pair of paths: how many links they share, and the span of
+    # those links' positions along each path.
+    key = a[distinct] * len(paths) + b[distinct]
+    order = np.argsort(key)
+    key = key[order]
+    pos_a = position[first[distinct][order]]
+    pos_b = position[second[distinct][order]]
+    bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    count = np.searchsorted(key, key[bounds], side="right") - bounds
+    span_a = np.maximum.reduceat(pos_a, bounds) - np.minimum.reduceat(pos_a, bounds)
+    span_b = np.maximum.reduceat(pos_b, bounds) - np.minimum.reduceat(pos_b, bounds)
+    candidate = count >= 2
+    flutter = candidate & ((span_a + 1 != count) | (span_b + 1 != count))
+    pair_a, pair_b = np.divmod(key[bounds], len(paths))
+    if walks is not None:
+        irregular = candidate & (np.isin(pair_a, walks) | np.isin(pair_b, walks))
+        for k in np.flatnonzero(irregular):
+            flutter[k] = paths_flutter(paths[pair_a[k]], paths[pair_b[k]])
+    return list(zip(pair_a[flutter].tolist(), pair_b[flutter].tolist()))
 
-    flutters = [
-        pair
-        for pair in sorted(candidate_pairs)
-        if paths_flutter(paths[pair[0]], paths[pair[1]])
-    ]
-    return flutters
 
-
-def remove_fluttering_paths(paths: Sequence[Path]) -> Tuple[List[Path], List[int]]:
+def remove_fluttering_paths(
+    paths: Sequence[Path],
+    pairs: Optional[Sequence[Tuple[int, int]]] = None,
+) -> Tuple[List[Path], List[int]]:
     """Drop a minimal-ish set of paths so no fluttering pair remains.
 
     Greedy: repeatedly remove the path involved in the most fluttering
     pairs.  Mirrors the paper's pragmatic handling ("we keep only the
     measurements on one path and ignore the others").  Returns the kept
     paths (re-indexed 0..k-1) and the original indices of removed paths.
+    *pairs* takes the :func:`find_fluttering_pairs` result when the
+    caller already has it.
     """
-    pairs = find_fluttering_pairs(paths)
+    pairs = list(find_fluttering_pairs(paths) if pairs is None else pairs)
     removed: Set[int] = set()
     while pairs:
         counts: Dict[int, int] = {}

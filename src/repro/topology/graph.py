@@ -15,6 +15,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 NodeId = int
 
 
@@ -275,3 +277,22 @@ def build_paths(
                 Path(index=len(paths), source=beacon, dest=dest, links=tuple(hops))
             )
     return paths
+
+
+def path_link_arrays(paths: Sequence[Path], num_links: int) -> List[np.ndarray]:
+    """Each path's physical link indices, checked against ``0..num_links - 1``.
+
+    The simulators index per-link arrays with these, so a negative or
+    too-large index would silently wrap or read past the end.
+    """
+    arrays = []
+    for row, path in enumerate(paths):
+        links = np.fromiter((link.index for link in path.links), dtype=np.int64)
+        bad = links[(links < 0) | (links >= num_links)]
+        if bad.size:
+            raise ValueError(
+                f"path {row} names link {int(bad[0])}, but the network has "
+                f"links 0..{num_links - 1}"
+            )
+        arrays.append(links)
+    return arrays

@@ -101,8 +101,9 @@ def prepare_topology(kind: str, params, seed: Optional[int]) -> PreparedTopology
         topology.network, topology.beacons, topology.destinations
     )
     removed = 0
-    if find_fluttering_pairs(paths):
-        paths, dropped = remove_fluttering_paths(paths)
+    pairs = find_fluttering_pairs(paths)
+    if pairs:
+        paths, dropped = remove_fluttering_paths(paths, pairs)
         removed = len(dropped)
     routing = RoutingMatrix.from_paths(paths)
     return PreparedTopology(

@@ -3,7 +3,9 @@
 The blocked Householder QR and the array-backed incremental basis in
 :mod:`repro.core.linalg` reorder floating-point sums relative to the
 seed's pure-Python loops, so the tests pin them to these loops to tight
-tolerances.  Do not use them outside the tests.
+tolerances.  The Gilbert chain's run-frontier realisation is pinned to
+the seed's per-slot loop bit for bit.  Do not use them outside the
+tests.
 """
 
 from __future__ import annotations
@@ -82,3 +84,38 @@ class SeedColumnBasis:
             return False
         self._vectors.append(v / norm1)
         return True
+
+
+def gilbert_states_reference(
+    loss_rates: np.ndarray,
+    num_probes: int,
+    rng: np.random.Generator,
+    g2b: np.ndarray,
+    stay: np.ndarray,
+    chunk_size: int,
+) -> List[np.ndarray]:
+    """The seed Gilbert realisation: one ``np.where`` step per probe slot.
+
+    Draws exactly what :meth:`GilbertProcess.iter_state_chunks` draws (a
+    stationary start, then time-major ``(block, num_links)`` uniforms per
+    chunk) and returns the chunks it would yield.
+    """
+    rates = np.asarray(loss_rates, dtype=np.float64)
+    num_links = rates.shape[0]
+    current = rng.random(num_links) < rates
+    blocks: List[np.ndarray] = []
+    emitted = 0
+    while emitted < num_probes:
+        block = min(chunk_size, num_probes - emitted)
+        states = np.empty((num_links, block), dtype=bool)
+        start = 0
+        if not blocks:
+            states[:, 0] = current
+            start = 1
+        uniforms = rng.random((block - start, num_links))
+        for t in range(block - start):
+            current = np.where(current, uniforms[t] < stay, uniforms[t] < g2b)
+            states[:, start + t] = current
+        blocks.append(states)
+        emitted += block
+    return blocks

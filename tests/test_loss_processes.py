@@ -9,6 +9,7 @@ from repro.lossmodel import (
     BernoulliProcess,
     GilbertProcess,
 )
+from tests.oracles import gilbert_states_reference
 
 
 class TestGilbert:
@@ -153,3 +154,61 @@ class TestStreamingFractions:
             OneShot().iter_state_chunks(self.RATES, 6000, seed=1)
         )
         assert len(blocks) == 1 and blocks[0].shape == (4, 6000)
+
+
+class TestGilbertOracle:
+    """The run-frontier realisation against the seed per-slot loop.
+
+    The golden corpus only sees a few seeds' downstream statistics, so a
+    defect confined to a few slots can pass it; these compare every
+    state bit.
+    """
+
+    @staticmethod
+    def rates(stay_bad):
+        ceiling = 1.0 / (2.0 - stay_bad)
+        rng = np.random.default_rng(11)
+        return np.concatenate(
+            [
+                [0.0, 1.0, stay_bad, ceiling, 0.002],
+                rng.uniform(0.0, 0.002, 12),  # LLRD1 good
+                rng.uniform(0.05, 0.2, 6),  # LLRD1 congested
+                rng.uniform(0.002, 1.0, 8),  # LLRD2 congested
+                rng.uniform(ceiling, 1.0, 4),  # above the ceiling
+            ]
+        )
+
+    @pytest.mark.parametrize("stay_bad", [0.0, 0.35, 0.9])
+    @pytest.mark.parametrize("num_probes", [1, 300])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 512, None])
+    def test_bit_identical_to_seed_loop(self, stay_bad, num_probes, chunk_size):
+        process = GilbertProcess(stay_bad)
+        rates = self.rates(stay_bad)
+        chunk_size = chunk_size or num_probes
+        g2b, stay = process.effective_parameters(rates)
+        expected = gilbert_states_reference(
+            rates, num_probes, np.random.default_rng(5), g2b, stay, chunk_size
+        )
+        blocks = list(
+            process.iter_state_chunks(rates, num_probes, seed=5, chunk_size=chunk_size)
+        )
+        assert len(blocks) == len(expected)
+        for got, want in zip(blocks, expected):
+            assert got.dtype == bool and np.array_equal(got, want)
+        full = process.sample_states(rates, num_probes, seed=5)
+        assert np.array_equal(full, np.concatenate(expected, axis=1))
+
+    def test_random_rate_vectors(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(60):
+            process = GilbertProcess(float(rng.choice([0.0, 0.35, 0.9])))
+            rates = rng.uniform(0.0, 1.0, int(rng.integers(1, 40)))
+            rates[rng.random(rates.size) < 0.5] *= 0.01
+            num_probes = int(rng.integers(1, 200))
+            g2b, stay = process.effective_parameters(rates)
+            (expected,) = gilbert_states_reference(
+                rates, num_probes, np.random.default_rng(trial), g2b, stay,
+                num_probes,
+            )
+            got = process.sample_states(rates, num_probes, seed=trial)
+            assert np.array_equal(got, expected)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.lossmodel import BernoulliProcess
+from repro.delay import DelayProbingSimulator
+from repro.lossmodel import LLRD2, BernoulliProcess, GilbertProcess
+from repro.lossmodel.assignment import draw_snapshot_truth
 from repro.probing import (
     MeasurementCampaign,
     ProberConfig,
@@ -11,6 +13,7 @@ from repro.probing import (
     Snapshot,
     log_with_floor,
 )
+from repro.topology.graph import Link, Path
 
 
 class TestLogFloor:
@@ -102,6 +105,64 @@ class TestProberPacketMode:
             snap.truth.loss_rates[congested],
             atol=0.05,
         )
+
+
+class TestPacketCounts:
+    """The sparse fan-out count against the dense membership product."""
+
+    @pytest.mark.parametrize("mesh", [False, True])
+    def test_matches_dense_product(self, small_tree, small_mesh, mesh):
+        topo, paths, _ = small_mesh if mesh else small_tree
+        # A path that visits its links twice (through an extra link back
+        # to its source) counts each dropped slot once.
+        first, num_links = paths[0], topo.network.num_links + 1
+        back = Link(index=num_links - 1, tail=first.dest, head=first.source)
+        paths = list(paths) + [
+            Path(index=len(paths), source=first.source, dest=first.dest,
+                 links=first.links + (back,) + first.links)
+        ]
+        config = ProberConfig(probes_per_snapshot=300, congestion_probability=0.3)
+        sim = ProbingSimulator(paths, num_links, model=LLRD2, config=config)
+        truth = draw_snapshot_truth(num_links, 0.3, LLRD2, seed=1)
+        snap = sim.run_snapshot(seed=2, truth=truth)
+        drops = GilbertProcess().sample_states(
+            truth.loss_rates, 300, seed=np.random.default_rng(2)
+        )
+        membership = np.zeros((len(paths), num_links))
+        for row, path in enumerate(paths):
+            membership[row, [link.index for link in path.links]] = 1.0
+        counts = membership @ drops.astype(np.float64)
+        assert np.array_equal(
+            snap.path_transmission, 1.0 - (counts > 0).mean(axis=1)
+        )
+        assert np.array_equal(snap.realized_loss_fractions, drops.mean(axis=1))
+
+
+class TestInputValidation:
+    @staticmethod
+    def paths_with(bad_index):
+        links = (Link(index=0, tail=0, head=1), Link(index=bad_index, tail=1, head=2))
+        return [
+            Path(index=0, source=0, dest=1, links=links[:1]),
+            Path(index=1, source=0, dest=2, links=links),
+        ]
+
+    @pytest.mark.parametrize("bad_index", [-1, 3])
+    @pytest.mark.parametrize(
+        "make", [ProbingSimulator, DelayProbingSimulator], ids=["loss", "delay"]
+    )
+    def test_link_index_out_of_range(self, make, bad_index):
+        with pytest.raises(ValueError, match=f"path 1 names link {bad_index}"):
+            make(self.paths_with(bad_index), 3)
+
+    @pytest.mark.parametrize("count", [10.5, 10.0, "10", True])
+    def test_non_integer_probe_count(self, count):
+        with pytest.raises(ValueError, match="probes_per_snapshot"):
+            ProberConfig(probes_per_snapshot=count)
+
+    def test_numpy_integer_probe_count(self):
+        config = ProberConfig(probes_per_snapshot=np.int64(10))
+        assert config.probes_per_snapshot == 10
 
 
 class TestProberFlowMode:

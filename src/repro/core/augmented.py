@@ -11,17 +11,19 @@ making the link variances ``v`` identifiable.
 Most path pairs share no link, so most rows of ``A`` are zero and
 constrain nothing.  The sparse builder therefore materialises only the
 *intersecting* pairs — the paper's "many redundant covariance equations"
-drop out for free — while the dense builder reproduces the textbook
-object for tests, small systems and the paper's worked example.
+drop out for free — in one bulk pass over the link incidences, while the
+dense builder reproduces the textbook object for tests, small systems
+and the paper's worked example.  Both take only 0/1 routing matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
+
+from repro.topology.routing import require_binary, within_group_pairs
 
 
 def num_pair_rows(num_paths: int) -> int:
@@ -48,17 +50,23 @@ def pair_row_index(i, j, num_paths: int):
     return idx
 
 
-def pair_from_row_index(row: int, num_paths: int) -> Tuple[int, int]:
-    """Invert :func:`pair_row_index` (scalar only)."""
-    if not 0 <= row < num_pair_rows(num_paths):
-        raise ValueError(f"row {row} out of range")
-    i = 0
-    remaining = row
-    # The i-th block has (num_paths - i) rows.
-    while remaining >= num_paths - i:
-        remaining -= num_paths - i
-        i += 1
-    return i, i + remaining
+def pair_from_row_index(row, num_paths: int):
+    """Invert :func:`pair_row_index`.
+
+    A scalar row gives an ``(i, j)`` tuple of ints; an array of rows
+    gives a tuple of two ``int64`` arrays (vectorised).
+    """
+    row = np.asarray(row, dtype=np.int64)
+    if np.any((row < 0) | (row >= num_pair_rows(num_paths))):
+        raise ValueError(f"pair row index out of range for {num_paths} paths")
+    # The i-th block starts at the diagonal row (i, i).
+    diagonal = np.arange(num_paths)
+    block_starts = pair_row_index(diagonal, diagonal, num_paths)
+    i = np.searchsorted(block_starts, row, side="right") - 1
+    j = row - block_starts[i] + i
+    if i.ndim == 0:
+        return int(i), int(j)
+    return i, j
 
 
 def augmented_matrix(routing_matrix: np.ndarray) -> np.ndarray:
@@ -67,9 +75,7 @@ def augmented_matrix(routing_matrix: np.ndarray) -> np.ndarray:
     Shape ``(n_p (n_p + 1) / 2, n_c)``.  Intended for small systems; the
     large-scale path is :func:`intersecting_pairs`.
     """
-    R = np.asarray(routing_matrix, dtype=np.float64)
-    if R.ndim != 2:
-        raise ValueError("routing matrix must be two-dimensional")
+    R = require_binary(routing_matrix).astype(np.float64)
     n_paths, n_links = R.shape
     A = np.empty((num_pair_rows(n_paths), n_links), dtype=np.float64)
     cursor = 0
@@ -107,55 +113,33 @@ class IntersectingPairs:
 
 
 def intersecting_pairs(routing_matrix: np.ndarray) -> IntersectingPairs:
-    """Build the non-zero rows of ``A`` column by column.
+    """Build the non-zero rows of ``A`` in one bulk pass.
 
     For each link ``k`` with path set ``S_k``, every pair drawn from
-    ``S_k`` contributes a 1 in column ``k``.  Collecting the upper
-    triangle of ``S_k x S_k`` per column gives exactly the non-zero
-    entries of ``A``; pairs sharing no link never appear.  Zero rows are
-    redundant in the least-squares sense (they constrain no variance), so
-    dropping them leaves the estimate unchanged.
+    ``S_k`` contributes a 1 in column ``k``.  The incidences, grouped by
+    link with paths ascending, give the upper triangle of ``S_k x S_k``
+    for every column at once
+    (:func:`~repro.topology.routing.within_group_pairs`); these are
+    exactly the non-zero entries of ``A``, and pairs sharing no link
+    never appear.  Zero rows are redundant in the least-squares sense
+    (they constrain no variance), so dropping them leaves the estimate
+    unchanged.
     """
-    R = np.asarray(routing_matrix)
-    if R.ndim != 2:
-        raise ValueError("routing matrix must be two-dimensional")
+    R = require_binary(routing_matrix)
     n_paths, n_links = R.shape
-
-    row_keys: List[np.ndarray] = []
-    col_ids: List[np.ndarray] = []
-    for k in range(n_links):
-        members = np.flatnonzero(R[:, k])
-        if len(members) == 0:
-            continue
-        iu, ju = np.triu_indices(len(members))
-        keys = pair_row_index(members[iu], members[ju], n_paths)
-        row_keys.append(np.atleast_1d(keys))
-        col_ids.append(np.full(len(iu), k, dtype=np.int64))
-
-    if not row_keys:
+    cols, rows = np.nonzero(R.T)
+    if cols.size == 0:
         raise ValueError("routing matrix covers no links")
-    all_keys = np.concatenate(row_keys)
-    all_cols = np.concatenate(col_ids)
-    unique_keys, compact_rows = np.unique(all_keys, return_inverse=True)
-
+    first, second = within_group_pairs(cols)
+    keys = pair_row_index(rows[first], rows[second], n_paths)
+    # One sort puts the entries in CSR order: by row key, then column.
+    keys, indices = np.divmod(np.sort(keys * n_links + cols[first]), n_links)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
     matrix = sparse.csr_matrix(
-        (
-            np.ones(len(all_keys), dtype=np.float64),
-            (compact_rows, all_cols),
-        ),
-        shape=(len(unique_keys), n_links),
+        (np.ones(keys.size), indices, np.append(starts, keys.size)),
+        shape=(starts.size, n_links),
     )
-
-    # Recover (i, j) for each retained row from the canonical key.
-    pair_i = np.empty(len(unique_keys), dtype=np.int64)
-    pair_j = np.empty(len(unique_keys), dtype=np.int64)
-    # Vectorised inversion: find i via the block structure.
-    block_starts = np.cumsum(
-        np.concatenate(([0], np.arange(n_paths, 0, -1)))
-    )  # start key of each i-block
-    i_of = np.searchsorted(block_starts, unique_keys, side="right") - 1
-    pair_i[:] = i_of
-    pair_j[:] = unique_keys - block_starts[i_of] + i_of
+    pair_i, pair_j = pair_from_row_index(keys[starts], n_paths)
     return IntersectingPairs(matrix=matrix, pair_i=pair_i, pair_j=pair_j)
 
 

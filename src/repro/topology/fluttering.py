@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.topology.graph import Path
+from repro.topology.routing import within_group_pairs
 
 
 def shared_segments(path_a: Path, path_b: Path) -> List[List[int]]:
@@ -59,7 +60,9 @@ def find_fluttering_pairs(paths: Sequence[Path]) -> List[Tuple[int, int]]:
     ``count`` consecutive slots, so the pair flutters when
     ``max - min + 1 != count`` on either path.  A path that visits a
     link twice breaks that count, so its candidate pairs are settled by
-    :func:`paths_flutter` instead.
+    :func:`paths_flutter` instead.  The within-link pairs come from
+    :func:`~repro.topology.routing.within_group_pairs`, the enumeration
+    that also builds the augmented matrix's intersecting pairs.
     """
     lengths = np.fromiter((len(p.links) for p in paths), dtype=np.int64)
     links = np.fromiter(
@@ -67,22 +70,17 @@ def find_fluttering_pairs(paths: Sequence[Path]) -> List[Tuple[int, int]]:
         dtype=np.int64,
         count=int(lengths.sum()),
     )
-    size = links.size
     path_of = np.repeat(np.arange(lengths.size), lengths)
-    position = np.arange(size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    position = np.arange(links.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     # Group incidences by link; a stable sort keeps paths ascending.
     order = np.argsort(links, kind="stable")
     links, path_of, position = links[order], path_of[order], position[order]
     repeat = (links[1:] == links[:-1]) & (path_of[1:] == path_of[:-1])
     walks = np.unique(path_of[1:][repeat]) if repeat.any() else None
 
-    # Every within-group pair (i, j), i < j: incidence i is followed by
-    # the rest of its group.
-    later = np.searchsorted(links, links, side="right") - np.arange(size) - 1
-    first = np.repeat(np.arange(size), later)
-    # second runs over i + 1, ..., i + later[i] for each i in turn.
-    skip = np.arange(1, size + 1) - (np.cumsum(later) - later)
-    second = np.arange(first.size) + np.repeat(skip, later)
+    # Every pair of incidences of one link; a != b drops each
+    # incidence's pair with itself and a walk's revisits.
+    first, second = within_group_pairs(links)
     a, b = path_of[first], path_of[second]
     distinct = a != b
     if not distinct.any():

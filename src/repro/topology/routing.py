@@ -26,6 +26,44 @@ from scipy import sparse
 from repro.topology.graph import Link, Path
 
 
+def require_binary(matrix) -> np.ndarray:
+    """*matrix* as a two-dimensional array whose every entry is 0 or 1.
+
+    Raises ``ValueError`` naming the first other entry in row-major
+    order (``0.5``, ``2``, ``-1`` and ``NaN`` alike), so no cast or
+    nonzero test downstream can silently turn it into membership.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2:
+        raise ValueError("routing matrix must be two-dimensional")
+    bad = (matrix != 0) & (matrix != 1)
+    if bad.any():
+        row, column = np.argwhere(bad)[0].tolist()
+        raise ValueError(
+            f"routing matrix entry ({row}, {column}) is "
+            f"{matrix[row, column]!r}; entries must be 0 or 1"
+        )
+    return matrix
+
+
+def within_group_pairs(groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair of positions ``first <= second`` with equal *groups*.
+
+    *groups* must be sorted, so each group is one contiguous run.  The
+    pairs come out by ``first``, then ``second``, and include
+    ``first == second``; a group of ``m`` positions gives
+    ``m (m + 1) / 2`` pairs.
+    """
+    size = groups.size
+    # Position f pairs with itself and the rest of its group.
+    rest = np.searchsorted(groups, groups, side="right") - np.arange(size)
+    first = np.repeat(np.arange(size), rest)
+    # second runs over f, f + 1, ..., f + rest[f] - 1 for each f in turn.
+    offset = np.arange(size) - (np.cumsum(rest) - rest)
+    second = np.arange(first.size) + np.repeat(offset, rest)
+    return first, second
+
+
 @dataclass(frozen=True)
 class VirtualLink:
     """A routing-matrix column: one or more alias physical links.
@@ -72,9 +110,7 @@ class RoutingMatrix:
         paths: Sequence[Path],
         virtual_links: Sequence[VirtualLink],
     ) -> None:
-        matrix = np.asarray(matrix, dtype=np.uint8)
-        if matrix.ndim != 2:
-            raise ValueError("routing matrix must be two-dimensional")
+        matrix = require_binary(matrix).astype(np.uint8, copy=False)
         if matrix.shape[0] != len(paths):
             raise ValueError("one row per path required")
         if matrix.shape[1] != len(virtual_links):

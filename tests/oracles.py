@@ -4,8 +4,8 @@ The blocked Householder QR and the array-backed incremental basis in
 :mod:`repro.core.linalg` reorder floating-point sums relative to the
 seed's pure-Python loops, so the tests pin them to these loops to tight
 tolerances.  The Gilbert chain's run-frontier realisation is pinned to
-the seed's per-slot loop bit for bit.  Do not use them outside the
-tests.
+the seed's per-slot loop bit for bit, and the bulk intersecting-pairs
+builder to the seed's per-link loop.  Do not use them outside the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+from scipy import sparse
+
+from repro.core.augmented import IntersectingPairs, pair_row_index
 
 
 def householder_qr_reference(
@@ -119,3 +122,49 @@ def gilbert_states_reference(
         blocks.append(states)
         emitted += block
     return blocks
+
+
+def intersecting_pairs_reference(routing_matrix: np.ndarray) -> IntersectingPairs:
+    """The seed builder of ``A``'s non-zero rows: one loop step per link.
+
+    Each link's path set contributes the upper triangle of its pairs in
+    that column; ``np.unique`` over the pair keys and the CSR build give
+    the retained rows.
+    """
+    R = np.asarray(routing_matrix)
+    if R.ndim != 2:
+        raise ValueError("routing matrix must be two-dimensional")
+    n_paths, n_links = R.shape
+
+    row_keys: List[np.ndarray] = []
+    col_ids: List[np.ndarray] = []
+    for k in range(n_links):
+        members = np.flatnonzero(R[:, k])
+        if len(members) == 0:
+            continue
+        iu, ju = np.triu_indices(len(members))
+        keys = pair_row_index(members[iu], members[ju], n_paths)
+        row_keys.append(np.atleast_1d(keys))
+        col_ids.append(np.full(len(iu), k, dtype=np.int64))
+
+    if not row_keys:
+        raise ValueError("routing matrix covers no links")
+    all_keys = np.concatenate(row_keys)
+    all_cols = np.concatenate(col_ids)
+    unique_keys, compact_rows = np.unique(all_keys, return_inverse=True)
+
+    matrix = sparse.csr_matrix(
+        (
+            np.ones(len(all_keys), dtype=np.float64),
+            (compact_rows, all_cols),
+        ),
+        shape=(len(unique_keys), n_links),
+    )
+
+    # Recover (i, j) for each retained row from the canonical key.
+    block_starts = np.cumsum(
+        np.concatenate(([0], np.arange(n_paths, 0, -1)))
+    )  # start key of each i-block
+    pair_i = np.searchsorted(block_starts, unique_keys, side="right") - 1
+    pair_j = unique_keys - block_starts[pair_i] + pair_i
+    return IntersectingPairs(matrix=matrix, pair_i=pair_i, pair_j=pair_j)

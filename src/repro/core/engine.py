@@ -302,16 +302,17 @@ class _ReductionEntry:
 
     ``candidates`` is the threshold strategy's descending-variance scan
     order (``None`` for other strategies or when incremental reuse is
-    off), ``all_accepted`` whether the basis sweep kept every candidate,
-    and ``basis`` the orthonormal basis the sweep built (kept only when
-    all candidates were accepted — the precondition for serving a grown
-    candidate set with a handful of CGS2 offers).
+    off).  When the sweep kept every candidate, ``basis`` is an
+    orthonormal basis of the columns in ``span``: the kept columns plus,
+    after a shrink, the columns the shrink dropped (an entry shares its
+    parent's basis then, and no basis is mutated once stored).
+    Otherwise both are ``None``.
     """
 
     result: ReductionResult
     candidates: Optional[np.ndarray] = None
-    all_accepted: bool = False
     basis: Optional[IncrementalColumnBasis] = None
+    span: Optional[frozenset] = None
 
 
 class ReductionCache(_LRUCache):
@@ -325,15 +326,14 @@ class ReductionCache(_LRUCache):
 
     With ``incremental_limit > 0`` the ``"threshold"`` strategy also
     reuses *across* variance vectors: a refresh whose above-cutoff
-    candidate set matches a cached one reuses its sweep outright; a
-    candidate set that shrank by at most ``incremental_limit`` columns
-    from a cached all-accepted sweep keeps the remaining candidates
-    without any sweep (a subset of an independent set is independent);
-    one that *grew* by at most ``incremental_limit`` columns offers only
-    the new columns against the cached orthonormal basis — O(n_p k) per
-    new link instead of the O(n_p k^2) full basis sweep.  Near the 1e-9
-    independence tolerance the offer order can differ from a cold
-    sweep's, so batch pipelines keep the limit at 0 and stay
+    candidate set matches a cached one reuses its sweep outright, and
+    one with at most ``incremental_limit`` columns outside a cached
+    all-accepted entry's span offers only those columns against a copy
+    of its orthonormal basis — O(n_p k) per column instead of the
+    O(n_p k^2) full basis sweep.  A shrink offers nothing and keeps the
+    parent's basis, so the next growth back does not sweep either.  Near
+    the 1e-9 independence tolerance the offer order can differ from a
+    cold sweep's, so batch pipelines keep the limit at 0 and stay
     bit-identical.
     """
 
@@ -403,7 +403,7 @@ class ReductionCache(_LRUCache):
         )
 
     def _threshold_sweep(self, candidates: np.ndarray) -> _ReductionEntry:
-        """The cold basis sweep, keeping the basis for later grow reuse.
+        """The cold basis sweep, keeping the basis for later reuse.
 
         Decision-identical to ``reduce_to_full_rank``'s threshold path
         (same :class:`IncrementalColumnBasis` offers in the same order).
@@ -413,71 +413,47 @@ class ReductionCache(_LRUCache):
         for col in candidates:
             if basis.try_add(self._column(int(col))):
                 kept.append(int(col))
-        all_accepted = len(kept) == len(candidates)
-        return _ReductionEntry(
-            result=self._result_for(kept),
-            candidates=candidates,
-            all_accepted=all_accepted,
-            basis=basis if all_accepted else None,
-        )
+        entry = _ReductionEntry(result=self._result_for(kept), candidates=candidates)
+        if len(kept) == len(candidates):
+            entry.basis, entry.span = basis, frozenset(kept)
+        return entry
 
     def _reuse(self, candidates: np.ndarray) -> Optional[_ReductionEntry]:
-        """Serve a new candidate set from a cached sweep, if one is close."""
+        """Serve a new candidate set from a cached sweep, if one covers it.
+
+        An entry covers *candidates* when at most ``incremental_limit``
+        of them lie outside its span.  Those are offered against a copy
+        of its basis; if each enlarges the span, the candidates are a
+        subset of an independent set and a cold sweep — in any scan
+        order — would keep all of them.  A rejection means the cold
+        sweep could keep a different subset, so the next entry is tried
+        and, failing all, the caller runs the sweep.
+        """
         cand_key = candidates.tobytes()
-        cand_set = set(int(c) for c in candidates)
+        cand_set = frozenset(int(c) for c in candidates)
         for entry in reversed(self._cache.values()):
             if entry.candidates is None:
                 continue
             if entry.candidates.tobytes() == cand_key:
                 # Identical scan — identical sweep, basis and all.
                 return entry
-            if not entry.all_accepted:
+            if entry.basis is None:
                 continue
-            entry_set = set(int(c) for c in entry.candidates)
-            shrunk = len(entry_set) - len(cand_set)
-            if 0 < shrunk <= self.incremental_limit and cand_set <= entry_set:
-                # A subset of an independent set is independent: every
-                # candidate survives the sweep without running it.  (The
-                # subset's basis is not cheaply derivable, so grow reuse
-                # from this entry is unavailable.)
-                return _ReductionEntry(
-                    result=self._result_for(cand_set),
-                    candidates=candidates,
-                    all_accepted=True,
-                    basis=None,
-                )
-            grown = len(cand_set) - len(entry_set)
-            if (
-                0 < grown <= self.incremental_limit
-                and entry.basis is not None
-                and entry_set <= cand_set
-            ):
-                grown_entry = self._grow(entry, sorted(cand_set - entry_set))
-                if grown_entry is not None:
-                    grown_entry.candidates = candidates
-                    return grown_entry
+            outside = sorted(cand_set - entry.span)
+            if len(outside) > self.incremental_limit:
+                continue
+            basis = entry.basis
+            if outside:
+                basis = copy.deepcopy(basis)
+                if not all(basis.try_add(self._column(c)) for c in outside):
+                    continue
+            return _ReductionEntry(
+                result=self._result_for(cand_set),
+                candidates=candidates,
+                basis=basis,
+                span=entry.span.union(outside),
+            )
         return None
-
-    def _grow(
-        self, entry: _ReductionEntry, extras: List[int]
-    ) -> Optional[_ReductionEntry]:
-        """Offer *extras* against a copy of a cached basis; None on any rejection.
-
-        If every extra column enlarges the span then the grown candidate
-        set is linearly independent, and a cold sweep — in any scan
-        order — would keep all of it.  A rejection means the cold sweep
-        could keep a different subset, so fall back to running it.
-        """
-        basis = copy.deepcopy(entry.basis)
-        for column in extras:
-            if not basis.try_add(self._column(column)):
-                return None
-        kept = set(int(c) for c in entry.candidates) | set(extras)
-        return _ReductionEntry(
-            result=self._result_for(kept),
-            all_accepted=True,
-            basis=basis,
-        )
 
 
 class InferenceEngine:

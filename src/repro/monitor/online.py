@@ -5,15 +5,16 @@ few vantage points.  The inference method is fast and so could have
 potential for such problems."  This module packages LIA as the long-
 running service that sentence implies:
 
-* a **rolling window** of the last ``window`` snapshots feeds phase 1
-  through **running sufficient statistics**: per-path and per-equation
-  sums maintained in O(pairs) per snapshot (:class:`_RollingMoments`),
-  so a variance refresh — once every ``refresh_interval + 1`` snapshots —
-  hands :func:`~repro.core.variance.estimate_link_variances_from_moments`
-  ready-made moments instead of re-reading the whole window, and skips
-  the solve outright when no covariance equation went dirty.  Each push
-  also re-sums one fixed slice of the sums from the window, so every sum
-  is exact again once per :data:`MOMENTS_REBASE_INTERVAL` pushes;
+* a **rolling window** of the last ``window`` snapshots, one path-major
+  ring buffer (:class:`_RollingMoments`), with per-path running sums
+  kept in O(paths) per snapshot for screening.  Each push also re-sums
+  one fixed slice of those sums from the ring, so every sum is exact
+  again once per :data:`MOMENTS_REBASE_INTERVAL` pushes.  A variance
+  refresh — once every ``refresh_interval + 1`` snapshots — computes
+  every intersecting pair's covariance from the ring, from link-group
+  Gram blocks kept per quarter of the ring (a quarter's are computed
+  once, when its last column is written), and hands them to
+  :func:`~repro.core.variance.estimate_link_variances_from_moments`;
 * the expensive intersecting-pairs structure is built once, and the
   :class:`~repro.core.engine.InferenceEngine` underneath memoizes the
   phase-2 reduction per estimate and the ``R*`` factorization per
@@ -24,8 +25,10 @@ running service that sentence implies:
   factorization
   (:meth:`~repro.core.linalg.QRFactorization.remove_column`); a growth
   — congestion churn re-flagging links — CGS2-updates it
-  (:meth:`~repro.core.linalg.QRFactorization.add_column`) and reuses
-  the phase-2 basis sweep (see :meth:`OnlineLossMonitor.cache_info`);
+  (:meth:`~repro.core.linalg.QRFactorization.add_column`).  The phase-2
+  basis sweep is reused across both: a cached basis keeps covering the
+  columns a shrink dropped, so a later growth offers only the columns
+  it has never spanned (see :meth:`OnlineLossMonitor.cache_info`);
 * every arriving snapshot is screened by a cheap **path-level z-score**
   against the window's running statistics; snapshots with anomalous
   paths trigger full LIA localisation;
@@ -40,11 +43,14 @@ bounded over days of traffic.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.augmented import IntersectingPairs
 from repro.core.engine import CacheInfo, InferenceEngine
 from repro.core.variance import (
     VarianceEstimate,
@@ -54,90 +60,143 @@ from repro.probing.snapshot import Snapshot
 from repro.topology.routing import RoutingMatrix
 
 
-#: Every :class:`_RollingMoments` sum is re-summed from the stored window
-#: once per this many pushes: rolling add/subtract accumulates float
-#: drift, so each push re-sums one of this many fixed slices of the sums,
-#: which bounds the drift without any push doing O(window * pairs) work.
+#: Every :class:`_RollingMoments` path sum is re-summed from the stored
+#: window once per this many pushes: rolling add/subtract accumulates
+#: float drift, so each push re-sums one of this many fixed slices of the
+#: sums, which bounds the drift without any push re-reading the window.
 MOMENTS_REBASE_INTERVAL = 64
+
+#: The ring's columns fall into this many chunks.  A chunk's Gram blocks
+#: are computed when its last column is written, so a refresh recomputes
+#: only the newest chunk; a push that completes a chunk pays
+#: 1 / _GRAM_CHUNKS of a full Gram.
+_GRAM_CHUNKS = 4
 
 
 class _RollingMoments:
-    """Running per-path and per-equation sufficient statistics.
+    """The rolling window, its running path sums and its pair covariances.
 
-    Over the rolling window of log-rate vectors ``y_t`` — one
-    zero-initialised path-major ring buffer ``(num_paths, window)`` — it
-    maintains ``sum_t y``, ``sum_t y^2`` and ``sum_t y_i y_j`` for every
-    intersecting path pair: enough to emit the exact sample covariances
-    and path variances phase 1 consumes, in O(pairs) per snapshot
-    instead of O(window x pairs) per refresh:
+    The last ``window`` log-rate vectors live in one zero-initialised
+    path-major ring buffer, split into column chunks of shape
+    ``(num_paths, chunk)``, each path stored as ``y = y_t - y_0``,
+    relative to its first observation: the shift leaves covariances
+    unchanged, stores a constant path as exact zeros and keeps the
+    raw-sum formulas below from cancelling.  ``sum y`` and ``sum y^2``
+    are kept per path in O(paths) per push for screening.
 
-    ``cov_ij = (sum y_i y_j - m ybar_i ybar_j) / (m - 1)``
-
-    which is algebraically the batch
-    :func:`~repro.core.covariance.sample_covariance_pairs` formula (the
-    batch path centers first, so the two agree to rounding, not to the
-    byte — one reason the incremental path is monitor-only).
+    Pair covariances, read only at a variance refresh, are computed from
+    the ring: ``cov_ij = (sum y_i y_j - m ybar_i ybar_j) / (m - 1)``.
+    Every intersecting pair has a first shared link ``l`` (the first
+    column of its row of ``pairs.matrix``), so ``sum y_i y_j`` is an
+    entry of the Gram block ``Y[g] Y[g]^T`` over the paths ``g`` through
+    ``l``: one batched product per group size, scattered to the pair
+    rows by an index plan built once.  The blocks are summed over the
+    :data:`_GRAM_CHUNKS` chunks, each recomputed in full when its last
+    column is written (the newest also at a refresh): never updated by
+    rolling add/subtract, so they carry no drift.  The batch
+    :func:`~repro.core.covariance.sample_covariance_pairs` sums in
+    another order, so the two agree to rounding, not to the byte.
     """
 
-    def __init__(self, pair_i: np.ndarray, pair_j: np.ndarray, num_paths: int, window: int):
-        self._pair_i = pair_i
-        self._pair_j = pair_j
-        self._ring = np.zeros((num_paths, window), dtype=np.float64)
+    def __init__(
+        self, routing_matrix: np.ndarray, pairs: IntersectingPairs, window: int
+    ) -> None:
+        num_paths, num_links = routing_matrix.shape
+        self._window = window
+        # Ring column c lives in chunk c // self._chunk, each chunk its own
+        # contiguous (num_paths, chunk) block.
+        self._chunk = -(-window // _GRAM_CHUNKS)
+        chunks = -(-window // self._chunk)
+        self._ring = np.zeros((chunks, num_paths, self._chunk), dtype=np.float64)
+        self._origin: Optional[np.ndarray] = None
         self.sum_y = np.zeros(num_paths, dtype=np.float64)
         self.sum_sq = np.zeros(num_paths, dtype=np.float64)
-        self.sum_pair = np.zeros(len(pair_i), dtype=np.float64)
         self.count = 0
         self._pushes = 0
         self._interval = MOMENTS_REBASE_INTERVAL
-        # Reused pair re-sum gather buffers: fresh multi-megabyte temporaries
-        # on every push cost more in page faults than the arithmetic.
-        self._gather = np.empty((2, -(-len(pair_i) // self._interval), window))
+
+        # Incidences grouped by link, paths ascending within each group.
+        links, paths = np.nonzero(routing_matrix.T)
+        sizes = np.bincount(links, minlength=num_links)
+        starts = np.cumsum(sizes) - sizes
+        # Per group size: the (links, size) path indices and the offset of
+        # its (links, size, size) Gram stack in one flat buffer.
+        self._blocks, offset = [], 0
+        block_start = np.zeros(num_links, dtype=np.int64)
+        for size in np.unique(sizes[sizes > 0]):
+            members = np.flatnonzero(sizes == size)
+            self._blocks.append((paths[starts[members, None] + np.arange(size)], offset))
+            block_start[members] = offset + size * size * np.arange(members.size)
+            offset += members.size * size * size
+        self._chunk_grams = np.zeros((chunks, offset))
+        # Reused gather buffer: fresh multi-megabyte temporaries cost more
+        # in page faults than the arithmetic.
+        self._stack = np.empty(max(p.size for p, _ in self._blocks) * self._chunk)
+        # Each pair's entry (position of i, position of j) in the Gram
+        # block of its first shared link.
+        self._pair_i, self._pair_j = pairs.pair_i, pairs.pair_j
+        first = pairs.matrix.indices[pairs.matrix.indptr[:-1]]
+        incidence = links * num_paths + paths
+        row_i, row_j = (
+            np.searchsorted(incidence, first * num_paths + p) - starts[first]
+            for p in (pairs.pair_i, pairs.pair_j)
+        )
+        self._pair_entry = block_start[first] + row_i * sizes[first] + row_j
 
     def push(self, y: np.ndarray) -> None:
         """Add one row, evict the column it overwrites (zeros until the
         window fills, which subtract exactly), then re-sum one slice."""
-        i, j = self._pair_i, self._pair_j
-        column = self._pushes % self._ring.shape[1]
-        old = self._ring[:, column].copy()
-        self._ring[:, column] = y
+        if self._origin is None:
+            self._origin = np.array(y, dtype=np.float64)
+        y = y - self._origin
+        column = self._pushes % self._window
+        chunk, position = divmod(column, self._chunk)
+        old = self._ring[chunk, :, position].copy()
+        self._ring[chunk, :, position] = y
         self.sum_y += y - old
         self.sum_sq += y * y - old * old
-        self.sum_pair += y[i] * y[j] - old[i] * old[j]
-        self.count = min(self.count + 1, self._ring.shape[1])
+        self.count = min(self.count + 1, self._window)
+        if position == self._chunk - 1 or column == self._window - 1:
+            self._chunk_gram(chunk)
 
-        paths = self._stagger(len(self.sum_y))
-        rows = self._ring[paths]
-        self.sum_y[paths] = rows.sum(axis=1)
-        self.sum_sq[paths] = np.einsum("pw,pw->p", rows, rows)
-        pairs = self._stagger(len(self.sum_pair))
-        left, right = self._gather[:, : pairs.stop - pairs.start]
-        # mode="clip" lets take write straight into the buffers.
-        np.take(self._ring, i[pairs], axis=0, out=left, mode="clip")
-        np.take(self._ring, j[pairs], axis=0, out=right, mode="clip")
-        self.sum_pair[pairs] = np.einsum("pw,pw->p", left, right)
+        k, step = self._interval, self._pushes % self._interval
+        n = len(self.sum_y)
+        paths = slice(n * step // k, n * (step + 1) // k)
+        rows = self._ring[:, paths]
+        self.sum_y[paths] = rows.sum(axis=(0, 2))
+        self.sum_sq[paths] = np.einsum("cpw,cpw->p", rows, rows)
         self._pushes += 1
 
-    def _stagger(self, n: int) -> slice:
-        """The fixed slice of ``n`` sums this push re-sums."""
-        k, step = self._interval, self._pushes % self._interval
-        return slice(n * step // k, n * (step + 1) // k)
-
     def path_means(self) -> np.ndarray:
-        return self.sum_y / self.count
+        return self._origin + self.sum_y / self.count
 
     def path_variances(self) -> np.ndarray:
         m = self.count
         var = (self.sum_sq - self.sum_y * self.sum_y / m) / (m - 1)
-        # Rolling subtraction can push an exactly-constant path a few
-        # ulps negative; variances are non-negative by definition.
+        # Rolling subtraction can push a near-constant path a few ulps
+        # negative; variances are non-negative by definition.
         return np.maximum(var, 0.0)
 
+    def _chunk_gram(self, chunk: int) -> None:
+        """Recompute one chunk's Gram blocks from its ring columns."""
+        for paths, offset in self._blocks:
+            links, size = paths.shape
+            block = self._stack[: paths.size * self._chunk].reshape(links, size, -1)
+            np.take(self._ring[chunk], paths, axis=0, out=block, mode="clip")
+            gram = self._chunk_grams[chunk, offset : offset + links * size * size]
+            np.matmul(
+                block, block.transpose(0, 2, 1), out=gram.reshape(links, size, size)
+            )
+
     def pair_covariances(self) -> np.ndarray:
+        """Every intersecting pair's sample covariance over the window."""
+        # Every chunk but the newest was computed when it filled up.
+        self._chunk_gram((self._pushes - 1) % self._window // self._chunk)
+        # Columns not yet pushed are zeros and add nothing.
+        sums = self._chunk_grams.sum(axis=0)[self._pair_entry]
         m = self.count
         mean = self.sum_y / m
-        return (
-            self.sum_pair - m * mean[self._pair_i] * mean[self._pair_j]
-        ) / (m - 1)
+        return (sums - m * mean[self._pair_i] * mean[self._pair_j]) / (m - 1)
 
 
 @dataclass(frozen=True)
@@ -199,14 +258,16 @@ class OnlineLossMonitor:
     incremental_limit:
         How many kept-set columns a variance refresh may remove or add
         while still reusing the cached ``R*`` factorization (Givens
-        downdates / CGS2 column adds) and the phase-2 basis sweep.
-        Larger limits absorb heavier congestion churn at the cost of
-        longer update chains; 0 refactorizes on every kept-set change.
+        downdates / CGS2 column adds), and how many columns outside a
+        cached phase-2 basis's span it may offer instead of re-running
+        the sweep.  Larger limits absorb heavier congestion churn at the
+        cost of longer update chains; 0 refactorizes on every kept-set
+        change.
 
-    Variance refreshes re-solve from the rolling sufficient statistics
-    (and skip the solve when no equation went dirty).  The moments match
-    the batch :meth:`InferenceEngine.learn_variances` over the same
-    window to rounding, not to the byte.
+    Each variance refresh computes the pair covariances from the window
+    and re-solves phase 1.  The moments match the batch
+    :meth:`InferenceEngine.learn_variances` over the same window to
+    rounding, not to the byte.
     """
 
     def __init__(
@@ -219,12 +280,17 @@ class OnlineLossMonitor:
         localize_always: bool = False,
         incremental_limit: int = 2,
     ) -> None:
+        for name, value in (("window", window), ("refresh_interval", refresh_interval)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if window < 2:
             raise ValueError("window must be at least 2")
         if refresh_interval < 1:
             raise ValueError("refresh_interval must be at least 1")
-        if z_threshold <= 0:
-            raise ValueError("z_threshold must be positive")
+        if not (math.isfinite(z_threshold) and z_threshold > 0):
+            raise ValueError(
+                f"z_threshold must be finite and positive, got {z_threshold!r}"
+            )
         self.routing = routing
         self.window = window
         self.refresh_interval = refresh_interval
@@ -242,21 +308,20 @@ class OnlineLossMonitor:
             congestion_threshold=congestion_threshold,
             incremental_limit=incremental_limit,
         )
-        self._moments: Optional[_RollingMoments] = None
+        self._moments = _RollingMoments(routing.matrix, self.engine.pairs, window)
         self._estimate: Optional[VarianceEstimate] = None
-        self._last_sigma: Optional[np.ndarray] = None
         self.variance_refreshes = 0
-        self.variance_solves_skipped = 0
         self._since_refresh = 0
         self._time = -1
-        self._congested_since: Dict[int, int] = {}
+        # Per link: the time index of its current congestion onset, or -1.
+        self._onset = np.full(routing.num_links, -1, dtype=np.int64)
 
     # -- state queries -------------------------------------------------------
 
     @property
     def is_warm(self) -> bool:
         """True once the training window is full."""
-        return self._moments is not None and self._moments.count >= self.window
+        return self._moments.count >= self.window
 
     @property
     def factorization_downdates(self) -> int:
@@ -279,12 +344,12 @@ class OnlineLossMonitor:
         return self.engine.cache_info()
 
     def currently_congested(self) -> List[int]:
-        return sorted(self._congested_since)
+        return np.flatnonzero(self._onset >= 0).tolist()
 
     def congestion_age(self, column: int) -> Optional[int]:
         """Snapshots since this link's current congestion onset."""
-        onset = self._congested_since.get(column)
-        if onset is None:
+        onset = int(self._onset[column])
+        if onset < 0:
             return None
         return self._time - onset + 1
 
@@ -295,21 +360,14 @@ class OnlineLossMonitor:
         if snapshot.num_paths != self.routing.num_paths:
             raise ValueError("snapshot does not match routing matrix")
         self._time += 1
-        anomalous = self._screen(snapshot)
+        y = snapshot.path_log_rates()
+        anomalous = self._screen(y)
         report = MonitorReport(
             time_index=self._time,
             screened_anomalous=bool(anomalous.any()),
             anomalous_paths=np.flatnonzero(anomalous),
         )
-
-        if self._moments is None:
-            self._moments = _RollingMoments(
-                self.engine.pairs.pair_i,
-                self.engine.pairs.pair_j,
-                self.routing.num_paths,
-                self.window,
-            )
-        self._moments.push(snapshot.path_log_rates())
+        self._moments.push(y)
         if not self.is_warm:
             return report
 
@@ -319,7 +377,7 @@ class OnlineLossMonitor:
         else:
             self._since_refresh += 1
 
-        if self.localize_always or report.screened_anomalous or self._congested_since:
+        if self.localize_always or report.screened_anomalous or (self._onset >= 0).any():
             # The engine's reduction memo and factorization cache make
             # this a pair of triangular solves between variance refreshes.
             result = self.engine.infer(snapshot, self._estimate)
@@ -330,55 +388,47 @@ class OnlineLossMonitor:
     def _refresh_estimate(self) -> None:
         """Re-learn link variances from the current window."""
         self.variance_refreshes += 1
-        sigma = self._moments.pair_covariances()
-        if self._last_sigma is not None and np.array_equal(sigma, self._last_sigma):
-            # No covariance equation went dirty since the last
-            # solve; the estimate is still exact.
-            self.variance_solves_skipped += 1
-            return
         self._estimate = estimate_link_variances_from_moments(
             self.engine.pairs,
-            sigma,
+            self._moments.pair_covariances(),
             self._moments.path_variances(),
             self._moments.count,
             method=self.engine.variance_method,
             drop_negative=self.engine.drop_negative,
         )
-        self._last_sigma = sigma
 
-    def _screen(self, snapshot: Snapshot) -> np.ndarray:
-        """Cheap per-path z-score against the rolling window."""
-        if self._moments is None or self._moments.count < 2:
-            return np.zeros(snapshot.num_paths, dtype=bool)
+    def _screen(self, y: np.ndarray) -> np.ndarray:
+        """Cheap per-path z-score of log rates *y* against the rolling window."""
+        if self._moments.count < 2:
+            return np.zeros(len(y), dtype=bool)
         mean = self._moments.path_means()
         std = np.maximum(np.sqrt(self._moments.path_variances()), 1e-6)
-        z = (snapshot.path_log_rates() - mean) / std
-        return z < -self.z_threshold
+        return (y - mean) / std < -self.z_threshold
 
     def _update_states(self, loss_rates: np.ndarray) -> List[AnomalyEvent]:
-        events: List[AnomalyEvent] = []
-        congested_now = set(
-            int(c) for c in np.flatnonzero(loss_rates > self.congestion_threshold)
+        congested = loss_rates > self.congestion_threshold
+        was = self._onset >= 0
+        onsets = np.flatnonzero(congested & ~was)
+        cleared = np.flatnonzero(was & ~congested)
+        self._onset[onsets] = self._time
+        events = [
+            AnomalyEvent(
+                time_index=self._time,
+                column=int(column),
+                kind="onset",
+                inferred_loss_rate=float(loss_rates[column]),
+            )
+            for column in onsets
+        ]
+        events.extend(
+            AnomalyEvent(
+                time_index=self._time,
+                column=int(column),
+                kind="cleared",
+                inferred_loss_rate=float(loss_rates[column]),
+                duration_snapshots=self._time - int(self._onset[column]),
+            )
+            for column in cleared
         )
-        for column in sorted(congested_now - set(self._congested_since)):
-            self._congested_since[column] = self._time
-            events.append(
-                AnomalyEvent(
-                    time_index=self._time,
-                    column=column,
-                    kind="onset",
-                    inferred_loss_rate=float(loss_rates[column]),
-                )
-            )
-        for column in sorted(set(self._congested_since) - congested_now):
-            onset = self._congested_since.pop(column)
-            events.append(
-                AnomalyEvent(
-                    time_index=self._time,
-                    column=column,
-                    kind="cleared",
-                    inferred_loss_rate=float(loss_rates[column]),
-                    duration_snapshots=self._time - onset,
-                )
-            )
+        self._onset[cleared] = -1
         return events

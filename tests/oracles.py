@@ -4,18 +4,21 @@ The blocked Householder QR and the array-backed incremental basis in
 :mod:`repro.core.linalg` reorder floating-point sums relative to the
 seed's pure-Python loops, so the tests pin them to these loops to tight
 tolerances.  The Gilbert chain's run-frontier realisation is pinned to
-the seed's per-slot loop bit for bit, and the bulk intersecting-pairs
-builder to the seed's per-link loop.  Do not use them outside the tests.
+the seed's per-slot loop bit for bit, the bulk construction of the
+intersecting pairs to the seed's per-link loop, and the monitor's
+mask-diffed link states to the seed's set-based bookkeeping, event for
+event.  Do not use them outside the tests.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, pair_row_index
+from repro.monitor.online import AnomalyEvent
 
 
 def householder_qr_reference(
@@ -168,3 +171,42 @@ def intersecting_pairs_reference(routing_matrix: np.ndarray) -> IntersectingPair
     pair_i = np.searchsorted(block_starts, unique_keys, side="right") - 1
     pair_j = unique_keys - block_starts[pair_i] + pair_i
     return IntersectingPairs(matrix=matrix, pair_i=pair_i, pair_j=pair_j)
+
+
+def update_states_reference(
+    congested_since: Dict[int, int],
+    time_index: int,
+    loss_rates: np.ndarray,
+    congestion_threshold: float,
+) -> List[AnomalyEvent]:
+    """The seed monitor's set-based link-state update.
+
+    Mutates *congested_since* (column -> onset time) and returns the
+    ``onset`` events, by column, then the ``cleared`` events, by column.
+    """
+    events: List[AnomalyEvent] = []
+    congested_now = set(
+        int(c) for c in np.flatnonzero(loss_rates > congestion_threshold)
+    )
+    for column in sorted(congested_now - set(congested_since)):
+        congested_since[column] = time_index
+        events.append(
+            AnomalyEvent(
+                time_index=time_index,
+                column=column,
+                kind="onset",
+                inferred_loss_rate=float(loss_rates[column]),
+            )
+        )
+    for column in sorted(set(congested_since) - congested_now):
+        onset = congested_since.pop(column)
+        events.append(
+            AnomalyEvent(
+                time_index=time_index,
+                column=column,
+                kind="cleared",
+                inferred_loss_rate=float(loss_rates[column]),
+                duration_snapshots=time_index - onset,
+            )
+        )
+    return events

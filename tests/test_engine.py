@@ -393,6 +393,65 @@ class TestReductionReuse:
         with pytest.raises(ValueError):
             ReductionCache(np.eye(2), incremental_limit=-1)
 
+    @staticmethod
+    def bases(cache):
+        """Each cached basis's accepted columns, copied."""
+        return {
+            id(entry.basis): np.array(entry.basis.basis_matrix)
+            for entry in cache._cache.values()
+            if entry.basis is not None
+        }
+
+    def test_shrink_grow_readd_never_sweeps_again(self, matrix):
+        cache = ReductionCache(matrix, incremental_limit=2)
+        self.reduce(cache, [0, 3, 5, 8])
+        # Shrink (3 drops out), grow (9 joins), then 3 is re-added: the
+        # shrink keeps 3 in the covering span, so re-adding it offers
+        # nothing, and a distinct scan order rules out an exact reuse.
+        steps = ([0, 5, 8], [0, 5, 8, 9], [9, 8, 5, 3, 0])
+        for columns in steps:
+            before = self.bases(cache)
+            reduced = self.reduce(cache, columns)
+            assert list(reduced.kept_columns) == sorted(columns)
+            for key, basis in before.items():
+                assert np.array_equal(self.bases(cache)[key], basis)
+        assert cache.misses == 1 and cache.updates == 3
+        entries = list(cache._cache.values())
+        # The shrink shares its parent's basis; the re-add shares the
+        # grown one, whose span covers every column seen.
+        assert entries[1].basis is entries[0].basis
+        assert entries[3].basis is entries[2].basis
+        assert entries[3].span == {0, 3, 5, 8, 9}
+        cold = reduce_to_full_rank(
+            matrix,
+            self.variances_for([9, 8, 5, 3, 0]),
+            strategy="threshold",
+            variance_cutoff=self.CUTOFF,
+        )
+        assert np.array_equal(reduced.kept_columns, cold.kept_columns)
+
+    def test_growth_dependent_on_the_covering_span_sweeps(self, matrix):
+        dependent = np.array(matrix)
+        dependent[:, 11] = dependent[:, 0] + dependent[:, 3]
+        cache = ReductionCache(dependent, incremental_limit=2)
+        self.reduce(cache, [0, 3, 5])
+        self.reduce(cache, [0, 5])  # 3 stays in the covering span
+        before = self.bases(cache)
+        grown = self.reduce(cache, [0, 5, 11])
+        # Column 11 is independent of {0, 5} but not of the span
+        # {0, 3, 5}, so the offer is rejected and the cold sweep runs.
+        assert cache.misses == 2 and cache.updates == 1
+        cold = reduce_to_full_rank(
+            dependent,
+            self.variances_for([0, 5, 11]),
+            strategy="threshold",
+            variance_cutoff=self.CUTOFF,
+        )
+        assert np.array_equal(grown.kept_columns, cold.kept_columns)
+        assert list(grown.kept_columns) == [0, 5, 11]
+        for key, basis in before.items():
+            assert np.array_equal(self.bases(cache)[key], basis)
+
 
 class TestBatchByteIdentity:
     """Knob-free engines never touch the incremental paths.

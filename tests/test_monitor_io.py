@@ -99,6 +99,31 @@ class TestMonitor:
         with pytest.raises(ValueError, match="incremental_limit"):
             OnlineLossMonitor(routing, incremental_limit=-1)
 
+    @pytest.mark.parametrize("z_threshold", [float("nan"), float("inf"), -1.0])
+    def test_z_threshold_must_be_finite_and_positive(
+        self, monitored_stream, z_threshold
+    ):
+        # NaN or infinity would silently switch screening off.
+        _, _, routing, _, _ = monitored_stream
+        with pytest.raises(ValueError, match="z_threshold"):
+            OnlineLossMonitor(routing, z_threshold=z_threshold)
+
+    @pytest.mark.parametrize("field", ["window", "refresh_interval"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True])
+    def test_counts_must_be_integers(self, monitored_stream, field, value):
+        _, _, routing, _, _ = monitored_stream
+        with pytest.raises(ValueError, match=field):
+            OnlineLossMonitor(routing, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self, monitored_stream):
+        _, _, routing, _, calm = monitored_stream
+        monitor = OnlineLossMonitor(
+            routing, window=np.int64(4), refresh_interval=np.int32(2)
+        )
+        for snap in calm.snapshots[:6]:
+            monitor.observe(snap)
+        assert monitor.is_warm and monitor.variance_refreshes == 1
+
     def test_cache_info_passthrough(self, monitored_stream):
         _, _, routing, _, _ = monitored_stream
         monitor = OnlineLossMonitor(routing)
@@ -302,7 +327,7 @@ class TestIncrementalVariance:
         assert refreshes >= 5
         assert localisations >= 10
 
-    def test_constant_stream_skips_the_solve(self, small_tree):
+    def test_constant_stream_solves_to_zero_variances(self, small_tree):
         from repro.probing.snapshot import Snapshot
 
         _, _, routing = small_tree
@@ -313,78 +338,133 @@ class TestIncrementalVariance:
         monitor = OnlineLossMonitor(
             routing, window=4, refresh_interval=1, localize_always=True
         )
+        events = []
+        solves = 0
         for _ in range(12):
-            monitor.observe(snap)
-        # Identical covariances since the last refresh: the solve is
-        # skipped, the estimate stays exact.
-        assert monitor.variance_refreshes >= 2
-        assert monitor.variance_solves_skipped >= 1
+            previous = monitor._estimate
+            events.extend(monitor.observe(snap).events)
+            if monitor._estimate is not previous:
+                # Every refresh solves; constant paths have no variance.
+                assert np.all(monitor._estimate.variances <= 1e-12)
+                solves += 1
+        assert solves == monitor.variance_refreshes >= 2
+        assert events == []
+        assert monitor.currently_congested() == []
+
+
+class TestStateTracking:
+    """Mask-diffed link states reproduce the set-based seed bookkeeping."""
+
+    def test_events_match_the_set_based_oracle(self, small_tree):
+        from tests.oracles import update_states_reference
+
+        _, _, routing = small_tree
+        monitor = OnlineLossMonitor(routing, congestion_threshold=0.01)
+        rng = np.random.default_rng(17)
+        congested_since = {}
+        fired = 0
+        for t in range(200):
+            # A few links flip per step, so onsets and clears interleave.
+            rates = np.where(
+                rng.random(routing.num_links) < 0.08,
+                rng.uniform(0.0, 0.05, routing.num_links),
+                0.0,
+            )
+            monitor._time = t
+            got = monitor._update_states(rates)
+            want = update_states_reference(
+                congested_since, t, rates, monitor.congestion_threshold
+            )
+            assert got == want
+            assert all(type(e.column) is int for e in got)
+            assert monitor.currently_congested() == sorted(congested_since)
+            fired += len(got)
+        assert fired > 100
 
 
 class TestRollingMoments:
-    """The staggered re-sum keeps the running sums exact to rounding."""
+    """Path sums stay exact to rounding; pair covariances match batch."""
 
-    NUM_PATHS = 12
+    # More paths than re-sum slices, so no slice is empty.
+    NUM_PATHS = 80
+    NUM_LINKS = 10
     WINDOW = 50
 
     @classmethod
     def moments(cls):
+        from repro.core.augmented import intersecting_pairs
         from repro.monitor.online import _RollingMoments
 
-        pair_i, pair_j = np.triu_indices(cls.NUM_PATHS, k=1)
-        return _RollingMoments(pair_i, pair_j, cls.NUM_PATHS, cls.WINDOW)
+        rng = np.random.default_rng(3)
+        routing = np.zeros((cls.NUM_PATHS, cls.NUM_LINKS), dtype=np.uint8)
+        for row in routing:
+            row[rng.choice(cls.NUM_LINKS, size=2, replace=False)] = 1
+        pairs = intersecting_pairs(routing)
+        return _RollingMoments(routing, pairs, cls.WINDOW), pairs
 
     @classmethod
     def rows(cls, count, seed):
         rng = np.random.default_rng(seed)
         return -0.02 + 0.002 * rng.standard_normal((count, cls.NUM_PATHS))
 
+    @staticmethod
+    def assert_close(got, exact):
+        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
+
     def test_long_stream_stays_within_drift_bound(self):
         from repro.core.covariance import sample_covariance_pairs
 
-        moments = self.moments()
+        moments, pairs = self.moments()
         rows = self.rows(100_000, seed=5)
         for t, y in enumerate(rows, start=1):
             moments.push(y)
             if t % 20_000:
                 continue
             window = rows[t - self.WINDOW : t]
-            batch_cov = sample_covariance_pairs(
-                window, moments._pair_i, moments._pair_j
+            self.assert_close(
+                moments.pair_covariances(),
+                sample_covariance_pairs(window, pairs.pair_i, pairs.pair_j),
             )
-            batch_var = window.var(axis=0, ddof=1)
-            assert np.max(
-                np.abs(moments.pair_covariances() - batch_cov)
-            ) <= 1e-10 * np.max(np.abs(batch_cov))
-            assert np.max(
-                np.abs(moments.path_variances() - batch_var)
-            ) <= 1e-10 * np.max(np.abs(batch_var))
+            self.assert_close(moments.path_variances(), window.var(axis=0, ddof=1))
+            self.assert_close(moments.path_means(), window.mean(axis=0))
+
+    def test_partial_window_covariances(self):
+        from repro.core.covariance import sample_covariance_pairs
+
+        moments, pairs = self.moments()
+        rows = self.rows(7, seed=6)
+        for y in rows:
+            moments.push(y)
+        # Only the pushed rows count, not the ring's zero columns.
+        self.assert_close(
+            moments.pair_covariances(),
+            sample_covariance_pairs(rows, pairs.pair_i, pairs.pair_j),
+        )
 
     @pytest.mark.parametrize("interval", [7, 64])
     def test_every_sum_is_resummed_once_per_interval(self, monkeypatch, interval):
         import repro.monitor.online as online
 
         monkeypatch.setattr(online, "MOMENTS_REBASE_INTERVAL", interval)
-        moments = self.moments()
+        moments, _ = self.moments()
         rows = self.rows(2 * self.WINDOW + interval, seed=9)
         for y in rows[: 2 * self.WINDOW]:
             moments.push(y)
         # Corrupt every sum; rolling updates keep NaN, only a re-sum
         # from the window clears it.
-        for sums in (moments.sum_y, moments.sum_sq, moments.sum_pair):
+        for sums in (moments.sum_y, moments.sum_sq):
             sums[:] = np.nan
         for y in rows[2 * self.WINDOW : -1]:
             moments.push(y)
         # The re-sum is staggered: one push short, a slice is still stale.
-        assert np.isnan(moments.sum_pair).any()
+        assert np.isnan(moments.sum_y).any()
         moments.push(rows[-1])
 
-        window = rows[-self.WINDOW :]
-        i, j = moments._pair_i, moments._pair_j
+        # The sums are of the window shifted by each path's first value.
+        window = rows[-self.WINDOW :] - rows[0]
         for got, exact in (
             (moments.sum_y, window.sum(axis=0)),
             (moments.sum_sq, (window * window).sum(axis=0)),
-            (moments.sum_pair, (window[:, i] * window[:, j]).sum(axis=0)),
         ):
             assert np.allclose(got, exact, rtol=1e-12, atol=0)
         assert moments.count == self.WINDOW

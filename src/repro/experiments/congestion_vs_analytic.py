@@ -26,10 +26,10 @@ the congestion arm is noisier — burst lengths are emergent rather than
 chain-specified, and cross traffic leaks a little loss onto good links
 — which is exactly the robustness statement worth pinning.
 
-Sizing note: the packet simulator costs ~100k events per snapshot at
-these sizes, so the presets use smaller trees / shorter campaigns than
-the analytic experiments; the comparison is within-experiment, both
-arms at identical sizing.
+Sizing note: at tiny scale one snapshot (25 links, 150 probes) forwards
+about 10k packets in 15k-26k dispatched events, so the presets use
+smaller trees / shorter campaigns than the analytic experiments; the
+comparison is within-experiment, both arms at identical sizing.
 """
 
 from __future__ import annotations

@@ -59,8 +59,13 @@ class EventScheduler:
 
         Events stamped exactly at the horizon still fire; anything later
         stays queued (the heap is reusable, though :mod:`repro.netsim.sim`
-        builds a fresh scheduler per snapshot).
+        builds a fresh scheduler per snapshot).  A finite horizon leaves
+        ``now`` at the horizon; a NaN one, or one before ``now``, raises.
         """
+        if not horizon >= self.now:
+            raise ValueError(
+                f"cannot run until {horizon}: scheduler already at {self.now}"
+            )
         heap = self._heap
         pop = heappop
         now = self.now
@@ -77,6 +82,8 @@ class EventScheduler:
                 callback(*args)
         finally:
             self.events_dispatched += dispatched
+        if horizon != float("inf"):
+            self.now = horizon
 
     def run_until_idle(self) -> None:
         """Dispatch until no events remain."""

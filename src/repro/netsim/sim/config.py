@@ -39,6 +39,27 @@ _COUNT_FIELDS = frozenset(
 )
 
 
+def check_real(name: str, value: Any) -> Any:
+    """*value*, or ``ValueError`` naming *name* unless a finite real."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def check_count(name: str, value: Any) -> Any:
+    """*value*, or ``ValueError`` naming *name* unless an integer.
+
+    Numpy integers pass; ``bool`` and integral floats do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrafficConfig:
     """How a scenario turns assigned loss rates into packet drops.
@@ -135,12 +156,7 @@ class TrafficConfig:
         JSON ``20``) is kept as given.
         """
         value = getattr(self, name)
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        check_real(name, value)
         if name in _COUNT_FIELDS:
             if value != int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -19,10 +19,11 @@ simulator can record the link's drop/delay realisation — the row of the
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.netsim.sim.cc.base import CongestionController
 from repro.netsim.sim.clock import EventScheduler
+from repro.netsim.sim.config import check_count, check_real
 from repro.netsim.sim.link import SimLink
 from repro.netsim.sim.pacer import Pacer
 from repro.netsim.sim.packet import Packet
@@ -63,8 +64,11 @@ class Host:
     ) -> None:
         if not route:
             raise ValueError("a host needs a route of at least one link")
-        if packet_size <= 0:
+        if check_real("packet_size", packet_size) <= 0:
             raise ValueError(f"packet size must be positive, got {packet_size}")
+        check_real("start_time", start_time)
+        if math.isnan(stop_time):
+            raise ValueError("stop_time must not be NaN")
         self.flow_id = flow_id
         self.route = tuple(route)
         self.cc = cc
@@ -77,6 +81,8 @@ class Host:
         # modelled as one lump (no reverse queueing).
         if ack_delay is None:
             ack_delay = sum(link.delay for link in route) + 0.05
+        if check_real("ack_delay", ack_delay) < 0:
+            raise ValueError(f"ack_delay must be >= 0, got {ack_delay}")
         self.ack_delay = float(ack_delay)
         self.pacer = Pacer(
             rate=max(cc.pacing_rate(start_time), 0.0),
@@ -169,11 +175,11 @@ class ProbeTap:
         phase: float = 0.0,
         probe_size: float = 0.05,
     ) -> None:
-        if num_probes <= 0:
+        if check_count("num_probes", num_probes) <= 0:
             raise ValueError(f"num_probes must be positive, got {num_probes}")
         if not 0.0 <= phase < 1.0:
             raise ValueError(f"phase must lie in [0, 1), got {phase}")
-        if probe_size <= 0:
+        if check_real("probe_size", probe_size) <= 0:
             raise ValueError(f"probe size must be positive, got {probe_size}")
         self.flow_id = flow_id
         self.link = link
@@ -198,6 +204,3 @@ class ProbeTap:
         if slot + 1 < self.num_probes:
             # keep the association (phase + slot) + 1: payloads pin it
             scheduler.schedule(self.phase + slot + 1, self._on_emit, slot + 1)
-
-
-DeliveryDispatcher = Callable[[Packet, float], None]

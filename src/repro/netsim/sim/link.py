@@ -10,10 +10,15 @@ across the flows sharing the queue, and coupled across links by the
 multi-hop flows traversing them (exactly the congestion regime the
 analytic Gilbert/Bernoulli processes cannot produce).
 
-After service a packet propagates for ``delay`` slots and then either
-enters the next link on its route or is delivered to the simulator's
-sink.  Both terminal outcomes are reported through callbacks so hosts
-can run congestion control on them.
+A FIFO with a fixed rate knows each packet's departure time ``d`` when
+the packet is enqueued: the last pending departure (or ``now`` when
+none is pending) plus ``size / rate``.  So the link keeps only the
+pending departure times and schedules no service completions.  After
+departure a packet propagates for ``delay`` slots: its arrival at the
+next hop is scheduled at ``d + delay`` right away, and on its last hop
+it is delivered to the simulator's sink at enqueue, with the future
+delivery time.  Both terminal outcomes are reported through callbacks
+so hosts can run congestion control on them.
 """
 
 from __future__ import annotations
@@ -22,11 +27,13 @@ from collections import deque
 from typing import Callable, Deque, Optional
 
 from repro.netsim.sim.clock import EventScheduler
+from repro.netsim.sim.config import check_count, check_real
 from repro.netsim.sim.packet import Packet
 
 #: ``on_drop(packet, link, now)`` — arrival found the buffer full.
 DropCallback = Callable[[Packet, "SimLink", float], None]
-#: ``on_deliver(packet, now)`` — packet left its last hop.
+#: ``on_deliver(packet, time)`` — packet left its last hop at *time*,
+#: which is called at enqueue and so may be later than ``scheduler.now``.
 DeliverCallback = Callable[[Packet, float], None]
 
 
@@ -41,14 +48,9 @@ class SimLink:
         "scheduler",
         "on_drop",
         "on_deliver",
-        "_queue",
-        "_busy",
+        "_departures",
         "arrivals",
         "drops",
-        "served",
-        "busy_until",
-        "_on_depart",
-        "_on_arrive",
     )
 
     def __init__(
@@ -61,11 +63,11 @@ class SimLink:
         on_drop: Optional[DropCallback] = None,
         on_deliver: Optional[DeliverCallback] = None,
     ) -> None:
-        if rate <= 0:
+        if check_real("rate", rate) <= 0:
             raise ValueError(f"link rate must be positive, got {rate}")
-        if delay < 0:
+        if check_real("delay", delay) < 0:
             raise ValueError(f"propagation delay must be >= 0, got {delay}")
-        if buffer < 1:
+        if check_count("buffer", buffer) < 1:
             raise ValueError(f"buffer must hold at least one packet, got {buffer}")
         self.index = index
         self.rate = float(rate)
@@ -74,73 +76,62 @@ class SimLink:
         self.scheduler = scheduler
         self.on_drop = on_drop
         self.on_deliver = on_deliver
-        self._queue: Deque[Packet] = deque()
-        self._busy = False
+        #: Departure times of accepted packets, ascending; entries at or
+        #: before ``now`` have left and are popped by the next arrival.
+        self._departures: Deque[float] = deque()
         self.arrivals = 0
         self.drops = 0
-        self.served = 0
-        self.busy_until = 0.0
-        self._on_depart = self._depart
-        self._on_arrive = self._arrive_downstream
 
     # -- queue state -----------------------------------------------------------
 
     @property
     def occupancy(self) -> int:
         """Packets currently held (waiting plus in service)."""
-        return len(self._queue)
+        now = self.scheduler.now
+        return sum(1 for departure in self._departures if departure > now)
 
     @property
     def is_full(self) -> bool:
-        return len(self._queue) >= self.buffer
+        return self.occupancy >= self.buffer
+
+    @property
+    def served(self) -> int:
+        """Packets that have departed by ``scheduler.now``."""
+        return self.arrivals - self.drops - self.occupancy
 
     # -- the FIFO --------------------------------------------------------------
-    #
-    # The hot path of the whole simulator: a departure is due at
-    # ``now + packet.size / self.rate``, written out in both places, and
-    # the bound callbacks are cached, so one event costs few lookups.
 
     def enqueue(self, packet: Packet) -> bool:
-        """Accept *packet* (``True``) or drop it on overflow (``False``)."""
-        self.arrivals += 1
-        queue = self._queue
-        if len(queue) >= self.buffer:
-            self.drops += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, self, self.scheduler.now)
-            return False
-        queue.append(packet)
-        if not self._busy:
-            # An idle link has an empty queue, so *packet* is its head.
-            self._busy = True
-            scheduler = self.scheduler
-            self.busy_until = busy_until = (
-                scheduler.now + packet.size / self.rate
-            )
-            scheduler.schedule(busy_until, self._on_depart)
-        return True
+        """Accept *packet* (``True``) or drop it on overflow (``False``).
 
-    def _depart(self) -> None:
+        Departures at or before ``now`` have left the queue first, so an
+        arrival at the very instant of a departure sees the freed slot.
+        The arrival is dropped when ``buffer`` departures are still
+        pending; otherwise its departure time is fixed now and only its
+        arrival at the next hop is scheduled, or, on its last hop, it is
+        delivered at once with the future delivery time.
+        """
+        self.arrivals += 1
         scheduler = self.scheduler
         now = scheduler.now
-        queue = self._queue
-        packet = queue.popleft()
-        self.served += 1
-        scheduler.schedule(now + self.delay, self._on_arrive, packet)
-        if queue:
-            self.busy_until = busy_until = now + queue[0].size / self.rate
-            scheduler.schedule(busy_until, self._on_depart)
-        else:
-            self._busy = False
-
-    def _arrive_downstream(self, packet: Packet) -> None:
+        departures = self._departures
+        while departures and departures[0] <= now:
+            departures.popleft()
+        if len(departures) >= self.buffer:
+            self.drops += 1
+            if self.on_drop is not None:
+                self.on_drop(packet, self, now)
+            return False
+        departure = (departures[-1] if departures else now) + packet.size / self.rate
+        departures.append(departure)
+        arrival = departure + self.delay
         hop = packet.hop + 1
         route = packet.route
         if hop == len(route):
-            now = self.scheduler.now
-            packet.delivered_at = now
+            packet.delivered_at = arrival
             if self.on_deliver is not None:
-                self.on_deliver(packet, now)
-            return
-        packet.hop = hop
-        route[hop].enqueue(packet)
+                self.on_deliver(packet, arrival)
+        else:
+            packet.hop = hop
+            scheduler.schedule(arrival, route[hop].enqueue, packet)
+        return True

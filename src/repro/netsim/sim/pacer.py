@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+from repro.netsim.sim.config import check_real
+
 
 class Pacer:
     """A token bucket: ``rate`` tokens per slot, capped at ``bucket``."""
@@ -20,9 +22,9 @@ class Pacer:
     __slots__ = ("rate", "bucket", "_tokens", "_updated")
 
     def __init__(self, rate: float, bucket: float = 1.0, start: float = 0.0):
-        if rate < 0:
+        if check_real("rate", rate) < 0:
             raise ValueError(f"pacing rate must be non-negative, got {rate}")
-        if bucket <= 0:
+        if check_real("bucket", bucket) <= 0:
             raise ValueError(f"bucket depth must be positive, got {bucket}")
         self.rate = float(rate)
         self.bucket = float(bucket)

@@ -56,8 +56,9 @@ class SnapshotTrace:
     active_links: np.ndarray   # (num_active,) physical link indices
     drops: np.ndarray          # (num_active, num_probes) bool
     delays_ms: np.ndarray      # (num_active, num_probes) probe sojourn, ms
-    events: int                # scheduler dispatches
-    packets_forwarded: int     # link service completions (all traffic)
+    events: int                # scheduler dispatches: emissions, acks,
+                               # losses and arrivals at a next hop
+    packets_forwarded: int     # link departures by the run's end (all traffic)
     background_sent: int       # host emissions (drivers + cross flows)
     probe_drops: int
 
@@ -150,6 +151,10 @@ class CongestionSimulator:
             cfg.buffer_packets / cfg.capacity_per_slot + cfg.prop_delay_slots
         )
         delays = np.full((num_active, num_probes), full_sojourn)
+        # Run past the horizon so in-flight probes of the last slot clear
+        # every queue (worst case: full buffer ahead plus propagation).
+        horizon = float(num_probes)
+        end = horizon + (cfg.buffer_packets / cfg.capacity_per_slot + (cfg.prop_delay_slots + 1.0))
         hosts: Dict[int, Host] = {}
         row_of = self._row
         probe_drops = 0
@@ -164,6 +169,8 @@ class CongestionSimulator:
 
         def on_deliver(packet: Packet, now: float) -> None:
             if packet.probe_slot is not None:
+                if now > end:  # delivered after the run: unresolved
+                    return
                 link = packet.route[-1]
                 delays[row_of[link.index], packet.probe_slot] = (
                     now - packet.sent_at
@@ -196,7 +203,6 @@ class CongestionSimulator:
                 probe_size=cfg.probe_size,
             ).start()
 
-        horizon = float(num_probes)
         flow_id = 0
 
         # Calibrated per-link congestion drivers.
@@ -260,12 +266,7 @@ class CongestionSimulator:
             host.start()
             flow_id += 1
 
-        # Run past the horizon so in-flight probes of the last slot clear
-        # every queue (worst case: full buffer ahead plus propagation).
-        tail = cfg.buffer_packets / cfg.capacity_per_slot + (
-            cfg.prop_delay_slots + 1.0
-        )
-        scheduler.run_until(horizon + tail)
+        scheduler.run_until(end)
 
         trace = SnapshotTrace(
             active_links=self.active_links,

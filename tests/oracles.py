@@ -5,20 +5,24 @@ The blocked Householder QR and the array-backed incremental basis in
 seed's pure-Python loops, so the tests pin them to these loops to tight
 tolerances.  The Gilbert chain's run-frontier realisation is pinned to
 the seed's per-slot loop bit for bit, the bulk construction of the
-intersecting pairs to the seed's per-link loop, and the monitor's
+intersecting pairs to the seed's per-link loop, the monitor's
 mask-diffed link states to the seed's set-based bookkeeping, event for
-event.  Do not use them outside the tests.
+event, and the packet simulator's departure-time FIFO to the
+event-driven link that scheduled every service completion, trace for
+trace.  Do not use them outside the tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, pair_row_index
 from repro.monitor.online import AnomalyEvent
+from repro.netsim.sim.packet import Packet
 
 
 def householder_qr_reference(
@@ -210,3 +214,62 @@ def update_states_reference(
             )
         )
     return events
+
+
+class EventDrivenSimLink:
+    """The event-driven FIFO link: one event per service completion.
+
+    Same constructor, counters and callbacks as
+    :class:`repro.netsim.sim.link.SimLink`.  A departure fires as its own
+    event and schedules the next hop's arrival, and a last-hop delivery
+    fires as an event too, so a departure and an arrival at one instant
+    resolve in push order.
+    """
+
+    def __init__(self, index, rate, delay, buffer, scheduler, on_drop=None, on_deliver=None):
+        self.index = index
+        self.rate = float(rate)
+        self.delay = float(delay)
+        self.buffer = int(buffer)
+        self.scheduler = scheduler
+        self.on_drop = on_drop
+        self.on_deliver = on_deliver
+        self._queue: Deque[Packet] = deque()
+        self._busy = False
+        self.arrivals = 0
+        self.drops = 0
+        self.served = 0
+
+    def enqueue(self, packet: Packet) -> bool:
+        self.arrivals += 1
+        if len(self._queue) >= self.buffer:
+            self.drops += 1
+            if self.on_drop is not None:
+                self.on_drop(packet, self, self.scheduler.now)
+            return False
+        self._queue.append(packet)
+        if not self._busy:
+            self._busy = True
+            self.scheduler.schedule(self.scheduler.now + packet.size / self.rate, self._depart)
+        return True
+
+    def _depart(self) -> None:
+        now = self.scheduler.now
+        packet = self._queue.popleft()
+        self.served += 1
+        self.scheduler.schedule(now + self.delay, self._arrive_downstream, packet)
+        if self._queue:
+            self.scheduler.schedule(now + self._queue[0].size / self.rate, self._depart)
+        else:
+            self._busy = False
+
+    def _arrive_downstream(self, packet: Packet) -> None:
+        hop = packet.hop + 1
+        if hop == len(packet.route):
+            now = self.scheduler.now
+            packet.delivered_at = now
+            if self.on_deliver is not None:
+                self.on_deliver(packet, now)
+            return
+        packet.hop = hop
+        packet.route[hop].enqueue(packet)

@@ -15,6 +15,7 @@ from repro.netsim.sim import (
     Host,
     OnOffCBR,
     Pacer,
+    Packet,
     ProbeTap,
     RateProber,
     SimLink,
@@ -134,6 +135,29 @@ class TestClockAndScheduler:
         with pytest.raises(ValueError):
             sched.schedule(4.0, lambda: None)
 
+    def test_finite_horizon_leaves_now_at_horizon(self):
+        sched = EventScheduler()
+        sched.schedule(1.0, lambda: None)
+        sched.run_until(2.5)
+        assert sched.now == 2.5
+        sched.run_until(2.5)  # a horizon at now is allowed
+        sched.run_until_idle()  # nothing queued: now stays put
+        assert sched.now == 2.5
+
+    def test_run_until_nan_raises(self):
+        sched = EventScheduler()
+        sched.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            sched.run_until(float("nan"))
+        assert sched.events_dispatched == 0 and sched.now == 0.0
+
+    def test_run_until_before_now_raises(self):
+        sched = EventScheduler()
+        sched.run_until(3.0)
+        with pytest.raises(ValueError, match="already at 3.0"):
+            sched.run_until(2.0)
+        assert sched.now == 3.0
+
 
 class TestPacer:
     def test_starts_full_then_paces(self):
@@ -188,6 +212,11 @@ class TestPacer:
         with pytest.raises(ValueError):
             Pacer(rate=1.0).pace(0.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["rate", "bucket"])
+    def test_rejects_non_finite_numbers(self, field):
+        with pytest.raises(ValueError, match=field):
+            Pacer(**{"rate": 1.0, field: float("nan")})
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         steps=st.lists(
@@ -223,8 +252,6 @@ class TestSimLink:
         )
 
     def _packet(self, link, seq=0, size=1.0, probe_slot=None):
-        from repro.netsim.sim import Packet
-
         return Packet(
             flow_id=0, sequence=seq, route=(link,), sent_at=0.0,
             size=size, probe_slot=probe_slot,
@@ -251,7 +278,7 @@ class TestSimLink:
         )
         for seq in range(3):
             link.enqueue(self._packet(link, seq))
-        sched.run_until_idle()
+        sched.run_until(2.0)
         assert [seq for seq, _ in delivered] == [0, 1, 2]
         # service at 1/rate per unit packet, plus propagation
         assert delivered[0][1] == pytest.approx(0.5 + 0.25)
@@ -266,12 +293,86 @@ class TestSimLink:
         sched.run_until(1.0)  # head departs
         assert link.enqueue(self._packet(link, 2))
 
+    def test_queue_state_follows_the_clock(self):
+        sched = EventScheduler()
+        link = self._link(sched, buffer=2, rate=1.0)
+        assert link.enqueue(self._packet(link, 0))  # departs at 1.0
+        assert link.enqueue(self._packet(link, 1))  # departs at 2.0
+        assert (link.occupancy, link.is_full, link.served) == (2, True, 0)
+        sched.run_until(1.0)
+        assert (link.occupancy, link.is_full, link.served) == (1, False, 1)
+        sched.run_until(5.0)
+        assert (link.occupancy, link.is_full, link.served) == (0, False, 2)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_departure_at_an_arrival_instant_leaves_first(self, reference):
+        """Two flows meet at one instant: flow 1 arrives exactly when
+        flow 0's packet departs a one-packet buffer.  The arrival event is
+        pushed before the departure is known, so the event-driven link
+        dispatches it first and drops it; the departure-time FIFO lets the
+        departure leave first, whatever the push order.
+        """
+        from tests.oracles import EventDrivenSimLink
+
+        sched = EventScheduler()
+        dropped, delivered = [], []
+        link = (EventDrivenSimLink if reference else SimLink)(
+            index=0, rate=1.0, delay=0.5, buffer=1, scheduler=sched,
+            on_drop=lambda p, l, t: dropped.append(p.flow_id),
+            on_deliver=lambda p, t: delivered.append((p.flow_id, t)),
+        )
+        late = Packet(flow_id=1, sequence=0, route=(link,), sent_at=1.0)
+        sched.schedule(1.0, link.enqueue, late)
+        assert link.enqueue(
+            Packet(flow_id=0, sequence=0, route=(link,), sent_at=0.0)
+        )
+        sched.run_until(10.0)
+        if reference:
+            assert dropped == [1] and delivered == [(0, 1.5)]
+        else:
+            assert dropped == [] and delivered == [(0, 1.5), (1, 2.5)]
+            assert late.delivered_at == 2.5
+
+    def test_multi_hop_arrival_is_scheduled_at_departure_plus_delay(self):
+        sched = EventScheduler()
+        arrivals = []
+        first = self._link(sched, rate=2.0, delay=0.25)
+        second = self._link(
+            sched, rate=1.0, delay=0.5,
+            on_deliver=lambda p, t: arrivals.append((p.hop, t)),
+        )
+        packet = Packet(flow_id=0, sequence=0, route=(first, second), sent_at=0.0)
+        assert first.enqueue(packet)
+        assert len(sched) == 1 and arrivals == []  # one event: the next hop
+        sched.run_until_idle()
+        assert arrivals == [(1, 0.5 + 0.25 + 1.0 + 0.5)]
+        assert sched.events_dispatched == 1
+
     def test_validation(self):
         sched = EventScheduler()
         with pytest.raises(ValueError):
             self._link(sched, rate=0.0)
         with pytest.raises(ValueError):
             self._link(sched, buffer=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate", float("nan")),
+            ("rate", float("inf")),
+            ("delay", float("nan")),
+            ("delay", float("inf")),
+            ("buffer", 2.7),
+            ("buffer", True),
+        ],
+    )
+    def test_rejects_malformed_inputs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._link(EventScheduler(), **{field: value})
+
+    def test_accepts_numpy_integers(self):
+        link = self._link(EventScheduler(), buffer=np.int64(3))
+        assert link.buffer == 3 and isinstance(link.buffer, int)
 
 
 class TestOnOffCBR:
@@ -318,8 +419,6 @@ class TestOnOffCBR:
 
 class TestControllers:
     def _packet(self, sent_at=0.0, size=1.0):
-        from repro.netsim.sim import Packet
-
         sched = EventScheduler()
         link = SimLink(index=0, rate=1.0, delay=0.0, buffer=1, scheduler=sched)
         return Packet(
@@ -393,6 +492,45 @@ class TestHostAndTap:
         ).start()
         sched.run_until_idle()
         assert slots == list(range(8))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_probes", 2.5),
+            ("num_probes", True),
+            ("probe_size", float("nan")),
+            ("probe_size", float("inf")),
+        ],
+    )
+    def test_probe_tap_rejects_malformed_inputs(self, field, value):
+        sched = EventScheduler()
+        link = SimLink(index=0, rate=1.0, delay=0.0, buffer=2, scheduler=sched)
+        kwargs = dict(flow_id=-1, link=link, num_probes=4, scheduler=sched)
+        with pytest.raises(ValueError, match=field):
+            ProbeTap(**{**kwargs, field: value})
+        assert ProbeTap(**{**kwargs, "num_probes": np.int32(4)}).num_probes == 4
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("packet_size", float("nan")),
+            ("start_time", float("nan")),
+            ("ack_delay", float("nan")),
+            ("ack_delay", -1.0),
+            ("stop_time", float("nan")),
+            ("bucket", float("nan")),
+        ],
+    )
+    def test_host_rejects_malformed_inputs(self, field, value):
+        from repro.netsim.sim import ConstantBitRate
+
+        sched = EventScheduler()
+        link = SimLink(index=0, rate=1.0, delay=0.0, buffer=2, scheduler=sched)
+        with pytest.raises(ValueError, match=field):
+            Host(
+                flow_id=0, route=(link,), cc=ConstantBitRate(1.0),
+                scheduler=sched, **{field: value},
+            )
 
 
 class TestTrafficConfig:
@@ -517,6 +655,99 @@ class TestCongestionSimulator:
         a = sim.run_snapshot(rates, 40, seed=2)
         b = sim.run_snapshot(clamped, 40, seed=2)
         assert np.array_equal(a.drops, b.drops)
+
+
+class TestDepartureTimeOracle:
+    """The departure-time FIFO against the event-driven link, bit for bit.
+
+    Each case runs one snapshot twice, once with the event-driven link
+    of ``tests/oracles.py`` patched into the simulator.  Every trace
+    field but ``events`` must match exactly.
+    """
+
+    #: The 12-link chain-and-branch layout of the golden corpus.
+    CORPUS_PATHS = [
+        (0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6),
+        (7, 8), (7, 9), (10, 11), (10, 2),
+    ]
+
+    def _both(self, monkeypatch, paths, rates, num_probes, seed, config=CONGESTION):
+        from repro.netsim.sim import simulator as simulator_module
+        from tests.oracles import EventDrivenSimLink
+
+        sim = CongestionSimulator(paths, len(rates), config)
+        trace = sim.run_snapshot(rates, num_probes, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator_module, "SimLink", EventDrivenSimLink)
+            reference = sim.run_snapshot(rates, num_probes, seed)
+        return trace, reference
+
+    def _assert_same_trace(self, trace, reference):
+        import dataclasses
+
+        for field in dataclasses.fields(trace):
+            if field.name == "events":
+                continue
+            ours, theirs = getattr(trace, field.name), getattr(reference, field.name)
+            if isinstance(ours, np.ndarray):
+                assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes(), field.name
+            else:
+                assert ours == theirs, field.name
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_corpus_layout(self, monkeypatch, seed):
+        rates = np.zeros(12)
+        rates[[1, 5, 8]] = (0.05, 0.1, 0.03)
+        trace, reference = self._both(monkeypatch, self.CORPUS_PATHS, rates, 600, seed)
+        self._assert_same_trace(trace, reference)
+        assert trace.probe_drops > 0 and trace.events < reference.events
+
+    @pytest.mark.parametrize(
+        "kind, sizing, seed",
+        [
+            ("tree", dict(tree_nodes=25, num_end_hosts=6), 0),
+            ("tree", dict(tree_nodes=25, num_end_hosts=6), 1),
+            ("tree", dict(tree_nodes=40, num_end_hosts=8), 2),
+            ("waxman", dict(mesh_nodes=30, num_end_hosts=5), 0),
+            ("waxman", dict(mesh_nodes=30, num_end_hosts=5), 1),
+            ("barabasi-albert", dict(mesh_nodes=30, num_end_hosts=5), 0),
+            ("barabasi-albert", dict(mesh_nodes=30, num_end_hosts=5), 1),
+        ],
+    )
+    def test_generated_layouts(self, monkeypatch, kind, sizing, seed):
+        from repro.experiments import scale_params
+        from repro.topology.prepare import prepare_topology
+
+        prepared = prepare_topology(kind, scale_params("tiny").sized(**sizing), seed)
+        num_links = prepared.topology.network.num_links
+        rng = np.random.default_rng(seed)
+        rates = np.where(
+            rng.random(num_links) < 0.2, rng.uniform(0.02, 0.1, num_links), 0.0
+        )
+        trace, reference = self._both(monkeypatch, prepared.paths, rates, 200, seed + 5)
+        self._assert_same_trace(trace, reference)
+        assert trace.probe_drops > 0 and trace.events < reference.events
+
+    def test_delivery_after_the_run_keeps_the_full_buffer_sojourn(self, monkeypatch):
+        """A probe too large to clear its link by ``horizon + tail``.
+
+        With 60 service units at 20 per slot the probe leaves 3 slots
+        after it arrives, later than the run's end 1 + 12 / 20 + 1.02.
+        The event-driven link never fires that delivery; the FIFO knows
+        it at enqueue and must not record it either.
+        """
+        config = TrafficConfig(
+            kind="congestion", probe_size=60.0,
+            num_aimd_flows=0, num_prober_flows=0,
+        )
+        trace, reference = self._both(monkeypatch, [(0,)], np.zeros(1), 1, 0, config)
+        full_sojourn = (
+            config.buffer_packets / config.capacity_per_slot + config.prop_delay_slots
+        )
+        assert trace.delays_ms[0, 0] == full_sojourn * config.slot_ms
+        assert not trace.drops.any() and trace.packets_forwarded == 0
+        self._assert_same_trace(trace, reference)
 
 
 class TestCongestionLossProcess:

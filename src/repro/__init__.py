@@ -24,9 +24,10 @@ Quickstart::
 
 Every inference backend — LIA, delay tomography, and the SCFS/CLINK/
 greedy-cover baselines — is also reachable through the unified
-:mod:`repro.api` seam (``fit``/``predict`` estimators, a string-keyed
-registry, and the declarative ``Scenario`` pipeline); see the README's
-"Estimator / Scenario API" section.
+:mod:`repro.api` seam (``fit``/``predict``/``predict_batch``
+estimators, a string-keyed registry, ``EstimatorSpec`` and the
+declarative ``Scenario`` pipeline with ``evaluate_forest``); see the
+README's "Estimator / Scenario API" section.
 """
 
 from repro.api import EstimatorSpec, InferenceResult, Scenario, ScenarioResult

@@ -3,17 +3,16 @@
 One composable seam over every inference backend:
 
 * :class:`Estimator` — ``fit(campaign) -> self`` /
-  ``predict(snapshot) -> InferenceResult`` / ``predict_batch(window)``,
-  plus a ``spec()``/``from_spec()`` config round-trip;
+  ``predict(snapshot) -> InferenceResult`` / ``predict_batch(window)``;
 * :mod:`repro.api.registry` — string-keyed construction
   (``get("lia"|"delay"|"scfs"|"clink"|"tomo")``) from one constant
   table;
+* :class:`EstimatorSpec` — a method name plus constructor parameters
+  that a scenario builds through the registry;
 * :class:`Scenario` — a declarative topology → prober → estimator(s) →
   metrics pipeline returning a :class:`ScenarioResult` with
-  per-estimator accuracy reports;
-* :class:`DistributedEstimator` — fans any estimator's
-  ``predict_batch`` across a :class:`~repro.runner.ParallelRunner`
-  backend (including ``remote``), one kept-column group per shard.
+  per-estimator accuracy reports; :func:`evaluate_forest` scores many
+  scenario runs with one batched LIA solve.
 
 Quickstart::
 
@@ -38,16 +37,14 @@ from repro.api.adapters import (
     SCFSEstimator,
     TomoEstimator,
 )
-from repro.api.distributed import DistributedEstimator, distributed
 from repro.api.estimator import (
     Estimator,
     EstimatorSpec,
     InferenceResult,
     NotFittedError,
 )
-from repro.api.registry import available, from_spec, get
+from repro.api.registry import available, get
 from repro.api.scenario import (
-    MODEL_REGISTRY,
     EstimatorEvaluation,
     Scenario,
     ScenarioResult,
@@ -57,21 +54,17 @@ from repro.api.scenario import (
 __all__ = [
     "CLINKEstimator",
     "DelayEstimator",
-    "DistributedEstimator",
     "Estimator",
     "EstimatorEvaluation",
     "EstimatorSpec",
     "InferenceResult",
     "LIAEstimator",
-    "MODEL_REGISTRY",
     "NotFittedError",
     "SCFSEstimator",
     "Scenario",
     "ScenarioResult",
     "TomoEstimator",
     "available",
-    "distributed",
     "evaluate_forest",
-    "from_spec",
     "get",
 ]

@@ -7,44 +7,26 @@ the experiments used before the redesign (``tests/test_api.py`` pins
 byte-for-byte equality), so routing an experiment through an adapter
 cannot change its numbers.
 
-Construction takes only statistical knobs (JSON-safe, round-tripped via
-``spec()``); the topology binding — routing matrix, probing paths —
-arrives with the first ``fit``.  Refitting on the same routing matrix
-reuses the backend's warm caches (intersecting pairs, ``R*``
-factorizations), which is what makes sweeping the training-window
-length cheap.
+Construction takes only statistical knobs; the topology binding —
+routing matrix, probing paths — arrives with the first ``fit``.
+Refitting on the same routing matrix reuses the backend's warm caches
+(intersecting pairs, ``R*`` factorizations), which is what makes
+sweeping the training-window length cheap.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.api.estimator import EstimatorSpec, InferenceResult, NotFittedError
+from repro.api.estimator import InferenceResult, NotFittedError
 
 
 class _EstimatorBase:
-    """Shared plumbing: batch fallback, spec round-trip, fit checks."""
+    """Shared plumbing: batch fallback and fit checks."""
 
     name: str = ""
     kind: str = "rates"
     uses_training: bool = True
-
-    def _spec_params(self) -> dict:
-        raise NotImplementedError
-
-    def spec(self) -> EstimatorSpec:
-        return EstimatorSpec(method=self.name, params=self._spec_params())
-
-    @classmethod
-    def from_spec(cls, spec) -> "_EstimatorBase":
-        """Rebuild from an :class:`EstimatorSpec` (or its dict form)."""
-        if not isinstance(spec, EstimatorSpec):
-            spec = EstimatorSpec.from_dict(spec)
-        if spec.method != cls.name:
-            raise ValueError(
-                f"spec is for method {spec.method!r}, not {cls.name!r}"
-            )
-        return cls(**spec.params)
 
     def predict_batch(self, window: Sequence) -> List[InferenceResult]:
         return [self.predict(snapshot) for snapshot in window]
@@ -87,16 +69,6 @@ class LIAEstimator(_EstimatorBase):
         self.cutoff_scale = cutoff_scale
         self._algorithm = None
         self._estimate = None
-
-    def _spec_params(self) -> dict:
-        return {
-            "variance_method": self.variance_method,
-            "reduction_strategy": self.reduction_strategy,
-            "drop_negative": self.drop_negative,
-            "floor": self.floor,
-            "congestion_threshold": self.congestion_threshold,
-            "cutoff_scale": self.cutoff_scale,
-        }
 
     @property
     def algorithm(self):
@@ -159,12 +131,6 @@ class DelayEstimator(_EstimatorBase):
         self._algorithm = None
         self._estimate = None
 
-    def _spec_params(self) -> dict:
-        return {
-            "variance_cutoff_ms2": self.variance_cutoff_ms2,
-            "variance_method": self.variance_method,
-        }
-
     @property
     def algorithm(self):
         """The bound :class:`~repro.delay.inference.DelayInferenceAlgorithm`."""
@@ -200,9 +166,6 @@ class _BinaryLocalizerBase(_EstimatorBase):
         self.link_threshold = link_threshold
         self._routing = None
         self._paths = None
-
-    def _spec_params(self) -> dict:
-        return {"link_threshold": self.link_threshold}
 
     def _bind(self, campaign, paths: Optional[Sequence]) -> None:
         if paths is not None:
@@ -276,11 +239,6 @@ class CLINKEstimator(_BinaryLocalizerBase):
         super().__init__(link_threshold=link_threshold)
         self.smoothing = smoothing
         self._model = None
-
-    def _spec_params(self) -> dict:
-        params = super()._spec_params()
-        params["smoothing"] = self.smoothing
-        return params
 
     def fit(self, campaign, paths: Optional[Sequence] = None) -> "CLINKEstimator":
         from repro.inference.clink import learn_clink_priors

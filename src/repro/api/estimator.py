@@ -12,11 +12,10 @@ its own loop.  The protocol collapses all of them to one shape::
     result = estimator.predict(target_snapshot)     # -> InferenceResult
     results = estimator.predict_batch(window)       # -> [InferenceResult]
 
-plus a declarative config round-trip: ``estimator.spec()`` returns an
-:class:`EstimatorSpec` (JSON-safe method name + parameters) and
-``repro.api.from_spec(spec)`` rebuilds an equivalent estimator.  A
-distributed or streaming backend only needs to satisfy this protocol to
-plug into every Scenario, experiment and CLI verb.
+A scenario declares each estimator as an :class:`EstimatorSpec` (method
+name + constructor parameters) and builds it through the registry.  A
+new backend only needs to satisfy this protocol to plug into every
+Scenario, experiment and CLI verb.
 
 Adapters are free to narrow the campaign/snapshot types they accept (the
 delay backend consumes :class:`~repro.delay.prober.DelayCampaign` /
@@ -30,7 +29,6 @@ from typing import (
     Any,
     Dict,
     List,
-    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -50,14 +48,12 @@ class NotFittedError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Declarative, JSON-safe description of one estimator configuration.
+    """Declarative description of one estimator configuration.
 
     ``method`` is a registry key (see :mod:`repro.api.registry`);
-    ``params`` maps constructor keyword arguments and must stay
-    JSON-serialisable so a spec can ride inside a
-    :class:`~repro.runner.TrialSpec`, a cache key, or a config file.
-    ``label`` names the estimator inside a scenario (defaults to the
-    method) so one scenario can run two configurations of one backend.
+    ``params`` maps constructor keyword arguments.  ``label`` names the
+    estimator inside a scenario (defaults to the method) so one scenario
+    can run two configurations of one backend.
     """
 
     method: str
@@ -77,20 +73,6 @@ class EstimatorSpec:
         from repro.api.registry import get
 
         return get(self.method, **self.params)
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"method": self.method, "params": dict(self.params)}
-        if self.label is not None:
-            payload["label"] = self.label
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "EstimatorSpec":
-        return cls(
-            method=str(payload["method"]),
-            params=dict(payload.get("params", {})),
-            label=payload.get("label"),
-        )
 
 
 @dataclass(frozen=True)
@@ -192,8 +174,4 @@ class Estimator(Protocol):
 
     def predict_batch(self, window: Sequence) -> List[InferenceResult]:
         """Infer a window of snapshots (backends batch where they can)."""
-        ...
-
-    def spec(self) -> EstimatorSpec:
-        """The declarative configuration that rebuilds this estimator."""
         ...

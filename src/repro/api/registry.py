@@ -23,7 +23,7 @@ from repro.api.adapters import (
     SCFSEstimator,
     TomoEstimator,
 )
-from repro.api.estimator import Estimator, EstimatorSpec
+from repro.api.estimator import Estimator
 
 _REGISTRY: Dict[str, Type[Estimator]] = {
     LIAEstimator.name: LIAEstimator,
@@ -51,10 +51,3 @@ def get(name: str, **params) -> Estimator:
             f"unknown estimator {name!r}; registered: {', '.join(available())}"
         ) from None
     return cls(**params)
-
-
-def from_spec(spec) -> Estimator:
-    """Build an estimator from an :class:`EstimatorSpec` or its dict form."""
-    if not isinstance(spec, EstimatorSpec):
-        spec = EstimatorSpec.from_dict(spec)
-    return get(spec.method, **spec.params)

@@ -26,17 +26,14 @@ traceroute measurement between topology and inference).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, is_dataclass
-from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.estimator import EstimatorSpec, InferenceResult
-from repro.lossmodel import INTERNET, LLRD1, LLRD2, LossRateModel
-from repro.lossmodel.bernoulli import BernoulliProcess
+from repro.lossmodel import LLRD1, LossRateModel
 from repro.lossmodel.congestion import CongestionLossProcess
-from repro.lossmodel.gilbert import GilbertProcess
 from repro.lossmodel.processes import LossProcess
 from repro.netsim.sim.config import TrafficConfig
 from repro.metrics import (
@@ -49,14 +46,6 @@ from repro.probing import MeasurementCampaign, ProberConfig, ProbingSimulator
 from repro.probing.snapshot import Snapshot
 from repro.topology.prepare import PreparedTopology, prepare_topology
 from repro.utils.rng import derive_seed
-
-#: Named loss-rate models a serialised scenario may reference.
-MODEL_REGISTRY: Dict[str, LossRateModel] = {
-    LLRD1.name: LLRD1,
-    LLRD2.name: LLRD2,
-    INTERNET.name: INTERNET,
-}
-
 
 @dataclass
 class EstimatorEvaluation:
@@ -427,123 +416,6 @@ class Scenario:
             results=results if target_consumer is None else [results[-1]],
             detections=detections,
             accuracy=accuracy,
-        )
-
-    # -- declarative round-trip ------------------------------------------------
-
-    def spec(self) -> Dict[str, Any]:
-        """JSON-safe declaration that :meth:`from_spec` rebuilds.
-
-        Callable hooks (``propensities``) and hand-built custom loss
-        processes have no declarative form and raise; the registry-backed
-        pieces — model name, gilbert/bernoulli process, traffic config,
-        estimator specs — serialise to plain dicts, so a scenario can
-        ride inside a ``TrialSpec``, a cache key, or a config file.
-        """
-        if self.propensities is not None:
-            raise ValueError(
-                "a propensities hook is a callable and cannot be serialised"
-            )
-        if self.process is None:
-            process: Optional[Dict[str, Any]] = None
-        elif type(self.process) is GilbertProcess:
-            process = {"kind": "gilbert", "stay_bad": self.process.stay_bad}
-        elif type(self.process) is BernoulliProcess:
-            process = {"kind": "bernoulli"}
-        else:
-            raise ValueError(
-                f"loss process {type(self.process).__name__} has no "
-                "declarative form (congestion traffic is declared via "
-                "traffic=, not process=)"
-            )
-        if self.params is None:
-            params: Optional[Dict[str, Any]] = None
-        elif is_dataclass(self.params):
-            params = asdict(self.params)
-        else:
-            params = dict(vars(self.params))
-        model = (
-            self.model.name
-            if MODEL_REGISTRY.get(self.model.name) == self.model
-            else asdict(self.model)
-        )
-        return {
-            "topology": self.topology,
-            "params": params,
-            "prober": asdict(self.prober),
-            "model": model,
-            "process": process,
-            "traffic": self.traffic.to_dict(),
-            "estimators": [spec.to_dict() for spec in self.estimators],
-            "num_training": self.num_training,
-            "training_grid": (
-                list(self.training_grid)
-                if self.training_grid is not None
-                else None
-            ),
-            "num_targets": self.num_targets,
-            "topology_salt": self.topology_salt,
-            "campaign_salt": self.campaign_salt,
-            "propensity_salt": self.propensity_salt,
-        }
-
-    @classmethod
-    def from_spec(cls, payload: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario from :meth:`spec` output (or parsed JSON)."""
-        model_payload = payload.get("model", LLRD1.name)
-        if isinstance(model_payload, str):
-            if model_payload not in MODEL_REGISTRY:
-                raise ValueError(
-                    f"unknown loss-rate model {model_payload!r}; "
-                    f"known: {sorted(MODEL_REGISTRY)}"
-                )
-            model = MODEL_REGISTRY[model_payload]
-        else:
-            fields = dict(model_payload)
-            fields["good_range"] = tuple(fields["good_range"])
-            fields["congested_range"] = tuple(fields["congested_range"])
-            model = LossRateModel(**fields)
-        process_payload = payload.get("process")
-        if process_payload is None:
-            process: Optional[LossProcess] = None
-        else:
-            kind = process_payload.get("kind")
-            if kind == "gilbert":
-                process = GilbertProcess(
-                    stay_bad=process_payload.get("stay_bad", 0.35)
-                )
-            elif kind == "bernoulli":
-                process = BernoulliProcess()
-            else:
-                raise ValueError(f"unknown loss process kind {kind!r}")
-        prober_payload = dict(payload.get("prober", {}))
-        if "propensity_range" in prober_payload:
-            prober_payload["propensity_range"] = tuple(
-                prober_payload["propensity_range"]
-            )
-        params_payload = payload.get("params")
-        grid = payload.get("training_grid")
-        return cls(
-            topology=payload.get("topology", "tree"),
-            params=(
-                SimpleNamespace(**params_payload)
-                if params_payload is not None
-                else None
-            ),
-            prober=ProberConfig(**prober_payload),
-            model=model,
-            process=process,
-            traffic=TrafficConfig.from_dict(payload.get("traffic", {})),
-            estimators=tuple(
-                EstimatorSpec.from_dict(e)
-                for e in payload.get("estimators", [{"method": "lia"}])
-            ),
-            num_training=int(payload.get("num_training", 50)),
-            training_grid=tuple(int(m) for m in grid) if grid else None,
-            num_targets=int(payload.get("num_targets", 1)),
-            topology_salt=int(payload.get("topology_salt", 0)),
-            campaign_salt=int(payload.get("campaign_salt", 1)),
-            propensity_salt=int(payload.get("propensity_salt", 1)),
         )
 
     # -- end to end ------------------------------------------------------------

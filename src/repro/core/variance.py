@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from repro.core import sparse_solvers
@@ -167,6 +167,8 @@ def solve_covariance_system(
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
+    if not np.isfinite(sigma).all():
+        raise ValueError("sigma holds a NaN or infinite covariance")
     keep = None
     if drop_negative:
         negative = negative_pair_mask(sigma)
@@ -247,6 +249,18 @@ def estimate_link_variances_from_moments(
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (pairs.num_pairs,):
         raise ValueError("one covariance per intersecting pair required")
+    path_variances = np.asarray(path_variances, dtype=np.float64)
+    if path_variances.ndim != 1:
+        raise ValueError("path_variances must be one-dimensional")
+    # pair_i <= pair_j, so pair_j holds the largest path index.
+    num_paths = int(pairs.pair_j.max()) + 1
+    if path_variances.shape[0] < num_paths:
+        raise ValueError(
+            f"path_variances has {path_variances.shape[0]} entries; "
+            f"the pairs cover {num_paths} paths"
+        )
+    if not np.isfinite(path_variances).all():
+        raise ValueError("path_variances holds a NaN or infinite variance")
     summary = CovarianceSummary(
         num_snapshots=num_snapshots,
         num_pairs=pairs.num_pairs,
@@ -255,10 +269,7 @@ def estimate_link_variances_from_moments(
     weights = None
     if method == "wls":
         weights = _equation_weights(
-            np.asarray(path_variances, dtype=np.float64),
-            pairs,
-            sigma,
-            num_snapshots,
+            path_variances, pairs, sigma, num_snapshots
         )
     solution = solve_covariance_system(
         pairs.matrix, sigma, method=method, weights=weights,
@@ -304,6 +315,8 @@ def _solve(A: sparse.csr_matrix, b: np.ndarray, method: str) -> np.ndarray:
     if method == "qr":
         return solve_least_squares_qr(A.toarray(), b)
     if method == "nnls":
+        from scipy import optimize
+
         dense = A.toarray()
         solution, _ = optimize.nnls(dense, b)
         return solution

@@ -28,7 +28,6 @@ from repro.experiments.base import (
     ExperimentResult,
     ScaleParams,
     prepare_topology,
-    run_lia_trial,
     scale_params,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "ExperimentResult",
     "ScaleParams",
     "prepare_topology",
-    "run_lia_trial",
     "scale_params",
 ]

@@ -15,7 +15,7 @@ with numbers:
 * negative-covariance equations: dropped (paper) / kept.
 
 Trial params carry only the variant *label* (labels are the cache/JSON
-identity); the label is mapped back to ``run_lia_trial`` overrides —
+identity); the label is mapped back to ``lia_scenario`` overrides —
 which may contain non-serialisable objects like loss processes — inside
 the trial function.
 """

@@ -23,12 +23,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api import EstimatorSpec, Scenario
-from repro.core.engine import LIAResult
 from repro.lossmodel import LLRD1, LossRateModel
 from repro.lossmodel.processes import LossProcess
-from repro.metrics import AccuracyReport, DetectionOutcome
 from repro.probing import ProberConfig
-from repro.probing.snapshot import Snapshot
 from repro.topology.prepare import (
     MESH_TOPOLOGY_KINDS,
     PreparedTopology,
@@ -46,7 +43,6 @@ __all__ = [
     "ExperimentResult",
     "PreparedTopology",
     "ScaleParams",
-    "TrialOutcome",
     "execute_trials",
     "fold_grouped",
     "lia_scenario",
@@ -54,7 +50,6 @@ __all__ = [
     "mean_and_ci",
     "prepare_topology",
     "repetition_seeds",
-    "run_lia_trial",
     "scale_params",
 ]
 
@@ -122,16 +117,6 @@ class ExperimentResult:
 # -- campaign + evaluation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Metrics of one LIA inference trial."""
-
-    detection: DetectionOutcome
-    accuracy: AccuracyReport
-    result: LIAResult
-    target: Snapshot
-
-
 def lia_scenario(
     topology: str = "tree",
     params: Optional[ScaleParams] = None,
@@ -173,49 +158,6 @@ def lia_scenario(
             ),
         ),
         **scenario_kwargs,
-    )
-
-
-def run_lia_trial(
-    prepared: PreparedTopology,
-    seed: Optional[int],
-    congestion_probability: float = 0.10,
-    snapshots: int = 50,
-    probes: int = 1000,
-    model: LossRateModel = LLRD1,
-    process: Optional[LossProcess] = None,
-    truth_mode: str = "fixed",
-    variance_method: str = "wls",
-    reduction_strategy: str = "threshold",
-    fidelity: str = "packet",
-) -> TrialOutcome:
-    """One full LIA trial: simulate m+1 snapshots, learn, infer, score.
-
-    A thin compatibility shim over :class:`repro.api.Scenario` (the
-    topology is pre-built and *seed* feeds the campaign directly).
-    Accuracy is scored against the target snapshot's *realized*
-    per-column loss fractions (what LIA estimates); detection against
-    the assigned congestion marks, both per Section 6.
-    """
-    scenario = lia_scenario(
-        params=None,
-        congestion_probability=congestion_probability,
-        snapshots=snapshots,
-        probes=probes,
-        model=model,
-        process=process,
-        truth_mode=truth_mode,
-        variance_method=variance_method,
-        reduction_strategy=reduction_strategy,
-        fidelity=fidelity,
-    )
-    outcome = scenario.run(prepared=prepared, campaign_seed=seed)
-    evaluation = outcome.evaluations[0]
-    return TrialOutcome(
-        detection=evaluation.detection,
-        accuracy=evaluation.accuracy,
-        result=evaluation.result.raw,
-        target=outcome.targets[-1],
     )
 
 

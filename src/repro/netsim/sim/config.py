@@ -12,10 +12,8 @@ per-link packet loss:
   CongestionSimulator`, with the remaining fields sizing the links and
   the background cross-traffic.
 
-The config is JSON-round-trippable (:meth:`to_dict` /
-:meth:`from_dict`) so it can ride inside ``Scenario.spec()``, a
-``TrialSpec``, or a shard-cache key.  ``TRAFFIC_KINDS`` is the
-canonical choice tuple; ``repro simulate --traffic`` reads it directly.
+``TRAFFIC_KINDS`` is the canonical choice tuple; ``repro simulate
+--traffic`` reads it directly.
 
 All times are measured in *probe slots* (one slot = one probe
 inter-departure interval) and all sizes in service units of one
@@ -28,8 +26,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Mapping
+from dataclasses import dataclass, fields
+from typing import Any
 
 TRAFFIC_KINDS = ("analytic", "congestion")
 
@@ -165,15 +163,3 @@ class TrafficConfig:
     @property
     def is_congestion(self) -> bool:
         return self.kind == "congestion"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TrafficConfig":
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(
-                f"unknown TrafficConfig fields: {sorted(unknown)}"
-            )
-        return cls(**dict(payload))

@@ -1,8 +1,8 @@
 """The unified Estimator protocol, registry and Scenario pipeline.
 
 The acceptance bar of the api redesign: every backend is reachable via
-``registry.get(name).fit(...).predict(...)``, specs round-trip, and the
-adapters are *pinned byte-for-byte* to the pre-redesign call paths
+``registry.get(name).fit(...).predict(...)``, and the adapters are
+*pinned byte-for-byte* to the pre-redesign call paths
 (``LossInferenceAlgorithm``, ``DelayInferenceAlgorithm`` and the three
 ``*_localize`` free functions), so rewiring the experiments through
 Scenario cannot change a single payload.
@@ -26,7 +26,6 @@ from repro.api import (
     Scenario,
     available,
     evaluate_forest,
-    from_spec,
     get,
     registry,
 )
@@ -86,24 +85,6 @@ class TestRegistry:
         assert estimator.name == name
         assert estimator.kind in ("rates", "binary", "delay")
 
-    @pytest.mark.parametrize("name", ALL_METHODS)
-    def test_spec_round_trip(self, name):
-        estimator = get(name)
-        spec = estimator.spec()
-        assert spec.method == name
-        rebuilt = from_spec(spec)
-        assert rebuilt.spec() == spec
-        # ... and through the JSON-safe dict form.
-        assert from_spec(spec.to_dict()).spec() == spec
-        # ... and through the adapter classmethod.
-        assert type(estimator).from_spec(spec).spec() == spec
-
-    def test_spec_round_trip_with_overrides(self):
-        estimator = get("lia", reduction_strategy="gap", cutoff_scale=8.0)
-        rebuilt = from_spec(estimator.spec())
-        assert rebuilt.reduction_strategy == "gap"
-        assert rebuilt.cutoff_scale == 8.0
-
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown estimator"):
             get("bogus")
@@ -127,14 +108,10 @@ class TestRegistry:
             def predict_batch(self, window):
                 return [self.predict(s) for s in window]
 
-            def spec(self):
-                return EstimatorSpec("constant")
-
         monkeypatch.setitem(registry._REGISTRY, "constant", Constant)
         assert "constant" in available()
         assert "constant" not in available(exclude_kind="rates")
         assert isinstance(get("constant"), Constant)
-        assert isinstance(from_spec(EstimatorSpec("constant")), Constant)
         monkeypatch.undo()
         assert "constant" not in available()
 
@@ -378,199 +355,15 @@ class TestScenario:
         with pytest.raises(ValueError, match="exceeds"):
             scenario.evaluate(prepared, campaign)
 
-
-class TestScenarioSpec:
-    """Scenario.spec()/from_spec(): the declarative JSON round-trip."""
-
-    def _scenario(self, **overrides):
-        from repro.lossmodel import GilbertProcess
-
-        params = scale_params("tiny")
-        fields = dict(
-            topology="tree",
-            params=params,
-            prober=ProberConfig(
-                probes_per_snapshot=200, congestion_probability=0.12
-            ),
-            model=LLRD1,
-            process=GilbertProcess(stay_bad=0.5),
-            training_grid=(3, 6),
-            estimators=(
-                EstimatorSpec("lia"),
-                EstimatorSpec("scfs", {"link_threshold": 0.002}),
-            ),
-            campaign_salt=4,
-        )
-        fields.update(overrides)
-        return Scenario(**fields)
-
-    def test_json_round_trip(self):
-        import json
-
-        scenario = self._scenario()
-        spec = json.loads(json.dumps(scenario.spec()))
-        rebuilt = Scenario.from_spec(spec)
-        assert rebuilt.spec() == scenario.spec()
-
-    def test_congestion_traffic_round_trips(self):
-        import json
-
-        from repro.netsim.sim import TrafficConfig
-
-        scenario = self._scenario(
-            process=None,
-            traffic=TrafficConfig(kind="congestion", buffer_packets=8),
-        )
-        spec = json.loads(json.dumps(scenario.spec()))
-        rebuilt = Scenario.from_spec(spec)
-        assert rebuilt.traffic == scenario.traffic
-        assert rebuilt.spec() == scenario.spec()
-
-    def test_rebuilt_scenario_is_seed_identical(self):
-        scenario = self._scenario()
-        rebuilt = Scenario.from_spec(scenario.spec())
-        a = scenario.run(seed=17)
-        b = rebuilt.run(seed=17)
-        for m in (3, 6):
-            assert a.evaluation("lia", m).detection == b.evaluation(
-                "lia", m
-            ).detection
-
-    def test_custom_model_round_trips_by_fields(self):
-        from dataclasses import replace
-
-        custom = replace(LLRD1, name="custom-model")
-        scenario = self._scenario(model=custom)
-        rebuilt = Scenario.from_spec(scenario.spec())
-        assert rebuilt.model == custom
-
     def test_congestion_traffic_excludes_explicit_process(self):
+        from repro.lossmodel import GilbertProcess
         from repro.netsim.sim import TrafficConfig
 
         with pytest.raises(ValueError, match="its own loss process"):
-            self._scenario(traffic=TrafficConfig(kind="congestion"))
-
-    def test_hooks_and_custom_processes_refuse_to_serialise(self):
-        from repro.lossmodel import CongestionLossProcess
-
-        scenario = self._scenario(
-            propensities=lambda prepared, seed: np.zeros(1)
-        )
-        with pytest.raises(ValueError, match="cannot be serialised"):
-            scenario.spec()
-        process = CongestionLossProcess([(0,)], 2)
-        with pytest.raises(ValueError, match="no\\s+declarative form"):
-            self._scenario(process=process).spec()
-
-    def test_from_spec_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown loss-rate model"):
-            Scenario.from_spec({"model": "nope"})
-        with pytest.raises(ValueError, match="unknown loss process"):
-            Scenario.from_spec({"process": {"kind": "laplace"}})
-
-
-class TestDistributed:
-    """DistributedEstimator: wire fidelity + one kept-column group per shard."""
-
-    @pytest.fixture(scope="class")
-    def document_and_window(self, workload):
-        from repro.io.serialization import CampaignDocument
-
-        prepared, campaign = workload
-        document = CampaignDocument(
-            network=prepared.topology.network,
-            beacons=prepared.topology.beacons,
-            destinations=prepared.topology.destinations,
-            paths=prepared.paths,
-            snapshots=list(campaign.snapshots[:9]),
-        )
-        return document, list(campaign.snapshots[9:])
-
-    def test_serial_distributed_matches_local(self, document_and_window):
-        from repro.api import DistributedEstimator
-
-        document, window = document_and_window
-        local = get("lia").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(EstimatorSpec("lia")).fit(document)
-        local_results = local.predict_batch(window)
-        dist_results = dist.predict_batch(window)
-        for a, b in zip(local_results, dist_results):
-            assert np.array_equal(a.values, b.values)
-            assert a.kind == b.kind == "rates"
-        # fixed probe count => one kept-column set => exactly one shard
-        assert dist.runner.last_stats.shards_total == 1
-
-    def test_process_backend_distributed_matches_local(self, document_and_window):
-        from repro.api import DistributedEstimator
-        from repro.runner import ParallelRunner
-
-        document, window = document_and_window
-        local = get("lia").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(
-            EstimatorSpec("lia"),
-            runner=ParallelRunner(n_jobs=2, backend="process"),
-        ).fit(document)
-        for a, b in zip(local.predict_batch(window), dist.predict_batch(window)):
-            assert np.array_equal(a.values, b.values)
-
-    def test_one_kept_column_group_per_shard(self, document_and_window):
-        from repro.api import DistributedEstimator
-        from repro.probing.snapshot import Snapshot
-
-        document, window = document_and_window
-        # Mix probe counts: the threshold cutoff scales with 1/probes, so
-        # distinct counts generally reduce to distinct kept-column sets.
-        mixed = [
-            Snapshot(
-                path_transmission=snap.path_transmission,
-                num_probes=(300 if i % 2 else 40),
+            Scenario(
+                process=GilbertProcess(stay_bad=0.5),
+                traffic=TrafficConfig(kind="congestion"),
             )
-            for i, snap in enumerate(window)
-        ]
-        local = get("lia").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(EstimatorSpec("lia")).fit(document)
-        distinct_groups = {dist._group_key(snap) for snap in mixed}
-        dist_results = dist.predict_batch(mixed)
-        assert dist.runner.last_stats.shards_total == len(distinct_groups)
-        for a, b in zip(local.predict_batch(mixed), dist_results):
-            assert np.array_equal(a.values, b.values)
-
-    def test_binary_estimator_round_trips(self, document_and_window):
-        from repro.api import DistributedEstimator
-
-        document, window = document_and_window
-        local = get("scfs").fit(document.campaign(), paths=document.paths)
-        dist = DistributedEstimator(EstimatorSpec("scfs")).fit(document)
-        for a, b in zip(local.predict_batch(window), dist.predict_batch(window)):
-            assert np.array_equal(a.values, b.values)
-            assert a.congested_columns == b.congested_columns
-            assert b.kind == "binary"
-
-    def test_predict_before_fit_raises(self):
-        from repro.api import DistributedEstimator
-
-        with pytest.raises(NotFittedError):
-            DistributedEstimator(EstimatorSpec("lia")).predict_batch([])
-
-    def test_requires_shard_size_one(self):
-        from repro.api import DistributedEstimator
-        from repro.runner import ParallelRunner
-
-        with pytest.raises(ValueError, match="shard_size=1"):
-            DistributedEstimator(
-                EstimatorSpec("lia"),
-                runner=ParallelRunner(shard_size=2),
-            )
-
-    def test_helper_and_spec_round_trip(self):
-        from repro.api import DistributedEstimator, distributed
-
-        wrapper = distributed(EstimatorSpec("lia"))
-        assert isinstance(wrapper, DistributedEstimator)
-        assert wrapper.name == "lia" and wrapper.kind == "rates"
-        assert wrapper.spec() == EstimatorSpec("lia")
-        # dict form accepted too (config-file path)
-        assert distributed({"method": "scfs"}).name == "scfs"
 
 
 class TestEvaluateForest:

@@ -15,16 +15,16 @@ from repro.runner.args import add_runner_arguments, runner_from_args
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_building_the_parser_never_imports_scipy_stats():
-    """The CLI reads the real registries; doing so must stay cheap.
+def _assert_fresh_import_skips(statements, forbidden):
+    """Run *statements* in a fresh interpreter; no *forbidden* module loads.
 
-    Checked in a fresh interpreter: the test session itself has long
-    since imported scipy.stats through other tests.
+    A fresh interpreter because the test session itself has long since
+    imported them through other tests.
     """
     code = (
-        "import sys, repro.experiments, repro.cli\n"
-        "repro.cli.build_parser()\n"
-        "sys.exit('scipy.stats' in sys.modules)\n"
+        f"{statements}\n"
+        "import sys\n"
+        f"sys.exit(' '.join(m for m in {forbidden!r} if m in sys.modules) or None)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -33,7 +33,23 @@ def test_building_the_parser_never_imports_scipy_stats():
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
-    assert proc.returncode == 0, proc.stderr or "scipy.stats was imported"
+    assert proc.returncode == 0, f"imported: {proc.stderr}"
+
+
+def test_building_the_parser_never_imports_scipy_stats():
+    """The CLI reads the real registries; doing so must stay cheap."""
+    _assert_fresh_import_skips(
+        "import repro.experiments, repro.cli\nrepro.cli.build_parser()",
+        ("scipy.stats",),
+    )
+
+
+def test_import_repro_stays_lean():
+    """``import repro`` loads neither the runner nor single-method scipy."""
+    _assert_fresh_import_skips(
+        "import repro",
+        ("scipy.optimize", "repro.runner", "repro.io.serialization"),
+    )
 
 
 class TestAudit:

@@ -12,6 +12,7 @@ from repro.core.covariance import (
 from repro.core.variance import (
     VARIANCE_METHODS,
     estimate_link_variances,
+    estimate_link_variances_from_moments,
     variance_recovery_error,
 )
 from repro.probing import MeasurementCampaign, Snapshot
@@ -135,6 +136,31 @@ class TestVarianceEstimation:
         )
         with pytest.raises(ValueError, match="two snapshots"):
             estimate_link_variances(campaign)
+
+    @pytest.mark.parametrize(
+        "argument, bad_entry, keep",
+        [
+            ("sigma", np.nan, None),
+            ("sigma", np.inf, None),
+            ("path_variances", np.nan, None),
+            ("path_variances", 0.02, -1),
+        ],
+        ids=["nan-sigma", "inf-sigma", "nan-path-variances", "short-path-variances"],
+    )
+    def test_moments_reject_bad_input(self, figure2, argument, bad_entry, keep):
+        """A bad moment raises an error naming it, not a NaN estimate."""
+        _, _, routing = figure2
+        pairs = intersecting_pairs(routing.matrix)
+        moments = {
+            "sigma": np.full(pairs.num_pairs, 0.01),
+            "path_variances": np.full(routing.num_paths, 0.02),
+        }
+        moments[argument][-1] = bad_entry
+        moments[argument] = moments[argument][:keep]
+        with pytest.raises(ValueError, match=argument):
+            estimate_link_variances_from_moments(
+                pairs, num_snapshots=10, **moments
+            )
 
     def test_pairs_reuse(self, figure2):
         _, _, routing = figure2

@@ -9,10 +9,10 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, scale_params
 from repro.experiments.base import (
+    lia_scenario,
     make_topology,
     prepare_topology,
     repetition_seeds,
-    run_lia_trial,
 )
 
 
@@ -42,9 +42,10 @@ class TestHarnessPlumbing:
 
     def test_trial_outcome_fields(self):
         prepared = prepare_topology("tree", scale_params("tiny"), 3)
-        trial = run_lia_trial(prepared, 4, snapshots=8, probes=200)
-        assert 0 <= trial.detection.detection_rate <= 1
-        assert trial.accuracy.absolute_errors.maximum >= 0
+        scenario = lia_scenario(snapshots=8, probes=200)
+        evaluation = scenario.run(prepared=prepared, campaign_seed=4).evaluations[0]
+        assert 0 <= evaluation.detection.detection_rate <= 1
+        assert evaluation.accuracy.absolute_errors.maximum >= 0
 
 
 class TestShapes:

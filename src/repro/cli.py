@@ -13,7 +13,7 @@ Six verbs covering the operational loop without writing Python:
     run one estimator (``--method lia|scfs|clink|tomo``, dispatched
     through the ``repro.api`` registry) on a campaign document and print
     the congested links it reports; ``--variance-solver`` picks LIA's
-    phase-1 solver (``sparse``/``cg`` for 10k-link meshes);
+    phase-1 estimator (``wls``, ``normal`` or ``nnls``);
 ``compare``
     run several estimators over one campaign document and print a
     side-by-side table of their verdicts per link;
@@ -36,7 +36,7 @@ Examples::
         --snapshots 11 --probes 300 --out congested.json
     python -m repro infer campaign.json --threshold 0.002
     python -m repro infer campaign.json --method scfs
-    python -m repro infer campaign.json --variance-solver sparse
+    python -m repro infer campaign.json --variance-solver normal
     python -m repro compare campaign.json --methods lia,scfs,tomo
     python -m repro experiments fig5 --scale small --jobs -1 \
         --cache-dir .repro-cache
@@ -445,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=VARIANCE_METHODS,
             default="wls",
             help=(
-                "LIA phase-1 solver (repro.core.variance.VARIANCE_METHODS); "
-                "'sparse'/'cg' keep 10k-link systems out of dense algebra"
+                "LIA phase-1 estimator: weighted (wls), unweighted "
+                "(normal) or non-negative (nnls) least squares"
             ),
         )
 

@@ -27,11 +27,6 @@ from repro.core.reduction import (
     reduce_to_full_rank,
     solve_reduced_system,
 )
-from repro.core.sparse_solvers import (
-    SPARSE_AUTO_THRESHOLD,
-    solve_normal_cg,
-    solve_normal_sparse,
-)
 from repro.core.variance import (
     VARIANCE_METHODS,
     VarianceEstimate,
@@ -48,7 +43,6 @@ __all__ = [
     "LIAResult",
     "LossInferenceAlgorithm",
     "ReductionResult",
-    "SPARSE_AUTO_THRESHOLD",
     "VARIANCE_METHODS",
     "VarianceEstimate",
     "audit_identifiability",
@@ -63,8 +57,6 @@ __all__ = [
     "pair_row_index",
     "reduce_to_full_rank",
     "solve_covariance_system",
-    "solve_normal_cg",
-    "solve_normal_sparse",
     "solve_reduced_system",
     "variance_recovery_error",
     "verify_theorem1",

@@ -1,11 +1,10 @@
 """The inner loops of LIA's linear algebra, in plain numpy.
 
 These loops run in the interpreter when no single BLAS/LAPACK call
-covers them: the CGS2 two-matvec basis offer (every phase-2 reduction),
-the zero-pivot-tolerant back-substitution, the Givens column-removal and
-column-insert sweeps, and the Householder panel factorization.  :mod:`repro.core.linalg` and :mod:`repro.core.engine`
-call them directly; every experiment payload is pinned to this
-arithmetic.
+covers them: the CGS2 two-matvec basis offer (every phase-2 reduction)
+and the Givens column-removal and column-insert sweeps.
+:mod:`repro.core.linalg` and :mod:`repro.core.engine` call them
+directly; every experiment payload is pinned to this arithmetic.
 """
 
 from __future__ import annotations
@@ -13,12 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "back_substitution",
     "cgs2_project",
     "current_tier",
     "givens_downdate",
     "givens_insert_column",
-    "householder_panel",
 ]
 
 
@@ -39,25 +36,6 @@ def cgs2_project(
     v -= B @ (B.T @ v)
     v -= B @ (B.T @ v)  # second pass for numerical robustness
     return v
-
-
-def back_substitution(
-    U: np.ndarray, b: np.ndarray, tol: float
-) -> np.ndarray:
-    """Zero-pivot-tolerant back-substitution (the degenerate slow path).
-
-    Only reached when a pivot of ``U`` underflows *tol* — the full-rank
-    case dispatches to LAPACK ``trtrs`` before the kernel is consulted.
-    """
-    n = U.shape[0]
-    x = np.zeros(n, dtype=np.float64)
-    for k in range(n - 1, -1, -1):
-        residual = b[k] - U[k, k + 1 :] @ x[k + 1 :]
-        if abs(U[k, k]) <= tol:
-            x[k] = 0.0
-        else:
-            x[k] = residual / U[k, k]
-    return x
 
 
 def givens_downdate(r: np.ndarray, q: np.ndarray, position: int) -> None:
@@ -100,43 +78,4 @@ def givens_insert_column(r: np.ndarray, q: np.ndarray, position: int) -> None:
         rot = np.array([[c, s], [-s, c]])
         r[[i, i + 1], position:] = rot @ r[[i, i + 1], position:]
         q[:, [i, i + 1]] = q[:, [i, i + 1]] @ rot.T
-
-
-def householder_panel(
-    A: np.ndarray,
-    V: np.ndarray,
-    betas: np.ndarray,
-    k0: int,
-    k1: int,
-) -> np.ndarray:
-    """Factorize panel columns ``[k0, k1)`` of *A* in place; return ``T``.
-
-    One Householder reflector per column (written into ``V``/``betas``)
-    applied to the remaining panel columns, then the forward
-    accumulation of the compact-WY ``T`` with
-    ``H_{k0} ... H_{k1-1} = I - Vp T Vp^T``.
-    """
-    for k in range(k0, k1):
-        x = A[k:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            V[k:, k] = 0.0
-            betas[k] = 0.0
-            continue
-        v = x.copy()
-        v[0] += np.sign(x[0]) * norm_x if x[0] != 0 else norm_x
-        v /= np.linalg.norm(v)
-        beta = 2.0
-        V[k:, k] = v
-        betas[k] = beta
-        A[k:, k:k1] -= beta * np.outer(v, v @ A[k:, k:k1])
-    nb = k1 - k0
-    Vp = V[k0:, k0:k1]
-    T = np.zeros((nb, nb), dtype=np.float64)
-    for j in range(nb):
-        beta = betas[k0 + j]
-        if j and beta:
-            T[:j, j] = -beta * (T[:j, :j] @ (Vp[:, :j].T @ Vp[:, j]))
-        T[j, j] = beta
-    return T
 

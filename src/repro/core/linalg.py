@@ -1,20 +1,19 @@
 """Dense linear-algebra kernels used by LIA.
 
 The paper solves its linear systems "using Householder reflection to
-compute an orthogonal-triangular factorization" (Golub & Van Loan).  We
-implement that QR least-squares path explicitly — it is the reference
-solver for both phases — plus the incremental Gram–Schmidt column
-selector used by the fast full-rank reduction strategy.  Everything is
+compute an orthogonal-triangular factorization" (Golub & Van Loan).
+Here that factorization is LAPACK's: :class:`QRFactorization` holds the
+economy QR of the kept-column block ``R*`` for reuse across right-hand
+sides, with Givens downdates and CGS2 updates when one column leaves or
+joins.  The module also holds the incremental Gram–Schmidt column
+selector used by the full-rank reduction strategies.  Everything is
 cross-checked against numpy/scipy in the test suite.
 
-The kernels are *blocked*: the Householder QR aggregates panels of
-reflections into compact-WY block reflectors (``P = I - V T V^T``) so the
-trailing-matrix update and the thin-Q accumulation run as matrix-matrix
-products, and the incremental basis stores its vectors in a preallocated
-2-D array so each orthogonalisation is two ``B.T @ v`` / ``B @ w``
-matvecs instead of a Python loop over basis vectors.  The pre-blocking
-seed implementations live on in the test suite as the pinning oracles
-for the equivalence tests.
+The incremental basis stores its vectors in a preallocated 2-D array,
+so each orthogonalisation is two ``B.T @ v`` / ``B @ w`` matvecs instead
+of a Python loop over basis vectors.  The seed's modified Gram–Schmidt
+basis lives on in the test suite as the pinning oracle for the
+equivalence tests.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ from scipy import sparse
 from scipy.linalg import lapack as scipy_lapack
 
 from repro.core import kernels
-
-#: Panel width of the blocked Householder QR.  32 keeps the T matrices
-#: tiny while making the trailing update a genuine BLAS-3 operation.
-DEFAULT_BLOCK_SIZE = 32
 
 #: Residual-norm ratio below which :meth:`QRFactorization.add_column`
 #: declares the offered column dependent and refuses the update.  Same
@@ -67,100 +62,6 @@ def solve_upper_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal trtrs argument {-info}")
     return x
-
-
-def householder_qr(
-    matrix: np.ndarray,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Compact blocked Householder QR: ``(Q, R)`` with ``Q`` m x n, ``R`` n x n.
-
-    Golub & Van Loan algorithm 5.2.2 with the compact-WY representation:
-    each panel of ``block_size`` reflections is aggregated into
-    ``P = I - V T V^T`` and applied to the trailing matrix (and later to
-    the identity block for thin ``Q``) as two matrix products.  Requires
-    ``m >= n``.  Bit-for-bit this reorders the sums of the unblocked
-    reference, but the factorization it returns is the same to machine
-    precision (pinned to the seed's unblocked loop by the equivalence
-    tests).
-    """
-    A = np.array(matrix, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"householder_qr requires m >= n, got {m} x {n}")
-    if block_size < 1:
-        raise ValueError("block_size must be positive")
-
-    V = np.zeros((m, n), dtype=np.float64)
-    betas = np.zeros(n, dtype=np.float64)
-    panels: List[Tuple[int, int, np.ndarray]] = []  # (k0, k1, T)
-
-    for k0 in range(0, n, block_size):
-        k1 = min(k0 + block_size, n)
-        # Unblocked factorization of the panel columns plus forward
-        # accumulation of T (H_{k0} ... H_{k1-1} = I - Vp T Vp^T).
-        T = kernels.householder_panel(A, V, betas, k0, k1)
-        panels.append((k0, k1, T))
-        # Blocked trailing update:  A := P^T A = A - V T^T (V^T A).
-        if k1 < n:
-            Vp = V[k0:, k0:k1]
-            W = Vp.T @ A[k0:, k1:]
-            A[k0:, k1:] -= Vp @ (T.T @ W)
-
-    R = np.triu(A[:n, :])
-
-    # Thin Q = P_0 P_1 ... P_last applied to the identity block, so the
-    # panels are applied in reverse order:  Q := Q - V T (V^T Q).
-    Q = np.zeros((m, n), dtype=np.float64)
-    Q[:n, :n] = np.eye(n)
-    for k0, k1, T in reversed(panels):
-        Vp = V[k0:, k0:k1]
-        Q[k0:, :] -= Vp @ (T @ (Vp.T @ Q[k0:, :]))
-    return Q, R
-
-
-def back_substitution(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``U x = b`` for upper-triangular ``U`` (zero diag -> 0 entry).
-
-    Zero pivots get a zero solution component instead of raising: LIA's
-    phase-1 matrix is full rank by Theorem 1, but sampled systems can be
-    numerically deficient and a minimum-norm-flavoured fallback keeps the
-    estimator total.  The non-degenerate case dispatches to LAPACK
-    ``trtrs``; the elimination loop only runs when a pivot actually
-    underflows the tolerance.
-    """
-    U = np.asarray(upper, dtype=np.float64)
-    b = np.asarray(rhs, dtype=np.float64)
-    n = U.shape[0]
-    if U.shape != (n, n):
-        raise ValueError("upper must be square")
-    if b.shape[0] != n:
-        raise ValueError("rhs length mismatch")
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    scale = np.max(np.abs(U))
-    tol = max(scale, 1.0) * n * np.finfo(np.float64).eps
-    if np.min(np.abs(np.diag(U))) > tol:
-        return scipy_linalg.solve_triangular(U, b, lower=False, check_finite=False)
-    return kernels.back_substitution(
-        np.ascontiguousarray(U), np.ascontiguousarray(b), tol
-    )
-
-
-def solve_least_squares_qr(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares solution of ``matrix @ x ~= rhs`` via Householder QR.
-
-    The paper's phase-1/phase-2 solver (O(n_p^2 n_c^2 - n_c^3 / 3) there;
-    same complexity class here, now with the blocked kernel).
-    """
-    A = np.asarray(matrix, dtype=np.float64)
-    b = np.asarray(rhs, dtype=np.float64)
-    if A.shape[0] != b.shape[0]:
-        raise ValueError("matrix and rhs row counts differ")
-    Q, R = householder_qr(A)
-    return back_substitution(R, Q.T @ b)
 
 
 @dataclass(frozen=True)

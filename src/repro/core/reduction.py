@@ -220,7 +220,6 @@ def solve_reduced_system(
     routing_matrix,
     path_log_rates: np.ndarray,
     reduction: ReductionResult,
-    solver: str = "auto",
 ) -> np.ndarray:
     """Solve ``Y = R* X*`` and re-embed into full link coordinates.
 
@@ -230,15 +229,14 @@ def solve_reduced_system(
     transmission rates cannot exceed 1.
 
     *routing_matrix* may be dense or scipy sparse; only the kept-column
-    block ``R*`` is densified.  Solvers: ``"auto"`` (default) uses the
-    rank-revealing QR driver (LAPACK ``gelsy``) and falls back to the
-    minimum-norm ``lstsq`` if the kept set is numerically rank deficient
-    (it is full rank by construction for every built-in reduction
-    strategy, where the two solutions coincide); ``"lstsq"`` is the
-    seed's SVD-based path; ``"qr"`` is the paper's Householder
-    reference.  Callers solving *many* right-hand sides against one kept
-    set should go through :class:`repro.core.engine.InferenceEngine`,
-    which caches the ``R*`` factorization outright.
+    block ``R*`` is densified.  The solve uses the rank-revealing QR
+    driver (LAPACK ``gelsy``) and falls back to the minimum-norm
+    ``lstsq`` if the kept set is numerically rank deficient (it is full
+    rank by construction for every built-in reduction strategy, where
+    the two solutions coincide).  Callers solving *many* right-hand
+    sides against one kept set should go through
+    :class:`repro.core.engine.InferenceEngine`, which caches the ``R*``
+    factorization outright.
     """
     is_sparse = sparse.issparse(routing_matrix)
     if is_sparse:
@@ -256,23 +254,12 @@ def solve_reduced_system(
         R_star = np.asarray(R.tocsc()[:, kept].todense(), dtype=np.float64)
     else:
         R_star = R[:, kept]
-    if solver == "auto":
-        x_star, _, rank, _ = scipy_linalg.lstsq(
-            R_star, y, lapack_driver="gelsy", check_finite=False
-        )
-        if rank < len(kept):
-            # gelsy returns a basic solution on rank deficiency; match
-            # the seed's minimum-norm behaviour instead.
-            x_star, *_ = np.linalg.lstsq(R_star, y, rcond=None)
-    elif solver == "lstsq":
+    x_star, _, rank, _ = scipy_linalg.lstsq(
+        R_star, y, lapack_driver="gelsy", check_finite=False
+    )
+    if rank < len(kept):
+        # gelsy returns a basic solution on rank deficiency; match
+        # the seed's minimum-norm behaviour instead.
         x_star, *_ = np.linalg.lstsq(R_star, y, rcond=None)
-    elif solver == "qr":
-        from repro.core.linalg import solve_least_squares_qr
-
-        if R_star.shape[0] < R_star.shape[1]:
-            raise ValueError("reduced system is underdetermined")
-        x_star = solve_least_squares_qr(R_star, y)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
     x_full[kept] = np.minimum(x_star, 0.0)
     return x_full

@@ -6,7 +6,7 @@ column rank, so the least-squares solution is unique; the estimator is a
 special case of the generalised method of moments (consistent, no
 distributional assumption, no iterative MLE).
 
-Seven interchangeable solvers:
+Three solvers, one per estimator that gives a different answer:
 
 ``"wls"`` (default)
     feasible generalised least squares: each covariance equation is
@@ -17,31 +17,14 @@ Seven interchangeable solvers:
     than those crossing congested links; weighting them up sharpens the
     good/congested variance separation dramatically on meshes.  This is
     the efficient-GMM refinement of the paper's estimator.
-``"lsmr"``
-    unweighted sparse iterative least squares (the paper's plain LS, at
-    scale).
 ``"normal"``
-    dense normal equations ``A^T A v = A^T s`` assembled from the sparse
-    rows (exact, fast when ``n_c`` is moderate).
-``"qr"``
-    the paper's dense Householder QR (reference implementation).
+    the paper's plain (unweighted) least squares, solved through dense
+    normal equations ``A^T A v = A^T s`` assembled from the sparse rows.
+    ``"wls"`` runs the same body on the row-scaled system.
 ``"nnls"``
     non-negative least squares — variances are non-negative by
     definition, so projecting onto the feasible set is a natural
     extension (ablated in the benchmarks).
-``"sparse"``
-    exact normal equations with the Gram matrix kept sparse and
-    factorized via SuperLU (:mod:`repro.core.sparse_solvers`) — the
-    scalable analogue of ``"normal"`` for 10k-link meshes.
-``"cg"``
-    Jacobi-preconditioned conjugate gradients on the normal equations,
-    matrix-free — for systems where even the sparse Gram factor is too
-    large.
-
-``"wls"`` and ``"normal"`` route onto the sparse factorization
-automatically once the system is wider than
-:data:`repro.core.sparse_solvers.SPARSE_AUTO_THRESHOLD` columns; below
-it the historical dense path runs unchanged.
 
 Equations with negative sample covariance are dropped first, as in the
 paper.  The filtering, WLS row scaling, underdetermined-system guard and
@@ -56,19 +39,16 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
-from repro.core import sparse_solvers
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
 from repro.core.covariance import (
     CovarianceSummary,
     negative_pair_mask,
     sample_covariance_pairs,
 )
-from repro.core.linalg import solve_least_squares_qr
 from repro.probing.snapshot import MeasurementCampaign
 
-VARIANCE_METHODS = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
+VARIANCE_METHODS = ("wls", "normal", "nnls")
 
 
 @dataclass(frozen=True)
@@ -285,42 +265,22 @@ def estimate_link_variances_from_moments(
 
 
 def _solve(A: sparse.csr_matrix, b: np.ndarray, method: str) -> np.ndarray:
-    if method == "lsmr":
-        # Weighting can make the system badly conditioned; give the
-        # iteration enough budget to actually converge.
-        result = sparse_linalg.lsmr(
-            A, b, atol=1e-13, btol=1e-13, conlim=1e14,
-            maxiter=max(20 * A.shape[1], 2000),
-        )
-        return np.asarray(result[0], dtype=np.float64)
-    if method in ("normal", "wls"):
-        if sparse_solvers.use_sparse_normal(A.shape[1]):
-            # Above the crossover a dense Gram matrix is the memory
-            # bottleneck; the sparse factorization solves the identically
-            # regularized system.
-            return sparse_solvers.solve_normal_sparse(A, b)
-        # Exact normal equations.  n_c x n_c stays dense-friendly into the
-        # thousands, and unlike iterative solvers the answer does not
-        # degrade with the conditioning the WLS weights introduce.
-        AtA = (A.T @ A).toarray()
-        Atb = A.T @ b
-        # Tiny Tikhonov term guards against numerically repeated columns;
-        # Theorem 1 makes AtA nonsingular in exact arithmetic.
-        ridge = 1e-10 * np.trace(AtA) / max(AtA.shape[0], 1)
-        return np.linalg.solve(AtA + ridge * np.eye(AtA.shape[0]), Atb)
-    if method == "sparse":
-        return sparse_solvers.solve_normal_sparse(A, b)
-    if method == "cg":
-        return sparse_solvers.solve_normal_cg(A, b)
-    if method == "qr":
-        return solve_least_squares_qr(A.toarray(), b)
     if method == "nnls":
         from scipy import optimize
 
         dense = A.toarray()
         solution, _ = optimize.nnls(dense, b)
         return solution
-    raise AssertionError(f"unreachable method {method}")
+    # "normal" and "wls" (row weighting applied upstream): exact normal
+    # equations.  n_c x n_c stays dense-friendly into the thousands, and
+    # unlike iterative solvers the answer does not degrade with the
+    # conditioning the WLS weights introduce.
+    AtA = (A.T @ A).toarray()
+    Atb = A.T @ b
+    # Tiny Tikhonov term guards against numerically repeated columns;
+    # Theorem 1 makes AtA nonsingular in exact arithmetic.
+    ridge = 1e-10 * np.trace(AtA) / max(AtA.shape[0], 1)
+    return np.linalg.solve(AtA + ridge * np.eye(AtA.shape[0]), Atb)
 
 
 def variance_recovery_error(

@@ -73,9 +73,8 @@ class DelayInferenceAlgorithm:
     variance_method:
         Phase-1 solver, see :data:`repro.core.variance.VARIANCE_METHODS`
         — the delay layer solves the same ``Sigma_hat* = A v`` system
-        through the same back end as the loss layer, so the sparse
-        solvers (``"sparse"``, ``"cg"``) and the automatic dense→sparse
-        crossover apply here too.
+        through the same back end as the loss layer, so every loss-layer
+        solver (``"wls"``, ``"normal"``, ``"nnls"``) applies here too.
     """
 
     def __init__(

@@ -4,10 +4,11 @@ Not a paper table — this sweeps the implementation's own knobs on one
 fixed workload (tree, LLRD1, p = 10 %) so the trade-offs are documented
 with numbers:
 
-* phase-1 solver: wls / lsmr / normal / qr / nnls / sparse / cg (the
-  ``variance=wls`` row re-measures the default solver on the shared
-  ablation grid so the baseline everything else uses is itself in the
-  table, not only in the composite first row);
+* phase-1 solver: wls / normal / nnls, one row per estimator that
+  gives a different answer (the ``variance=wls`` row re-measures the
+  default solver on the shared ablation grid so the baseline everything
+  else uses is itself in the table, not only in the composite first
+  row);
 * phase-2 reduction: gap / paper / greedy;
 * simulator fidelity: packet / flow;
 * loss process: Gilbert / Bernoulli (the paper's "differences are
@@ -39,11 +40,10 @@ from repro.runner import ParallelRunner, TrialSpec
 from repro.utils.tables import TextTable
 
 # The full canonical solver grid from repro.core, *including* the
-# default "wls" (historically omitted, so the solver ablation never
-# measured the solver everything else uses) and the sparse solvers.
-# Existing labels keep their exact spelling and payload keys so cached
-# trials stay valid; the new labels only append rows.
-ABLATED_VARIANCE_METHODS = ("wls", "lsmr", "normal", "qr", "nnls", "sparse", "cg")
+# default "wls", so the solver ablation measures the solver everything
+# else uses.  Labels keep their exact spelling and payload keys so
+# cached trials stay valid.
+ABLATED_VARIANCE_METHODS = ("wls", "normal", "nnls")
 ABLATED_REDUCTION_STRATEGIES = ("gap", "paper", "greedy")
 
 
@@ -74,15 +74,13 @@ def _variant_overrides(label: str) -> dict:
 def trial(spec: TrialSpec) -> dict:
     """One (variant, repetition) scenario on the fixed tree workload.
 
-    Every variant now runs the full tree size for its scale, so solver
-    rows are finally comparable like-for-like with the rest of the
-    table: with :mod:`repro.core.sparse_solvers` in place the Gram-based
-    solvers scale without per-variant sizing, and the dense *reference*
-    rows (``qr``/``nnls``, which densify ``A`` by definition) are a
-    measured, bounded cost — ~60 s and ~80 s per trial on a ~600 MiB
-    dense ``A`` at paper scale, a small slice of a paper-scale ablation
-    campaign — rather than a reason to measure them on a different
-    workload than everything else.
+    Every variant runs the full tree size for its scale, so solver rows
+    are comparable like-for-like with the rest of the table.  The
+    ``nnls`` row densifies ``A`` by definition; that is a measured,
+    bounded cost (~80 s per trial on a ~600 MiB dense ``A`` at paper
+    scale, a small slice of a paper-scale ablation campaign) rather
+    than a reason to measure it on a different workload than
+    everything else.
     """
     label = spec.params["variant"]
     p = scale_params(spec.params["scale"])

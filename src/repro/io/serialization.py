@@ -23,6 +23,7 @@ Format (documented, versioned)::
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Dict, List, Sequence, Union
@@ -86,13 +87,17 @@ def paths_from_list(payload: Sequence[Dict], network: Network) -> List[Path]:
     paths: List[Path] = []
     for index, entry in enumerate(payload):
         links = []
-        for i in map(int, entry["links"]):
+        for i in entry["links"]:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise ValueError(
+                    f"path {index} link index must be an integer, got {i!r}"
+                )
             if not 0 <= i < network.num_links:
                 raise ValueError(
                     f"path {index} names link {i}, but the network has "
                     f"links 0..{network.num_links - 1}"
                 )
-            links.append(network.link(i))
+            links.append(network.link(int(i)))
         paths.append(
             Path(
                 index=index,
@@ -132,7 +137,7 @@ def document_from_dict(payload: Dict) -> CampaignDocument:
             path_transmission=np.asarray(
                 entry["path_transmission"], dtype=np.float64
             ),
-            num_probes=int(entry["num_probes"]),
+            num_probes=entry["num_probes"],
         )
         for entry in payload["snapshots"]
     ]

@@ -14,6 +14,7 @@ a probe) before taking logs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -69,7 +70,10 @@ class Snapshot:
         # Written so NaN fails too: every comparison with NaN is false.
         if not np.all((rates >= 0) & (rates <= 1)):
             raise ValueError("path_transmission rates must lie in [0, 1]")
-        if self.num_probes <= 0:
+        count = self.num_probes
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"num_probes must be an integer, got {count!r}")
+        if count <= 0:
             raise ValueError("num_probes must be positive")
         object.__setattr__(self, "path_transmission", rates)
         if self.realized_loss_fractions is not None:

@@ -1,21 +1,20 @@
 """Seed implementations kept as pinning oracles for the equivalence tests.
 
-The blocked Householder QR and the array-backed incremental basis in
-:mod:`repro.core.linalg` reorder floating-point sums relative to the
-seed's pure-Python loops, so the tests pin them to these loops to tight
-tolerances.  The Gilbert chain's run-frontier realisation is pinned to
-the seed's per-slot loop bit for bit, the bulk construction of the
-intersecting pairs to the seed's per-link loop, the monitor's
-mask-diffed link states to the seed's set-based bookkeeping, event for
-event, and the packet simulator's departure-time FIFO to the
-event-driven link that scheduled every service completion, trace for
-trace.  Do not use them outside the tests.
+The array-backed incremental basis in :mod:`repro.core.linalg`
+reorders floating-point sums relative to the seed's pure-Python loop, so
+the tests pin it to that loop to tight tolerances.  The Gilbert chain's
+run-frontier realisation is pinned to the seed's per-slot loop bit for
+bit, the bulk construction of the intersecting pairs to the seed's
+per-link loop, the monitor's mask-diffed link states to the seed's
+set-based bookkeeping, event for event, and the packet simulator's
+departure-time FIFO to the event-driven link that scheduled every
+service completion, trace for trace.  Do not use them outside the tests.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List
 
 import numpy as np
 from scipy import sparse
@@ -23,37 +22,6 @@ from scipy import sparse
 from repro.core.augmented import IntersectingPairs, pair_row_index
 from repro.monitor.online import AnomalyEvent
 from repro.netsim.sim.packet import Packet
-
-
-def householder_qr_reference(
-    matrix: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The seed (unblocked, one reflection per column) Householder QR."""
-    A = np.array(matrix, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"householder_qr requires m >= n, got {m} x {n}")
-    vs: List[np.ndarray] = []
-    for k in range(n):
-        x = A[k:, k].copy()
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            vs.append(np.zeros_like(x))
-            continue
-        v = x.copy()
-        v[0] += np.sign(x[0]) * norm_x if x[0] != 0 else norm_x
-        v /= np.linalg.norm(v)
-        vs.append(v)
-        A[k:, k:] -= 2.0 * np.outer(v, v @ A[k:, k:])
-    R = np.triu(A[:n, :])
-    Q = np.zeros((m, n), dtype=np.float64)
-    Q[:n, :n] = np.eye(n)
-    for k in range(n - 1, -1, -1):
-        v = vs[k]
-        Q[k:, :] -= 2.0 * np.outer(v, v @ Q[k:, :])
-    return Q, R
 
 
 class SeedColumnBasis:

@@ -48,7 +48,12 @@ def test_import_repro_stays_lean():
     """``import repro`` loads neither the runner nor single-method scipy."""
     _assert_fresh_import_skips(
         "import repro",
-        ("scipy.optimize", "repro.runner", "repro.io.serialization"),
+        (
+            "scipy.optimize",
+            "scipy.sparse.linalg",
+            "repro.runner",
+            "repro.io.serialization",
+        ),
     )
 
 
@@ -99,13 +104,13 @@ class TestSimulateInfer:
             ]
         )
         capsys.readouterr()
-        for solver in ("sparse", "cg"):
+        for solver in ("normal", "nnls"):
             code = main(["infer", str(doc), "--variance-solver", solver])
             assert code == 0
             assert "trained on 11 snapshots" in capsys.readouterr().out
         code = main(
             ["compare", str(doc), "--methods", "lia", "--variance-solver",
-             "sparse"]
+             "nnls"]
         )
         assert code == 0
 

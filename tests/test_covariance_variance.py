@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.augmented import intersecting_pairs
 from repro.core.covariance import (
@@ -13,8 +14,10 @@ from repro.core.variance import (
     VARIANCE_METHODS,
     estimate_link_variances,
     estimate_link_variances_from_moments,
+    solve_covariance_system,
     variance_recovery_error,
 )
+from repro.delay import DelayCampaign, DelayInferenceAlgorithm, DelaySnapshot
 from repro.probing import MeasurementCampaign, Snapshot
 
 
@@ -83,16 +86,21 @@ class TestVarianceEstimation:
         assert variance_recovery_error(estimate, true_var) < 0.15
 
     def test_methods_agree_on_same_data(self, figure2):
+        """``normal`` is the plain least-squares answer of the filtered system."""
         _, _, routing = figure2
         campaign = synthetic_campaign(
             routing, np.full(routing.num_links, 0.1), m=300, seed=4
         )
-        estimates = {
-            m: estimate_link_variances(campaign, method=m).variances
-            for m in ("lsmr", "normal", "qr")
-        }
-        assert np.allclose(estimates["lsmr"], estimates["normal"], atol=1e-8)
-        assert np.allclose(estimates["qr"], estimates["normal"], atol=1e-8)
+        pairs = intersecting_pairs(routing.matrix)
+        sigma = sample_covariance_pairs(
+            campaign.log_matrix(None), pairs.pair_i, pairs.pair_j
+        )
+        keep = ~negative_pair_mask(sigma)
+        expected, *_ = np.linalg.lstsq(
+            pairs.matrix[keep].toarray(), sigma[keep], rcond=None
+        )
+        normal = estimate_link_variances(campaign, method="normal").variances
+        assert np.allclose(normal, expected, atol=1e-8)
 
     def test_nnls_never_negative(self, figure2):
         _, _, routing = figure2
@@ -180,3 +188,143 @@ class TestVarianceEstimation:
         estimate = estimate_link_variances(campaign)
         with pytest.raises(ValueError):
             variance_recovery_error(estimate, np.ones(3))
+
+
+class TestResidualNorm:
+    def test_wls_residual_is_unweighted(self, figure2):
+        """Regression: wls used to report the *weighted* residual."""
+        _, _, routing = figure2
+        campaign = synthetic_campaign(
+            routing, np.full(routing.num_links, 0.1), m=100, seed=6
+        )
+        pairs = intersecting_pairs(routing.matrix)
+        estimate = estimate_link_variances(campaign, method="wls", pairs=pairs)
+        # Recompute the unweighted residual over the surviving equations.
+        sigma = sample_covariance_pairs(
+            campaign.log_matrix(None), pairs.pair_i, pairs.pair_j
+        )
+        keep = ~negative_pair_mask(sigma)
+        expected = np.linalg.norm(
+            pairs.matrix[keep] @ estimate.variances - sigma[keep]
+        )
+        assert estimate.residual_norm == pytest.approx(expected)
+        assert estimate.weighted_residual_norm is not None
+        assert estimate.weighted_residual_norm != pytest.approx(
+            estimate.residual_norm
+        )
+
+    def test_residuals_comparable_across_solvers(self, figure2):
+        """On one system, every solver's residual_norm is now commensurate."""
+        _, _, routing = figure2
+        campaign = synthetic_campaign(
+            routing, np.full(routing.num_links, 0.1), m=150, seed=7
+        )
+        residuals = {
+            m: estimate_link_variances(campaign, method=m).residual_norm
+            for m in VARIANCE_METHODS
+        }
+        # "normal" minimises this residual; wls trades a little of it for
+        # statistical efficiency and nnls for feasibility, so both sit
+        # within a small factor rather than orders of magnitude away.
+        assert residuals["wls"] <= 3.0 * residuals["normal"]
+        assert residuals["normal"] <= residuals["nnls"] * (1 + 1e-9)
+        assert residuals["nnls"] <= 3.0 * residuals["normal"]
+
+    def test_unweighted_methods_have_no_weighted_residual(self, figure2):
+        _, _, routing = figure2
+        campaign = synthetic_campaign(
+            routing, np.full(routing.num_links, 0.1), m=50, seed=8
+        )
+        estimate = estimate_link_variances(campaign, method="normal")
+        assert estimate.weighted_residual_norm is None
+
+
+class _StubRouting:
+    """The minimal routing surface DelayInferenceAlgorithm touches."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=np.uint8)
+
+    @property
+    def num_links(self):
+        return int(self.matrix.shape[1])
+
+    @property
+    def num_paths(self):
+        return int(self.matrix.shape[0])
+
+    def to_sparse(self):
+        return sparse.csr_matrix(self.matrix.astype(np.float64))
+
+
+class TestEmptySystemGuard:
+    def test_core_raises_on_underdetermined_filtered_system(self):
+        A = sparse.csr_matrix(np.eye(3))
+        sigma = np.array([-1.0, -2.0, -0.5])  # every equation dropped
+        with pytest.raises(ValueError, match="equations remain"):
+            solve_covariance_system(A, sigma, method="normal")
+
+    def test_delay_layer_raises_same_error(self):
+        """Regression: this used to crash in a degenerate dense solve.
+
+        Two paths share one link and carry one private link each; their
+        cross covariance is negative by construction, so after the
+        paper's filter only the two self-pair equations survive for
+        three unknowns.
+        """
+        routing = _StubRouting([[1, 1, 0], [1, 0, 1]])
+        delays = np.array(
+            [[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [2.0, 1.0], [1.5, 1.5]]
+        )
+        campaign = DelayCampaign(
+            routing=routing,
+            snapshots=[
+                DelaySnapshot(path_delays=row, num_probes=100) for row in delays
+            ],
+        )
+        algorithm = DelayInferenceAlgorithm(routing)
+        with pytest.raises(ValueError, match="equations remain"):
+            algorithm.learn_variances(campaign)
+
+    def test_delay_layer_weight_floor_matches_core(self, small_tree):
+        """The drifted copy-paste floor is gone: quiet systems still solve."""
+        _, _, routing = small_tree
+        rng = np.random.default_rng(9)
+        m, n_paths = 12, routing.matrix.shape[0]
+        delays = np.abs(rng.normal(5.0, 1.0, size=(m, n_paths)))
+        campaign = DelayCampaign(
+            routing=routing,
+            snapshots=[
+                DelaySnapshot(path_delays=row, num_probes=100) for row in delays
+            ],
+        )
+        estimate = DelayInferenceAlgorithm(routing).learn_variances(campaign)
+        assert estimate.num_links == routing.num_links
+        assert np.isfinite(estimate.variances).all()
+
+    def test_delay_variance_method_validated(self, small_tree):
+        _, _, routing = small_tree
+        with pytest.raises(ValueError, match="unknown variance method"):
+            DelayInferenceAlgorithm(routing, variance_method="bogus")
+
+    def test_delay_unweighted_solvers_end_to_end(self, small_tree):
+        """The delay layer reaches every phase-1 solver through the seam."""
+        _, _, routing = small_tree
+        rng = np.random.default_rng(10)
+        m, n_paths = 25, routing.matrix.shape[0]
+        base = rng.uniform(1.0, 3.0, size=n_paths)
+        delays = base + np.abs(rng.normal(0.0, 2.0, size=(m, n_paths)))
+        campaign = DelayCampaign(
+            routing=routing,
+            snapshots=[
+                DelaySnapshot(path_delays=row, num_probes=100) for row in delays
+            ],
+        )
+        wls = DelayInferenceAlgorithm(routing).learn_variances(campaign)
+        for method in ("normal", "nnls"):
+            algorithm = DelayInferenceAlgorithm(routing, variance_method=method)
+            estimate = algorithm.learn_variances(campaign)
+            assert estimate.num_links == routing.num_links
+            # Unweighted solvers land near the weighted default on a
+            # well-conditioned system.
+            assert np.corrcoef(estimate.variances, wls.variances)[0, 1] > 0.9

@@ -501,7 +501,6 @@ class TestEngineInference:
             routing.matrix.astype(np.float64),
             target.path_log_rates(),
             reduction,
-            solver="lstsq",
         )
         assert np.allclose(result.transmission_rates, np.exp(x), atol=1e-9)
 

@@ -7,11 +7,8 @@ from scipy import linalg as scipy_linalg
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
-    back_substitution,
     greedy_independent_columns,
-    householder_qr,
     qr_column_rank,
-    solve_least_squares_qr,
 )
 
 
@@ -19,49 +16,42 @@ def random_matrix(m, n, seed):
     return np.random.default_rng(seed).normal(size=(m, n))
 
 
+def qr_factors(A):
+    """``(Q, R)`` of the LAPACK Householder QR behind :class:`QRFactorization`."""
+    factorization = QRFactorization.factorize(A)
+    return factorization.q, factorization.r
+
+
+def qr_least_squares(A, b):
+    return QRFactorization.factorize(A).solve(b)
+
+
 class TestHouseholderQR:
     @pytest.mark.parametrize("shape", [(5, 5), (10, 4), (30, 7)])
     def test_reconstruction(self, shape):
         A = random_matrix(*shape, seed=0)
-        Q, R = householder_qr(A)
+        Q, R = qr_factors(A)
         assert np.allclose(Q @ R, A, atol=1e-10)
 
     def test_q_orthonormal(self):
         A = random_matrix(20, 6, seed=1)
-        Q, _ = householder_qr(A)
+        Q, _ = qr_factors(A)
         assert np.allclose(Q.T @ Q, np.eye(6), atol=1e-10)
 
     def test_r_upper_triangular(self):
         A = random_matrix(8, 8, seed=2)
-        _, R = householder_qr(A)
+        _, R = qr_factors(A)
         assert np.allclose(R, np.triu(R))
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
-            householder_qr(random_matrix(3, 5, seed=3))
+            qr_factors(random_matrix(3, 5, seed=3))
 
     def test_zero_column_survives(self):
         A = random_matrix(6, 3, seed=4)
         A[:, 1] = 0.0
-        Q, R = householder_qr(A)
+        Q, R = qr_factors(A)
         assert np.allclose(Q @ R, A, atol=1e-10)
-
-
-class TestBackSubstitution:
-    def test_solves_triangular_system(self):
-        U = np.triu(random_matrix(6, 6, seed=5)) + 3 * np.eye(6)
-        x = np.arange(1.0, 7.0)
-        assert np.allclose(back_substitution(U, U @ x), x)
-
-    def test_zero_pivot_gives_zero_component(self):
-        U = np.array([[1.0, 2.0], [0.0, 0.0]])
-        x = back_substitution(U, np.array([3.0, 0.0]))
-        assert x[1] == 0.0
-        assert x[0] == pytest.approx(3.0)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            back_substitution(np.ones((2, 3)), np.ones(2))
 
 
 class TestLeastSquares:
@@ -69,14 +59,14 @@ class TestLeastSquares:
     def test_matches_numpy_lstsq(self, shape):
         A = random_matrix(*shape, seed=6)
         b = random_matrix(shape[0], 1, seed=7).ravel()
-        ours = solve_least_squares_qr(A, b)
+        ours = qr_least_squares(A, b)
         theirs, *_ = np.linalg.lstsq(A, b, rcond=None)
         assert np.allclose(ours, theirs, atol=1e-8)
 
     def test_exact_system(self):
         A = random_matrix(5, 5, seed=8)
         x = np.ones(5)
-        assert np.allclose(solve_least_squares_qr(A, A @ x), x)
+        assert np.allclose(qr_least_squares(A, A @ x), x)
 
 
 class TestRank:

@@ -549,3 +549,38 @@ class TestSerialization:
         payload["paths"][3]["links"][0] = link
         with pytest.raises(ValueError, match=f"path 3 names link {link}"):
             document_from_dict(payload)
+
+    @staticmethod
+    def payload(small_tree, tree_campaign):
+        topo, paths, _ = small_tree
+        return document_to_dict(
+            CampaignDocument(
+                network=topo.network,
+                beacons=topo.beacons,
+                destinations=topo.destinations,
+                paths=paths,
+                snapshots=list(tree_campaign.snapshots),
+            )
+        )
+
+    @pytest.mark.parametrize("link", [2.9, 2.0, True])
+    def test_non_integer_link_index_rejected(
+        self, small_tree, tree_campaign, link
+    ):
+        """Regression: link 2.9 used to load silently as link 2."""
+        payload = self.payload(small_tree, tree_campaign)
+        payload["paths"][3]["links"][0] = link
+        with pytest.raises(
+            ValueError, match="path 3 link index must be an integer"
+        ):
+            document_from_dict(payload)
+
+    @pytest.mark.parametrize("count", [200.7, True])
+    def test_non_integer_probe_count_rejected(
+        self, small_tree, tree_campaign, count
+    ):
+        """Regression: num_probes 200.7 used to load silently as 200."""
+        payload = self.payload(small_tree, tree_campaign)
+        payload["snapshots"][2]["num_probes"] = count
+        with pytest.raises(ValueError, match="num_probes must be an integer"):
+            document_from_dict(payload)

@@ -50,6 +50,15 @@ class TestSnapshot:
                 realized_loss_fractions=[0.0, bad],
             )
 
+    @pytest.mark.parametrize("bad", [200.7, 200.0, True, "200"])
+    def test_non_integer_probe_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="num_probes must be an integer"):
+            Snapshot(path_transmission=[0.9, 1.0], num_probes=bad)
+
+    def test_numpy_integer_probe_count_accepted(self):
+        snap = Snapshot(path_transmission=[0.9], num_probes=np.int64(200))
+        assert snap.num_probes == 200
+
     def test_loss_complement(self):
         snap = Snapshot(path_transmission=np.array([0.9, 1.0]), num_probes=10)
         assert np.allclose(snap.path_loss_rates(), [0.1, 0.0])

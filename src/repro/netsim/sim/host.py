@@ -8,18 +8,22 @@ token is available, rescheduling itself for the bucket's next ready
 time.  Terminal packet outcomes come back through
 :meth:`Host.handle_delivery` / :meth:`Host.handle_drop` (invoked by the
 simulator's link callbacks) and are relayed to the controller after a
-reverse-path delay, closing the control loop.
+reverse-path delay, closing the control loop.  A single-link host that
+ignores feedback can instead run off the heap as a local source of its
+link (:meth:`Host.start_local`), sharing the emission body :meth:`Host._pace`.
 
 A :class:`ProbeTap` is the measurement-plane source: one tiny probe per
-slot through a single link, stamped with its slot index so the
-simulator can record the link's drop/delay realisation — the row of the
-``(num_links, num_probes)`` matrices the tomography pipeline consumes.
+slot through a single link, always a local source of that link, whose
+recorded send and departure times the simulator turns into the link's
+drop/delay realisation — the row of the ``(num_links, num_probes)``
+matrices the tomography pipeline consumes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from array import array
+from typing import Optional, Sequence, Tuple
 
 from repro.netsim.sim.cc.base import CongestionController
 from repro.netsim.sim.clock import EventScheduler
@@ -43,9 +47,7 @@ class Host:
         "stop_time",
         "ack_delay",
         "packets_sent",
-        "acks",
-        "losses",
-        "_sequence",
+        "next_time",
         "_running",
         "_on_emit",
     )
@@ -90,44 +92,73 @@ class Host:
             start=start_time,
         )
         self.packets_sent = 0
-        self.acks = 0
-        self.losses = 0
-        self._sequence = 0
+        self.next_time = math.inf  # of the next fire(), while link-local
         self._running = False
         self._on_emit = self._emit
 
     def start(self) -> None:
+        """Run on the event heap: one event per emission or wake-up."""
+        self._claim()
+        self.scheduler.schedule(self.start_time, self._on_emit)
+
+    def start_local(self) -> None:
+        """Run off the heap, fired by its only link; no callbacks, no feedback.
+
+        Its controller must override none of ``on_sent``, ``on_ack``
+        and ``on_loss``, so when it sends is a function of time alone.
+        """
+        if len(self.route) != 1 or any(
+            getattr(type(self.cc), h) is not getattr(CongestionController, h)
+            for h in ("on_sent", "on_ack", "on_loss")
+        ):
+            raise ValueError("a link-local host needs one link and no feedback hooks")
+        self._claim()
+        self.next_time = self.start_time
+        self.route[0].add_local(self)
+
+    def _claim(self) -> None:
         if self._running:
             raise RuntimeError("host already started")
         self._running = True
-        self.scheduler.schedule(self.start_time, self._on_emit)
 
-    # -- emission loop ---------------------------------------------------------
+    # -- emission --------------------------------------------------------------
 
-    def _emit(self) -> None:
-        scheduler = self.scheduler
-        cc = self.cc
+    def _pace(self, now: float) -> Tuple[bool, float]:
+        """Whether to send at *now*, and when to run next (``inf``: never)."""
         stop_time = self.stop_time
-        now = scheduler.now
         if now >= stop_time:
-            return
+            return False, math.inf
+        cc = self.cc
         rate = cc.pacing_rate(now)
         if rate <= 0.0:
             wake = cc.wake_time(now)
-            if wake != math.inf:
-                scheduler.schedule(min(max(wake, now), stop_time), self._on_emit)
-            return
+            return False, math.inf if wake == math.inf else min(max(wake, now), stop_time)
         size = self.packet_size
         sent, next_time = self.pacer.pace(now, rate, size)
         if sent:
-            packet = Packet(self.flow_id, self._sequence, self.route, now, size)
-            self._sequence += 1
             self.packets_sent += 1
-            cc.on_sent(now, packet)
-            self.route[0].enqueue(packet)
         if next_time == math.inf:
             next_time = now + size  # rate hit 0 mid-refill; re-poll
-        scheduler.schedule(min(next_time, stop_time), self._on_emit)
+        return sent, min(next_time, stop_time)
+
+    def _emit(self) -> None:
+        scheduler = self.scheduler
+        now = scheduler.now
+        sent, next_time = self._pace(now)
+        if sent:
+            sequence = self.packets_sent - 1
+            packet = Packet(self.flow_id, sequence, self.route, now, self.packet_size)
+            self.cc.on_sent(now, packet)
+            self.route[0].enqueue(packet)
+        if next_time != math.inf:
+            scheduler.schedule(next_time, self._on_emit)
+
+    def fire(self) -> None:
+        """Send at ``next_time`` straight into the link (link-local mode)."""
+        now = self.next_time
+        sent, self.next_time = self._pace(now)
+        if sent:
+            self.route[0].admit(now, self.packet_size)
 
     # -- feedback (invoked by the simulator's link callbacks) ------------------
 
@@ -139,39 +170,28 @@ class Host:
 
     def _ack(self, packet: Packet) -> None:
         now = self.scheduler.now
-        self.acks += 1
         self.cc.on_ack(now, packet, now - packet.sent_at)
 
     def _loss(self, packet: Packet) -> None:
-        self.losses += 1
         self.cc.on_loss(self.scheduler.now, packet)
 
 
 class ProbeTap:
-    """One probe per slot through one link, slot-stamped for recording.
+    """One probe per slot through one link, fired by the link itself.
 
     The tap realises Assumption S.1 *structurally*: every path crossing
     the link observes this single per-slot realisation, produced by the
-    shared queue itself rather than by a sampled process.
+    shared queue itself rather than by a sampled process.  ``sent`` and
+    ``departures`` hold each fired slot's send time and its departure
+    time from the link, NaN for a dropped probe.
     """
 
-    __slots__ = (
-        "flow_id",
-        "link",
-        "num_probes",
-        "phase",
-        "probe_size",
-        "scheduler",
-        "_route",
-        "_on_emit",
-    )
+    __slots__ = ("link", "num_probes", "phase", "probe_size", "next_time", "sent", "departures")
 
     def __init__(
         self,
-        flow_id: int,
         link: SimLink,
         num_probes: int,
-        scheduler: EventScheduler,
         phase: float = 0.0,
         probe_size: float = 0.05,
     ) -> None:
@@ -181,26 +201,21 @@ class ProbeTap:
             raise ValueError(f"phase must lie in [0, 1), got {phase}")
         if check_real("probe_size", probe_size) <= 0:
             raise ValueError(f"probe size must be positive, got {probe_size}")
-        self.flow_id = flow_id
         self.link = link
         self.num_probes = int(num_probes)
         self.phase = float(phase)
         self.probe_size = float(probe_size)
-        self.scheduler = scheduler
-        self._route = (link,)
-        self._on_emit = self._emit
+        self.next_time = self.phase
+        self.sent = array("d")
+        self.departures = array("d")
+        link.add_local(self)
 
-    def start(self) -> None:
-        self.scheduler.schedule(self.phase, self._on_emit, 0)
-
-    def _emit(self, slot: int) -> None:
-        scheduler = self.scheduler
-        self.link.enqueue(
-            Packet(
-                self.flow_id, slot, self._route, scheduler.now,
-                self.probe_size, slot,
-            )
-        )
-        if slot + 1 < self.num_probes:
-            # keep the association (phase + slot) + 1: payloads pin it
-            scheduler.schedule(self.phase + slot + 1, self._on_emit, slot + 1)
+    def fire(self) -> None:
+        """Send the next slot's probe and advance ``next_time``."""
+        now = self.next_time
+        slot = len(self.sent)
+        self.sent.append(now)
+        departure = self.link.admit(now, self.probe_size)
+        self.departures.append(math.nan if departure is None else departure)
+        # keep the association (phase + slot) + 1: payloads pin it
+        self.next_time = self.phase + slot + 1 if slot + 1 < self.num_probes else math.inf

@@ -16,11 +16,17 @@ discrete-event simulation per snapshot:
 * multi-hop AIMD and BBR-like prober flows ride randomly chosen probing
   paths, coupling queues across links.
 
+Taps and drivers feed one link and take no feedback, so each link fires
+its own as *local sources*, off the event heap; the heap carries only
+cross flows and next-hop arrivals.  Tie rule: a link's local sources
+fire before an arrival at the same instant, and its tap before its driver.
+
 Determinism: every stochastic choice draws from a stream spawned off
 one ``SeedSequence([seed])`` in a fixed order (tap phases, then one
-stream per link driver, then one per cross flow), and the event loop
-breaks ties by scheduling sequence — so a snapshot trace is a pure
-function of ``(topology, config, loss_rates, num_probes, seed)``.
+stream per link driver, then one per cross flow), the event loop
+breaks ties by scheduling sequence and the links by the tie rule above,
+so a snapshot trace is a pure function of ``(topology, config,
+loss_rates, num_probes, seed)``.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from repro.netsim.sim.cc import AIMDController, OnOffCBR, RateProber
 from repro.netsim.sim.clock import EventScheduler
-from repro.netsim.sim.config import TrafficConfig
+from repro.netsim.sim.config import TrafficConfig, check_count
 from repro.netsim.sim.host import Host, ProbeTap
 from repro.netsim.sim.link import SimLink
 from repro.netsim.sim.packet import Packet
@@ -56,8 +62,9 @@ class SnapshotTrace:
     active_links: np.ndarray   # (num_active,) physical link indices
     drops: np.ndarray          # (num_active, num_probes) bool
     delays_ms: np.ndarray      # (num_active, num_probes) probe sojourn, ms
-    events: int                # scheduler dispatches: emissions, acks,
-                               # losses and arrivals at a next hop
+    events: int                # heap dispatches: cross-flow emissions, acks
+                               # and losses, and arrivals at a next hop
+                               # (taps and drivers fire off the heap)
     packets_forwarded: int     # link departures by the run's end (all traffic)
     background_sent: int       # host emissions (drivers + cross flows)
     probe_drops: int
@@ -96,7 +103,6 @@ class CongestionSimulator:
                 )
         active = sorted({i for path in self._paths for i in path})
         self.active_links = np.asarray(active, dtype=np.int64)
-        self._row: Dict[int, int] = {k: r for r, k in enumerate(active)}
         self.last_trace: Optional[SnapshotTrace] = None
 
     @property
@@ -113,7 +119,8 @@ class CongestionSimulator:
         *loss_rates* holds one assigned rate per physical link, each
         finite and in [0, 1] (``ValueError`` names the first bad link).
         Rates at or below :data:`MIN_DRIVER_LOSS` get no driver; rates
-        above 0.95 are calibrated as 0.95.
+        above 0.95 are calibrated as 0.95.  *num_probes* (positive) and
+        *seed* must be integers; ``ValueError`` names a bad one.
         """
         rates = np.asarray(loss_rates, dtype=np.float64)
         if rates.shape != (self.num_links,):
@@ -129,8 +136,9 @@ class CongestionSimulator:
                 f"loss rate of link {k} must be finite and in [0, 1], "
                 f"got {rates[k]}"
             )
-        if num_probes <= 0:
+        if check_count("num_probes", num_probes) <= 0:
             raise ValueError(f"num_probes must be positive, got {num_probes}")
+        check_count("seed", seed)
         cfg = self.config
         num_active = self.num_active_links
         num_cross = cfg.num_aimd_flows + cfg.num_prober_flows
@@ -143,40 +151,17 @@ class CongestionSimulator:
         tap_rng, flow_streams = streams[0], streams[1:]
 
         scheduler = EventScheduler()
-        drops = np.zeros((num_active, num_probes), dtype=bool)
-        # Dropped (or unresolved) probes default to the full-buffer
-        # sojourn — the delay a probe would have seen had one more slot
-        # been free — keeping the delay matrix smooth at loss instants.
-        full_sojourn = (
-            cfg.buffer_packets / cfg.capacity_per_slot + cfg.prop_delay_slots
-        )
-        delays = np.full((num_active, num_probes), full_sojourn)
         # Run past the horizon so in-flight probes of the last slot clear
         # every queue (worst case: full buffer ahead plus propagation).
         horizon = float(num_probes)
         end = horizon + (cfg.buffer_packets / cfg.capacity_per_slot + (cfg.prop_delay_slots + 1.0))
         hosts: Dict[int, Host] = {}
-        row_of = self._row
-        probe_drops = 0
 
         def on_drop(packet: Packet, link: SimLink, now: float) -> None:
-            nonlocal probe_drops
-            if packet.probe_slot is not None:
-                drops[row_of[link.index], packet.probe_slot] = True
-                probe_drops += 1
-            else:
-                hosts[packet.flow_id].handle_drop(packet, link, now)
+            hosts[packet.flow_id].handle_drop(packet, link, now)
 
         def on_deliver(packet: Packet, now: float) -> None:
-            if packet.probe_slot is not None:
-                if now > end:  # delivered after the run: unresolved
-                    return
-                link = packet.route[-1]
-                delays[row_of[link.index], packet.probe_slot] = (
-                    now - packet.sent_at
-                )
-            else:
-                hosts[packet.flow_id].handle_delivery(packet, now)
+            hosts[packet.flow_id].handle_delivery(packet, now)
 
         links: Dict[int, SimLink] = {
             int(k): SimLink(
@@ -191,17 +176,18 @@ class CongestionSimulator:
             for k in self.active_links
         }
 
-        # Probe taps: one per active link, de-phased within the slot.
+        # Probe taps: one per active link, de-phased within the slot, each
+        # added to its link before the driver, so it wins a tie.
         phases = tap_rng.random(num_active)
-        for r, k in enumerate(self.active_links):
+        taps = [
             ProbeTap(
-                flow_id=-1 - r,
                 link=links[int(k)],
                 num_probes=num_probes,
-                scheduler=scheduler,
                 phase=float(phases[r]),
                 probe_size=cfg.probe_size,
-            ).start()
+            )
+            for r, k in enumerate(self.active_links)
+        ]
 
         flow_id = 0
 
@@ -230,7 +216,7 @@ class CongestionSimulator:
                 stop_time=horizon,
             )
             hosts[flow_id] = host
-            host.start()
+            host.start_local()
             flow_id += 1
 
         # Multi-hop cross traffic over randomly chosen probing paths.
@@ -267,15 +253,29 @@ class CongestionSimulator:
             flow_id += 1
 
         scheduler.run_until(end)
+        # ``served`` first fires each link's local sources due by ``end``.
+        packets_forwarded = sum(link.served for link in links.values())
+
+        # Dropped probes, and those delivered after the run's end, get the
+        # full-buffer sojourn — the delay a probe would have seen had one
+        # more slot been free — keeping the delay matrix smooth at losses.
+        full_sojourn = cfg.buffer_packets / cfg.capacity_per_slot + cfg.prop_delay_slots
+        drops = np.empty((num_active, num_probes), dtype=bool)
+        delays = np.empty((num_active, num_probes))
+        for r, tap in enumerate(taps):
+            departures = np.frombuffer(tap.departures)
+            arrivals = departures + tap.link.delay  # NaN for a drop
+            drops[r] = np.isnan(departures)
+            delays[r] = np.where(arrivals <= end, arrivals - np.frombuffer(tap.sent), full_sojourn)
 
         trace = SnapshotTrace(
             active_links=self.active_links,
             drops=drops,
             delays_ms=delays * cfg.slot_ms,
             events=scheduler.events_dispatched,
-            packets_forwarded=sum(l.served for l in links.values()),
+            packets_forwarded=packets_forwarded,
             background_sent=sum(h.packets_sent for h in hosts.values()),
-            probe_drops=probe_drops,
+            probe_drops=int(drops.sum()),
         )
         self.last_trace = trace
         return trace

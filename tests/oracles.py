@@ -6,9 +6,11 @@ the tests pin it to that loop to tight tolerances.  The Gilbert chain's
 run-frontier realisation is pinned to the seed's per-slot loop bit for
 bit, the bulk construction of the intersecting pairs to the seed's
 per-link loop, the monitor's mask-diffed link states to the seed's
-set-based bookkeeping, event for event, and the packet simulator's
-departure-time FIFO to the event-driven link that scheduled every
-service completion, trace for trace.  Do not use them outside the tests.
+set-based bookkeeping, event for event, and the packet simulator (its
+departure-time FIFO and its link-local taps and drivers) to a run with
+every source on the event heap and an event-driven link that scheduled
+every service completion, trace for trace.  Do not use them outside the
+tests.
 """
 
 from __future__ import annotations
@@ -241,3 +243,152 @@ class EventDrivenSimLink:
             return
         packet.hop = hop
         packet.route[hop].enqueue(packet)
+
+
+class HeapProbeTap:
+    """The heap-driven probe tap: one scheduler event per probe.
+
+    Each probe is a :class:`Packet` of flow ``flow_id`` whose sequence
+    number is its slot, and the next slot's emission is scheduled at
+    ``(phase + slot) + 1``.
+    """
+
+    def __init__(self, flow_id, link, num_probes, scheduler, phase=0.0, probe_size=0.05):
+        self.flow_id = flow_id
+        self.link = link
+        self.num_probes = int(num_probes)
+        self.phase = float(phase)
+        self.probe_size = float(probe_size)
+        self.scheduler = scheduler
+
+    def start(self) -> None:
+        self.scheduler.schedule(self.phase, self._emit, 0)
+
+    def _emit(self, slot: int) -> None:
+        scheduler = self.scheduler
+        self.link.enqueue(
+            Packet(self.flow_id, slot, (self.link,), scheduler.now, self.probe_size)
+        )
+        if slot + 1 < self.num_probes:
+            scheduler.schedule(self.phase + slot + 1, self._emit, slot + 1)
+
+
+def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
+    """``simulator.run_snapshot`` with every source on the event heap.
+
+    Taps are :class:`HeapProbeTap`\\ s, the calibrated drivers are
+    started with ``Host.start`` (so their acks and losses are events
+    too), and links are :class:`EventDrivenSimLink`\\ s.  The streams,
+    flows and push order are those of the simulator; only ``events``
+    differs in the returned trace.
+    """
+    from repro.netsim.sim import simulator as simulator_module
+    from repro.netsim.sim.cc import OnOffCBR
+    from repro.netsim.sim.clock import EventScheduler
+    from repro.netsim.sim.host import Host
+
+    rates = np.asarray(loss_rates, dtype=np.float64)
+    cfg = simulator.config
+    active_links = simulator.active_links
+    num_active = simulator.num_active_links
+    num_cross = cfg.num_aimd_flows + cfg.num_prober_flows
+    seq = np.random.SeedSequence([int(seed)])
+    streams = [
+        np.random.default_rng(child)
+        for child in seq.spawn(1 + num_active + num_cross)
+    ]
+    tap_rng, flow_streams = streams[0], streams[1:]
+
+    scheduler = EventScheduler()
+    drops = np.zeros((num_active, num_probes), dtype=bool)
+    full_sojourn = cfg.buffer_packets / cfg.capacity_per_slot + cfg.prop_delay_slots
+    delays = np.full((num_active, num_probes), full_sojourn)
+    horizon = float(num_probes)
+    end = horizon + (cfg.buffer_packets / cfg.capacity_per_slot + (cfg.prop_delay_slots + 1.0))
+    hosts: Dict[int, Host] = {}
+    row_of = {int(k): r for r, k in enumerate(active_links)}
+    probe_drops = 0
+
+    def on_drop(packet, link, now):
+        nonlocal probe_drops
+        if packet.flow_id < 0:
+            drops[row_of[link.index], packet.sequence] = True
+            probe_drops += 1
+        else:
+            hosts[packet.flow_id].handle_drop(packet, link, now)
+
+    def on_deliver(packet, now):
+        if packet.flow_id < 0:
+            if now > end:  # delivered after the run: unresolved
+                return
+            link = packet.route[-1]
+            delays[row_of[link.index], packet.sequence] = now - packet.sent_at
+        else:
+            hosts[packet.flow_id].handle_delivery(packet, now)
+
+    links = {
+        int(k): EventDrivenSimLink(
+            int(k), cfg.capacity_per_slot, cfg.prop_delay_slots,
+            cfg.buffer_packets, scheduler, on_drop, on_deliver,
+        )
+        for k in active_links
+    }
+    phases = tap_rng.random(num_active)
+    for r, k in enumerate(active_links):
+        HeapProbeTap(
+            -1 - r, links[int(k)], num_probes, scheduler,
+            float(phases[r]), cfg.probe_size,
+        ).start()
+
+    flow_id = 0
+    for r, k in enumerate(active_links):
+        target = float(rates[int(k)])
+        rng = flow_streams[r]
+        if target <= simulator_module.MIN_DRIVER_LOSS:
+            continue
+        cc = OnOffCBR.for_target_loss(
+            min(target, 0.95),
+            capacity=cfg.capacity_per_slot,
+            buffer=cfg.buffer_packets,
+            overload_factor=cfg.overload_factor,
+            burst_slots=cfg.burst_slots,
+            overflow_occupancy=cfg.overflow_occupancy,
+        )
+        cc.bind(rng)
+        hosts[flow_id] = Host(
+            flow_id, (links[int(k)],), cc, scheduler, bucket=2.0,
+            start_time=float(rng.random()), stop_time=horizon,
+        )
+        hosts[flow_id].start()
+        flow_id += 1
+
+    cross_rate = cfg.cross_rate_fraction * cfg.capacity_per_slot
+    cross_cap = cfg.cross_max_fraction * cfg.capacity_per_slot
+    for c in range(num_cross):
+        rng = flow_streams[num_active + c]
+        route_links = simulator._paths[int(rng.integers(len(simulator._paths)))]
+        controller = (
+            simulator_module.AIMDController if c < cfg.num_aimd_flows
+            else simulator_module.RateProber
+        )
+        cc = controller(
+            initial_rate=max(cross_rate, 0.1), min_rate=0.1, max_rate=cross_cap
+        )
+        cc.bind(rng)
+        hosts[flow_id] = Host(
+            flow_id, tuple(links[i] for i in route_links), cc, scheduler,
+            bucket=2.0, start_time=float(rng.random()), stop_time=horizon,
+        )
+        hosts[flow_id].start()
+        flow_id += 1
+
+    scheduler.run_until(end)
+    return simulator_module.SnapshotTrace(
+        active_links=active_links,
+        drops=drops,
+        delays_ms=delays * cfg.slot_ms,
+        events=scheduler.events_dispatched,
+        packets_forwarded=sum(link.served for link in links.values()),
+        background_sent=sum(h.packets_sent for h in hosts.values()),
+        probe_drops=probe_drops,
+    )

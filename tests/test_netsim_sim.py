@@ -251,10 +251,9 @@ class TestSimLink:
             scheduler=sched, **cbs,
         )
 
-    def _packet(self, link, seq=0, size=1.0, probe_slot=None):
+    def _packet(self, link, seq=0, size=1.0):
         return Packet(
-            flow_id=0, sequence=seq, route=(link,), sent_at=0.0,
-            size=size, probe_slot=probe_slot,
+            flow_id=0, sequence=seq, route=(link,), sent_at=0.0, size=size,
         )
 
     def test_overflow_drops_and_reports(self):
@@ -482,16 +481,14 @@ class TestHostAndTap:
 
     def test_probe_tap_emits_one_probe_per_slot(self):
         sched = EventScheduler()
-        slots = []
-        link = SimLink(
-            index=0, rate=100.0, delay=0.0, buffer=50, scheduler=sched,
-            on_deliver=lambda p, t: slots.append(p.probe_slot),
-        )
-        ProbeTap(
-            flow_id=-1, link=link, num_probes=8, scheduler=sched, phase=0.25
-        ).start()
-        sched.run_until_idle()
+        link = SimLink(index=0, rate=100.0, delay=0.0, buffer=50, scheduler=sched)
+        tap = ProbeTap(link=link, num_probes=8, phase=0.25)
+        sched.run_until(10.0)
+        assert link.served == 8  # reading the queue fires the due probes
+        slots = [slot for slot, d in enumerate(tap.departures) if not math.isnan(d)]
         assert slots == list(range(8))
+        assert tap.sent.tolist() == [0.25 + slot for slot in range(8)]
+        assert sched.events_dispatched == 0  # the link fired them, off the heap
 
     @pytest.mark.parametrize(
         "field, value",
@@ -505,10 +502,62 @@ class TestHostAndTap:
     def test_probe_tap_rejects_malformed_inputs(self, field, value):
         sched = EventScheduler()
         link = SimLink(index=0, rate=1.0, delay=0.0, buffer=2, scheduler=sched)
-        kwargs = dict(flow_id=-1, link=link, num_probes=4, scheduler=sched)
+        kwargs = dict(link=link, num_probes=4)
         with pytest.raises(ValueError, match=field):
             ProbeTap(**{**kwargs, field: value})
         assert ProbeTap(**{**kwargs, "num_probes": np.int32(4)}).num_probes == 4
+
+    def _tied_link(self, sched, buffer):
+        """A tap, a link-local driver and a heap arrival, all at 0.5."""
+        from repro.netsim.sim import ConstantBitRate
+
+        dropped = []
+        link = SimLink(
+            index=0, rate=1.0, delay=0.0, buffer=buffer, scheduler=sched,
+            on_drop=lambda p, l, t: dropped.append(p.flow_id),
+        )
+        tap = ProbeTap(link=link, num_probes=1, phase=0.5)
+        driver = Host(
+            flow_id=0, route=(link,), cc=ConstantBitRate(1.0),
+            scheduler=sched, bucket=1.0, start_time=0.5, stop_time=0.6,
+        )
+        driver.start_local()
+        arrival = Packet(flow_id=1, sequence=0, route=(link,), sent_at=0.5)
+        sched.schedule(0.5, link.enqueue, arrival)
+        sched.run_until(5.0)
+        return link, tap, driver, dropped
+
+    def test_local_sources_fire_before_an_arrival_at_the_same_instant(self):
+        """Tie rule: the tap, then the driver, then the heap arrival."""
+        link, tap, driver, dropped = self._tied_link(EventScheduler(), buffer=2)
+        assert tap.departures.tolist() == [0.5 + 0.05]
+        assert driver.packets_sent == 1
+        assert dropped == [1] and link.drops == 1  # only the arrival
+        link, tap, driver, dropped = self._tied_link(EventScheduler(), buffer=1)
+        assert tap.departures.tolist() == [0.5 + 0.05]  # the tap beats the driver
+        assert driver.packets_sent == 1 and link.drops == 2 and dropped == [1]
+        assert link.served == 1
+
+    def test_only_feedback_free_single_link_hosts_run_local(self):
+        from repro.netsim.sim import ConstantBitRate
+
+        sched = EventScheduler()
+        a, b = (
+            SimLink(index=i, rate=1.0, delay=0.0, buffer=2, scheduler=sched)
+            for i in range(2)
+        )
+        for route, cc in [
+            ((a, b), ConstantBitRate(1.0)),
+            ((a,), AIMDController(initial_rate=1.0)),
+            ((a,), RateProber(initial_rate=1.0)),
+        ]:
+            host = Host(flow_id=0, route=route, cc=cc, scheduler=sched)
+            with pytest.raises(ValueError, match="link-local"):
+                host.start_local()
+        host = Host(flow_id=0, route=(a,), cc=ConstantBitRate(1.0), scheduler=sched)
+        host.start_local()
+        with pytest.raises(RuntimeError):
+            host.start()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -628,6 +677,25 @@ class TestCongestionSimulator:
         with pytest.raises(ValueError):
             sim.run_snapshot(np.zeros(5), 0, seed=0)
 
+    @pytest.mark.parametrize("num_probes", [2.5, True])
+    def test_rejects_non_integral_num_probes(self, num_probes):
+        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        with pytest.raises(ValueError, match="num_probes"):
+            sim.run_snapshot(self._rates(), num_probes, seed=0)
+
+    @pytest.mark.parametrize("seed", [2.7, True])
+    def test_rejects_non_integral_seed(self, seed):
+        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        with pytest.raises(ValueError, match="seed"):
+            sim.run_snapshot(self._rates(), 40, seed=seed)
+
+    def test_accepts_numpy_integer_counts(self):
+        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        a = sim.run_snapshot(self._rates(), np.int64(40), seed=np.int32(3))
+        b = sim.run_snapshot(self._rates(), 40, seed=3)
+        assert a.drops.tobytes() == b.drops.tobytes()
+        assert a.delays_ms.tobytes() == b.delays_ms.tobytes()
+
     @pytest.mark.parametrize(
         "bad", [-0.01, float("nan"), float("inf"), 1.5],
     )
@@ -650,11 +718,12 @@ class TestCongestionSimulator:
 
 
 class TestDepartureTimeOracle:
-    """The departure-time FIFO against the event-driven link, bit for bit.
+    """The simulator against an all-heap reference, bit for bit.
 
-    Each case runs one snapshot twice, once with the event-driven link
-    of ``tests/oracles.py`` patched into the simulator.  Every trace
-    field but ``events`` must match exactly.
+    ``reference_run_snapshot`` of ``tests/oracles.py`` runs each
+    snapshot with heap-driven taps and drivers on event-driven links
+    (one event per service completion).  Every trace field but
+    ``events`` must match exactly.
     """
 
     #: The 12-link chain-and-branch layout of the golden corpus.
@@ -663,16 +732,12 @@ class TestDepartureTimeOracle:
         (7, 8), (7, 9), (10, 11), (10, 2),
     ]
 
-    def _both(self, monkeypatch, paths, rates, num_probes, seed, config=CONGESTION):
-        from repro.netsim.sim import simulator as simulator_module
-        from tests.oracles import EventDrivenSimLink
+    def _both(self, paths, rates, num_probes, seed, config=CONGESTION):
+        from tests.oracles import reference_run_snapshot
 
         sim = CongestionSimulator(paths, len(rates), config)
         trace = sim.run_snapshot(rates, num_probes, seed)
-        with monkeypatch.context() as patch:
-            patch.setattr(simulator_module, "SimLink", EventDrivenSimLink)
-            reference = sim.run_snapshot(rates, num_probes, seed)
-        return trace, reference
+        return trace, reference_run_snapshot(sim, rates, num_probes, seed)
 
     def _assert_same_trace(self, trace, reference):
         import dataclasses
@@ -687,11 +752,23 @@ class TestDepartureTimeOracle:
             else:
                 assert ours == theirs, field.name
 
+    def _generated(self, kind, sizing, seed, congested, high):
+        from repro.experiments import scale_params
+        from repro.topology.prepare import prepare_topology
+
+        prepared = prepare_topology(kind, scale_params("tiny").sized(**sizing), seed)
+        num_links = prepared.topology.network.num_links
+        rng = np.random.default_rng(seed)
+        rates = np.where(
+            rng.random(num_links) < congested, rng.uniform(0.02, high, num_links), 0.0
+        )
+        return prepared.paths, rates
+
     @pytest.mark.parametrize("seed", [17, 18, 19])
-    def test_corpus_layout(self, monkeypatch, seed):
+    def test_corpus_layout(self, seed):
         rates = np.zeros(12)
         rates[[1, 5, 8]] = (0.05, 0.1, 0.03)
-        trace, reference = self._both(monkeypatch, self.CORPUS_PATHS, rates, 600, seed)
+        trace, reference = self._both(self.CORPUS_PATHS, rates, 600, seed)
         self._assert_same_trace(trace, reference)
         assert trace.probe_drops > 0 and trace.events < reference.events
 
@@ -707,21 +784,77 @@ class TestDepartureTimeOracle:
             ("barabasi-albert", dict(mesh_nodes=30, num_end_hosts=5), 1),
         ],
     )
-    def test_generated_layouts(self, monkeypatch, kind, sizing, seed):
-        from repro.experiments import scale_params
-        from repro.topology.prepare import prepare_topology
-
-        prepared = prepare_topology(kind, scale_params("tiny").sized(**sizing), seed)
-        num_links = prepared.topology.network.num_links
-        rng = np.random.default_rng(seed)
-        rates = np.where(
-            rng.random(num_links) < 0.2, rng.uniform(0.02, 0.1, num_links), 0.0
-        )
-        trace, reference = self._both(monkeypatch, prepared.paths, rates, 200, seed + 5)
+    def test_generated_layouts(self, kind, sizing, seed):
+        paths, rates = self._generated(kind, sizing, seed, congested=0.2, high=0.1)
+        trace, reference = self._both(paths, rates, 200, seed + 5)
         self._assert_same_trace(trace, reference)
         assert trace.probe_drops > 0 and trace.events < reference.events
 
-    def test_delivery_after_the_run_keeps_the_full_buffer_sojourn(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind, sizing",
+        [
+            ("tree", dict(tree_nodes=25, num_end_hosts=6)),
+            ("tree", dict(tree_nodes=40, num_end_hosts=8)),
+            ("waxman", dict(mesh_nodes=30, num_end_hosts=5)),
+            ("barabasi-albert", dict(mesh_nodes=30, num_end_hosts=5)),
+        ],
+    )
+    def test_heavily_congested_layouts(self, kind, sizing, seed):
+        """30% of links congested at 0.02-0.2: many drivers, many ties to get right."""
+        paths, rates = self._generated(kind, sizing, seed, congested=0.3, high=0.2)
+        trace, reference = self._both(paths, rates, 200, seed + 11)
+        self._assert_same_trace(trace, reference)
+        assert trace.probe_drops > 0 and trace.events < reference.events
+
+    def test_cross_flows_receive_every_ack_and_loss(self, monkeypatch):
+        """Drivers left the heap; AIMD and prober flows keep their feedback.
+
+        Both runs log every ``on_sent``/``on_ack``/``on_loss`` call of
+        the cross flows' controllers; the logs must match the all-heap
+        reference, and every packet sent well before the horizon must
+        have come back as exactly one ack or loss.
+        """
+        from repro.netsim.sim import simulator as simulator_module
+        from tests.oracles import reference_run_snapshot
+
+        log = []
+
+        def recording(controller):
+            class Recording(controller):
+                def on_sent(self, now, packet):
+                    log.append(("sent", now, packet.flow_id, packet.sequence))
+                    super().on_sent(now, packet)
+
+                def on_ack(self, now, packet, rtt):
+                    log.append(("ack", now, packet.flow_id, packet.sequence))
+                    super().on_ack(now, packet, rtt)
+
+                def on_loss(self, now, packet):
+                    log.append(("loss", now, packet.flow_id, packet.sequence))
+                    super().on_loss(now, packet)
+
+            return Recording
+
+        monkeypatch.setattr(simulator_module, "AIMDController", recording(AIMDController))
+        monkeypatch.setattr(simulator_module, "RateProber", recording(RateProber))
+        rates = np.zeros(12)
+        rates[[0, 1, 5, 8]] = (0.1, 0.05, 0.1, 0.03)
+        sim = CongestionSimulator(self.CORPUS_PATHS, 12, CONGESTION)
+        sim.run_snapshot(rates, 400, 5)
+        ours, log[:] = list(log), []
+        reference_run_snapshot(sim, rates, 400, 5)
+        assert ours == log
+        kinds = {kind for kind, *_ in ours}
+        assert kinds == {"sent", "ack", "loss"}
+        flows = {flow for _, _, flow, _ in ours}
+        assert len(flows) == CONGESTION.num_aimd_flows + CONGESTION.num_prober_flows
+        sent = {(f, q) for kind, t, f, q in ours if kind == "sent" and t < 400 - 5}
+        answered = [(f, q) for kind, _, f, q in ours if kind != "sent"]
+        assert len(answered) == len(set(answered))  # never both, never twice
+        assert sent <= set(answered)
+
+    def test_delivery_after_the_run_keeps_the_full_buffer_sojourn(self):
         """A probe too large to clear its link by ``horizon + tail``.
 
         With 60 service units at 20 per slot the probe leaves 3 slots
@@ -733,7 +866,7 @@ class TestDepartureTimeOracle:
             kind="congestion", probe_size=60.0,
             num_aimd_flows=0, num_prober_flows=0,
         )
-        trace, reference = self._both(monkeypatch, [(0,)], np.zeros(1), 1, 0, config)
+        trace, reference = self._both([(0,)], np.zeros(1), 1, 0, config)
         full_sojourn = (
             config.buffer_packets / config.capacity_per_slot + config.prop_delay_slots
         )

@@ -13,7 +13,7 @@ import pytest
 from repro.core.augmented import intersecting_pairs
 from repro.core.engine import InferenceEngine
 from repro.core.linalg import greedy_independent_columns
-from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
+from repro.core.reduction import reduce_to_full_rank
 from repro.core.variance import estimate_link_variances
 
 
@@ -52,23 +52,6 @@ def test_reduction_strategies(benchmark, bench_tree, strategy):
     sub = prepared.routing.to_dense()[:, result.kept_columns]
     if result.num_kept:
         assert np.linalg.matrix_rank(sub) == result.num_kept
-
-
-def test_reduced_solve(benchmark, bench_tree):
-    prepared, _, campaign = bench_tree
-    training, target = campaign.split_training_target()
-    estimate = estimate_link_variances(training)
-    reduction = reduce_to_full_rank(
-        prepared.routing.matrix,
-        estimate.variances,
-        "threshold",
-        variance_cutoff=16 * 0.002 / 400,
-    )
-    y = target.path_log_rates()
-    x = benchmark(
-        solve_reduced_system, prepared.routing.matrix, y, reduction
-    )
-    assert (x <= 0).all()
 
 
 def test_per_snapshot_inference(benchmark, bench_tree):

@@ -283,6 +283,9 @@ class Scenario:
     ) -> ScenarioResult:
         """Stages 4+5: fit/predict every estimator and score it.
 
+        A forest of one: ``evaluate_forest([(self, prepared, campaign)],
+        target_consumer)[0]``.
+
         *target_consumer* streams multi-target batches: it is called as
         ``consumer(label, num_training, target_index, target, result)``
         for every scored target, in target order, and the returned
@@ -296,127 +299,7 @@ class Scenario:
         transiently while the window is scored; the consumer bounds what
         the *returned* ``ScenarioResult`` holds on to.
         """
-        routing = prepared.routing
-        max_m = len(campaign) - self.num_targets
-        if max_m < 1:
-            raise ValueError(
-                f"campaign of {len(campaign)} snapshots cannot hold "
-                f"{self.num_targets} targets plus a training window"
-            )
-        if max(self.grid) > max_m:
-            raise ValueError(
-                f"training window {max(self.grid)} exceeds the "
-                f"{max_m} available training snapshots"
-            )
-        targets = list(campaign.snapshots[max_m:])
-        evaluations: List[EstimatorEvaluation] = []
-        for spec in self.estimators:
-            estimator = spec.build()
-            if getattr(estimator, "uses_training", True):
-                for m in self.grid:
-                    training = MeasurementCampaign(
-                        routing=routing,
-                        snapshots=campaign.snapshots[max_m - m : max_m],
-                    )
-                    estimator.fit(training, paths=prepared.paths)
-                    evaluations.append(
-                        self._score(
-                            spec, estimator, m, targets, routing,
-                            target_consumer,
-                        )
-                    )
-            else:
-                context = MeasurementCampaign(
-                    routing=routing, snapshots=campaign.snapshots[:max_m]
-                )
-                estimator.fit(context, paths=prepared.paths)
-                evaluations.append(
-                    self._score(
-                        spec, estimator, None, targets, routing,
-                        target_consumer,
-                    )
-                )
-        return ScenarioResult(
-            scenario=self,
-            prepared=prepared,
-            campaign=campaign,
-            targets=targets,
-            evaluations=evaluations,
-        )
-
-    def _score(
-        self,
-        spec: EstimatorSpec,
-        estimator,
-        num_training: Optional[int],
-        targets: Sequence[Snapshot],
-        routing,
-        target_consumer=None,
-    ) -> EstimatorEvaluation:
-        if len(targets) > 1:
-            results = estimator.predict_batch(targets)
-        else:
-            results = [estimator.predict(targets[0])]
-        return self._score_results(
-            spec, num_training, targets, results, routing, target_consumer
-        )
-
-    def _score_results(
-        self,
-        spec: EstimatorSpec,
-        num_training: Optional[int],
-        targets: Sequence[Snapshot],
-        results: List[InferenceResult],
-        routing,
-        target_consumer=None,
-    ) -> EstimatorEvaluation:
-        """Score predictions already in hand (the tail half of ``_score``).
-
-        Split out so :func:`evaluate_forest` can run many trees' phase-2
-        solves as one batched system and still score each tree through
-        exactly the code path :meth:`evaluate` uses.
-        """
-        if target_consumer is not None:
-            for index, (target, result) in enumerate(zip(targets, results)):
-                target_consumer(
-                    spec.display_label, num_training, index, target, result
-                )
-        detections: List[DetectionOutcome] = []
-        for target, result in zip(targets, results):
-            if target.truth is None:
-                continue
-            truth = target.virtual_congested(routing)
-            if result.congested_columns is not None:
-                detections.append(
-                    detection_outcome(result.congested_mask(), truth)
-                )
-            elif result.kind == "rates":
-                detections.append(
-                    evaluate_location(
-                        result.values, truth, routing, self.model.threshold
-                    )
-                )
-        accuracy = None
-        last_target, last_result = targets[-1], results[-1]
-        if (
-            last_result.kind == "rates"
-            and last_target.realized_loss_fractions is not None
-        ):
-            accuracy = AccuracyReport.compare(
-                last_target.realized_virtual_loss_rates(routing),
-                last_result.values,
-            )
-        return EstimatorEvaluation(
-            spec=spec,
-            label=spec.display_label,
-            num_training=num_training,
-            # With a consumer the caller has already folded per-target
-            # state; keep only the last result so memory stays flat in
-            # the target count.
-            results=results if target_consumer is None else [results[-1]],
-            detections=detections,
-            accuracy=accuracy,
-        )
+        return evaluate_forest([(self, prepared, campaign)], target_consumer)[0]
 
     # -- end to end ------------------------------------------------------------
 
@@ -445,30 +328,27 @@ def evaluate_forest(
     """Evaluate many independent scenario runs with one batched LIA solve.
 
     The campaign-scale shape: a *forest* of small independent trees, each
-    with its own (scenario, prepared topology, campaign) triple.  Fitting
-    (phase 1) runs per tree exactly as :meth:`Scenario.evaluate` would,
-    but the LIA phase-2 solves — one small triangular system per tree —
-    are queued across the whole forest and dispatched as a single
-    :func:`repro.core.engine.infer_many` call, which packs the per-tree
-    log, clip and exp into one ufunc call each instead of one per tree.
+    with its own (scenario, prepared topology, campaign) triple, and the
+    one body of stages 4+5 (:meth:`Scenario.evaluate` is a forest of one).
+    Every estimator is fitted per run and window (phase 1 for LIA).  The
+    LIA phase-2 solves of single-target windows — one small triangular
+    system per tree — are queued across the whole forest and dispatched
+    as a single :func:`repro.core.engine.infer_many` call, which packs the
+    per-tree log, clip and exp into one ufunc call each instead of one
+    per tree.  Multi-target windows (``predict_batch``) and non-LIA
+    estimators predict as soon as they are fitted.
 
-    Byte-identity: ``infer_many`` is bit-identical to a loop of
-    ``engine.infer`` calls, and scoring goes through the same
-    ``_score_results`` tail as the sequential path, so the returned
-    :class:`ScenarioResult`\\ s equal ``[s.evaluate(p, c) for s, p, c in
-    runs]`` exactly (pinned in ``tests/test_api.py``).  Only single-target
-    LIA evaluations are batched; multi-target windows and non-LIA
-    estimators fall through to the sequential scoring path unchanged.
-
-    *target_consumer* has the same contract as in :meth:`Scenario.evaluate`
-    and is invoked in run order, then estimator/window order within a run.
+    ``infer_many`` is bit-identical to a loop of ``engine.infer`` calls,
+    so the results do not depend on how many runs share a call (pinned
+    in ``tests/test_api.py``).  *target_consumer* has the contract of
+    :meth:`Scenario.evaluate` and is invoked in run order, then
+    estimator/window order within a run.
     """
     from repro.api.adapters import LIAEstimator
     from repro.core.engine import infer_many
 
-    queued: List[tuple] = []  # (engine, snapshot, estimate) across all trees
-    deferred: List[List[dict]] = []  # per-run scoring jobs, in order
-    contexts: List[tuple] = []
+    queued: List[tuple] = []  # (engine, target, estimate) across all runs
+    pending: List[tuple] = []  # per run: its context and its scoring jobs
 
     for scenario, prepared, campaign in runs:
         routing = prepared.routing
@@ -484,97 +364,64 @@ def evaluate_forest(
                 f"{max_m} available training snapshots"
             )
         targets = list(campaign.snapshots[max_m:])
-        jobs: List[dict] = []
-
-        def queue(spec, estimator, num_training, targets=targets, jobs=jobs):
-            if (
-                isinstance(estimator, LIAEstimator)
-                and len(targets) == 1
-                and estimator._estimate is not None
-            ):
-                # Defer phase 2 into the forest-wide batched solve.  The
-                # engine and estimate are captured *now*: the estimator
-                # object is refitted for the next window, but each fit
-                # produces a fresh estimate and the engine persists.
-                index = len(queued)
-                queued.append(
-                    (
-                        estimator.algorithm,
-                        targets[0],
-                        estimator._estimate,
-                    )
-                )
-                jobs.append(
-                    {
-                        "spec": spec,
-                        "num_training": num_training,
-                        "estimator": estimator,
-                        "results": None,
-                        "span": (index, index + 1),
-                    }
-                )
-                return
-            # Everything else scores through the sequential path.
-            if len(targets) > 1:
-                results = estimator.predict_batch(targets)
-            else:
-                results = [estimator.predict(targets[0])]
-            jobs.append(
-                {
-                    "spec": spec,
-                    "num_training": num_training,
-                    "estimator": estimator,
-                    "results": results,
-                    "span": None,
-                }
-            )
-
+        # (spec, window length, estimator, results or index into queued)
+        jobs: List[tuple] = []
         for spec in scenario.estimators:
             estimator = spec.build()
             if getattr(estimator, "uses_training", True):
-                for m in scenario.grid:
-                    training = MeasurementCampaign(
-                        routing=routing,
-                        snapshots=campaign.snapshots[max_m - m : max_m],
-                    )
-                    estimator.fit(training, paths=prepared.paths)
-                    queue(spec, estimator, m)
+                windows = [
+                    (m, campaign.snapshots[max_m - m : max_m])
+                    for m in scenario.grid
+                ]
             else:
-                context = MeasurementCampaign(
-                    routing=routing, snapshots=campaign.snapshots[:max_m]
+                windows = [(None, campaign.snapshots[:max_m])]
+            for num_training, snapshots in windows:
+                estimator.fit(
+                    MeasurementCampaign(routing=routing, snapshots=snapshots),
+                    paths=prepared.paths,
                 )
-                estimator.fit(context, paths=prepared.paths)
-                queue(spec, estimator, None)
+                if isinstance(estimator, LIAEstimator) and len(targets) == 1:
+                    # Defer phase 2 into the forest-wide batched solve.
+                    # The engine and estimate are captured *now*: the
+                    # estimator is refitted for the next window, but each
+                    # fit produces a fresh estimate and the engine
+                    # persists.
+                    jobs.append((spec, num_training, estimator, len(queued)))
+                    queued.append(
+                        (estimator.algorithm, targets[0], estimator._estimate)
+                    )
+                elif len(targets) > 1:
+                    results = estimator.predict_batch(targets)
+                    jobs.append((spec, num_training, estimator, results))
+                else:
+                    results = [estimator.predict(targets[0])]
+                    jobs.append((spec, num_training, estimator, results))
+        pending.append((scenario, prepared, campaign, targets, jobs))
 
-        deferred.append(jobs)
-        contexts.append((scenario, prepared, campaign, targets))
-
-    batch = infer_many(queued) if queued else []
+    batch = infer_many(queued)
 
     scenario_results: List[ScenarioResult] = []
-    for (scenario, prepared, campaign, targets), jobs in zip(contexts, deferred):
+    for scenario, prepared, campaign, targets, jobs in pending:
         evaluations: List[EstimatorEvaluation] = []
-        for job in jobs:
-            results = job["results"]
-            if results is None:
-                lo, hi = job["span"]
-                estimator = job["estimator"]
+        for spec, num_training, estimator, results in jobs:
+            if isinstance(results, int):
+                raw = batch[results]
                 results = [
                     InferenceResult(
                         method=estimator.name,
                         kind=estimator.kind,
-                        values=r.loss_rates,
-                        raw=r,
+                        values=raw.loss_rates,
+                        raw=raw,
                     )
-                    for r in batch[lo:hi]
                 ]
             evaluations.append(
-                scenario._score_results(
-                    job["spec"],
-                    job["num_training"],
+                _evaluation(
+                    spec,
+                    num_training,
                     targets,
                     results,
                     prepared.routing,
+                    scenario.model.threshold,
                     target_consumer,
                 )
             )
@@ -588,3 +435,54 @@ def evaluate_forest(
             )
         )
     return scenario_results
+
+
+def _evaluation(
+    spec: EstimatorSpec,
+    num_training: Optional[int],
+    targets: Sequence[Snapshot],
+    results: List[InferenceResult],
+    routing,
+    threshold: float,
+    target_consumer=None,
+) -> EstimatorEvaluation:
+    """One estimator window's predictions, streamed and scored."""
+    if target_consumer is not None:
+        for index, (target, result) in enumerate(zip(targets, results)):
+            target_consumer(
+                spec.display_label, num_training, index, target, result
+            )
+    detections: List[DetectionOutcome] = []
+    for target, result in zip(targets, results):
+        if target.truth is None:
+            continue
+        truth = target.virtual_congested(routing)
+        if result.congested_columns is not None:
+            detections.append(
+                detection_outcome(result.congested_mask(), truth)
+            )
+        elif result.kind == "rates":
+            detections.append(
+                evaluate_location(result.values, truth, routing, threshold)
+            )
+    accuracy = None
+    last_target, last_result = targets[-1], results[-1]
+    if (
+        last_result.kind == "rates"
+        and last_target.realized_loss_fractions is not None
+    ):
+        accuracy = AccuracyReport.compare(
+            last_target.realized_virtual_loss_rates(routing),
+            last_result.values,
+        )
+    return EstimatorEvaluation(
+        spec=spec,
+        label=spec.display_label,
+        num_training=num_training,
+        # With a consumer the caller has already folded per-target
+        # state; keep only the last result so memory stays flat in
+        # the target count.
+        results=results if target_consumer is None else [results[-1]],
+        detections=detections,
+        accuracy=accuracy,
+    )

@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from types import SimpleNamespace
 from typing import List, Optional
 
 import numpy as np
@@ -61,78 +62,27 @@ from repro.core.variance import VARIANCE_METHODS
 from repro.experiments import EXPERIMENTS, SCALES
 from repro.netsim.sim.config import TRAFFIC_KINDS
 from repro.runner.args import _positive, add_runner_arguments, runner_from_args
-
-TOPOLOGY_CHOICES = (
-    "tree",
-    "waxman",
-    "barabasi-albert",
-    "hierarchical-td",
-    "hierarchical-bu",
-    "planetlab",
-    "dimes",
-)
+from repro.topology.prepare import MESH_TOPOLOGY_KINDS, prepare_topology
 
 #: The methods a *loss* campaign document can drive (``delay`` consumes
 #: delay campaigns, which have no document format yet).
 LOSS_METHOD_CHOICES = registry.available(exclude_kind="delay")
 
 
-def _build_topology(kind: str, size: int, hosts: int, seed: Optional[int]):
-    from repro.topology.generators import (
-        barabasi_albert,
-        dimes_like,
-        hierarchical_bottom_up,
-        hierarchical_top_down,
-        planetlab_like,
-        random_tree,
-        waxman,
+def _prepare(args: argparse.Namespace):
+    """The Section 3 front end at ``--size``/``--hosts``, as experiments size it."""
+    sizing = SimpleNamespace(
+        tree_nodes=args.size, mesh_nodes=args.size, num_end_hosts=args.hosts
     )
-
-    if kind == "tree":
-        return random_tree(num_nodes=size, seed=seed)
-    if kind == "waxman":
-        return waxman(num_nodes=size, num_end_hosts=hosts, seed=seed)
-    if kind == "barabasi-albert":
-        return barabasi_albert(num_nodes=size, num_end_hosts=hosts, seed=seed)
-    if kind == "hierarchical-td":
-        return hierarchical_top_down(
-            num_ases=max(2, size // 50),
-            routers_per_as=min(50, max(2, size // max(2, size // 50))),
-            num_end_hosts=hosts,
-            seed=seed,
-        )
-    if kind == "hierarchical-bu":
-        return hierarchical_bottom_up(num_nodes=size, num_end_hosts=hosts, seed=seed)
-    if kind == "planetlab":
-        return planetlab_like(num_sites=max(2, hosts // 2), seed=seed)
-    if kind == "dimes":
-        return dimes_like(num_ases=max(5, size // 12), num_hosts=hosts, seed=seed)
-    raise ValueError(f"unknown topology {kind!r}")
-
-
-def _prepare(kind: str, size: int, hosts: int, seed: Optional[int]):
-    from repro.topology import (
-        RoutingMatrix,
-        build_paths,
-        find_fluttering_pairs,
-        remove_fluttering_paths,
-    )
-
-    topology = _build_topology(kind, size, hosts, seed)
-    paths = build_paths(topology.network, topology.beacons, topology.destinations)
-    if find_fluttering_pairs(paths):
-        paths, _ = remove_fluttering_paths(paths)
-    return topology, paths, RoutingMatrix.from_paths(paths)
+    return prepare_topology(args.topology, sizing, args.seed)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     from repro.core.identifiability import audit_identifiability
 
-    topology, paths, routing = _prepare(
-        args.topology, args.size, args.hosts, args.seed
-    )
-    print(topology.summary())
-    report = audit_identifiability(routing, paths)
+    prepared = _prepare(args)
+    print(prepared.topology.summary())
+    report = audit_identifiability(prepared.routing, prepared.paths)
     print(report.summary())
     return 0 if report.variances_identifiable else 1
 
@@ -143,9 +93,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.probing import ProberConfig, ProbingSimulator
 
     models = {"llrd1": LLRD1, "llrd2": LLRD2, "internet": INTERNET}
-    topology, paths, routing = _prepare(
-        args.topology, args.size, args.hosts, args.seed
-    )
+    prepared = _prepare(args)
+    topology, paths, routing = prepared.topology, prepared.paths, prepared.routing
     config = ProberConfig(
         probes_per_snapshot=args.probes,
         congestion_probability=args.congestion,
@@ -381,9 +330,28 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser("audit", help="identifiability report of a layout")
     simulate = sub.add_parser("simulate", help="simulate and save a campaign")
     for p in (audit, simulate):
-        p.add_argument("--topology", choices=TOPOLOGY_CHOICES, default="tree")
-        p.add_argument("--size", type=int, default=200, help="node count")
-        p.add_argument("--hosts", type=int, default=16, help="end hosts")
+        p.add_argument(
+            "--topology", choices=("tree",) + MESH_TOPOLOGY_KINDS, default="tree"
+        )
+        p.add_argument(
+            "--size",
+            type=_positive,
+            default=200,
+            help=(
+                "node count, sized as the experiments size a topology: the "
+                "tree's nodes, or a mesh's (hierarchical-td: 20 ASes of "
+                "size/20 routers; dimes: size/12 ASes, at least 10)"
+            ),
+        )
+        p.add_argument(
+            "--hosts",
+            type=_positive,
+            default=16,
+            help=(
+                "end hosts of a mesh (planetlab: hosts/2 sites of two, at "
+                "least 4; the tree ignores it)"
+            ),
+        )
         p.add_argument("--seed", type=int, default=0)
     audit.set_defaults(func=cmd_audit)
 

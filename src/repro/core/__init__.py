@@ -22,16 +22,11 @@ from repro.core.identifiability import (
     audit_identifiability,
     verify_theorem1,
 )
-from repro.core.reduction import (
-    ReductionResult,
-    reduce_to_full_rank,
-    solve_reduced_system,
-)
+from repro.core.reduction import ReductionResult, reduce_to_full_rank
 from repro.core.variance import (
     VARIANCE_METHODS,
     VarianceEstimate,
     estimate_link_variances,
-    solve_covariance_system,
     variance_recovery_error,
 )
 
@@ -56,8 +51,6 @@ __all__ = [
     "pair_from_row_index",
     "pair_row_index",
     "reduce_to_full_rank",
-    "solve_covariance_system",
-    "solve_reduced_system",
     "variance_recovery_error",
     "verify_theorem1",
 ]

@@ -76,12 +76,6 @@ class CovarianceSummary:
     num_pairs: int
     num_negative: int
 
-    @property
-    def negative_fraction(self) -> float:
-        if self.num_pairs == 0:
-            return 0.0
-        return self.num_negative / self.num_pairs
-
 
 def negative_pair_mask(covariances: np.ndarray) -> np.ndarray:
     """True where the sampled covariance is negative (to be dropped)."""

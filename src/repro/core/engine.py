@@ -16,11 +16,12 @@ should cost little more than a pair of triangular solves.
 :class:`~repro.core.augmented.IntersectingPairs`, memoizes phase-2
 reductions keyed by (variance vector, cutoff) (:class:`ReductionCache`),
 and memoizes the thin QR factorization of ``R*`` keyed by the
-kept-column set (:class:`FactorizationCache`).
-:meth:`InferenceEngine.infer_batch` solves a whole window of snapshots
-as one multi-RHS triangular solve against a single factorization, and
-:func:`infer_many` packs many independent trees into one pass.  The
-delay and monitoring layers reuse the same caches.
+kept-column set (:class:`FactorizationCache`).  The reduced system is
+solved in one place, :meth:`FactorizationCache.solve`: single
+snapshots, :meth:`InferenceEngine.infer_batch` (a whole window as one
+multi-RHS triangular solve) and :func:`infer_many` (many independent
+trees in one pass) all call it.  The delay and monitoring layers reuse
+the same caches.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from repro.core.reduction import (
     REDUCTION_STRATEGIES,
     ReductionResult,
     reduce_to_full_rank,
+    threshold_candidates,
+    threshold_sweep,
 )
 from repro.core.variance import (
     VARIANCE_METHODS,
@@ -160,7 +163,8 @@ class FactorizationCache(_LRUCache):
     Hands out :class:`~repro.core.linalg.QRFactorization` objects keyed
     by the kept-column index set.  Consecutive inferences with the same
     kept set — rolling-window monitoring, consecutive-snapshot
-    experiments, every batch — pay for one factorization total.
+    experiments, every batch — pay for one factorization total, and
+    :meth:`solve` is the one solve of the reduced system ``Y = R* X*``.
 
     With ``incremental_limit > 0``, a requested kept set that is a
     subset of a cached one missing at most that many columns — the
@@ -182,6 +186,29 @@ class FactorizationCache(_LRUCache):
         """The dense kept-column block ``R*`` (never the full matrix)."""
         kept = np.asarray(kept, dtype=np.int64)
         return np.asarray(self._matrix[:, kept].todense(), dtype=np.float64)
+
+    def solve(self, kept: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Least-squares ``R* x = rhs`` for this kept-column set.
+
+        *rhs* is one vector ``(n_p,)`` or a multi-RHS block ``(n_p, s)``.
+        A full-rank ``R*`` is solved through its cached factorization, one
+        ``Q^T`` product and one triangular solve; a rank-deficient kept
+        set (only a hand-built reduction has one, possibly with more
+        columns than rows) gets the minimum-norm ``lstsq`` answer on the
+        dense block instead.
+        """
+        if rhs.shape[0] != self._matrix.shape[0]:
+            raise ValueError(
+                f"rhs has {rhs.shape[0]} rows; R* has {self._matrix.shape[0]}"
+            )
+        if len(kept) <= rhs.shape[0]:
+            factorization = self.factorization(kept)
+            if factorization.full_rank:
+                return solve_upper_triangular(
+                    factorization.r, factorization.q.T @ rhs
+                )
+        x, *_ = np.linalg.lstsq(self.block(kept), rhs, rcond=None)
+        return x
 
     def factorization(self, kept: np.ndarray) -> QRFactorization:
         """The (cached) thin QR of ``R*`` for this kept-column set."""
@@ -325,7 +352,12 @@ class ReductionCache(_LRUCache):
     (:class:`repro.delay.inference.DelayInferenceAlgorithm`).
 
     With ``incremental_limit > 0`` the ``"threshold"`` strategy also
-    reuses *across* variance vectors: a refresh whose above-cutoff
+    reuses *across* variance vectors.  It then runs the strategy's two
+    steps from :mod:`repro.core.reduction` itself —
+    :func:`~repro.core.reduction.threshold_candidates` and
+    :func:`~repro.core.reduction.threshold_sweep`, the bodies
+    :func:`~repro.core.reduction.reduce_to_full_rank` runs — and keeps
+    the candidates and the sweep's basis.  A refresh whose above-cutoff
     candidate set matches a cached one reuses its sweep outright, and
     one with at most ``incremental_limit`` columns outside a cached
     all-accepted entry's span offers only those columns against a copy
@@ -356,13 +388,21 @@ class ReductionCache(_LRUCache):
             and variance_cutoff is not None
             and variance_cutoff > 0
         ):
-            candidates = self._threshold_candidates(variances, variance_cutoff)
+            candidates = threshold_candidates(variances, variance_cutoff)
             entry = self._reuse(candidates)
             if entry is not None:
                 self.updates += 1
             else:
                 self.misses += 1
-                entry = self._threshold_sweep(candidates)
+                kept, basis = threshold_sweep(self._matrix, candidates)
+                entry = _ReductionEntry(
+                    result=ReductionResult.from_kept(
+                        kept, self._matrix.shape[1], "threshold"
+                    ),
+                    candidates=candidates,
+                )
+                if len(kept) == len(candidates):
+                    entry.basis, entry.span = basis, frozenset(kept)
         if entry is None:
             self.misses += 1
             entry = _ReductionEntry(
@@ -377,46 +417,6 @@ class ReductionCache(_LRUCache):
         return entry.result
 
     # -- threshold-strategy incremental reuse --------------------------------
-
-    def _threshold_candidates(
-        self, variances: np.ndarray, variance_cutoff: float
-    ) -> np.ndarray:
-        """The threshold strategy's exact candidate scan order.
-
-        Must reproduce ``reduce_to_full_rank``: descending variance,
-        ties broken by ascending column index, filtered to variances
-        strictly above the cutoff.
-        """
-        ascending = np.lexsort((np.arange(len(variances)), variances))
-        descending = ascending[::-1]
-        return np.asarray(
-            descending[variances[descending] > variance_cutoff],
-            dtype=np.int64,
-        )
-
-    def _result_for(self, kept) -> ReductionResult:
-        num_cols = int(self._matrix.shape[1])
-        kept_arr = np.array(sorted(int(c) for c in kept), dtype=np.int64)
-        removed = np.setdiff1d(np.arange(num_cols, dtype=np.int64), kept_arr)
-        return ReductionResult(
-            kept_columns=kept_arr, removed_columns=removed, strategy="threshold"
-        )
-
-    def _threshold_sweep(self, candidates: np.ndarray) -> _ReductionEntry:
-        """The cold basis sweep, keeping the basis for later reuse.
-
-        Decision-identical to ``reduce_to_full_rank``'s threshold path
-        (same :class:`IncrementalColumnBasis` offers in the same order).
-        """
-        basis = IncrementalColumnBasis(dimension=int(self._matrix.shape[0]))
-        kept: List[int] = []
-        for col in candidates:
-            if basis.try_add(self._column(int(col))):
-                kept.append(int(col))
-        entry = _ReductionEntry(result=self._result_for(kept), candidates=candidates)
-        if len(kept) == len(candidates):
-            entry.basis, entry.span = basis, frozenset(kept)
-        return entry
 
     def _reuse(self, candidates: np.ndarray) -> Optional[_ReductionEntry]:
         """Serve a new candidate set from a cached sweep, if one covers it.
@@ -448,7 +448,9 @@ class ReductionCache(_LRUCache):
                 if not all(basis.try_add(self._column(c)) for c in outside):
                     continue
             return _ReductionEntry(
-                result=self._result_for(cand_set),
+                result=ReductionResult.from_kept(
+                    cand_set, self._matrix.shape[1], "threshold"
+                ),
                 candidates=candidates,
                 basis=basis,
                 span=entry.span.union(outside),
@@ -542,10 +544,6 @@ class InferenceEngine:
     def factorization_cache(self) -> FactorizationCache:
         return self._factorizations
 
-    @property
-    def reduction_cache(self) -> ReductionCache:
-        return self._reductions
-
     def cache_info(self) -> Dict[str, CacheInfo]:
         """Counters of both engine caches, keyed by cache name."""
         return {
@@ -619,18 +617,8 @@ class InferenceEngine:
         x_full = np.zeros(shape, dtype=np.float64)
         if len(kept) == 0:
             return x_full
-        factorization = self._factorizations.factorization(kept)
         rhs = y if y.ndim == 1 else y.T
-        if factorization.full_rank:
-            x_star = factorization.solve(rhs)
-        else:
-            # Every built-in strategy keeps an independent set, but a
-            # hand-built ReductionResult may not; match the seed's
-            # minimum-norm lstsq behaviour there.
-            x_star, *_ = np.linalg.lstsq(
-                self._factorizations.block(kept), rhs, rcond=None
-            )
-        x_star = np.minimum(x_star, 0.0)
+        x_star = np.minimum(self._factorizations.solve(kept, rhs), 0.0)
         if y.ndim == 1:
             x_full[kept] = x_star
         else:
@@ -714,12 +702,11 @@ def infer_many(
     A campaign grid point often evaluates hundreds of small trees, each
     with its own :class:`InferenceEngine`; looping ``engine.infer`` pays
     Python dispatch, ufunc launch and small-allocation overhead per tree
-    that dwarfs the tree's actual FLOPs.  This pass issues the identical
-    per-tree BLAS/LAPACK calls (``Q^T y`` then the LAPACK ``trtrs`` the
-    factorization's own ``solve`` uses) with everything batchable hoisted
-    out of the loop: one clip+log over every tree's path rates, and one
-    flat solution buffer so the negative-clip and the final ``exp`` run
-    as one ufunc call each.  Elementwise ufuncs are batching-invariant,
+    that dwarfs the tree's actual FLOPs.  This pass makes the identical
+    per-tree :meth:`FactorizationCache.solve` call ``engine.infer`` makes,
+    with everything batchable hoisted out of the loop: one clip+log over
+    every tree's path rates, and one flat solution buffer so the
+    negative-clip and the final ``exp`` run as one ufunc call each.  Elementwise ufuncs are batching-invariant,
     so the results equal ``[eng.infer(snap, est) for eng, snap, est in
     runs]`` **to the byte** (pinned by ``tests/test_engine.py``).
 
@@ -762,17 +749,7 @@ def infer_many(
         if len(kept) == 0:
             continue
         y = log_rates[path_offsets[i] : path_offsets[i + 1]]
-        scatter = link_offsets[i] + np.asarray(kept, dtype=np.int64)
-        factorization = eng.factorization_cache.factorization(kept)
-        if factorization.full_rank:
-            flat[scatter] = solve_upper_triangular(
-                factorization.r, factorization.q.T @ y
-            )
-        else:
-            x_star, *_ = np.linalg.lstsq(
-                eng.factorization_cache.block(kept), y, rcond=None
-            )
-            flat[scatter] = x_star
+        flat[link_offsets[i] + kept] = eng.factorization_cache.solve(kept, y)
     np.minimum(flat, 0.0, out=flat)
     # The never-kept entries stay exp(0) = 1, as in engine.infer.
     rates = np.exp(flat)

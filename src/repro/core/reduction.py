@@ -7,10 +7,11 @@ removed from ``R`` until the remainder ``R*`` has full column rank; the
 reduced system ``Y = R* X*`` is then solvable, and the removed (best
 performing) links get loss rate ~ 0.
 
-Both entry points accept the routing matrix as a dense array **or** a
-scipy sparse matrix (CSR/CSC): reduction extracts columns without ever
-densifying the full matrix, and the reduced solve densifies only the
-kept-column block ``R*``.
+:func:`reduce_to_full_rank` accepts the routing matrix as a dense array
+**or** a scipy sparse matrix (CSR/CSC) and extracts columns without ever
+densifying the full matrix.  The reduced system ``Y = R* X*`` itself is
+solved by :meth:`repro.core.engine.FactorizationCache.solve`, against a
+cached factorization of ``R*``.
 
 Four strategies (ablated against each other in the benchmarks):
 
@@ -51,10 +52,9 @@ Four strategies (ablated against each other in the benchmarks):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import linalg as scipy_linalg
 from scipy import sparse
 
 from repro.core.linalg import (
@@ -79,13 +79,18 @@ class ReductionResult:
     def num_kept(self) -> int:
         return int(self.kept_columns.shape[0])
 
-    @property
-    def num_removed(self) -> int:
-        return int(self.removed_columns.shape[0])
-
     def key(self) -> bytes:
         """Hashable identity of the kept-column set (factorization cache key)."""
         return self.kept_columns.tobytes()
+
+    @classmethod
+    def from_kept(
+        cls, kept: Sequence[int], num_columns: int, strategy: str
+    ) -> "ReductionResult":
+        """The result keeping *kept* (any order) out of *num_columns*."""
+        kept_arr = np.array(sorted(int(c) for c in kept), dtype=np.int64)
+        removed = np.setdiff1d(np.arange(num_columns, dtype=np.int64), kept_arr)
+        return cls(kept_columns=kept_arr, removed_columns=removed, strategy=strategy)
 
 
 def reduce_to_full_rank(
@@ -116,6 +121,14 @@ def reduce_to_full_rank(
         raise ValueError(
             f"unknown strategy {strategy!r}, want one of {REDUCTION_STRATEGIES}"
         )
+    if strategy == "threshold":
+        if variance_cutoff is None or variance_cutoff <= 0:
+            raise ValueError(
+                "the 'threshold' strategy needs a positive variance_cutoff"
+            )
+        kept, _ = threshold_sweep(R, threshold_candidates(v, variance_cutoff))
+        return ReductionResult.from_kept(kept, num_cols, strategy)
+
     # Increasing variance; ties broken by column index for determinism.
     ascending = np.lexsort((np.arange(len(v)), v))
 
@@ -124,40 +137,39 @@ def reduce_to_full_rank(
         kept = greedy_independent_columns(R, priority)
     elif strategy == "gap":
         kept = _gap_reduction(R, v, ascending)
-    elif strategy == "threshold":
-        if variance_cutoff is None or variance_cutoff <= 0:
-            raise ValueError(
-                "the 'threshold' strategy needs a positive variance_cutoff"
-            )
-        kept = _threshold_reduction(R, v, ascending, variance_cutoff)
     else:
         kept = _paper_reduction(R, ascending)
-
-    kept_arr = np.array(sorted(int(c) for c in kept), dtype=np.int64)
-    removed_arr = np.setdiff1d(np.arange(num_cols, dtype=np.int64), kept_arr)
-    return ReductionResult(
-        kept_columns=kept_arr, removed_columns=removed_arr, strategy=strategy
-    )
+    return ReductionResult.from_kept(kept, num_cols, strategy)
 
 
-def _threshold_reduction(
-    R,
-    v: np.ndarray,
-    ascending: np.ndarray,
-    variance_cutoff: float,
-) -> np.ndarray:
-    """Keep (independent) columns whose variance clears the physics cutoff.
+def threshold_candidates(v: np.ndarray, variance_cutoff: float) -> np.ndarray:
+    """The threshold strategy's scan order.
 
-    Candidates are scanned in decreasing variance order; columns that are
-    linearly dependent on higher-variance candidates are dropped (the
-    rare congested-family case of Figure 7).  An empty candidate set is
-    legitimate: no link shows congestion-level variance, so every loss
-    rate is approximated by zero.
+    The columns whose variance is strictly above *variance_cutoff*, in
+    decreasing variance order: the reverse of the ascending order with
+    ties broken by column index.
     """
-    descending = ascending[::-1]
-    candidates = [int(c) for c in descending if v[c] > variance_cutoff]
-    kept = greedy_independent_columns(R, candidates)
-    return np.asarray(kept, dtype=np.int64)
+    descending = np.lexsort((np.arange(len(v)), v))[::-1]
+    return descending[v[descending] > variance_cutoff]
+
+
+def threshold_sweep(
+    R, candidates: Sequence[int]
+) -> Tuple[List[int], IncrementalColumnBasis]:
+    """Keep the candidates independent of the higher-variance ones kept.
+
+    Offers *candidates* (from :func:`threshold_candidates`) in order to
+    one incremental basis; columns that are linearly dependent on those
+    already kept are dropped (the rare congested-family case of Figure
+    7).  Returns the kept columns in scan order and the basis, which
+    spans exactly them.  An empty candidate set is legitimate: no link
+    shows congestion-level variance, so every loss rate is approximated
+    by zero.
+    """
+    A = column_source(R)
+    basis = IncrementalColumnBasis(dimension=A.shape[0])
+    kept = [int(c) for c in candidates if basis.try_add(dense_column(A, int(c)))]
+    return kept, basis
 
 
 #: Variances below ``GAP_NOISE_FLOOR_RATIO * max(v)`` are clamped before
@@ -214,52 +226,3 @@ def _paper_reduction(R, ascending: np.ndarray) -> np.ndarray:
         if not basis.try_add(dense_column(A, int(col))):
             return descending[:position]
     return descending
-
-
-def solve_reduced_system(
-    routing_matrix,
-    path_log_rates: np.ndarray,
-    reduction: ReductionResult,
-) -> np.ndarray:
-    """Solve ``Y = R* X*`` and re-embed into full link coordinates.
-
-    Returns the full-length vector of link log transmission rates with
-    removed columns set to ``log 1 = 0`` (the paper's "approximate their
-    loss rates by 0").  Estimated log rates are clipped to ``<= 0``:
-    transmission rates cannot exceed 1.
-
-    *routing_matrix* may be dense or scipy sparse; only the kept-column
-    block ``R*`` is densified.  The solve uses the rank-revealing QR
-    driver (LAPACK ``gelsy``) and falls back to the minimum-norm
-    ``lstsq`` if the kept set is numerically rank deficient (it is full
-    rank by construction for every built-in reduction strategy, where
-    the two solutions coincide).  Callers solving *many* right-hand
-    sides against one kept set should go through
-    :class:`repro.core.engine.InferenceEngine`, which caches the ``R*``
-    factorization outright.
-    """
-    is_sparse = sparse.issparse(routing_matrix)
-    if is_sparse:
-        R = routing_matrix
-    else:
-        R = np.asarray(routing_matrix, dtype=np.float64)
-    y = np.asarray(path_log_rates, dtype=np.float64)
-    if y.shape != (R.shape[0],):
-        raise ValueError("one log rate per path required")
-    kept = reduction.kept_columns
-    x_full = np.zeros(R.shape[1], dtype=np.float64)
-    if len(kept) == 0:
-        return x_full
-    if is_sparse:
-        R_star = np.asarray(R.tocsc()[:, kept].todense(), dtype=np.float64)
-    else:
-        R_star = R[:, kept]
-    x_star, _, rank, _ = scipy_linalg.lstsq(
-        R_star, y, lapack_driver="gelsy", check_finite=False
-    )
-    if rank < len(kept):
-        # gelsy returns a basic solution on rank deficiency; match
-        # the seed's minimum-norm behaviour instead.
-        x_star, *_ = np.linalg.lstsq(R_star, y, rcond=None)
-    x_full[kept] = np.minimum(x_star, 0.0)
-    return x_full

@@ -28,8 +28,10 @@ Three solvers, one per estimator that gives a different answer:
 
 Equations with negative sample covariance are dropped first, as in the
 paper.  The filtering, WLS row scaling, underdetermined-system guard and
-residual bookkeeping live in :func:`solve_covariance_system`, which the
-delay layer shares so the two phase-1 implementations cannot drift.
+residual bookkeeping are written once, in
+:func:`estimate_link_variances_from_moments`: the campaign entry point,
+the online monitor and the delay layer (raw delays in place of log
+rates) all solve through it.
 """
 
 from __future__ import annotations
@@ -77,16 +79,6 @@ class VarianceEstimate:
         return np.argsort(self.variances, kind="stable")
 
 
-@dataclass(frozen=True)
-class Phase1Solution:
-    """The solved system plus residual diagnostics (shared back end)."""
-
-    variances: np.ndarray
-    residual_norm: float
-    weighted_residual_norm: Optional[float]
-    num_equations: int
-
-
 def estimate_link_variances(
     campaign: MeasurementCampaign,
     method: str = "wls",
@@ -127,60 +119,6 @@ def estimate_link_variances(
     )
 
 
-def solve_covariance_system(
-    matrix: sparse.csr_matrix,
-    sigma: np.ndarray,
-    method: str = "wls",
-    weights: Optional[np.ndarray] = None,
-    drop_negative: bool = True,
-) -> Phase1Solution:
-    """Shared phase-1 back end: filter, weight, solve, residuals.
-
-    Both the loss layer (log-rate covariances) and the delay layer
-    (delay covariances) reduce to the same overdetermined system
-    ``sigma = A v``; this helper owns the negative-equation filter, the
-    WLS row scaling, the underdetermined-system guard and the residual
-    bookkeeping so the two cannot drift apart.  *matrix* is the sparse
-    augmented matrix (``IntersectingPairs.matrix``) and *weights*, when
-    given, scales each equation before the solve (already filtered
-    equations drop their weights too).
-    """
-    if method not in VARIANCE_METHODS:
-        raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
-    if not np.isfinite(sigma).all():
-        raise ValueError("sigma holds a NaN or infinite covariance")
-    keep = None
-    if drop_negative:
-        negative = negative_pair_mask(sigma)
-        if negative.any():
-            keep = ~negative
-    plain = matrix if keep is None else matrix[keep]
-    target = sigma if keep is None else sigma[keep]
-    if plain.shape[0] < plain.shape[1]:
-        raise ValueError(
-            f"after filtering, {plain.shape[0]} equations remain for "
-            f"{plain.shape[1]} unknowns; take more snapshots or keep negatives"
-        )
-    if weights is not None:
-        kept_weights = weights if keep is None else weights[keep]
-        A = sparse.diags(kept_weights) @ plain
-        b = kept_weights * target
-    else:
-        A, b = plain, target
-
-    v = _solve(A, b, method)
-    residual = float(np.linalg.norm(plain @ v - target))
-    weighted_residual = (
-        float(np.linalg.norm(A @ v - b)) if weights is not None else None
-    )
-    return Phase1Solution(
-        variances=v,
-        residual_norm=residual,
-        weighted_residual_norm=weighted_residual,
-        num_equations=int(plain.shape[0]),
-    )
-
-
 def _equation_weights(
     path_variances: np.ndarray,
     pairs: IntersectingPairs,
@@ -213,14 +151,14 @@ def estimate_link_variances_from_moments(
 ) -> VarianceEstimate:
     """Phase 1 from pre-computed window moments (the one phase-1 body).
 
-    A rolling monitor maintains per-equation covariance sums
-    incrementally — O(pairs) per snapshot — instead of re-reading the
-    whole window; this entry point runs the filtering, weighting and
-    solve on those moments without ever materialising the ``(m, n_p)``
-    measurement matrix.  :func:`estimate_link_variances` computes the
-    same moments from a campaign and delegates here.
-    *sigma* is the per-pair sample covariance vector (entry order
-    matching *pairs*), *path_variances* the per-path sample variances.
+    Filters the negative-covariance equations, weights the rest (WLS),
+    guards against an underdetermined filtered system, solves, and
+    records the residuals.  :func:`estimate_link_variances` computes the
+    moments from a campaign and delegates here; the online monitor
+    passes the moments of its window, and the delay layer those of raw
+    delays.  *sigma* is the per-pair sample covariance vector (entry
+    order matching *pairs*), *path_variances* the per-path sample
+    variances of the same measurements.
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
@@ -241,26 +179,41 @@ def estimate_link_variances_from_moments(
         )
     if not np.isfinite(path_variances).all():
         raise ValueError("path_variances holds a NaN or infinite variance")
+    if not np.isfinite(sigma).all():
+        raise ValueError("sigma holds a NaN or infinite covariance")
+    negative = negative_pair_mask(sigma)
     summary = CovarianceSummary(
         num_snapshots=num_snapshots,
         num_pairs=pairs.num_pairs,
-        num_negative=int(negative_pair_mask(sigma).sum()),
+        num_negative=int(negative.sum()),
     )
-    weights = None
-    if method == "wls":
-        weights = _equation_weights(
-            path_variances, pairs, sigma, num_snapshots
+    keep = None
+    if drop_negative and negative.any():
+        keep = ~negative
+    plain = pairs.matrix if keep is None else pairs.matrix[keep]
+    target = sigma if keep is None else sigma[keep]
+    if plain.shape[0] < plain.shape[1]:
+        raise ValueError(
+            f"after filtering, {plain.shape[0]} equations remain for "
+            f"{plain.shape[1]} unknowns; take more snapshots or keep negatives"
         )
-    solution = solve_covariance_system(
-        pairs.matrix, sigma, method=method, weights=weights,
-        drop_negative=drop_negative,
-    )
+    weighted_residual = None
+    if method == "wls":
+        weights = _equation_weights(path_variances, pairs, sigma, num_snapshots)
+        if keep is not None:
+            weights = weights[keep]
+        A = sparse.diags(weights) @ plain
+        b = weights * target
+        v = _solve(A, b, method)
+        weighted_residual = float(np.linalg.norm(A @ v - b))
+    else:
+        v = _solve(plain, target, method)
     return VarianceEstimate(
-        variances=solution.variances,
+        variances=v,
         method=method,
         covariance_summary=summary,
-        residual_norm=solution.residual_norm,
-        weighted_residual_norm=solution.weighted_residual_norm,
+        residual_norm=float(np.linalg.norm(plain @ v - target)),
+        weighted_residual_norm=weighted_residual,
     )
 
 

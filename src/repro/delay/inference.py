@@ -10,6 +10,12 @@ additive delay system allows:
   of the high-variance (congested) links are — removed links deviate
   ~0 by construction, exactly the "loss rates of removed links ~ 0"
   approximation transplanted to delays.
+
+Every stage runs the loss layer's one body: phase 1 is
+:func:`repro.core.variance.estimate_link_variances_from_moments` on the
+moments of raw delays, the column selection is the engine's
+:class:`~repro.core.engine.ReductionCache` (``"threshold"`` strategy),
+and the reduced solve is :meth:`~repro.core.engine.FactorizationCache.solve`.
 """
 
 from __future__ import annotations
@@ -25,8 +31,7 @@ from repro.core.engine import FactorizationCache, ReductionCache
 from repro.core.linalg import as_csc
 from repro.core.variance import (
     VARIANCE_METHODS,
-    _equation_weights,
-    solve_covariance_system,
+    estimate_link_variances_from_moments,
 )
 from repro.delay.prober import DelayCampaign, DelaySnapshot
 from repro.topology.routing import RoutingMatrix
@@ -107,34 +112,29 @@ class DelayInferenceAlgorithm:
     # -- phase 1 -----------------------------------------------------------
 
     def learn_variances(self, training: DelayCampaign) -> DelayVarianceEstimate:
-        """Solve ``Sigma_hat* = A v`` for delay variances (shared back end).
+        """Solve ``Sigma_hat* = A v`` for delay variances.
 
-        Delegates to the loss layer's
-        :func:`repro.core.variance.solve_covariance_system` — the same
-        negative-equation filter, WLS weighting
-        (:func:`~repro.core.variance._equation_weights`),
-        underdetermined-system guard and solver dispatch — with raw
-        delays in place of log
-        rates.  A campaign whose surviving equations cannot determine
-        ``v`` (e.g. every cross-path covariance negative) raises the
-        same clear ``ValueError`` the loss layer does instead of
-        crashing inside a degenerate dense solve.
+        Runs the loss layer's phase-1 body,
+        :func:`repro.core.variance.estimate_link_variances_from_moments`,
+        on the moments of raw delays in place of log rates: the same
+        negative-equation filter, WLS weighting, underdetermined-system
+        guard and solvers.  A campaign whose surviving equations cannot
+        determine ``v`` (e.g. every cross-path covariance negative)
+        raises the same clear ``ValueError`` the loss layer does.
         """
         if len(training) < 2:
             raise ValueError("need at least two training snapshots")
         Y = training.delay_matrix()
         pairs = self.pairs
-        sigma = sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j)
-        weights = None
-        if self.variance_method == "wls":
-            weights = _equation_weights(
-                Y.var(axis=0, ddof=1), pairs, sigma, Y.shape[0]
-            )
-        solution = solve_covariance_system(
-            pairs.matrix, sigma, method=self.variance_method, weights=weights
+        estimate = estimate_link_variances_from_moments(
+            pairs,
+            sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j),
+            Y.var(axis=0, ddof=1),
+            len(training),
+            self.variance_method,
         )
         return DelayVarianceEstimate(
-            variances=solution.variances,
+            variances=estimate.variances,
             num_snapshots=len(training),
             path_means=Y.mean(axis=0),
         )
@@ -150,9 +150,9 @@ class DelayInferenceAlgorithm:
         kept = self._kept_columns(estimate)
         deviations = np.zeros(self.routing.num_links)
         if len(kept):
-            centered = snapshot.path_delays - estimate.path_means
-            factorization = self._factorizations.factorization(kept)
-            deviations[kept] = factorization.solve(centered)
+            deviations[kept] = self._factorizations.solve(
+                kept, snapshot.path_delays - estimate.path_means
+            )
         return DelayInferenceResult(
             delay_deviations=deviations,
             variance_estimate=estimate,

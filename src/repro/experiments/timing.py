@@ -25,7 +25,8 @@ from typing import Optional
 
 from repro.core.augmented import intersecting_pairs
 from repro.core.engine import InferenceEngine, infer_many
-from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
+from repro.core.linalg import QRFactorization
+from repro.core.reduction import reduce_to_full_rank
 from repro.experiments.base import (
     ExperimentResult,
     execute_trials,
@@ -74,9 +75,11 @@ def trial(spec: TrialSpec) -> dict:
     )
     t_reduce = time.perf_counter() - t0
 
+    # Eq. (9) from scratch: factorize the kept block R*, then solve.
     y = target.path_log_rates()
     t0 = time.perf_counter()
-    solve_reduced_system(prepared.routing.matrix, y, reduction)
+    R_star = prepared.routing.matrix[:, reduction.kept_columns]
+    QRFactorization.factorize(R_star).solve(y)
     t_phase2_solve = time.perf_counter() - t0
 
     t0 = time.perf_counter()

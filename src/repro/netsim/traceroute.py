@@ -125,14 +125,6 @@ class TracerouteSimulator:
             self._per_neighbor[key] = self._allocator.allocate()
         return self._per_neighbor[key]
 
-    def interfaces_of(self, node: NodeId) -> List[int]:
-        """All addresses this router has exposed so far."""
-        addresses = [self._canonical[node]]
-        addresses.extend(
-            addr for (n, _), addr in self._per_neighbor.items() if n == node
-        )
-        return addresses
-
     # -- tracing -----------------------------------------------------------------
 
     def trace(self, path: Path) -> TracerouteRecord:

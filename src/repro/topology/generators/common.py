@@ -13,7 +13,7 @@ implements that rule deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -128,14 +128,3 @@ def connect_components(
         union(a, b)
         anchor.extend(other)
     return stitched
-
-
-def validate_endpoint_split(
-    beacons: Sequence[NodeId], destinations: Sequence[NodeId]
-) -> None:
-    if not beacons:
-        raise ValueError("at least one beacon is required")
-    if not destinations:
-        raise ValueError("at least one destination is required")
-    if len(set(destinations)) == 1 and set(destinations) == set(beacons):
-        raise ValueError("a single host cannot probe itself")

@@ -181,9 +181,6 @@ class RoutingMatrix:
         """Column carrying physical link *link_index*, or None if uncovered."""
         return self._phys_to_col.get(link_index)
 
-    def covered_physical_indices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._phys_to_col))
-
     def row(self, path_index: int) -> np.ndarray:
         return self.matrix[path_index]
 
@@ -216,9 +213,6 @@ class RoutingMatrix:
         from repro.core.linalg import qr_column_rank
 
         return qr_column_rank(self.to_sparse())
-
-    def is_full_column_rank(self) -> bool:
-        return self.rank() == self.num_links
 
     # -- ground-truth aggregation ----------------------------------------------
 

@@ -367,7 +367,12 @@ class TestScenario:
 
 
 class TestEvaluateForest:
-    """Forest-batched evaluation equals the sequential Scenario loop."""
+    """A forest's results do not depend on how many runs share one batch.
+
+    ``Scenario.evaluate`` is a forest of one, so comparing a whole
+    forest against one ``evaluate`` per run pins batch-size invariance
+    of the packed ``infer_many`` solve and of the scoring.
+    """
 
     def _forest(self, num_trees=6, estimators=None, **overrides):
         params = scale_params("tiny")

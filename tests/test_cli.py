@@ -65,7 +65,16 @@ class TestAudit:
         assert "variances identifiable: True" in out
 
     @pytest.mark.parametrize(
-        "kind", ["planetlab", "dimes", "barabasi-albert", "waxman"]
+        "kind",
+        [
+            "tree",
+            "planetlab",
+            "dimes",
+            "barabasi-albert",
+            "waxman",
+            "hierarchical-td",
+            "hierarchical-bu",
+        ],
     )
     def test_mesh_audits(self, kind, capsys):
         code = main(
@@ -73,6 +82,44 @@ class TestAudit:
              "--seed", "2"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("dimes", "--size", "-5"),
+            ("planetlab", "--hosts", "0"),
+            ("hierarchical-td", "--size", "-5"),
+        ],
+    )
+    def test_non_positive_sizes_rejected(self, kind, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", "--topology", kind, flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_mesh_audit_detects_fluttering_once(self, monkeypatch, capsys):
+        """The CLI reuses the detected pairs; it does not detect twice."""
+        import repro.topology as topology_package
+        from repro.topology import fluttering, prepare as prepare_module
+        from tests.test_topology_fluttering import fluttering_pair
+
+        paths = list(fluttering_pair())
+        original = fluttering.find_fluttering_pairs
+        calls = []
+
+        def counted(paths):
+            calls.append(len(paths))
+            return original(paths)
+
+        for module in (topology_package, prepare_module):
+            monkeypatch.setattr(module, "build_paths", lambda *a: paths)
+        for module in (topology_package, prepare_module, fluttering):
+            monkeypatch.setattr(module, "find_fluttering_pairs", counted)
+        main(
+            ["audit", "--topology", "waxman", "--size", "80", "--hosts", "8",
+             "--seed", "2"]
+        )
+        assert calls == [2]
 
 
 class TestSimulateInfer:

@@ -14,7 +14,6 @@ from repro.core.variance import (
     VARIANCE_METHODS,
     estimate_link_variances,
     estimate_link_variances_from_moments,
-    solve_covariance_system,
     variance_recovery_error,
 )
 from repro.delay import DelayCampaign, DelayInferenceAlgorithm, DelaySnapshot
@@ -259,10 +258,13 @@ class _StubRouting:
 
 class TestEmptySystemGuard:
     def test_core_raises_on_underdetermined_filtered_system(self):
-        A = sparse.csr_matrix(np.eye(3))
+        pairs = intersecting_pairs(np.array([[1, 1, 0], [1, 0, 1]]))
+        assert pairs.num_pairs == 3
         sigma = np.array([-1.0, -2.0, -0.5])  # every equation dropped
         with pytest.raises(ValueError, match="equations remain"):
-            solve_covariance_system(A, sigma, method="normal")
+            estimate_link_variances_from_moments(
+                pairs, sigma, np.ones(2), 5, method="normal"
+            )
 
     def test_delay_layer_raises_same_error(self):
         """Regression: this used to crash in a degenerate dense solve.

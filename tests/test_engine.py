@@ -12,7 +12,7 @@ from repro.core.engine import (
     ReductionCache,
     infer_many,
 )
-from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
+from repro.core.reduction import reduce_to_full_rank
 from repro.core.variance import VarianceEstimate
 
 
@@ -482,7 +482,7 @@ class TestBatchByteIdentity:
 
 class TestEngineInference:
     def test_matches_seed_pipeline(self, trained):
-        """Engine inference == seed reduce + lstsq solve, to tight tolerance."""
+        """Engine inference == reduce + numpy lstsq on dense R*, to tight tolerance."""
         routing, lia, _, target, estimate = trained
         result = lia.infer(target, estimate)
         cutoff = (
@@ -497,11 +497,12 @@ class TestEngineInference:
         assert np.array_equal(
             result.reduction.kept_columns, reduction.kept_columns
         )
-        x = solve_reduced_system(
-            routing.matrix.astype(np.float64),
-            target.path_log_rates(),
-            reduction,
+        kept = reduction.kept_columns
+        x_star, *_ = np.linalg.lstsq(
+            routing.to_dense()[:, kept], target.path_log_rates(), rcond=None
         )
+        x = np.zeros(routing.num_links)
+        x[kept] = np.minimum(x_star, 0.0)
         assert np.allclose(result.transmission_rates, np.exp(x), atol=1e-9)
 
     def test_reduction_memoized_per_estimate(self, trained):

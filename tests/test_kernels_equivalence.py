@@ -16,7 +16,8 @@ from repro.core.linalg import (
     greedy_independent_columns,
     qr_column_rank,
 )
-from repro.core.reduction import reduce_to_full_rank, solve_reduced_system
+from repro.core.engine import FactorizationCache
+from repro.core.reduction import reduce_to_full_rank
 from tests.oracles import SeedColumnBasis
 
 
@@ -105,9 +106,11 @@ class TestSparseKernels:
         v = np.random.default_rng(19).random(30)
         reduction = reduce_to_full_rank(R, v, strategy="greedy")
         y = -np.random.default_rng(20).random(40)
-        x_dense = solve_reduced_system(R, y, reduction)
-        x_sparse = solve_reduced_system(sparse.csr_matrix(R), y, reduction)
+        x_dense = _engine_solve(R, y, reduction)
+        x_sparse = _engine_solve(sparse.csr_matrix(R), y, reduction)
         assert np.allclose(x_dense, x_sparse, atol=1e-12)
+        seed = _lstsq_on_kept_block(R, y, reduction)
+        assert np.allclose(x_dense, seed, atol=1e-9)
 
 
 class TestPaperSweepAgainstSeedSearch:
@@ -147,6 +150,14 @@ class TestPaperSweepAgainstSeedSearch:
         )
 
 
+def _engine_solve(R, y, reduction):
+    """The engine's one reduced solve, re-embedded and clipped as it does."""
+    x = np.zeros(R.shape[1])
+    kept = reduction.kept_columns
+    x[kept] = np.minimum(FactorizationCache(R).solve(kept, y), 0.0)
+    return x
+
+
 def _lstsq_on_kept_block(R, y, reduction):
     """The seed's answer: minimum-norm ``lstsq`` on the dense ``R*``."""
     x = np.zeros(R.shape[1])
@@ -165,7 +176,7 @@ class TestSolverEquivalence:
         v = rng.random(routing.num_links)
         reduction = reduce_to_full_rank(routing.matrix, v, strategy="paper")
         y = -rng.random(routing.num_paths)
-        fast = solve_reduced_system(routing.matrix, y, reduction)
+        fast = _engine_solve(routing.matrix, y, reduction)
         seed = _lstsq_on_kept_block(routing.matrix, y, reduction)
         assert np.allclose(fast, seed, atol=1e-9)
 
@@ -184,7 +195,7 @@ class TestSolverEquivalence:
             strategy="paper",
         )
         y = -np.ones(4)
-        fast = solve_reduced_system(R, y, reduction)
+        fast = _engine_solve(R, y, reduction)
         seed = _lstsq_on_kept_block(R, y, reduction)
         assert np.allclose(fast, seed, atol=1e-9)
 

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.reduction import (
-    reduce_to_full_rank,
-    solve_reduced_system,
-)
+from repro.core.engine import InferenceEngine
+from repro.core.reduction import reduce_to_full_rank
+
+
+def solve_reduced(routing, y, reduction):
+    """The engine's reduced solve: re-embedded, log rates clipped to <= 0."""
+    return InferenceEngine(routing)._solve_reduced(reduction, y)
 
 
 def naive_paper_loop(R, variances):
@@ -144,7 +147,7 @@ class TestReducedSolve:
         x_true = np.zeros(routing.num_links)
         x_true[reduction.kept_columns] = -rng.random(reduction.num_kept) * 0.1
         y = R @ x_true
-        x_hat = solve_reduced_system(routing.matrix, y, reduction)
+        x_hat = solve_reduced(routing, y, reduction)
         assert np.allclose(x_hat, x_true, atol=1e-10)
 
     def test_removed_links_get_zero_loss(self, figure2):
@@ -155,16 +158,16 @@ class TestReducedSolve:
             routing.matrix, v, strategy="threshold", variance_cutoff=0.5
         )
         y = -0.1 * np.ones(routing.num_paths)
-        x = solve_reduced_system(routing.matrix, y, reduction)
+        x = solve_reduced(routing, y, reduction)
         removed = reduction.removed_columns
-        assert np.allclose(x[removed], 0.0)
+        assert len(removed) and np.all(x[removed] == 0.0)
 
     def test_log_rates_clipped_non_positive(self, figure2):
         _, _, routing = figure2
         v = np.ones(routing.num_links)
         reduction = reduce_to_full_rank(routing.matrix, v, strategy="greedy")
         y = +0.5 * np.ones(routing.num_paths)  # impossible positive logs
-        x = solve_reduced_system(routing.matrix, y, reduction)
+        x = solve_reduced(routing, y, reduction)
         assert (x <= 0).all()
 
     def test_matches_lstsq_on_kept_block(self, figure2):
@@ -179,13 +182,30 @@ class TestReducedSolve:
         )
         expected = np.zeros(routing.num_links)
         expected[kept] = np.minimum(x_star, 0.0)
-        x = solve_reduced_system(routing.matrix, y, reduction)
+        x = solve_reduced(routing, y, reduction)
         assert np.allclose(x, expected, atol=1e-8)
+
+    def test_wide_dependent_kept_set_gets_minimum_norm_answer(self, figure2):
+        # A hand-built reduction keeping every column of the figure-2
+        # matrix, which has more columns than rows: no QR exists, and the
+        # solve falls back to minimum-norm lstsq.
+        from repro.core.reduction import ReductionResult
+
+        _, _, routing = figure2
+        R = routing.to_dense()
+        assert routing.num_links > routing.num_paths
+        reduction = ReductionResult.from_kept(
+            range(routing.num_links), routing.num_links, "paper"
+        )
+        y = -np.random.default_rng(6).random(routing.num_paths)
+        x_star, *_ = np.linalg.lstsq(R, y, rcond=None)
+        x = solve_reduced(routing, y, reduction)
+        assert np.allclose(x, np.minimum(x_star, 0.0), atol=1e-9)
 
     def test_misshaped_y_rejected(self, figure2):
         _, _, routing = figure2
         reduction = reduce_to_full_rank(
             routing.matrix, np.ones(routing.num_links), strategy="greedy"
         )
-        with pytest.raises(ValueError):
-            solve_reduced_system(routing.matrix, np.ones(2), reduction)
+        with pytest.raises(ValueError, match="rows"):
+            solve_reduced(routing, np.ones(2), reduction)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tests.oracles import log_matrix_reference, phase1_reference
 from repro.core.augmented import intersecting_pairs
+from repro.core.covariance import sample_covariance_pairs
 from repro.core.engine import InferenceEngine
 from repro.core.linalg import greedy_independent_columns
 from repro.core.reduction import reduce_to_full_rank
@@ -136,18 +138,20 @@ def test_mesh_greedy_independent_columns(benchmark, bench_mesh, mesh_estimate):
     assert len(kept) > 0
 
 
-# -- campaign-scale forest: packed phase-2 ---------------------------------------
+# -- campaign-scale forest: per-tree phase 1, packed phase 2 --------------------
 
 
 @pytest.fixture(scope="module")
 def bench_forest():
-    """512 independent 31-node trees, fitted and ready for phase-2.
+    """512 independent 31-node trees: (engine, target, estimate, training).
 
     The campaign-scale shape: thousands of trees whose individual solves
     are far too small to saturate BLAS, so the Python dispatch around
-    each one dominates a loop.  Fitting (phase 1) happens here, once,
-    and one loop pass warms every engine's reduction and factorization
-    caches; the benches below time only the phase-2 inference dispatch.
+    each one dominates a loop.  Fitting (phase 1) happens here once, so
+    every engine holds its augmented matrix ``A``, and one loop pass
+    warms every engine's reduction and factorization caches.  The
+    benches below time phase 1 again on those warm engines, and the
+    phase-2 inference dispatch.
     """
     from repro.experiments.base import prepare_topology, scale_params
     from repro.probing import MeasurementCampaign, ProberConfig, ProbingSimulator
@@ -172,17 +176,41 @@ def bench_forest():
         )
         engine = InferenceEngine(prepared.routing)
         estimate = engine.learn_variances(training)
-        runs.append((engine, campaign.snapshots[-1], estimate))
-    for engine, snapshot, estimate in runs:
+        runs.append((engine, campaign.snapshots[-1], estimate, training))
+    for engine, snapshot, estimate, _ in runs:
         engine.infer(snapshot, estimate)
     return runs
+
+
+def test_forest_learn_variances(benchmark, bench_forest):
+    """512 per-tree phase-1 solves, held to the ``scipy.sparse`` oracle."""
+
+    def loop():
+        return [
+            engine.learn_variances(training)
+            for engine, _, _, training in bench_forest
+        ]
+
+    estimates = benchmark(loop)
+    for (engine, _, _, training), estimate in zip(bench_forest, estimates):
+        pairs = engine.pairs
+        Y = log_matrix_reference(training)
+        v, residual, weighted = phase1_reference(
+            pairs,
+            sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j),
+            Y.var(axis=0, ddof=1),
+            len(training),
+        )
+        assert np.array_equal(estimate.variances, v)
+        assert estimate.residual_norm == residual
+        assert estimate.weighted_residual_norm == weighted
 
 
 def test_forest_infer_loop_warm(benchmark, bench_forest):
     """512 per-tree ``engine.infer`` calls, the packed pass's foil."""
 
     def loop():
-        return [engine.infer(snap, est) for engine, snap, est in bench_forest]
+        return [engine.infer(snap, est) for engine, snap, est, _ in bench_forest]
 
     results = benchmark(loop)
     assert len(results) == 512
@@ -192,5 +220,6 @@ def test_forest_infer_batched(benchmark, bench_forest):
     """The same 512 trees through one packed ``infer_many`` call."""
     from repro.core.engine import infer_many
 
-    results = benchmark(infer_many, bench_forest)
+    runs = [run[:3] for run in bench_forest]
+    results = benchmark(infer_many, runs)
     assert len(results) == 512

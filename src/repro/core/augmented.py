@@ -130,7 +130,7 @@ def intersecting_pairs(routing_matrix: np.ndarray) -> IntersectingPairs:
     cols, rows = np.nonzero(R.T)
     if cols.size == 0:
         raise ValueError("routing matrix covers no links")
-    first, second = within_group_pairs(cols)
+    first, second = within_group_pairs(np.bincount(cols, minlength=n_links))
     keys = pair_row_index(rows[first], rows[second], n_paths)
     # One sort puts the entries in CSR order: by row key, then column.
     keys, indices = np.divmod(np.sort(keys * n_links + cols[first]), n_links)

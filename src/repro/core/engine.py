@@ -185,7 +185,15 @@ class FactorizationCache(_LRUCache):
     def block(self, kept: np.ndarray) -> np.ndarray:
         """The dense kept-column block ``R*`` (never the full matrix)."""
         kept = np.asarray(kept, dtype=np.int64)
-        return np.asarray(self._matrix[:, kept].todense(), dtype=np.float64)
+        matrix = self._matrix
+        counts = matrix.indptr[kept + 1] - matrix.indptr[kept]
+        # The kept columns' entry positions, column after column.
+        entries = np.repeat(matrix.indptr[kept] - np.cumsum(counts) + counts, counts)
+        entries += np.arange(entries.size)
+        out = np.zeros((matrix.shape[0], kept.size), dtype=np.float64, order="F")
+        columns = np.repeat(np.arange(kept.size), counts)
+        out[matrix.indices[entries], columns] = matrix.data[entries]
+        return out
 
     def solve(self, kept: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Least-squares ``R* x = rhs`` for this kept-column set.
@@ -520,7 +528,7 @@ class InferenceEngine:
         self.congestion_threshold = congestion_threshold
         self.cutoff_scale = cutoff_scale
         self._pairs: Optional[IntersectingPairs] = None
-        matrix = as_csc(routing.to_sparse())
+        matrix = as_csc(routing.matrix)
         self._factorizations = FactorizationCache(matrix, incremental_limit)
         self._reductions = ReductionCache(matrix, incremental_limit)
 

@@ -250,9 +250,17 @@ def column_source(matrix):
 
 
 def as_csc(matrix) -> sparse.csc_matrix:
-    """*matrix* (dense or sparse) as a float64 CSC matrix."""
-    source = column_source(matrix)
-    return source if sparse.issparse(source) else sparse.csc_matrix(source)
+    """*matrix* (dense or sparse) as a float64 CSC matrix; a dense one in
+    one sparse construction, straight from its non-zero pattern."""
+    if sparse.issparse(matrix):
+        return column_source(matrix)
+    dense = np.asarray(matrix)
+    if dense.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    columns, rows = np.nonzero(dense.T)
+    indptr = np.searchsorted(columns, np.arange(dense.shape[1] + 1))
+    values = dense[rows, columns].astype(np.float64)
+    return sparse.csc_matrix((values, rows, indptr), shape=dense.shape)
 
 
 def dense_column(matrix, index: int) -> np.ndarray:

@@ -19,8 +19,8 @@ Three solvers, one per estimator that gives a different answer:
     the efficient-GMM refinement of the paper's estimator.
 ``"normal"``
     the paper's plain (unweighted) least squares, solved through dense
-    normal equations ``A^T A v = A^T s`` assembled from the sparse rows.
-    ``"wls"`` runs the same body on the row-scaled system.
+    normal equations ``A^T A v = A^T s``.  ``"wls"`` runs the same body
+    on the row-scaled system.
 ``"nnls"``
     non-negative least squares — variances are non-negative by
     definition, so projecting onto the feasible set is a natural
@@ -32,15 +32,23 @@ residual bookkeeping are written once, in
 :func:`estimate_link_variances_from_moments`: the campaign entry point,
 the online monitor and the delay layer (raw delays in place of log
 rates) all solve through it.
+
+``A`` is read once, as flat ``(row, column, value)`` entries in row
+order, and every product is an ``np.bincount`` over them: a 30-column
+tree pays for its arithmetic, not for building sparse matrices.
+``bincount`` adds in input order from zero, rows ascending, which is
+the order scipy's ``csr_matmat``/``csc_matvec`` accumulate ``A^T A`` and
+``A^T b`` in, so the estimates equal the ``scipy.sparse`` formulation
+(kept in ``tests/oracles.py``) bit for bit.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
 from repro.core.covariance import (
@@ -49,6 +57,7 @@ from repro.core.covariance import (
     sample_covariance_pairs,
 )
 from repro.probing.snapshot import MeasurementCampaign
+from repro.topology.routing import within_group_pairs
 
 VARIANCE_METHODS = ("wls", "normal", "nnls")
 
@@ -162,6 +171,8 @@ def estimate_link_variances_from_moments(
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
+    if isinstance(num_snapshots, bool) or not isinstance(num_snapshots, numbers.Integral):
+        raise ValueError(f"num_snapshots must be an integer, got {num_snapshots!r}")
     if num_snapshots < 2:
         raise ValueError("variance estimation needs at least two snapshots")
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -187,49 +198,80 @@ def estimate_link_variances_from_moments(
         num_pairs=pairs.num_pairs,
         num_negative=int(negative.sum()),
     )
+    # A's entries, row by row: counts[r] of them in row r.
+    num_links = pairs.num_links
+    counts = np.diff(pairs.matrix.indptr)
+    cols, values = pairs.matrix.indices.astype(np.int64), pairs.matrix.data
     keep = None
+    target = sigma
     if drop_negative and negative.any():
         keep = ~negative
-    plain = pairs.matrix if keep is None else pairs.matrix[keep]
-    target = sigma if keep is None else sigma[keep]
-    if plain.shape[0] < plain.shape[1]:
+        entries = np.repeat(keep, counts)
+        cols, values, counts = cols[entries], values[entries], counts[keep]
+        target = sigma[keep]
+    if target.size < num_links:
         raise ValueError(
-            f"after filtering, {plain.shape[0]} equations remain for "
-            f"{plain.shape[1]} unknowns; take more snapshots or keep negatives"
+            f"after filtering, {target.size} equations remain for "
+            f"{num_links} unknowns; take more snapshots or keep negatives"
         )
+    rows = np.repeat(np.arange(target.size), counts)
     weighted_residual = None
     if method == "wls":
         weights = _equation_weights(path_variances, pairs, sigma, num_snapshots)
         if keep is not None:
             weights = weights[keep]
-        A = sparse.diags(weights) @ plain
+        scaled = np.repeat(weights, counts) * values
         b = weights * target
-        v = _solve(A, b, method)
-        weighted_residual = float(np.linalg.norm(A @ v - b))
+        v = _solve(counts, cols, scaled, b, num_links, method)
+        # Each row summed last entry first, the order a row-scaled CSR
+        # product (``diags(w) @ A``) stores its entries in.
+        fitted = np.bincount(
+            rows[::-1], weights=scaled[::-1] * v[cols[::-1]], minlength=b.size
+        )
+        weighted_residual = float(np.linalg.norm(fitted - b))
     else:
-        v = _solve(plain, target, method)
+        v = _solve(counts, cols, values, target, num_links, method)
+    fitted = np.bincount(rows, weights=values * v[cols], minlength=target.size)
     return VarianceEstimate(
         variances=v,
         method=method,
         covariance_summary=summary,
-        residual_norm=float(np.linalg.norm(plain @ v - target)),
+        residual_norm=float(np.linalg.norm(fitted - target)),
         weighted_residual_norm=weighted_residual,
     )
 
 
-def _solve(A: sparse.csr_matrix, b: np.ndarray, method: str) -> np.ndarray:
+def _solve(
+    counts: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    b: np.ndarray,
+    num_links: int,
+    method: str,
+) -> np.ndarray:
+    """Least squares on the system whose entries are given row by row,
+    *counts* of them in each row."""
     if method == "nnls":
         from scipy import optimize
 
-        dense = A.toarray()
+        dense = np.zeros((b.size, num_links), dtype=np.float64)
+        dense[np.repeat(np.arange(b.size), counts), cols] = values
         solution, _ = optimize.nnls(dense, b)
         return solution
     # "normal" and "wls" (row weighting applied upstream): exact normal
     # equations.  n_c x n_c stays dense-friendly into the thousands, and
     # unlike iterative solvers the answer does not degrade with the
-    # conditioning the WLS weights introduce.
-    AtA = (A.T @ A).toarray()
-    Atb = A.T @ b
+    # conditioning the WLS weights introduce.  A^T A sums each row's
+    # entry pairs, rows ascending, into one triangle (the upper one when
+    # a row's columns ascend) and mirrors it.
+    first, second = within_group_pairs(counts)
+    AtA = np.bincount(
+        cols[first] * num_links + cols[second],
+        weights=values[first] * values[second],
+        minlength=num_links * num_links,
+    ).reshape(num_links, num_links)
+    AtA = AtA + AtA.T - np.diag(AtA.diagonal())
+    Atb = np.bincount(cols, weights=values * np.repeat(b, counts), minlength=num_links)
     # Tiny Tikhonov term guards against numerically repeated columns;
     # Theorem 1 makes AtA nonsingular in exact arithmetic.
     ridge = 1e-10 * np.trace(AtA) / max(AtA.shape[0], 1)

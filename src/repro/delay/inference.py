@@ -99,7 +99,7 @@ class DelayInferenceAlgorithm:
         self.variance_cutoff_ms2 = variance_cutoff_ms2
         self.variance_method = variance_method
         self._pairs: Optional[IntersectingPairs] = None
-        matrix = as_csc(routing.to_sparse())
+        matrix = as_csc(routing.matrix)
         self._factorizations = FactorizationCache(matrix)
         self._reductions = ReductionCache(matrix)
 

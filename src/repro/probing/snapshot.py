@@ -148,7 +148,14 @@ class MeasurementCampaign:
         """``(m, num_paths)`` matrix of log path transmission rates."""
         if not self.snapshots:
             raise ValueError("campaign is empty")
-        return np.vstack([s.path_log_rates(floor) for s in self.snapshots])
+        rates = np.vstack([s.path_transmission for s in self.snapshots])
+        if floor is None:
+            # One clip and one log, with each row's own 0.5 / S floor.
+            probes = [[s.num_probes] for s in self.snapshots]
+            floor = 0.5 / np.array(probes, dtype=np.float64)
+        elif not 0 < floor <= 1:
+            raise ValueError(f"floor must be in (0, 1], got {floor}")
+        return np.log(np.clip(rates, floor, 1.0))
 
     def split_training_target(
         self, num_training: Optional[int] = None

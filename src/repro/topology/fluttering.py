@@ -80,7 +80,7 @@ def find_fluttering_pairs(paths: Sequence[Path]) -> List[Tuple[int, int]]:
 
     # Every pair of incidences of one link; a != b drops each
     # incidence's pair with itself and a walk's revisits.
-    first, second = within_group_pairs(links)
+    first, second = within_group_pairs(np.bincount(links))
     a, b = path_of[first], path_of[second]
     distinct = a != b
     if not distinct.any():

@@ -46,17 +46,19 @@ def require_binary(matrix) -> np.ndarray:
     return matrix
 
 
-def within_group_pairs(groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every pair of positions ``first <= second`` with equal *groups*.
+def within_group_pairs(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair of positions ``first <= second`` in one group.
 
-    *groups* must be sorted, so each group is one contiguous run.  The
-    pairs come out by ``first``, then ``second``, and include
-    ``first == second``; a group of ``m`` positions gives
-    ``m (m + 1) / 2`` pairs.
+    The positions ``0, 1, ...`` form consecutive groups of the given
+    *sizes* (zeros allowed).  The pairs come out by ``first``, then
+    ``second``, and include ``first == second``; a group of ``m``
+    positions gives ``m (m + 1) / 2`` pairs.
     """
-    size = groups.size
+    sizes = np.asarray(sizes, dtype=np.int64)
     # Position f pairs with itself and the rest of its group.
-    rest = np.searchsorted(groups, groups, side="right") - np.arange(size)
+    rest = np.repeat(np.cumsum(sizes), sizes)
+    size = rest.size
+    rest -= np.arange(size)
     first = np.repeat(np.arange(size), rest)
     # second runs over f, f + 1, ..., f + rest[f] - 1 for each f in turn.
     offset = np.arange(size) - (np.cumsum(rest) - rest)
@@ -119,9 +121,26 @@ class RoutingMatrix:
         self.paths = list(paths)
         self.virtual_links = list(virtual_links)
         self._phys_to_col: Dict[int, int] = {}
-        for vlink in self.virtual_links:
+        for position, vlink in enumerate(self.virtual_links):
+            if vlink.column != position:
+                raise ValueError(
+                    f"virtual link {position} names column {vlink.column}; "
+                    f"columns must be 0..{len(self.virtual_links) - 1} in order"
+                )
+            if not vlink.members:
+                raise ValueError(f"virtual link of column {position} has no members")
             for member in vlink.members:
-                self._phys_to_col[member.index] = vlink.column
+                self._phys_to_col[member.index] = position
+        # One run per column in a gather of (identity, *physical): the
+        # identity's slot 0, then the members shifted by one.
+        # ``reduceat`` over the runs aggregates every column at once; a
+        # sum that starts from zero adds up exactly as ``ndarray.sum``.
+        self._gather = 1 + np.array(
+            [i for vlink in self.virtual_links for i in (-1, *vlink.member_indices())],
+            dtype=np.intp,
+        )
+        sizes = np.array([vlink.size + 1 for vlink in self.virtual_links], dtype=np.intp)
+        self._run_starts = np.cumsum(sizes) - sizes
 
     # -- construction -------------------------------------------------------
 
@@ -216,6 +235,10 @@ class RoutingMatrix:
 
     # -- ground-truth aggregation ----------------------------------------------
 
+    def _aggregate(self, ufunc, physical: np.ndarray, identity) -> np.ndarray:
+        padded = np.concatenate(([identity], physical))
+        return ufunc.reduceat(padded[self._gather], self._run_starts)
+
     def aggregate_log_rates(self, physical_log_rates: np.ndarray) -> np.ndarray:
         """Map per-physical-link log rates to per-column (virtual) log rates.
 
@@ -223,18 +246,12 @@ class RoutingMatrix:
         *physical_log_rates* is indexed by physical :attr:`Link.index`.
         """
         physical_log_rates = np.asarray(physical_log_rates, dtype=np.float64)
-        out = np.zeros(self.num_links, dtype=np.float64)
-        for vlink in self.virtual_links:
-            out[vlink.column] = physical_log_rates[list(vlink.member_indices())].sum()
-        return out
+        return self._aggregate(np.add, physical_log_rates, 0.0)
 
     def aggregate_rates(self, physical_rates: np.ndarray) -> np.ndarray:
         """Map per-physical-link transmission rates to per-column products."""
         physical_rates = np.asarray(physical_rates, dtype=np.float64)
-        out = np.ones(self.num_links, dtype=np.float64)
-        for vlink in self.virtual_links:
-            out[vlink.column] = physical_rates[list(vlink.member_indices())].prod()
-        return out
+        return self._aggregate(np.multiply, physical_rates, 1.0)
 
     def aggregate_any(self, physical_flags: np.ndarray) -> np.ndarray:
         """Map a per-physical-link boolean to per-column logical OR.
@@ -243,12 +260,7 @@ class RoutingMatrix:
         a virtual link is congested when any member is.
         """
         physical_flags = np.asarray(physical_flags, dtype=bool)
-        out = np.zeros(self.num_links, dtype=bool)
-        for vlink in self.virtual_links:
-            out[vlink.column] = bool(
-                physical_flags[list(vlink.member_indices())].any()
-            )
-        return out
+        return self._aggregate(np.logical_or, physical_flags, False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RoutingMatrix(paths={self.num_paths}, links={self.num_links})"

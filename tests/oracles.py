@@ -5,8 +5,12 @@ reorders floating-point sums relative to the seed's pure-Python loop, so
 the tests pin it to that loop to tight tolerances.  The Gilbert chain's
 run-frontier realisation is pinned to the seed's per-slot loop bit for
 bit, the bulk construction of the intersecting pairs to the seed's
-per-link loop, the monitor's mask-diffed link states to the seed's
-set-based bookkeeping, event for event, and the packet simulator (its
+per-link loop, phase 1's flat-array normal equations to the
+``scipy.sparse`` products they replaced, the routing matrix's
+``reduceat`` aggregations to per-virtual-link loops, the campaign's
+one-shot log matrix to per-snapshot logs, the monitor's mask-diffed
+link states to the seed's set-based bookkeeping, event for event, and
+the packet simulator (its
 departure-time FIFO and its link-local taps and drivers) to a run with
 every source on the event heap and an event-driven link that scheduled
 every service completion, trace for trace.  Do not use them outside the
@@ -16,12 +20,13 @@ tests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.augmented import IntersectingPairs, pair_row_index
+from repro.core.variance import _equation_weights
 from repro.monitor.online import AnomalyEvent
 from repro.netsim.sim.packet import Packet
 
@@ -145,6 +150,80 @@ def intersecting_pairs_reference(routing_matrix: np.ndarray) -> IntersectingPair
     pair_i = np.searchsorted(block_starts, unique_keys, side="right") - 1
     pair_j = unique_keys - block_starts[pair_i] + pair_i
     return IntersectingPairs(matrix=matrix, pair_i=pair_i, pair_j=pair_j)
+
+
+def phase1_reference(
+    pairs: IntersectingPairs,
+    sigma: np.ndarray,
+    path_variances: np.ndarray,
+    num_snapshots: int,
+    method: str = "wls",
+    drop_negative: bool = True,
+) -> Tuple[np.ndarray, float, Optional[float]]:
+    """Phase 1 with ``scipy.sparse`` products: row-sliced ``A``,
+    ``diags(w) @ A`` for WLS, ``A.T @ A`` and ``A.T @ b`` densified.
+
+    Returns the variances, the unweighted residual norm and, for
+    ``"wls"``, the weighted one.  Takes valid moments only.
+    """
+    sigma = np.asarray(sigma, dtype=np.float64)
+    keep = None
+    if drop_negative and (sigma < 0.0).any():
+        keep = ~(sigma < 0.0)
+    plain = pairs.matrix if keep is None else pairs.matrix[keep]
+    target = sigma if keep is None else sigma[keep]
+
+    def solve(A, b):
+        if method == "nnls":
+            from scipy import optimize
+
+            solution, _ = optimize.nnls(A.toarray(), b)
+            return solution
+        AtA = (A.T @ A).toarray()
+        Atb = A.T @ b
+        ridge = 1e-10 * np.trace(AtA) / max(AtA.shape[0], 1)
+        return np.linalg.solve(AtA + ridge * np.eye(AtA.shape[0]), Atb)
+
+    weighted_residual = None
+    if method == "wls":
+        weights = _equation_weights(path_variances, pairs, sigma, num_snapshots)
+        if keep is not None:
+            weights = weights[keep]
+        A = sparse.diags(weights) @ plain
+        b = weights * target
+        v = solve(A, b)
+        weighted_residual = float(np.linalg.norm(A @ v - b))
+    else:
+        v = solve(plain, target)
+    return v, float(np.linalg.norm(plain @ v - target)), weighted_residual
+
+
+def aggregate_reference(routing, physical: np.ndarray, kind: str) -> np.ndarray:
+    """One routing-matrix aggregation as a loop over the virtual links.
+
+    *kind* is ``"log_rates"`` (sum over members), ``"rates"`` (product)
+    or ``"any"`` (logical or).
+    """
+    if kind == "any":
+        physical = np.asarray(physical, dtype=bool)
+        out = np.zeros(routing.num_links, dtype=bool)
+    else:
+        physical = np.asarray(physical, dtype=np.float64)
+        out = np.zeros(routing.num_links, dtype=np.float64)
+    for vlink in routing.virtual_links:
+        members = physical[list(vlink.member_indices())]
+        if kind == "log_rates":
+            out[vlink.column] = members.sum()
+        elif kind == "rates":
+            out[vlink.column] = members.prod()
+        else:
+            out[vlink.column] = bool(members.any())
+    return out
+
+
+def log_matrix_reference(campaign, floor: Optional[float] = None) -> np.ndarray:
+    """The campaign's log matrix as one ``path_log_rates`` per snapshot."""
+    return np.vstack([s.path_log_rates(floor) for s in campaign.snapshots])
 
 
 def update_states_reference(

@@ -1,9 +1,11 @@
 """Tests for covariance estimation and phase-1 variance learning."""
 
+import functools
+
 import numpy as np
 import pytest
-from scipy import sparse
 
+from tests.oracles import phase1_reference
 from repro.core.augmented import intersecting_pairs
 from repro.core.covariance import (
     negative_pair_mask,
@@ -17,7 +19,11 @@ from repro.core.variance import (
     variance_recovery_error,
 )
 from repro.delay import DelayCampaign, DelayInferenceAlgorithm, DelaySnapshot
-from repro.probing import MeasurementCampaign, Snapshot
+from repro.experiments.base import scale_params
+from repro.probing import MeasurementCampaign, ProberConfig, ProbingSimulator, Snapshot
+from repro.topology.graph import Link, Path
+from repro.topology.prepare import MESH_TOPOLOGY_KINDS, prepare_topology
+from repro.topology.routing import RoutingMatrix
 
 
 class TestSampleCovariance:
@@ -169,6 +175,32 @@ class TestVarianceEstimation:
                 pairs, num_snapshots=10, **moments
             )
 
+    @pytest.mark.parametrize(
+        "count", [15.5, np.float64(3.7), "15", True], ids=repr
+    )
+    def test_moments_reject_non_integral_snapshot_count(self, figure2, count):
+        _, _, routing = figure2
+        pairs = intersecting_pairs(routing.matrix)
+        with pytest.raises(ValueError, match="num_snapshots"):
+            estimate_link_variances_from_moments(
+                pairs,
+                np.full(pairs.num_pairs, 0.01),
+                np.full(routing.num_paths, 0.02),
+                num_snapshots=count,
+            )
+
+    def test_moments_accept_numpy_integer_snapshot_count(self, figure2):
+        _, _, routing = figure2
+        pairs = intersecting_pairs(routing.matrix)
+        moments = (np.full(pairs.num_pairs, 0.01), np.full(routing.num_paths, 0.02))
+        from_numpy = estimate_link_variances_from_moments(
+            pairs, *moments, num_snapshots=np.int64(15)
+        )
+        from_int = estimate_link_variances_from_moments(
+            pairs, *moments, num_snapshots=15
+        )
+        assert np.array_equal(from_numpy.variances, from_int.variances)
+
     def test_pairs_reuse(self, figure2):
         _, _, routing = figure2
         pairs = intersecting_pairs(routing.matrix)
@@ -187,6 +219,81 @@ class TestVarianceEstimation:
         estimate = estimate_link_variances(campaign)
         with pytest.raises(ValueError):
             variance_recovery_error(estimate, np.ones(3))
+
+
+@functools.lru_cache(maxsize=None)
+def _family_moments(kind):
+    """Sampled phase-1 moments of one tiny-scale topology of *kind*."""
+    prepared = prepare_topology(kind, scale_params("tiny"), 3)
+    simulator = ProbingSimulator(
+        prepared.paths,
+        prepared.topology.network.num_links,
+        config=ProberConfig(probes_per_snapshot=200, congestion_probability=0.15),
+    )
+    campaign = simulator.run_campaign(12, prepared.routing, seed=5)
+    pairs = intersecting_pairs(prepared.routing.matrix)
+    Y = campaign.log_matrix()
+    sigma = sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j)
+    return pairs, sigma, Y.var(axis=0, ddof=1), len(campaign)
+
+
+def _synthetic_routing(rng, num_paths=4096, num_links=400, per_path=2):
+    """The monitor-churn benchmark's routing: random two-link paths."""
+    paths = []
+    node = 0
+    for p in range(num_paths):
+        columns = np.sort(rng.choice(num_links, size=per_path, replace=False))
+        links = tuple(
+            Link(index=int(j), tail=node + i, head=node + i + 1)
+            for i, j in enumerate(columns)
+        )
+        paths.append(
+            Path(index=p, source=links[0].tail, dest=links[-1].head, links=links)
+        )
+        node += per_path + 1
+    return RoutingMatrix.from_paths(paths)
+
+
+def _assert_matches_oracle(pairs, sigma, path_variances, m, method, drop):
+    v, residual, weighted = phase1_reference(
+        pairs, sigma, path_variances, m, method, drop
+    )
+    estimate = estimate_link_variances_from_moments(
+        pairs, sigma, path_variances, m, method=method, drop_negative=drop
+    )
+    assert np.array_equal(estimate.variances, v)
+    assert estimate.residual_norm == residual
+    assert estimate.weighted_residual_norm == weighted
+
+
+class TestFlatArraysMatchSparseOracle:
+    """Phase 1 on flat index arrays equals the ``scipy.sparse`` body bit
+    for bit: same filtered rows, same sums in the same order."""
+
+    @pytest.mark.parametrize("drop", [True, False], ids=["drop-neg", "keep-neg"])
+    @pytest.mark.parametrize("method", VARIANCE_METHODS)
+    @pytest.mark.parametrize("kind", ("tree",) + MESH_TOPOLOGY_KINDS)
+    def test_generator_families(self, kind, method, drop):
+        pairs, sigma, path_variances, m = _family_moments(kind)
+        assert (sigma < 0).any()  # the filter has rows to drop
+        _assert_matches_oracle(pairs, sigma, path_variances, m, method, drop)
+
+    @pytest.mark.parametrize("drop", [True, False], ids=["drop-neg", "keep-neg"])
+    @pytest.mark.parametrize("method", ["wls", "normal"])
+    def test_monitor_scale_routing(self, method, drop):
+        """The 4096-path system the monitor-churn benchmark solves
+        (``nnls`` would densify its ~88k rows, so it is left out)."""
+        rng = np.random.default_rng(0)
+        routing = _synthetic_routing(rng)
+        pairs = intersecting_pairs(routing.matrix)
+        x = -np.abs(rng.normal(size=(32, routing.num_links)))
+        x *= np.where(rng.random(routing.num_links) < 0.1, 0.05, 0.001)
+        Y = x @ routing.to_dense().T + rng.normal(0.0, 1e-4, (32, routing.num_paths))
+        sigma = sample_covariance_pairs(Y, pairs.pair_i, pairs.pair_j)
+        assert (sigma < 0).any()
+        _assert_matches_oracle(
+            pairs, sigma, Y.var(axis=0, ddof=1), 32, method, drop
+        )
 
 
 class TestResidualNorm:
@@ -251,9 +358,6 @@ class _StubRouting:
     @property
     def num_paths(self):
         return int(self.matrix.shape[0])
-
-    def to_sparse(self):
-        return sparse.csr_matrix(self.matrix.astype(np.float64))
 
 
 class TestEmptySystemGuard:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tests.oracles import log_matrix_reference
 from repro.delay import DelayProbingSimulator
 from repro.lossmodel import LLRD2, BernoulliProcess, GilbertProcess
 from repro.lossmodel.assignment import draw_snapshot_truth
@@ -260,6 +261,29 @@ class TestCampaigns:
         Y = tree_campaign.log_matrix()
         assert Y.shape == (len(tree_campaign), tree_campaign.routing.num_paths)
         assert (Y <= 0).all()
+
+    @pytest.mark.parametrize("floor", [None, 0.01], ids=["default", "explicit"])
+    def test_log_matrix_matches_per_snapshot_logs(self, small_tree, floor):
+        """One clip and one log, with one floor per row, equal the
+        per-snapshot logs bit for bit, across mixed probe counts."""
+        _, _, routing = small_tree
+        rng = np.random.default_rng(4)
+        rates = rng.uniform(0.0, 1.0, (6, routing.num_paths))
+        rates[:, :3] = [0.0, 1e-4, 1.0]  # below, near and at the clip bounds
+        campaign = MeasurementCampaign(
+            routing=routing,
+            snapshots=[
+                Snapshot(path_transmission=row, num_probes=probes)
+                for row, probes in zip(rates, [10, 200, 3, 10**6, np.int64(77), 1])
+            ],
+        )
+        assert np.array_equal(
+            campaign.log_matrix(floor), log_matrix_reference(campaign, floor)
+        )
+
+    def test_log_matrix_rejects_bad_floor(self, tree_campaign):
+        with pytest.raises(ValueError, match="floor"):
+            tree_campaign.log_matrix(1.5)
 
     def test_campaign_rejects_misshaped_snapshot(self, small_tree):
         _, _, routing = small_tree

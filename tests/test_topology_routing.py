@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.topology.graph import Network, build_paths
-from repro.topology.routing import RoutingMatrix
+from tests.oracles import aggregate_reference
+from repro.experiments.base import scale_params
+from repro.topology.graph import Link, Network, Path, build_paths
+from repro.topology.prepare import MESH_TOPOLOGY_KINDS, prepare_topology
+from repro.topology.routing import RoutingMatrix, VirtualLink
 
 
 def chain_with_branch():
@@ -130,11 +133,74 @@ class TestAggregation:
             assert via_matrix == pytest.approx(direct)
 
 
+class TestAggregationMatchesLoopOracle:
+    """One ``reduceat`` per aggregation equals the per-column loop."""
+
+    @staticmethod
+    def check(routing, num_physical, seed):
+        rng = np.random.default_rng(seed)
+        rates = rng.uniform(0.5, 1.0, num_physical)
+        inputs = {
+            "log_rates": (routing.aggregate_log_rates, np.log(rates)),
+            "rates": (routing.aggregate_rates, rates),
+            "any": (routing.aggregate_any, rng.random(num_physical) < 0.2),
+        }
+        for kind, (aggregate, physical) in inputs.items():
+            got = aggregate(physical)
+            want = aggregate_reference(routing, physical, kind)
+            assert got.dtype == want.dtype, kind
+            assert np.array_equal(got, want), kind
+
+    @pytest.mark.parametrize("kind", ("tree",) + MESH_TOPOLOGY_KINDS)
+    def test_generator_families(self, kind):
+        prepared = prepare_topology(kind, scale_params("tiny"), 2)
+        self.check(prepared.routing, prepared.topology.network.num_links, 0)
+
+    def test_long_alias_chain(self):
+        """A 20-link chain is one column: long enough for blocked sums."""
+        links = tuple(Link(index=i, tail=i, head=i + 1) for i in range(20))
+        routing = RoutingMatrix.from_paths(
+            [Path(index=0, source=0, dest=20, links=links)]
+        )
+        assert routing.num_links == 1
+        self.check(routing, 20, 1)
+
+
 class TestValidation:
     def test_row_count_must_match(self, figure1):
         _, paths, routing = figure1
         with pytest.raises(ValueError):
             RoutingMatrix(routing.matrix[:2], paths, routing.virtual_links)
+
+    @staticmethod
+    def three_paths():
+        links = [Link(index=i, tail=2 * i, head=2 * i + 1) for i in range(3)]
+        paths = [
+            Path(index=i, source=link.tail, dest=link.head, links=(link,))
+            for i, link in enumerate(links)
+        ]
+        return links, paths
+
+    def test_columns_must_run_in_order(self):
+        """Duplicate or skipped columns used to mis-aggregate silently."""
+        links, paths = self.three_paths()
+        vlinks = [
+            VirtualLink(column=0, members=(links[0],)),
+            VirtualLink(column=0, members=(links[1],)),
+            VirtualLink(column=2, members=(links[2],)),
+        ]
+        with pytest.raises(ValueError, match="virtual link 1 names column 0"):
+            RoutingMatrix(np.eye(3, dtype=np.uint8), paths, vlinks)
+
+    def test_memberless_column_rejected(self):
+        links, paths = self.three_paths()
+        vlinks = [
+            VirtualLink(column=0, members=(links[0],)),
+            VirtualLink(column=1, members=()),
+            VirtualLink(column=2, members=(links[2],)),
+        ]
+        with pytest.raises(ValueError, match="column 1 has no members"):
+            RoutingMatrix(np.eye(3, dtype=np.uint8), paths, vlinks)
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.topology.routing import require_binary, within_group_pairs
 
@@ -88,28 +87,32 @@ def augmented_matrix(routing_matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntersectingPairs:
-    """Sparse ``A`` restricted to path pairs that share at least one link.
+    """``A`` restricted to path pairs that share at least one link.
+
+    Retained row ``r`` is ``R_{pair_i[r]}* (x) R_{pair_j[r]}*``, held as
+    flat CSR arrays: its entries are ``data[indptr[r]:indptr[r + 1]]``
+    (all 1) in the ascending columns ``indices[indptr[r]:indptr[r + 1]]``.
 
     Attributes
     ----------
-    matrix:
-        CSR matrix of shape ``(num_pairs, n_c)``; row ``r`` is
-        ``R_{pair_i[r]}* (x) R_{pair_j[r]}*``.
+    indptr, indices, data:
+        The CSR arrays of the ``(num_pairs, num_links)`` matrix.
     pair_i, pair_j:
         The path indices of each retained row (``pair_i <= pair_j``).
+    num_links:
+        The number of columns.
     """
 
-    matrix: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
+    num_links: int
 
     @property
     def num_pairs(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @property
-    def num_links(self) -> int:
-        return int(self.matrix.shape[1])
+        return int(self.pair_i.size)
 
 
 def intersecting_pairs(routing_matrix: np.ndarray) -> IntersectingPairs:
@@ -135,18 +138,23 @@ def intersecting_pairs(routing_matrix: np.ndarray) -> IntersectingPairs:
     # One sort puts the entries in CSR order: by row key, then column.
     keys, indices = np.divmod(np.sort(keys * n_links + cols[first]), n_links)
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    matrix = sparse.csr_matrix(
-        (np.ones(keys.size), indices, np.append(starts, keys.size)),
-        shape=(starts.size, n_links),
-    )
     pair_i, pair_j = pair_from_row_index(keys[starts], n_paths)
-    return IntersectingPairs(matrix=matrix, pair_i=pair_i, pair_j=pair_j)
+    return IntersectingPairs(
+        indptr=np.append(starts, keys.size),
+        indices=indices,
+        data=np.ones(keys.size),
+        pair_i=pair_i,
+        pair_j=pair_j,
+        num_links=n_links,
+    )
 
 
 def augmented_rank(routing_matrix: np.ndarray, tol: float = None) -> int:
     """Rank of ``A`` (via its non-zero rows; zero rows cannot add rank)."""
     pairs = intersecting_pairs(routing_matrix)
-    dense = pairs.matrix.toarray()
+    dense = np.zeros((pairs.num_pairs, pairs.num_links))
+    rows = np.repeat(np.arange(pairs.num_pairs), np.diff(pairs.indptr))
+    dense[rows, pairs.indices] = pairs.data
     return int(np.linalg.matrix_rank(dense, tol=tol))
 
 

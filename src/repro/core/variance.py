@@ -200,8 +200,8 @@ def estimate_link_variances_from_moments(
     )
     # A's entries, row by row: counts[r] of them in row r.
     num_links = pairs.num_links
-    counts = np.diff(pairs.matrix.indptr)
-    cols, values = pairs.matrix.indices.astype(np.int64), pairs.matrix.data
+    counts = np.diff(pairs.indptr)
+    cols, values = pairs.indices, pairs.data
     keep = None
     target = sigma
     if drop_negative and negative.any():

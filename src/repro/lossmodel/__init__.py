@@ -11,11 +11,7 @@ from repro.lossmodel.bernoulli import BernoulliProcess
 from repro.lossmodel.congestion import CongestionLossProcess
 from repro.lossmodel.gilbert import GilbertProcess
 from repro.lossmodel.models import INTERNET, LLRD1, LLRD2, LossRateModel
-from repro.lossmodel.processes import (
-    STREAMING_CHUNK,
-    STREAMING_PROBE_THRESHOLD,
-    LossProcess,
-)
+from repro.lossmodel.processes import LossProcess
 
 __all__ = [
     "INTERNET",
@@ -26,8 +22,6 @@ __all__ = [
     "GilbertProcess",
     "LossProcess",
     "LossRateModel",
-    "STREAMING_CHUNK",
-    "STREAMING_PROBE_THRESHOLD",
     "SnapshotGroundTruth",
     "draw_link_propensities",
     "draw_snapshot_truth",

@@ -24,9 +24,7 @@ class BernoulliProcess(LossProcess):
         num_probes: int,
         seed: SeedLike = None,
     ) -> np.ndarray:
-        rates = self._validated_rates(loss_rates)
-        if num_probes <= 0:
-            raise ValueError(f"num_probes must be positive, got {num_probes}")
+        rates = self._validated_rates(loss_rates, num_probes)
         rng = as_rng(seed)
         return rng.random((rates.shape[0], num_probes)) < rates[:, None]
 
@@ -37,9 +35,7 @@ class BernoulliProcess(LossProcess):
         seed: SeedLike = None,
     ) -> np.ndarray:
         # Binomial shortcut: no need to materialise the state matrix.
-        rates = self._validated_rates(loss_rates)
-        if num_probes <= 0:
-            raise ValueError(f"num_probes must be positive, got {num_probes}")
+        rates = self._validated_rates(loss_rates, num_probes)
         rng = as_rng(seed)
         drops = rng.binomial(num_probes, rates)
         return drops / float(num_probes)

@@ -72,14 +72,12 @@ class CongestionLossProcess(LossProcess):
         num_probes: int,
         seed: SeedLike = None,
     ) -> np.ndarray:
-        rates = self._validated_rates(loss_rates)
+        rates = self._validated_rates(loss_rates, num_probes)
         if rates.shape[0] != self.num_links:
             raise ValueError(
                 f"process built for {self.num_links} links, "
                 f"got {rates.shape[0]} rates"
             )
-        if num_probes <= 0:
-            raise ValueError(f"num_probes must be positive, got {num_probes}")
         root = int(as_rng(seed).integers(0, 2**63 - 1))
         trace = self.simulator.run_snapshot(rates, num_probes, seed=root)
         states = self.simulator.expand_drops(trace)

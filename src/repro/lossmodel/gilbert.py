@@ -14,29 +14,42 @@ their stationary distribution, making every snapshot's expected loss
 fraction exactly ``l`` while consecutive probes see bursty correlations —
 the variance signal LIA exploits.
 
-Realisation.  The random bitstream is one uniform per link for the
-stationary start, then one ``num_links`` row of uniforms per transition,
-drawn time-major; a slot's next state is ``u < P(b->b)`` from bad and
-``u < P(g->b)`` from good.  The states are not stepped slot by slot.
-Whenever ``P(g->b) <= P(b->b)`` (every rate up to ``stay_bad``, so all of
-LLRD1), a draw below ``P(g->b)`` makes the link bad whatever its state,
-so each bad run starts at one of those sparse draws and lasts while the
-following draws stay below ``P(b->b)``.  The runs are grown from all
-starts at once as a vectorised frontier, which costs one dense
-comparison plus work proportional to the bad slots.  Links with
-``P(g->b) > P(b->b)`` flip state on intermediate draws instead and are
-resolved by a set/reset plus flip-parity scan down the block.  Both give the per-slot chain's
-states bit for bit (``tests/oracles.py`` keeps that loop as the oracle).
+Realisation.  The chain is not stepped slot by slot.  Its sojourns are
+geometric, so a link's snapshot is fixed by its start state (one uniform
+per link, bad when ``u < l``) and the lengths of its alternating runs:
+good runs ~ Geometric(P(g->b)), bad runs ~ Geometric(1 - P(b->b)), each
+drawn by inversion as ``floor(E / -log(1 - p)) + 1`` from one standard
+exponential ``E``.  This is the per-slot chain's exact law, not its
+bitstream (``tests/oracles.py`` keeps the per-slot loop, and the tests
+hold both to the chain's closed forms).  A link draws its runs as
+(good, bad) pairs, as many as its expected number of state changes over
+the snapshot plus a margin; a link that starts bad gets an empty first
+good run, and the few links whose pairs fall short of the snapshot draw
+another batch in a further round.  Rates of 0 and 1 give infinite
+sojourns, clipped to the snapshot.  The cost is a few draws per state
+change instead of one uniform per link slot.
+
+Memory.  The pairs are drawn and resolved in slabs of at most
+:data:`SLAB_PAIRS`, whatever the number of links or probes, and a link's
+pairs may straddle slabs.  The draws are consumed in the same order for
+any slab size, so the output does not depend on it.
+:meth:`GilbertProcess.sample_loss_fractions` sums each link's bad runs
+slab by slab and never builds the ``(links, probes)`` matrix that
+:meth:`GilbertProcess.sample_states` fills with them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.lossmodel.processes import STREAMING_CHUNK, LossProcess
+from repro.lossmodel.processes import LossProcess
 from repro.utils.rng import SeedLike, as_rng
+
+#: (good, bad) sojourn pairs resolved at a time; a pair costs about 100
+#: bytes of working memory.
+SLAB_PAIRS = 1 << 15
 
 
 class GilbertProcess(LossProcess):
@@ -85,129 +98,110 @@ class GilbertProcess(LossProcess):
             stay = np.where(high, 1.0 - np.minimum(leave, 1.0), stay)
         return g2b, stay
 
-    def iter_state_chunks(
-        self,
-        loss_rates: np.ndarray,
-        num_probes: int,
-        seed: SeedLike = None,
-        chunk_size: int = STREAMING_CHUNK,
-    ) -> Iterator[np.ndarray]:
-        """True chunked realisation, bit-identical to the unchunked one.
-
-        The chain draws its uniforms time-major (one ``num_links`` row
-        per transition), so splitting ``rng.random((num_probes - 1,
-        num_links))`` into consecutive ``(block, num_links)`` draws
-        consumes the identical bitstream — only the chain state crosses
-        chunk boundaries.  Each block is realised by :func:`_advance`.
-        """
-        rates = self._validated_rates(loss_rates)
-        if num_probes <= 0:
-            raise ValueError(f"num_probes must be positive, got {num_probes}")
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        rng = as_rng(seed)
-        g2b, stay = self.effective_parameters(rates)
-
-        def chunks() -> Iterator[np.ndarray]:
-            num_links = rates.shape[0]
-            current = rng.random(num_links) < rates  # stationary start
-            emitted = 0
-            first = True
-            while emitted < num_probes:
-                block = min(chunk_size, num_probes - emitted)
-                states = np.zeros((num_links, block), dtype=bool)
-                start = 0
-                if first:
-                    states[:, 0] = current
-                    start = 1
-                    first = False
-                uniforms = rng.random((block - start, num_links))
-                _advance(uniforms, current, g2b, stay, states, start)
-                current = states[:, -1].copy()
-                yield states
-                emitted += block
-
-        return chunks()
-
     def sample_states(
         self,
         loss_rates: np.ndarray,
         num_probes: int,
         seed: SeedLike = None,
     ) -> np.ndarray:
-        return next(
-            self.iter_state_chunks(
-                loss_rates, num_probes, seed=seed, chunk_size=num_probes
-            )
-        )
+        rates = self._validated_rates(loss_rates, num_probes)
+        states = np.zeros((rates.shape[0], num_probes), dtype=bool)
+        flat = states.ravel()
+        for link, start, length in self._bad_runs(rates, num_probes, seed):
+            # Slot k of the concatenated runs lies in run r at flat index
+            # link[r] * num_probes + start[r] + (k - slots before run r).
+            first = link * num_probes + start - (np.cumsum(length) - length)
+            flat[np.arange(int(length.sum())) + np.repeat(first, length)] = True
+        return states
+
+    def sample_loss_fractions(
+        self,
+        loss_rates: np.ndarray,
+        num_probes: int,
+        seed: SeedLike = None,
+    ) -> np.ndarray:
+        """Row means of :meth:`sample_states` at the same seed, bit for bit,
+        summed from the bad runs without the state matrix."""
+        rates = self._validated_rates(loss_rates, num_probes)
+        counts = np.zeros(rates.shape[0])
+        for link, _, length in self._bad_runs(rates, num_probes, seed):
+            counts += np.bincount(link, weights=length, minlength=counts.size)
+        return counts / float(num_probes)
 
     def burst_length_mean(self) -> float:
         """Expected bad-state sojourn (in probes): 1 / P(bad -> good)."""
         return 1.0 / (1.0 - self.stay_bad)
 
+    def _bad_runs(
+        self, rates: np.ndarray, num_probes: int, seed: SeedLike
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(link, start, length)`` int64 arrays of the bad runs.
 
-def _advance(
-    uniforms: np.ndarray,
-    current: np.ndarray,
-    g2b: np.ndarray,
-    stay: np.ndarray,
-    states: np.ndarray,
-    start: int,
-) -> None:
-    """Run the chains over *uniforms*; row ``r`` is written to column ``start + r``.
+        Runs are clipped to the snapshot, and every bad slot of every
+        link is in exactly one yielded run.
+        """
+        rng = as_rng(seed)
+        g2b, stay = self.effective_parameters(rates)
+        leave = 1.0 - stay
+        # A Geometric(p) length is floor(E * scale) + 1 with E ~ Exp(1):
+        # the scale is inf for p = 0 (rate 0's good runs, rate 1's bad
+        # runs) and 0 for p = 1.
+        with np.errstate(divide="ignore"):
+            scales = -1.0 / np.log1p(-np.column_stack((g2b, leave)))
+        opens_bad = rng.random(rates.shape[0]) < rates  # stationary start
+        active = np.arange(rates.shape[0])
+        reached = np.zeros(rates.shape[0])
+        span = float(num_probes)
+        while active.size:
+            pairs = _pairs_needed(span - reached, g2b[active], leave[active])
+            ends = np.cumsum(pairs)
+            total = int(ends[-1])
+            for lo in range(0, total, SLAB_PAIRS):
+                hi = min(lo + SLAB_PAIRS, total)
+                a = int(np.searchsorted(ends, lo, side="right"))
+                b = int(np.searchsorted(ends, hi, side="left")) + 1
+                links = active[a:b]
+                begun = ends[a:b] - pairs[a:b]
+                count = np.minimum(ends[a:b], hi) - np.maximum(begun, lo)
+                # Columns: good and bad run lengths, less one, clipped.
+                runs = rng.standard_exponential((hi - lo, 2))
+                runs *= np.repeat(scales[links], count, axis=0)
+                np.floor(runs, out=runs)
+                np.fmin(runs, span, out=runs)
+                first = np.cumsum(count) - count
+                if opens_bad is not None:
+                    # A link whose next run is bad opens with an empty good run.
+                    runs[first[(begun >= lo) & opens_bad[a:b]], 0] = -1.0
+                end = runs[:, 0] + runs[:, 1]
+                end += 2.0
+                np.cumsum(end, out=end)
+                before = end[first - 1]
+                before[0] = 0.0
+                end += np.repeat(reached[a:b] - before, count)
+                reached[a:b] = end[first + count - 1]
+                begin = end - runs[:, 1]
+                begin -= 1.0
+                keep = np.flatnonzero(begin < span)
+                begin = begin[keep]
+                yield (
+                    np.repeat(links, count)[keep],
+                    begin.astype(np.int64),
+                    (np.minimum(end[keep], span) - begin).astype(np.int64),
+                )
+            short = reached < span
+            active, reached = active[short], reached[short]
+            opens_bad = None
 
-    *current* is each link's state just before the first row and
-    *states* arrives all-good, so only bad slots are written.  The result
-    equals the per-slot recurrence ``next = u < (stay if bad else g2b)``
-    exactly, because every comparison is the same float comparison.
 
-    * Links with ``g2b <= stay`` (every rate up to ``stay_bad``, and the
-      absorbing ``l = 1``): ``u < g2b`` sends the chain bad whatever its
-      state, ``u >= stay`` sends it good, and anything between holds it.
-      A bad run therefore starts at a sparse ``u < g2b`` draw (or at a
-      carried bad state) and lasts while the next draw holds.  The runs
-      are grown from their starts as one vectorised frontier, so the
-      cost is the number of bad slots, not links x probes.
-    * Links with ``g2b > stay``: ``u < stay`` sets, ``u >= g2b`` resets
-      and anything between flips the state.  The state is the last
-      set/reset (or the carried state) XOR the parity of the flips since,
-      computed with running maxima and sums down the block.
+def _pairs_needed(span: np.ndarray, g2b: np.ndarray, leave: np.ndarray) -> np.ndarray:
+    """(good, bad) pairs to draw per link so they rarely fall short of *span*.
+
+    A pair lasts ``1/g2b + 1/leave`` slots on average; by renewal theory
+    the pairs completed in *span* slots have mean ``span * g2b * leave /
+    (g2b + leave)`` and the variance below.  Four standard deviations and
+    two spare pairs make a further round rare.
     """
-    rows, num_links = uniforms.shape
-    if rows == 0:
-        return
-    hold = g2b <= stay
-    block = states.shape[1]
-    flat = uniforms.ravel()
-    size = flat.size
-    starts = np.flatnonzero(uniforms < np.where(hold, g2b, -1.0))
-    carried = np.flatnonzero(current & hold)  # row-0 positions of bad chains
-    bad = [starts]
-    cand = np.concatenate((starts + num_links, carried))
-    while True:
-        cand = cand[cand < size]
-        links = cand % num_links
-        u = flat[cand]
-        cand = cand[(u >= g2b[links]) & (u < stay[links])]
-        if not cand.size:
-            break
-        bad.append(cand)
-        cand = cand + num_links
-    slots = np.concatenate(bad)
-    row, link = np.divmod(slots, num_links)
-    states.ravel()[link * block + start + row] = True
-
-    flip = np.flatnonzero(~hold)
-    if flip.size:
-        u = uniforms[:, flip]
-        set_bad = u < stay[flip]
-        event = set_bad | (u >= g2b[flip])
-        flips = np.cumsum(~event, axis=0)
-        last = np.maximum.accumulate(
-            np.where(event, np.arange(rows)[:, None], -1), axis=0
-        )
-        seen = last >= 0
-        at = np.maximum(last, 0), np.arange(flip.size)
-        base = np.where(seen, set_bad[at], current[flip])
-        since = flips - np.where(seen, flips[at], 0)
-        states[flip, start:] = (base ^ (since & 1).astype(bool)).T
+    both = g2b + leave
+    mean = span * g2b * leave / both
+    var = mean * ((1.0 - g2b) * leave**2 + (1.0 - leave) * g2b**2) / both**2
+    return np.ceil(mean + 4.0 * np.sqrt(var)).astype(np.int64) + 2

@@ -87,7 +87,7 @@ class _RollingMoments:
     Pair covariances, read only at a variance refresh, are computed from
     the ring: ``cov_ij = (sum y_i y_j - m ybar_i ybar_j) / (m - 1)``.
     Every intersecting pair has a first shared link ``l`` (the first
-    column of its row of ``pairs.matrix``), so ``sum y_i y_j`` is an
+    column of its row of ``pairs``), so ``sum y_i y_j`` is an
     entry of the Gram block ``Y[g] Y[g]^T`` over the paths ``g`` through
     ``l``: one batched product per group size, scattered to the pair
     rows by an index plan built once.  The blocks are summed over the
@@ -135,7 +135,7 @@ class _RollingMoments:
         # Each pair's entry (position of i, position of j) in the Gram
         # block of its first shared link.
         self._pair_i, self._pair_j = pairs.pair_i, pairs.pair_j
-        first = pairs.matrix.indices[pairs.matrix.indptr[:-1]]
+        first = pairs.indices[pairs.indptr[:-1]]
         incidence = links * num_paths + paths
         row_i, row_j = (
             np.searchsorted(incidence, first * num_paths + p) - starts[first]

@@ -24,6 +24,13 @@ from repro.lossmodel.assignment import SnapshotGroundTruth
 from repro.topology.routing import RoutingMatrix
 
 
+def _check_num_probes(count: int) -> None:
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"num_probes must be an integer, got {count!r}")
+    if count <= 0:
+        raise ValueError(f"num_probes must be positive, got {count}")
+
+
 def log_with_floor(
     transmission_rates: np.ndarray, num_probes: int, floor: Optional[float] = None
 ) -> np.ndarray:
@@ -32,6 +39,7 @@ def log_with_floor(
     *floor* defaults to ``0.5 / num_probes``; rates are clipped to
     ``[floor, 1]`` so the log is finite and non-positive.
     """
+    _check_num_probes(num_probes)
     if floor is None:
         floor = 0.5 / float(num_probes)
     if not 0 < floor <= 1:
@@ -70,11 +78,7 @@ class Snapshot:
         # Written so NaN fails too: every comparison with NaN is false.
         if not np.all((rates >= 0) & (rates <= 1)):
             raise ValueError("path_transmission rates must lie in [0, 1]")
-        count = self.num_probes
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"num_probes must be an integer, got {count!r}")
-        if count <= 0:
-            raise ValueError("num_probes must be positive")
+        _check_num_probes(self.num_probes)
         object.__setattr__(self, "path_transmission", rates)
         if self.realized_loss_fractions is not None:
             realized = np.asarray(self.realized_loss_fractions, dtype=np.float64)

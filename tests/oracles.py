@@ -2,19 +2,18 @@
 
 The array-backed incremental basis in :mod:`repro.core.linalg`
 reorders floating-point sums relative to the seed's pure-Python loop, so
-the tests pin it to that loop to tight tolerances.  The Gilbert chain's
-run-frontier realisation is pinned to the seed's per-slot loop bit for
-bit, the bulk construction of the intersecting pairs to the seed's
-per-link loop, phase 1's flat-array normal equations to the
-``scipy.sparse`` products they replaced, the routing matrix's
-``reduceat`` aggregations to per-virtual-link loops, the campaign's
-one-shot log matrix to per-snapshot logs, the monitor's mask-diffed
-link states to the seed's set-based bookkeeping, event for event, and
-the packet simulator (its
+the tests pin it to that loop to tight tolerances.  They also pin the
+bulk construction of the intersecting pairs to the seed's per-link loop,
+phase 1's flat-array normal equations to the ``scipy.sparse`` products
+they replaced, the routing matrix's ``reduceat`` aggregations to
+per-virtual-link loops, the campaign's one-shot log matrix to
+per-snapshot logs, the monitor's mask-diffed link states to the seed's
+set-based bookkeeping, event for event, and the packet simulator (its
 departure-time FIFO and its link-local taps and drivers) to a run with
 every source on the event heap and an event-driven link that scheduled
-every service completion, trace for trace.  Do not use them outside the
-tests.
+every service completion, trace for trace.  The seed's per-slot Gilbert
+chain is the control of the sojourn sampler's law tests: both must pass
+them.  Do not use any of these outside the tests.
 """
 
 from __future__ import annotations
@@ -77,33 +76,23 @@ def gilbert_states_reference(
     rng: np.random.Generator,
     g2b: np.ndarray,
     stay: np.ndarray,
-    chunk_size: int,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """The seed Gilbert realisation: one ``np.where`` step per probe slot.
 
-    Draws exactly what :meth:`GilbertProcess.iter_state_chunks` draws (a
-    stationary start, then time-major ``(block, num_links)`` uniforms per
-    chunk) and returns the chunks it would yield.
+    A stationary start (bad when ``u < rate``), then one time-major row
+    of uniforms per transition: from bad the next slot is bad when
+    ``u < stay``, from good when ``u < g2b``.
     """
     rates = np.asarray(loss_rates, dtype=np.float64)
     num_links = rates.shape[0]
     current = rng.random(num_links) < rates
-    blocks: List[np.ndarray] = []
-    emitted = 0
-    while emitted < num_probes:
-        block = min(chunk_size, num_probes - emitted)
-        states = np.empty((num_links, block), dtype=bool)
-        start = 0
-        if not blocks:
-            states[:, 0] = current
-            start = 1
-        uniforms = rng.random((block - start, num_links))
-        for t in range(block - start):
-            current = np.where(current, uniforms[t] < stay, uniforms[t] < g2b)
-            states[:, start + t] = current
-        blocks.append(states)
-        emitted += block
-    return blocks
+    states = np.empty((num_links, num_probes), dtype=bool)
+    states[:, 0] = current
+    uniforms = rng.random((num_probes - 1, num_links))
+    for t in range(num_probes - 1):
+        current = np.where(current, uniforms[t] < stay, uniforms[t] < g2b)
+        states[:, t + 1] = current
+    return states
 
 
 def intersecting_pairs_reference(routing_matrix: np.ndarray) -> IntersectingPairs:
@@ -149,7 +138,22 @@ def intersecting_pairs_reference(routing_matrix: np.ndarray) -> IntersectingPair
     )  # start key of each i-block
     pair_i = np.searchsorted(block_starts, unique_keys, side="right") - 1
     pair_j = unique_keys - block_starts[pair_i] + pair_i
-    return IntersectingPairs(matrix=matrix, pair_i=pair_i, pair_j=pair_j)
+    return IntersectingPairs(
+        indptr=matrix.indptr.astype(np.int64),
+        indices=matrix.indices.astype(np.int64),
+        data=matrix.data,
+        pair_i=pair_i,
+        pair_j=pair_j,
+        num_links=n_links,
+    )
+
+
+def pairs_matrix(pairs: IntersectingPairs) -> sparse.csr_matrix:
+    """The pairs' CSR arrays as a ``scipy.sparse`` matrix."""
+    return sparse.csr_matrix(
+        (pairs.data, pairs.indices, pairs.indptr),
+        shape=(pairs.num_pairs, pairs.num_links),
+    )
 
 
 def phase1_reference(
@@ -170,7 +174,8 @@ def phase1_reference(
     keep = None
     if drop_negative and (sigma < 0.0).any():
         keep = ~(sigma < 0.0)
-    plain = pairs.matrix if keep is None else pairs.matrix[keep]
+    matrix = pairs_matrix(pairs)
+    plain = matrix if keep is None else matrix[keep]
     target = sigma if keep is None else sigma[keep]
 
     def solve(A, b):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tests.oracles import intersecting_pairs_reference
+from tests.oracles import intersecting_pairs_reference, pairs_matrix
 from repro.core.augmented import (
     augmented_matrix,
     augmented_rank,
@@ -107,7 +107,7 @@ class TestIntersectingPairs:
         for k, (i, j) in enumerate(zip(pairs.pair_i, pairs.pair_j)):
             row = pair_row_index(int(i), int(j), n)
             assert np.array_equal(
-                pairs.matrix[k].toarray().ravel(), dense[row]
+                pairs_matrix(pairs)[k].toarray().ravel(), dense[row]
             )
 
     def test_tree_pairs(self, small_tree):
@@ -126,11 +126,11 @@ def assert_same_pairs(routing_matrix):
     """The bulk builder equals the per-link loop bit for bit."""
     got = intersecting_pairs(routing_matrix)
     want = intersecting_pairs_reference(routing_matrix)
-    assert got.matrix.shape == want.matrix.shape
+    assert (got.num_pairs, got.num_links) == (want.num_pairs, want.num_links)
     for a, b in (
-        (got.matrix.indptr, want.matrix.indptr),
-        (got.matrix.indices, want.matrix.indices),
-        (got.matrix.data, want.matrix.data),
+        (got.indptr, want.indptr),
+        (got.indices, want.indices),
+        (got.data, want.data),
         (got.pair_i, want.pair_i),
         (got.pair_j, want.pair_j),
     ):

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from tests.oracles import phase1_reference
+from tests.oracles import pairs_matrix, phase1_reference
 from repro.core.augmented import intersecting_pairs
 from repro.core.covariance import (
     negative_pair_mask,
@@ -102,7 +102,7 @@ class TestVarianceEstimation:
         )
         keep = ~negative_pair_mask(sigma)
         expected, *_ = np.linalg.lstsq(
-            pairs.matrix[keep].toarray(), sigma[keep], rcond=None
+            pairs_matrix(pairs)[keep].toarray(), sigma[keep], rcond=None
         )
         normal = estimate_link_variances(campaign, method="normal").variances
         assert np.allclose(normal, expected, atol=1e-8)
@@ -311,7 +311,7 @@ class TestResidualNorm:
         )
         keep = ~negative_pair_mask(sigma)
         expected = np.linalg.norm(
-            pairs.matrix[keep] @ estimate.variances - sigma[keep]
+            pairs_matrix(pairs)[keep] @ estimate.variances - sigma[keep]
         )
         assert estimate.residual_norm == pytest.approx(expected)
         assert estimate.weighted_residual_norm is not None

@@ -1,14 +1,12 @@
 """Statistical tests of the Gilbert and Bernoulli loss processes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import stats
 
-from repro.lossmodel import (
-    STREAMING_CHUNK,
-    STREAMING_PROBE_THRESHOLD,
-    BernoulliProcess,
-    GilbertProcess,
-)
+from repro.lossmodel import BernoulliProcess, GilbertProcess, gilbert
 from tests.oracles import gilbert_states_reference
 
 
@@ -105,110 +103,176 @@ class TestBernoulli:
         assert lag1 == pytest.approx(expected, abs=0.02)
 
 
-class TestStreamingFractions:
-    """The chunked fraction path above STREAMING_PROBE_THRESHOLD."""
+class TestFlowFractions:
+    """``sample_loss_fractions`` sums the bad runs without the state matrix."""
 
-    RATES = np.array([0.0, 0.02, 0.1, 0.4])
+    RATES = np.array([0.0, 0.02, 0.1, 0.4, 1.0])
 
-    def test_gilbert_chunks_are_bit_identical_to_states(self):
+    @pytest.mark.parametrize("num_probes", [1, 1000, 5000])
+    def test_gilbert_fractions_equal_state_means(self, num_probes):
         process = GilbertProcess()
-        probes = 5000
-        full = process.sample_states(self.RATES, probes, seed=7)
-        for chunk_size in (512, 1000, probes):
-            blocks = list(
-                process.iter_state_chunks(
-                    self.RATES, probes, seed=7, chunk_size=chunk_size
-                )
+        fractions = process.sample_loss_fractions(self.RATES, num_probes, seed=5)
+        states = process.sample_states(self.RATES, num_probes, seed=5)
+        assert np.array_equal(fractions, states.mean(axis=1))
+
+    def test_output_does_not_depend_on_the_slab_size(self, monkeypatch):
+        process = GilbertProcess()
+        rates = np.random.default_rng(3).uniform(0.0, 0.3, 20)
+        states = process.sample_states(rates, 600, seed=8)
+        fractions = process.sample_loss_fractions(rates, 600, seed=8)
+        for slab in (1, 7, 500):
+            monkeypatch.setattr(gilbert, "SLAB_PAIRS", slab)
+            assert np.array_equal(process.sample_states(rates, 600, seed=8), states)
+            assert np.array_equal(
+                process.sample_loss_fractions(rates, 600, seed=8), fractions
             )
-            assert sum(b.shape[1] for b in blocks) == probes
-            assert np.array_equal(np.concatenate(blocks, axis=1), full)
 
-    def test_streamed_fractions_equal_materialised_means(self):
-        probes = STREAMING_PROBE_THRESHOLD + 3 * STREAMING_CHUNK + 17
-        process = GilbertProcess()
-        fractions = process.sample_loss_fractions(self.RATES, probes, seed=5)
-        states = process.sample_states(self.RATES, probes, seed=5)
-        assert np.array_equal(fractions, states.mean(axis=1))
-
-    def test_below_threshold_materialises(self):
-        """At or below the threshold the old exact path is untouched."""
-        process = GilbertProcess()
-        fractions = process.sample_loss_fractions(
-            self.RATES, STREAMING_PROBE_THRESHOLD, seed=3
-        )
-        states = process.sample_states(
-            self.RATES, STREAMING_PROBE_THRESHOLD, seed=3
-        )
-        assert np.array_equal(fractions, states.mean(axis=1))
-
-    def test_default_iterator_is_one_block(self):
-        """The base-class fallback yields the whole realisation at once."""
-
-        class OneShot(BernoulliProcess):
-            pass
-
-        # BernoulliProcess overrides sample_loss_fractions with the
-        # binomial shortcut; the inherited chunk iterator must still be
-        # the single-block default.
-        blocks = list(
-            OneShot().iter_state_chunks(self.RATES, 6000, seed=1)
-        )
-        assert len(blocks) == 1 and blocks[0].shape == (4, 6000)
+    def test_long_snapshots_stay_in_bounded_memory(self):
+        """200k probes x 500 links would be a 100 MB state matrix."""
+        rng = np.random.default_rng(4)
+        rates = rng.uniform(0.0, 0.002, 500)
+        congested = rng.choice(500, 50, replace=False)
+        rates[congested] = rng.uniform(0.05, 0.2, 50)
+        tracemalloc.start()
+        try:
+            fractions = GilbertProcess().sample_loss_fractions(
+                rates, 200_000, seed=6
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert np.allclose(fractions, rates, atol=0.01)
 
 
-class TestGilbertOracle:
-    """The run-frontier realisation against the seed per-slot loop.
+def _runs(states):
+    """``(is_bad, length, cap)`` of the runs that end inside their row.
 
-    The golden corpus only sees a few seeds' downstream statistics, so a
-    defect confined to a few slots can pass it; these compare every
-    state bit.
+    A row's first run is cut by its start, and a run that starts at slot
+    ``s`` is seen to end only if its length is at most ``cap = T - 1 - s``:
+    the lengths seen are truncated at *cap*.
+    """
+    bad, lengths, caps = [], [], []
+    for row in states:
+        change = np.flatnonzero(row[1:] != row[:-1]) + 1
+        bad.append(row[change[:-1]])
+        lengths.append(np.diff(change))
+        caps.append(row.size - 1 - change[:-1])
+    return np.concatenate(bad), np.concatenate(lengths), np.concatenate(caps)
+
+
+def _geometric_ks_pvalue(lengths, caps, p):
+    """KS p-value of truncated *lengths* against Geometric(p) on {1, 2, ...}.
+
+    Each length ``k`` is spread uniformly over ``(k - 1, k]``, which gives
+    a Geometric(p) length the continuous CDF ``F`` below.  Given its
+    truncation point ``c``, ``F(y) / F(c)`` of a spread length is then
+    uniform, so the test is exact rather than conservative.
+    """
+    spread = lengths - np.random.default_rng(0).random(lengths.size)
+
+    def cdf(y):
+        k = np.floor(y)
+        survive = (1.0 - p) ** k
+        return 1.0 - survive + (y - k) * survive * p
+
+    return stats.kstest(cdf(spread) / cdf(caps.astype(float)), "uniform").pvalue
+
+
+def _sampler(stay_bad, rates, num_probes, seed):
+    return GilbertProcess(stay_bad).sample_states(rates, num_probes, seed=seed)
+
+
+def _per_slot_chain(stay_bad, rates, num_probes, seed):
+    g2b, stay = GilbertProcess(stay_bad).effective_parameters(rates)
+    return gilbert_states_reference(
+        rates, num_probes, np.random.default_rng(seed), g2b, stay
+    )
+
+
+def _law_rates():
+    """``(stay_bad, rate)`` cases: LLRD1's good and congested ranges, the
+    ceiling ``1 / (2 - stay_bad)`` and a rate above it."""
+    cases = []
+    for stay_bad in (0.0, 0.35, 0.9):
+        ceiling = 1.0 / (2.0 - stay_bad)
+        for label, rate in (
+            ("good0.001", 0.001),
+            ("good0.002", 0.002),
+            ("congested0.05", 0.05),
+            ("congested0.2", 0.2),
+            ("ceiling", ceiling),
+            ("above", (ceiling + 1.0) / 2),
+        ):
+            cases.append(pytest.param(stay_bad, rate, id=f"{stay_bad}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("source", [_sampler, _per_slot_chain], ids=["sojourns", "chain"])
+@pytest.mark.parametrize("stay_bad,rate", _law_rates())
+class TestGilbertLaw:
+    """The sojourn sampler against the chain's closed forms.
+
+    The per-slot chain of ``tests/oracles.py`` runs through the same
+    tests as a control.  Means are held to 4.5 standard errors, and KS
+    p-values must exceed 1e-4.
     """
 
+    LINKS, LONG = 300, 20_000  # long rows for run lengths and lag-1 pairs
+    SNAPSHOTS, PROBES = 4000, 1000  # independent snapshots for the variance
+    MAX_RUNS = 20_000  # of each kind, for the KS tests
+
     @staticmethod
-    def rates(stay_bad):
-        ceiling = 1.0 / (2.0 - stay_bad)
-        rng = np.random.default_rng(11)
-        return np.concatenate(
-            [
-                [0.0, 1.0, stay_bad, ceiling, 0.002],
-                rng.uniform(0.0, 0.002, 12),  # LLRD1 good
-                rng.uniform(0.05, 0.2, 6),  # LLRD1 congested
-                rng.uniform(0.002, 1.0, 8),  # LLRD2 congested
-                rng.uniform(ceiling, 1.0, 4),  # above the ceiling
-            ]
-        )
+    def params(stay_bad, rate):
+        g2b, stay = GilbertProcess(stay_bad).effective_parameters(np.array([rate]))
+        return float(g2b[0]), float(stay[0])
 
-    @pytest.mark.parametrize("stay_bad", [0.0, 0.35, 0.9])
-    @pytest.mark.parametrize("num_probes", [1, 300])
-    @pytest.mark.parametrize("chunk_size", [1, 7, 512, None])
-    def test_bit_identical_to_seed_loop(self, stay_bad, num_probes, chunk_size):
-        process = GilbertProcess(stay_bad)
-        rates = self.rates(stay_bad)
-        chunk_size = chunk_size or num_probes
-        g2b, stay = process.effective_parameters(rates)
-        expected = gilbert_states_reference(
-            rates, num_probes, np.random.default_rng(5), g2b, stay, chunk_size
-        )
-        blocks = list(
-            process.iter_state_chunks(rates, num_probes, seed=5, chunk_size=chunk_size)
-        )
-        assert len(blocks) == len(expected)
-        for got, want in zip(blocks, expected):
-            assert got.dtype == bool and np.array_equal(got, want)
-        full = process.sample_states(rates, num_probes, seed=5)
-        assert np.array_equal(full, np.concatenate(expected, axis=1))
+    def long_states(self, source, stay_bad, rate):
+        return source(stay_bad, np.full(self.LINKS, rate), self.LONG, seed=17)
 
-    def test_random_rate_vectors(self):
-        rng = np.random.default_rng(2024)
-        for trial in range(60):
-            process = GilbertProcess(float(rng.choice([0.0, 0.35, 0.9])))
-            rates = rng.uniform(0.0, 1.0, int(rng.integers(1, 40)))
-            rates[rng.random(rates.size) < 0.5] *= 0.01
-            num_probes = int(rng.integers(1, 200))
-            g2b, stay = process.effective_parameters(rates)
-            (expected,) = gilbert_states_reference(
-                rates, num_probes, np.random.default_rng(trial), g2b, stay,
-                num_probes,
-            )
-            got = process.sample_states(rates, num_probes, seed=trial)
-            assert np.array_equal(got, expected)
+    def test_run_lengths_are_geometric(self, source, stay_bad, rate):
+        g2b, stay = self.params(stay_bad, rate)
+        is_bad, lengths, caps = _runs(self.long_states(source, stay_bad, rate))
+        for kind, p in ((is_bad, 1.0 - stay), (~is_bad, g2b)):
+            runs = np.flatnonzero(kind)[: self.MAX_RUNS]
+            assert runs.size > 100
+            assert _geometric_ks_pvalue(lengths[runs], caps[runs], p) > 1e-4
+
+    def test_stationary_fraction_and_lag1_joint(self, source, stay_bad, rate):
+        _, stay = self.params(stay_bad, rate)
+        states = self.long_states(source, stay_bad, rate)
+        both = states[:, 1:] & states[:, :-1]
+        for per_link, expected in (
+            (states.mean(axis=1), rate),
+            (both.mean(axis=1), rate * stay),
+        ):
+            se = per_link.std(ddof=1) / np.sqrt(per_link.size)
+            assert abs(per_link.mean() - expected) <= 4.5 * se
+
+    def test_loss_fraction_variance(self, source, stay_bad, rate):
+        """``Var F = pi (1 - pi) / T^2 [T + 2 sum_{k<T} (T - k) lambda^k]``
+        with ``lambda = P(b->b) - P(g->b)``: the signal LIA reads."""
+        g2b, stay = self.params(stay_bad, rate)
+        T = self.PROBES
+        lam = stay - g2b
+        k = np.arange(1, T)
+        expected = rate * (1 - rate) / T**2 * (T + 2 * np.sum((T - k) * lam**k))
+        # Each snapshot's link sits between links of other parameters:
+        # a quiet one and an absorbing one.
+        rates = np.tile([rate, 0.001, 1.0], self.SNAPSHOTS)
+        states = source(stay_bad, rates, T, seed=23)[0::3]
+        fractions = states.mean(axis=1)
+        centred = fractions - fractions.mean()
+        variance = np.mean(centred**2)
+        se = np.sqrt((np.mean(centred**4) - variance**2) / fractions.size)
+        assert abs(variance - expected) <= 4.5 * se
+        # The stationary start: each snapshot opens bad with probability pi.
+        se = np.sqrt(rate * (1 - rate) / self.SNAPSHOTS)
+        assert abs(states[:, 0].mean() - rate) <= 4.5 * se
+
+
+@pytest.mark.parametrize("source", [_sampler, _per_slot_chain], ids=["sojourns", "chain"])
+@pytest.mark.parametrize("stay_bad", [0.0, 0.35, 0.9])
+def test_rates_zero_and_one_are_constant(source, stay_bad):
+    states = source(stay_bad, np.array([0.0, 1.0] * 50), 5000, seed=2)
+    assert not states[0::2].any() and states[1::2].all()

@@ -32,6 +32,15 @@ class TestLogFloor:
         with pytest.raises(ValueError):
             log_with_floor(np.array([0.5]), 100, floor=2.0)
 
+    @pytest.mark.parametrize("num_probes", [0, -4, 2.5, True])
+    def test_invalid_num_probes(self, num_probes):
+        with pytest.raises(ValueError, match="num_probes"):
+            log_with_floor(np.array([0.5]), num_probes)
+
+    def test_numpy_integer_num_probes(self):
+        logs = log_with_floor(np.array([0.0]), np.int64(1000))
+        assert logs[0] == pytest.approx(np.log(0.0005))
+
 
 class TestSnapshot:
     def test_validation(self):

@@ -35,6 +35,7 @@ from repro.topology.generators import planetlab_like, random_tree, waxman
 from repro.topology.graph import build_paths
 from repro.topology.prepare import MESH_TOPOLOGY_KINDS, prepare_topology
 from repro.topology.routing import RoutingMatrix
+from tests.oracles import pairs_matrix
 
 FAST = settings(max_examples=15, deadline=None)
 SLOW = settings(max_examples=8, deadline=None)
@@ -99,7 +100,7 @@ class TestExactMomentsRecoverVariances:
         v[rng.integers(n)] = 0.05  # at least one congested link
         estimate = estimate_link_variances_from_moments(
             pairs,
-            pairs.matrix @ v,
+            pairs_matrix(pairs) @ v,
             routing.matrix.astype(np.float64) @ v,
             num_snapshots=100,
             method=method,

@@ -14,7 +14,7 @@ from tests.oracles import log_matrix_reference, phase1_reference
 from repro.core.augmented import intersecting_pairs
 from repro.core.covariance import sample_covariance_pairs
 from repro.core.engine import InferenceEngine
-from repro.core.linalg import greedy_independent_columns
+from repro.core.linalg import basis_sweep
 from repro.core.reduction import reduce_to_full_rank
 from repro.core.variance import estimate_link_variances
 
@@ -132,10 +132,8 @@ def test_mesh_greedy_independent_columns(benchmark, bench_mesh, mesh_estimate):
     """Batched-MGS greedy column scan over the full mesh matrix."""
     prepared, _, _ = bench_mesh
     descending = np.argsort(mesh_estimate.variances)[::-1]
-    kept = benchmark(
-        greedy_independent_columns, prepared.routing.to_sparse(), descending
-    )
-    assert len(kept) > 0
+    sweep = benchmark(basis_sweep, prepared.routing.to_sparse(), descending)
+    assert len(sweep.kept) > 0
 
 
 # -- campaign-scale forest: per-tree phase 1, packed phase 2 --------------------

@@ -11,7 +11,7 @@ each payload must match byte for byte after canonical re-encoding.
 
 Usage::
 
-    python scripts/diff_result_stores.py /tmp/serial /tmp/remote \
+    python scripts/diff_result_stores.py /tmp/store-serial /tmp/store-thread \
         [--experiment fig5]
 
 Exit status: 0 when every trial payload matches, 1 on any difference,

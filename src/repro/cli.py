@@ -1,6 +1,6 @@
-"""Command-line interface: audit, simulate, infer, compare, experiments, worker.
+"""Command-line interface: audit, simulate, infer, compare, experiments.
 
-Six verbs covering the operational loop without writing Python:
+Five verbs covering the operational loop without writing Python:
 
 ``audit``
     generate (or size up) a monitoring layout and print its
@@ -20,12 +20,7 @@ Six verbs covering the operational loop without writing Python:
 ``experiments``
     regenerate the paper's tables/figures through the parallel sharded
     runner (``--jobs``, ``--backend``, ``--cache-dir``, ``--store-dir``;
-    see ``repro.runner``);
-``worker``
-    serve shards to a ``--backend remote`` coordinator from this
-    machine: connect to ``host:port`` (retrying until the coordinator
-    is up), pull shards, stream results back
-    (:mod:`repro.runner.remote`).
+    see ``repro.runner``).
 
 Examples::
 
@@ -42,9 +37,6 @@ Examples::
         --cache-dir .repro-cache
     python -m repro experiments table2 --scale paper --jobs 4 \
         --backend thread --store-dir .repro-results
-    python -m repro experiments fig5 --scale small --backend remote \
-        --remote-workers 4
-    python -m repro worker coordinator.example.org:7787
 """
 
 from __future__ import annotations
@@ -61,12 +53,19 @@ from repro.api import registry
 from repro.core.variance import VARIANCE_METHODS
 from repro.experiments import EXPERIMENTS, SCALES
 from repro.netsim.sim.config import TRAFFIC_KINDS
-from repro.runner.args import _positive, add_runner_arguments, runner_from_args
+from repro.runner.args import add_runner_arguments, runner_from_args
 from repro.topology.prepare import MESH_TOPOLOGY_KINDS, prepare_topology
 
 #: The methods a *loss* campaign document can drive (``delay`` consumes
 #: delay campaigns, which have no document format yet).
 LOSS_METHOD_CHOICES = registry.available(exclude_kind="delay")
+
+
+def _positive(value: str) -> int:
+    count = int(value)
+    if count <= 0:
+        raise argparse.ArgumentTypeError("must be a positive count")
+    return count
 
 
 def _prepare(args: argparse.Namespace):
@@ -280,19 +279,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.runner.remote import run_worker
-
-    return run_worker(
-        args.address,
-        retry_seconds=args.retry_seconds,
-        max_runs=args.max_runs,
-        heartbeat_interval=args.heartbeat,
-        die_after=args.die_after,
-        worker_name=args.name,
-    )
-
-
 def cmd_experiments(args: argparse.Namespace) -> int:
     """Run experiments in order, printing each result and runner stats.
 
@@ -431,50 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_runner_arguments(experiments)
     experiments.set_defaults(func=cmd_experiments)
 
-    worker = sub.add_parser(
-        "worker",
-        help="serve shards to a --backend remote coordinator",
-        description=(
-            "Connect to a RemoteCoordinator (retrying until it is up), "
-            "pull shards, run the campaign's trial function and stream "
-            "results back.  This machine must run the exact same repro "
-            "sources as the coordinator (enforced by a code-version "
-            "handshake)."
-        ),
-    )
-    worker.add_argument("address", help="coordinator host:port")
-    worker.add_argument(
-        "--retry-seconds",
-        type=float,
-        default=30.0,
-        help="keep retrying the connection this long (default 30)",
-    )
-    worker.add_argument(
-        "--max-runs",
-        type=int,
-        default=None,
-        help="exit after serving this many campaigns (default: serve forever)",
-    )
-    worker.add_argument(
-        "--heartbeat",
-        type=float,
-        default=2.0,
-        help="seconds between keepalive pings while a shard executes",
-    )
-    worker.add_argument(
-        "--name", default=None, help="worker name shown to the coordinator"
-    )
-    worker.add_argument(
-        "--die-after",
-        type=int,
-        default=None,
-        help=(
-            "fault injection: exit abruptly (os._exit) upon receiving "
-            "shard N+1, leaving it in flight — exercises the "
-            "coordinator's re-queue path in tests and CI"
-        ),
-    )
-    worker.set_defaults(func=cmd_worker)
     return parser
 
 

@@ -39,6 +39,7 @@ from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
     as_csc,
+    basis_sweep,
     dense_column,
     solve_upper_triangular,
 )
@@ -47,7 +48,6 @@ from repro.core.reduction import (
     ReductionResult,
     reduce_to_full_rank,
     threshold_candidates,
-    threshold_sweep,
 )
 from repro.core.variance import (
     VARIANCE_METHODS,
@@ -361,9 +361,9 @@ class ReductionCache(_LRUCache):
 
     With ``incremental_limit > 0`` the ``"threshold"`` strategy also
     reuses *across* variance vectors.  It then runs the strategy's two
-    steps from :mod:`repro.core.reduction` itself —
+    steps itself —
     :func:`~repro.core.reduction.threshold_candidates` and
-    :func:`~repro.core.reduction.threshold_sweep`, the bodies
+    :func:`~repro.core.linalg.basis_sweep`, the bodies
     :func:`~repro.core.reduction.reduce_to_full_rank` runs — and keeps
     the candidates and the sweep's basis.  A refresh whose above-cutoff
     candidate set matches a cached one reuses its sweep outright, and
@@ -402,7 +402,7 @@ class ReductionCache(_LRUCache):
                 self.updates += 1
             else:
                 self.misses += 1
-                kept, basis = threshold_sweep(self._matrix, candidates)
+                kept, basis = basis_sweep(self._matrix, candidates)
                 entry = _ReductionEntry(
                     result=ReductionResult.from_kept(
                         kept, self._matrix.shape[1], "threshold"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as scipy_linalg
@@ -282,10 +282,7 @@ def qr_column_rank(matrix, rel_tol: float = 1e-9) -> int:
     reduction uses.
     """
     A = column_source(matrix)
-    basis = IncrementalColumnBasis(dimension=A.shape[0], rel_tol=rel_tol)
-    for col in range(A.shape[1]):
-        basis.try_add(dense_column(A, col))
-    return basis.rank
+    return len(basis_sweep(A, range(A.shape[1]), rel_tol=rel_tol).kept)
 
 
 #: Initial column capacity of the preallocated basis storage.
@@ -359,23 +356,35 @@ class IncrementalColumnBasis:
         return True
 
 
-def greedy_independent_columns(
+class BasisSweep(NamedTuple):
+    """What one :func:`basis_sweep` kept, and the basis spanning it."""
+
+    kept: List[int]
+    basis: IncrementalColumnBasis
+
+
+def basis_sweep(
     matrix,
-    priority: Sequence[int],
+    candidates: Iterable[int],
     rel_tol: float = 1e-9,
-) -> List[int]:
-    """Maximal independent column subset scanned in *priority* order.
+    stop_at_rejection: bool = False,
+) -> BasisSweep:
+    """Offer *candidates* in order to one fresh incremental basis.
 
     Accepts dense arrays and scipy sparse matrices (CSC/CSR) without
-    densifying the whole matrix.  Returns the accepted column indices in
-    scan order.  The result spans the full column space of *matrix*
-    restricted to the scanned columns: every rejected column is dependent
-    on accepted ones.
+    densifying the whole matrix.  ``kept`` lists the accepted column
+    indices in scan order, and ``basis`` spans exactly them.  Every
+    column the sweep rejected is dependent on accepted ones, so ``kept``
+    is a maximal independent subset of the scanned columns.  With
+    *stop_at_rejection* the sweep ends at its first rejection instead:
+    ``kept`` is then the longest independent prefix of *candidates*.
     """
     A = column_source(matrix)
     basis = IncrementalColumnBasis(dimension=A.shape[0], rel_tol=rel_tol)
     kept: List[int] = []
-    for col in priority:
+    for col in candidates:
         if basis.try_add(dense_column(A, int(col))):
             kept.append(int(col))
-    return kept
+        elif stop_at_rejection:
+            break
+    return BasisSweep(kept, basis)

@@ -13,7 +13,9 @@ densifying the full matrix.  The reduced system ``Y = R* X*`` itself is
 solved by :meth:`repro.core.engine.FactorizationCache.solve`, against a
 cached factorization of ``R*``.
 
-Four strategies (ablated against each other in the benchmarks):
+Four strategies (ablated against each other in the benchmarks), each
+one :func:`~repro.core.linalg.basis_sweep` that differs only in the
+candidate columns it offers and whether it stops at its first rejection:
 
 ``"threshold"`` (default)
     keep the columns whose estimated variance exceeds an explicit cutoff
@@ -52,17 +54,12 @@ Four strategies (ablated against each other in the benchmarks):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.linalg import (
-    IncrementalColumnBasis,
-    column_source,
-    dense_column,
-    greedy_independent_columns,
-)
+from repro.core.linalg import basis_sweep
 
 REDUCTION_STRATEGIES = ("threshold", "gap", "paper", "greedy")
 
@@ -121,24 +118,25 @@ def reduce_to_full_rank(
         raise ValueError(
             f"unknown strategy {strategy!r}, want one of {REDUCTION_STRATEGIES}"
         )
+    prefix_only = False
     if strategy == "threshold":
         if variance_cutoff is None or variance_cutoff <= 0:
             raise ValueError(
                 "the 'threshold' strategy needs a positive variance_cutoff"
             )
-        kept, _ = threshold_sweep(R, threshold_candidates(v, variance_cutoff))
-        return ReductionResult.from_kept(kept, num_cols, strategy)
-
-    # Increasing variance; ties broken by column index for determinism.
-    ascending = np.lexsort((np.arange(len(v)), v))
-
-    if strategy == "greedy":
-        priority = ascending[::-1]
-        kept = greedy_independent_columns(R, priority)
-    elif strategy == "gap":
-        kept = _gap_reduction(R, v, ascending)
+        candidates = threshold_candidates(v, variance_cutoff)
     else:
-        kept = _paper_reduction(R, ascending)
+        # Decreasing variance; ties broken by column index for determinism.
+        descending = np.lexsort((np.arange(len(v)), v))[::-1]
+        gap = _gap_candidates(v, descending) if strategy == "gap" else None
+        candidates = descending if gap is None else gap
+        # The paper's drop-smallest loop (and the gap strategy without a
+        # gap) keeps the prefix ``descending[:n_c - t]`` after ``t``
+        # drops, and a superset of a dependent set is dependent, so the
+        # loop stops at the longest independent prefix: the sweep up to
+        # its first rejection.
+        prefix_only = strategy != "greedy" and gap is None
+    kept = basis_sweep(R, candidates, stop_at_rejection=prefix_only).kept
     return ReductionResult.from_kept(kept, num_cols, strategy)
 
 
@@ -147,29 +145,12 @@ def threshold_candidates(v: np.ndarray, variance_cutoff: float) -> np.ndarray:
 
     The columns whose variance is strictly above *variance_cutoff*, in
     decreasing variance order: the reverse of the ascending order with
-    ties broken by column index.
-    """
-    descending = np.lexsort((np.arange(len(v)), v))[::-1]
-    return descending[v[descending] > variance_cutoff]
-
-
-def threshold_sweep(
-    R, candidates: Sequence[int]
-) -> Tuple[List[int], IncrementalColumnBasis]:
-    """Keep the candidates independent of the higher-variance ones kept.
-
-    Offers *candidates* (from :func:`threshold_candidates`) in order to
-    one incremental basis; columns that are linearly dependent on those
-    already kept are dropped (the rare congested-family case of Figure
-    7).  Returns the kept columns in scan order and the basis, which
-    spans exactly them.  An empty candidate set is legitimate: no link
+    ties broken by column index.  An empty set is legitimate: no link
     shows congestion-level variance, so every loss rate is approximated
     by zero.
     """
-    A = column_source(R)
-    basis = IncrementalColumnBasis(dimension=A.shape[0])
-    kept = [int(c) for c in candidates if basis.try_add(dense_column(A, int(c)))]
-    return kept, basis
+    descending = np.lexsort((np.arange(len(v)), v))[::-1]
+    return descending[v[descending] > variance_cutoff]
 
 
 #: Variances below ``GAP_NOISE_FLOOR_RATIO * max(v)`` are clamped before
@@ -180,49 +161,27 @@ def threshold_sweep(
 GAP_NOISE_FLOOR_RATIO = 1e-3
 
 
-def _gap_reduction(R, v: np.ndarray, ascending: np.ndarray) -> np.ndarray:
-    """Keep the columns above the largest multiplicative variance gap.
+def _gap_candidates(v: np.ndarray, descending: np.ndarray) -> Optional[np.ndarray]:
+    """The columns above the largest multiplicative variance gap.
 
     Under Assumption S.3 congested-link variances sit far above good-link
     variances, so the sorted positive spectrum (clamped at a relative
-    noise floor) shows one dominant gap at the class boundary; we keep
-    everything above it.  Dependent columns within the kept set
+    noise floor) shows one dominant gap at the class boundary; the gap
+    strategy keeps everything above it, less any dependent stragglers
     (congested links that form a linearly dependent family — rare, cf.
-    Figure 7) are dropped from the low-variance end.  Falls back to the
-    paper loop when the spectrum is too degenerate to show a gap.
+    Figure 7) dropped from the low-variance end.  ``None`` when the
+    spectrum is too degenerate to show a gap: the strategy then falls
+    back to the paper loop.
     """
-    descending = ascending[::-1]
     positive = descending[v[descending] > 0]
     if len(positive) < 2:
         # Fewer than two positive variances defeats the gap search.
-        return _paper_reduction(R, ascending)
+        return None
     floor = v[positive[0]] * GAP_NOISE_FLOOR_RATIO
     sorted_pos = np.maximum(v[positive], floor)
     ratios = np.log(sorted_pos[:-1]) - np.log(sorted_pos[1:])
     split = int(np.argmax(ratios))
     if ratios[split] <= 0.0:
         # Flat spectrum (everything at the floor): no class boundary.
-        return _paper_reduction(R, ascending)
-    candidates = positive[: split + 1]
-    kept = greedy_independent_columns(R, [int(c) for c in candidates])
-    return np.asarray(kept, dtype=np.int64)
-
-
-def _paper_reduction(R, ascending: np.ndarray) -> np.ndarray:
-    """Exact result of the paper's drop-smallest loop, in one basis sweep.
-
-    The loop's kept set after ``t`` drops is ``descending[:n_c - t]``, a
-    prefix of the descending-variance order, and a superset of a
-    dependent set is dependent — so the loop stops at the longest
-    *independent* prefix.  Scanning descending with the incremental
-    basis, every column is accepted exactly while the prefix stays
-    independent; the first rejection marks the answer and ends the sweep
-    early.  Replaces the seed's binary search over full SVD ranks.
-    """
-    A = column_source(R)
-    descending = ascending[::-1]
-    basis = IncrementalColumnBasis(dimension=A.shape[0])
-    for position, col in enumerate(descending):
-        if not basis.try_add(dense_column(A, int(col))):
-            return descending[:position]
-    return descending
+        return None
+    return positive[: split + 1]

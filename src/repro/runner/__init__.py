@@ -5,12 +5,9 @@ loss-model x parameter) trials; this package schedules them.  See
 :class:`ParallelRunner` for the execution/caching contract,
 :class:`~repro.runner.spec.TrialSpec` for the unit of work,
 :mod:`repro.runner.backends` for the pluggable execution seam
-(serial/process/thread/remote by name, or any
-:class:`ExecutionBackend` instance), :mod:`repro.runner.remote`
-for the TCP work-stealing scheduler behind the ``remote`` backend
-(imported lazily — building it is the only thing that touches sockets)
-and :mod:`repro.runner.store` for the streaming result store that
-keeps larger-than-memory campaigns on disk.
+(serial/process/thread by name, or any :class:`ExecutionBackend`
+instance) and :mod:`repro.runner.store` for the streaming result store
+that keeps larger-than-memory campaigns on disk.
 """
 
 from repro.runner.backends import (

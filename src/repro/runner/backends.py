@@ -14,7 +14,7 @@ yielded in *any* order (the runner merges by ``spec.index``), and must
 be yielded **as shards finish** so the runner can stream payloads to its
 result store and memoize completed shards before later ones run.
 
-Four backends ship in-tree, selected by name from one constant registry
+Three backends ship in-tree, selected by name from one constant registry
 (the ``--backend`` choices):
 
 ``serial``
@@ -28,17 +28,11 @@ Four backends ship in-tree, selected by name from one constant registry
     when trials spend their time in NumPy/SciPy/BLAS kernels that
     release the GIL: threads share the process (no pickling, shared
     read-only caches) at near-process parallelism.
-``remote``
-    A TCP work-stealing coordinator (:mod:`repro.runner.remote`):
-    ``repro worker <host:port>`` processes — on this machine or any
-    other — pull shards over length-prefixed JSON frames and stream
-    results back.  Killed workers' in-flight shards are re-queued, and
-    a code-version handshake refuses workers running different sources.
 
-Writing a remote backend (SSH, cluster scheduler, job queue) means
+Writing a backend of your own (SSH, cluster scheduler, job queue) means
 implementing exactly one class: ship each shard's ``TrialSpec`` list to a
 worker (specs are JSON-canonical by construction — see
-``TrialSpec.identity``), run ``execute_shard`` remotely, and yield
+``TrialSpec.identity``), run ``execute_shard`` there, and yield
 ``(shard_index, ("ok", payloads))`` as results come back.  Pass an
 instance as ``ParallelRunner(backend=...)`` and every experiment and
 scenario can run on it; the shard cache and the streaming result store
@@ -219,21 +213,12 @@ class ThreadBackend(_PoolBackend):
         return ThreadPoolExecutor(max_workers=max_workers)
 
 
-def _remote_factory(**options: Any) -> ExecutionBackend:
-    """Build the ``remote`` backend lazily (sockets stay unimported
-    until someone actually asks for distributed execution)."""
-    from repro.runner.remote import RemoteBackend
-
-    return RemoteBackend(**options)
-
-
 # -- registry ------------------------------------------------------------------
 
 _BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ProcessBackend.name: ProcessBackend,
     ThreadBackend.name: ThreadBackend,
-    "remote": _remote_factory,
 }
 
 
@@ -243,18 +228,9 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def get_backend(
-    name: str,
-    n_jobs: int = 1,
-    mp_context: Optional[str] = None,
-    **options: Any,
+    name: str, n_jobs: int = 1, mp_context: Optional[str] = None
 ) -> ExecutionBackend:
-    """Build the backend registered under *name*.
-
-    Factories are called as ``factory(n_jobs=..., mp_context=...,
-    **options)``.  Extra *options* are backend-specific (the ``remote``
-    backend takes ``bind``/``workers``/``spawn_workers``); backends that
-    take none reject them with a ``TypeError``.
-    """
+    """Build the backend registered under *name*."""
     try:
         factory = _BACKENDS[name]
     except KeyError:
@@ -262,4 +238,4 @@ def get_backend(
             f"unknown execution backend {name!r}; registered: "
             f"{', '.join(available_backends())}"
         ) from None
-    return factory(n_jobs=n_jobs, mp_context=mp_context, **options)
+    return factory(n_jobs=n_jobs, mp_context=mp_context)

@@ -24,15 +24,16 @@ shards on disk.  Guarantees:
   (wall-clock measurements) are executed every time and never stored.
 * **Fail-loud workers** — an exception in any trial aborts the run with
   a :class:`ShardExecutionError` naming the backend and the surviving
-  cache state, so a crashed distributed run is resumable by re-invoking
-  the same command.
+  cache state, so a crashed run is resumable by re-invoking the same
+  command.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 import multiprocessing
 
@@ -130,12 +131,13 @@ class ParallelRunner:
     ----------
     n_jobs:
         Worker count; ``1`` (default) executes sequentially in this
-        process, ``-1`` uses every core.
+        process, ``-1`` uses every core.  Must be an integer.
     cache_dir:
         Directory for the shard cache; ``None`` disables memoization.
     shard_size:
-        Trials per shard (default 1: maximal cache granularity).  Part
-        of the cache identity — changing it re-keys the cache.
+        Trials per shard (default 1: maximal cache granularity), a
+        positive integer.  Part of the cache identity — changing it
+        re-keys the cache.
     code_version:
         Override the code-version component of cache keys (defaults to
         a content hash of the ``repro`` sources).
@@ -146,15 +148,11 @@ class ParallelRunner:
         ``process`` backend.
     backend:
         Execution backend: a registered name (``"serial"``,
-        ``"process"``, ``"thread"``, ``"remote"``) or an
+        ``"process"``, ``"thread"``) or an
         :class:`~repro.runner.backends.ExecutionBackend` instance (the
         way to run on a backend of your own).
         ``None`` (default) selects ``serial`` for ``n_jobs=1`` and
         ``process`` otherwise — exactly the historical behaviour.
-    backend_options:
-        Extra keyword arguments for the backend factory when *backend*
-        is a name — e.g. ``{"bind": "0.0.0.0:7787", "workers": 2}`` for
-        ``"remote"``.  Backends that take no options reject them.
     store_dir:
         When set, shard payloads stream to a JSONL file under this
         directory as workers finish instead of accumulating in RAM;
@@ -171,12 +169,16 @@ class ParallelRunner:
         mp_context: Optional[str] = None,
         backend: Union[str, ExecutionBackend, None] = None,
         store_dir: Optional[os.PathLike] = None,
-        backend_options: Optional[Dict[str, Any]] = None,
     ) -> None:
+        for name, value in (("n_jobs", n_jobs), ("shard_size", shard_size)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if n_jobs == 0 or n_jobs < -1:
             raise ValueError(
                 f"n_jobs must be a positive count or -1 (all cores), got {n_jobs}"
             )
+        if shard_size <= 0:
+            raise ValueError(f"shard_size must be positive, got {shard_size}")
         self.n_jobs = default_n_jobs() if n_jobs == -1 else n_jobs
         self.cache = ShardCache(cache_dir) if cache_dir is not None else None
         self.cache_dir = cache_dir
@@ -189,17 +191,7 @@ class ParallelRunner:
         if backend is None:
             backend = "serial" if self.n_jobs == 1 else "process"
         if isinstance(backend, str):
-            backend = get_backend(
-                backend,
-                n_jobs=self.n_jobs,
-                mp_context=self.mp_context,
-                **(backend_options or {}),
-            )
-        elif backend_options:
-            raise ValueError(
-                "backend_options only apply when backend is a registry "
-                "name; configure the instance directly instead"
-            )
+            backend = get_backend(backend, self.n_jobs, self.mp_context)
         self.backend: ExecutionBackend = backend
         self.store_dir = store_dir
         self.last_stats = RunnerStats()

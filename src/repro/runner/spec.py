@@ -4,7 +4,7 @@ An experiment is a list of independent trials — the cartesian product of
 its repetition seeds and its parameter grid.  Each trial is described by
 a :class:`TrialSpec` that is (a) fully deterministic (the derived seed is
 baked in, never a live RNG) and (b) JSON-canonical, so the same spec can
-be hashed into a cache key, shipped to a worker process, and stored next
+be hashed into a cache key, pickled to a worker process, and stored next
 to its payload on disk.
 """
 
@@ -71,32 +71,6 @@ class TrialSpec:
         """Stable content hash of the trial identity."""
         digest = hashlib.sha256(canonical_json(self.identity()).encode())
         return digest.hexdigest()
-
-    def to_wire(self) -> Dict[str, Any]:
-        """The full JSON form of this spec (identity *plus* bookkeeping).
-
-        Unlike :meth:`identity` this includes ``index`` and ``cacheable``
-        so a remote worker can reconstruct the exact spec the coordinator
-        holds — trial functions may legitimately read either field.
-        """
-        return {
-            "experiment": self.experiment,
-            "index": self.index,
-            "seed": self.seed,
-            "params": json_roundtrip(self.params),
-            "cacheable": self.cacheable,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, Any]) -> "TrialSpec":
-        """Rebuild a spec from :meth:`to_wire` output."""
-        return cls(
-            experiment=str(payload["experiment"]),
-            index=int(payload["index"]),
-            seed=payload.get("seed"),
-            params=dict(payload.get("params", {})),
-            cacheable=bool(payload.get("cacheable", True)),
-        )
 
 
 def shard_specs(specs: Sequence[TrialSpec], shard_size: int) -> List[List[TrialSpec]]:

@@ -115,10 +115,9 @@ class JsonlResultStore(ResultStore):
     def put(self, index: int, payload: Any) -> None:
         # This re-serializes a payload the shard path already JSON
         # round-tripped (its byte-identity guarantee).  Deliberate: the
-        # backend seam ships Python objects, not encoded text — remote
-        # and process backends transport them their own way — so the
-        # store owns its encoding at the cost of one extra dumps per
-        # payload on the spill path.
+        # backend seam ships Python objects, not encoded text — a process
+        # backend pickles them — so the store owns its encoding at the
+        # cost of one extra dumps per payload on the spill path.
         if self._write is None:
             raise ValueError("store is finalized; no further writes")
         offset = self._write.tell()

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.runner import SerialBackend, backends
+from repro.cli import build_parser, main
 from repro.runner.args import add_runner_arguments, runner_from_args
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
@@ -477,8 +476,8 @@ class TestExperimentsVerb:
         assert first.split("[fig6")[0] == second.split("[fig6")[0]
 
 
-class TestRemoteFlags:
-    """The remote-backend knobs on `repro experiments` and `repro worker`."""
+class TestRunnerArgs:
+    """The runner flags of `repro experiments`: three backends, no others."""
 
     @staticmethod
     def _parse(argv):
@@ -486,54 +485,26 @@ class TestRemoteFlags:
         add_runner_arguments(parser)
         return parser.parse_args(argv)
 
-    @pytest.fixture
-    def remote_options(self, monkeypatch):
-        """Build a runner from flags; return the ``remote`` factory's options."""
-        captured = {}
-
-        def factory(n_jobs=1, mp_context=None, **options):
-            captured.update(options)
-            return SerialBackend()
-
-        monkeypatch.setitem(backends._BACKENDS, "remote", factory)
-
-        def build(argv):
-            captured.clear()
-            runner_from_args(self._parse(argv))
-            return dict(captured)
-
-        return build
-
-    def test_remote_flags_become_backend_options(self, remote_options):
-        options = remote_options(
-            ["--backend", "remote", "--workers", "alpha,beta",
-             "--bind", "0.0.0.0:7787"]
-        )
-        assert options == {"workers": "alpha,beta", "bind": "0.0.0.0:7787"}
-        options = remote_options(["--backend", "remote", "--remote-workers", "3"])
-        assert options == {"spawn_workers": 3}
-
-    def test_remote_flags_require_remote_backend(self):
-        with pytest.raises(ValueError, match="--backend remote"):
-            runner_from_args(self._parse(["--workers", "2"]))
-
     def test_plain_flags_build_without_options(self):
-        # process/serial factories reject any option, so building at all
-        # proves none were passed.
         runner = runner_from_args(self._parse(["--jobs", "2"]))
         assert runner.backend.name == "process"
         assert runner.n_jobs == 2
 
-    def test_bad_flag_values_rejected_at_parse_time(self):
-        with pytest.raises(SystemExit):
-            self._parse(["--remote-workers", "0"])
-        with pytest.raises(SystemExit):
-            self._parse(["--workers", "  "])
+    def test_parser_has_no_worker_verb(self):
+        (sub,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert "worker" not in sub.choices
+        assert set(sub.choices) == {
+            "audit", "simulate", "infer", "compare", "experiments"
+        }
 
-
-class TestWorkerVerb:
-    def test_no_coordinator_exits_one(self, capsys):
-        code = main(["worker", "127.0.0.1:1", "--retry-seconds", "0.2"])
-        assert code == 1
-        assert "no coordinator" in capsys.readouterr().out
-
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "remote"], ["--workers", "2"]]
+    )
+    def test_remote_flags_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "fig5"] + flags)
+        assert excinfo.value.code == 2

@@ -13,7 +13,7 @@ from scipy import sparse
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
-    greedy_independent_columns,
+    basis_sweep,
     qr_column_rank,
 )
 from repro.core.engine import FactorizationCache
@@ -74,9 +74,9 @@ class TestSparseKernels:
     def test_greedy_columns_sparse_matches_dense(self):
         R = random_binary(30, 22, seed=11)
         priority = np.random.default_rng(12).permutation(22)
-        dense = greedy_independent_columns(R, priority)
+        dense = basis_sweep(R, priority).kept
         for fmt in (sparse.csr_matrix, sparse.csc_matrix):
-            assert greedy_independent_columns(fmt(R), priority) == dense
+            assert basis_sweep(fmt(R), priority).kept == dense
 
     def test_qr_column_rank_sparse(self):
         R = random_binary(25, 18, seed=13)

@@ -7,7 +7,7 @@ from scipy import linalg as scipy_linalg
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
-    greedy_independent_columns,
+    basis_sweep,
     qr_column_rank,
 )
 
@@ -88,20 +88,27 @@ class TestGreedyColumns:
     def test_spans_column_space(self):
         A = random_matrix(8, 4, seed=11)
         B = np.hstack([A, A @ random_matrix(4, 3, seed=12)])  # 3 dependent
-        kept = greedy_independent_columns(B, list(range(7)))
+        kept = basis_sweep(B, list(range(7))).kept
         assert len(kept) == 4
         assert np.linalg.matrix_rank(B[:, kept]) == 4
 
     def test_priority_respected(self):
         A = np.eye(3)
         B = np.hstack([A, A])  # duplicates
-        kept = greedy_independent_columns(B, [3, 4, 5, 0, 1, 2])
+        kept = basis_sweep(B, [3, 4, 5, 0, 1, 2]).kept
         assert kept == [3, 4, 5]
 
     def test_zero_column_skipped(self):
         A = np.zeros((3, 2))
         A[:, 1] = 1.0
-        assert greedy_independent_columns(A, [0, 1]) == [1]
+        assert basis_sweep(A, [0, 1]).kept == [1]
+
+    def test_stop_at_rejection_keeps_the_independent_prefix(self):
+        B = np.hstack([np.eye(3), np.eye(3)])  # column 3 repeats column 0
+        assert basis_sweep(B, [0, 1, 3, 2]).kept == [0, 1, 2]
+        sweep = basis_sweep(B, [0, 1, 3, 2], stop_at_rejection=True)
+        assert sweep.kept == [0, 1]
+        assert sweep.basis.rank == 2
 
     def test_incremental_basis_rank(self):
         basis = IncrementalColumnBasis(dimension=5)

@@ -23,7 +23,7 @@ from repro.core.augmented import (
     pair_row_index,
 )
 from repro.core.engine import InferenceEngine
-from repro.core.linalg import QRFactorization, greedy_independent_columns
+from repro.core.linalg import QRFactorization, basis_sweep
 from repro.core.reduction import reduce_to_full_rank
 from repro.core.variance import estimate_link_variances_from_moments
 from repro.experiments.base import scale_params
@@ -201,7 +201,7 @@ class TestLinalgProperties:
         A = rng.normal(size=(n + 3, n))
         extra = A @ rng.normal(size=(n, 2))
         B = np.hstack([A, extra])
-        kept = greedy_independent_columns(B, list(range(B.shape[1])))
+        kept = basis_sweep(B, list(range(B.shape[1]))).kept
         assert np.linalg.matrix_rank(B[:, kept]) == np.linalg.matrix_rank(B)
         assert len(kept) == np.linalg.matrix_rank(B)
 

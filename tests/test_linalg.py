@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import linalg as scipy_linalg
+from scipy import sparse as scipy_sparse
 
 from repro.core.linalg import (
     IncrementalColumnBasis,
@@ -14,6 +15,25 @@ from repro.core.linalg import (
 
 def random_matrix(m, n, seed):
     return np.random.default_rng(seed).normal(size=(m, n))
+
+
+def routing_like_matrix(seed):
+    """A 0/1 matrix whose last columns repeat or sum earlier ones."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2, size=(12, 7)).astype(float)
+    extra = np.column_stack([base[:, 0], base[:, 1] + base[:, 2], base[:, 3]])
+    return np.hstack([base, extra])[:, rng.permutation(10)]
+
+
+def reference_sweep(B, candidates, stop_at_rejection=False):
+    """Keep a column when it raises ``matrix_rank``, one full SVD per offer."""
+    kept = []
+    for col in candidates:
+        if np.linalg.matrix_rank(B[:, kept + [col]]) == len(kept) + 1:
+            kept.append(col)
+        elif stop_at_rejection:
+            break
+    return kept
 
 
 def qr_factors(A):
@@ -109,6 +129,22 @@ class TestGreedyColumns:
         sweep = basis_sweep(B, [0, 1, 3, 2], stop_at_rejection=True)
         assert sweep.kept == [0, 1]
         assert sweep.basis.rank == 2
+
+    @pytest.mark.parametrize("stop_at_rejection", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_rank_reference(self, seed, stop_at_rejection):
+        B = routing_like_matrix(seed)
+        order = np.random.default_rng(seed + 100).permutation(B.shape[1])
+        sweep = basis_sweep(B, order, stop_at_rejection=stop_at_rejection)
+        assert sweep.kept == reference_sweep(B, list(order), stop_at_rejection)
+        assert sweep.basis.rank == len(sweep.kept)
+
+    @pytest.mark.parametrize("fmt", ["csc", "csr"])
+    def test_sparse_input_matches_dense(self, fmt):
+        B = routing_like_matrix(7)
+        order = list(range(B.shape[1]))[::-1]
+        sparse = getattr(scipy_sparse, f"{fmt}_matrix")(B)
+        assert basis_sweep(sparse, order).kept == basis_sweep(B, order).kept
 
     def test_incremental_basis_rank(self):
         basis = IncrementalColumnBasis(dimension=5)

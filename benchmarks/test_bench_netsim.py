@@ -16,7 +16,7 @@ from benchmarks.conftest import run_once
 from repro.api import EstimatorSpec, Scenario
 from repro.experiments.base import scale_params
 from repro.lossmodel import CongestionLossProcess
-from repro.netsim.sim import CongestionSimulator, TrafficConfig
+from repro.netsim.sim import CongestionSimulator
 
 #: A 12-link chain-and-branch layout: 8 paths, every link active.
 PATHS = [
@@ -34,9 +34,7 @@ NUM_LINKS = 12
 
 @pytest.fixture(scope="module")
 def simulator():
-    return CongestionSimulator(
-        PATHS, NUM_LINKS, TrafficConfig(kind="congestion")
-    )
+    return CongestionSimulator(PATHS, NUM_LINKS)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +71,7 @@ def test_congestion_campaign_end_to_end(benchmark):
             tree_nodes=25, num_end_hosts=6, snapshots=5, probes=150
         ),
         num_training=5,
-        traffic=TrafficConfig(kind="congestion"),
+        traffic="congestion",
         estimators=(EstimatorSpec("lia"),),
     )
     outcome = run_once(benchmark, scenario.run, seed=0)

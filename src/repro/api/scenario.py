@@ -35,7 +35,7 @@ from repro.api.estimator import EstimatorSpec, InferenceResult
 from repro.lossmodel import LLRD1, LossRateModel
 from repro.lossmodel.congestion import CongestionLossProcess
 from repro.lossmodel.processes import LossProcess
-from repro.netsim.sim.config import TrafficConfig
+from repro.netsim.sim.config import TRAFFIC_KINDS
 from repro.metrics import (
     AccuracyReport,
     DetectionOutcome,
@@ -139,12 +139,14 @@ class Scenario:
         two-class loss-rate model, and optionally a non-default loss
         process.
     traffic:
-        The :class:`~repro.netsim.sim.config.TrafficConfig` stage.  The
-        default (``kind="analytic"``) keeps the historical behaviour;
-        ``kind="congestion"`` swaps the loss process for a
+        The traffic stage, one of
+        :data:`~repro.netsim.sim.config.TRAFFIC_KINDS`.  The default
+        (``"analytic"``) keeps the historical behaviour; ``"congestion"``
+        swaps the loss process for a
         :class:`~repro.lossmodel.CongestionLossProcess` built over the
         prepared topology's probing paths, so drops emerge from queue
-        overflow in the packet-level simulator.  Mutually exclusive
+        overflow in the packet-level simulator, calibrated by the
+        constants of :mod:`repro.netsim.sim.config`.  Mutually exclusive
         with an explicit ``process``.
     estimators:
         The :class:`~repro.api.EstimatorSpec`s to fit and score.
@@ -168,7 +170,7 @@ class Scenario:
     prober: ProberConfig = field(default_factory=ProberConfig)
     model: LossRateModel = LLRD1
     process: Optional[LossProcess] = None
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
+    traffic: str = "analytic"
     estimators: Tuple[EstimatorSpec, ...] = (EstimatorSpec("lia"),)
     num_training: int = 50
     training_grid: Optional[Tuple[int, ...]] = None
@@ -191,7 +193,11 @@ class Scenario:
             raise ValueError("num_training must be at least 1")
         if not self.estimators:
             raise ValueError("a scenario needs at least one estimator")
-        if self.traffic.is_congestion and self.process is not None:
+        if self.traffic not in TRAFFIC_KINDS:
+            raise ValueError(
+                f"traffic must be one of {TRAFFIC_KINDS}, got {self.traffic!r}"
+            )
+        if self.traffic == "congestion" and self.process is not None:
             raise ValueError(
                 "congestion traffic builds its own loss process; "
                 "drop the explicit process= (or use analytic traffic)"
@@ -232,10 +238,8 @@ class Scenario:
         """
         num_links = prepared.topology.network.num_links
         process = self.process
-        if self.traffic.is_congestion:
-            process = CongestionLossProcess(
-                prepared.paths, num_links, traffic=self.traffic
-            )
+        if self.traffic == "congestion":
+            process = CongestionLossProcess(prepared.paths, num_links)
         return ProbingSimulator(
             prepared.paths,
             num_links,

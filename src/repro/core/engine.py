@@ -54,7 +54,7 @@ from repro.core.variance import (
     VarianceEstimate,
     estimate_link_variances,
 )
-from repro.probing.snapshot import MeasurementCampaign, Snapshot
+from repro.probing.snapshot import MeasurementCampaign, Snapshot, continuity_floor
 from repro.topology.routing import RoutingMatrix
 
 #: Entries each engine cache holds before it evicts the least recently
@@ -262,7 +262,7 @@ class FactorizationCache(_LRUCache):
                 continue
             if best is not None and extra >= len(best.columns) - len(wanted):
                 continue
-            if wanted.issubset(candidate.columns) and candidate.is_full_rank():
+            if wanted.issubset(candidate.columns) and candidate.full_rank:
                 best = candidate
                 if extra == 1:
                     break
@@ -273,7 +273,7 @@ class FactorizationCache(_LRUCache):
             [i for i, c in enumerate(best.columns) if c not in wanted]
         ):
             factorization = factorization.remove_column(position)
-        if not factorization.is_full_rank():
+        if not factorization.full_rank:
             return None  # numerically degraded; fall back to a fresh QR
         return factorization
 
@@ -326,7 +326,7 @@ class FactorizationCache(_LRUCache):
             # inserts reproduce them; a hand-built unsorted request
             # cannot be matched by updating.
             return None
-        if not factorization.is_full_rank():
+        if not factorization.full_rank:
             return None  # numerically degraded; fall back to a fresh QR
         return factorization
 
@@ -734,14 +734,10 @@ def infer_many(
     path_counts = [snap.path_transmission.shape[0] for _, snap, _ in runs]
     path_offsets = np.zeros(len(runs) + 1, dtype=np.int64)
     np.cumsum(path_counts, out=path_offsets[1:])
-    floors = np.empty(len(runs), dtype=np.float64)
-    for i, (eng, snap, _) in enumerate(runs):
-        floor = (
-            eng.floor if eng.floor is not None else 0.5 / float(snap.num_probes)
-        )
-        if not 0 < floor <= 1:
-            raise ValueError(f"floor must be in (0, 1], got {floor}")
-        floors[i] = floor
+    floors = np.array(
+        [continuity_floor(snap.num_probes, eng.floor) for eng, snap, _ in runs],
+        dtype=np.float64,
+    )
     # Each slice is bit-identical to the tree's own snapshot.path_log_rates.
     log_rates = np.log(
         np.clip(

@@ -118,24 +118,20 @@ class QRFactorization:
     def num_columns(self) -> int:
         return int(self.r.shape[0])
 
-    def is_full_rank(self, rel_tol: float = 1e-12) -> bool:
-        """Whether every pivot clears a relative tolerance."""
+    @cached_property
+    def full_rank(self) -> bool:
+        """Whether every pivot clears a relative tolerance, computed once.
+
+        The factorization is frozen, so the verdict never changes.  The
+        engine consults it on *every* solve, and these four numpy
+        reductions, run per call, were the single largest cost of a warm
+        small-tree inference (~40% of ``infer_many``).
+        """
         if self.num_columns == 0:
             return True
         diag = np.abs(np.diag(self.r))
         scale = max(float(np.max(np.abs(self.r))), 1.0)
-        return bool(np.min(diag) > rel_tol * scale * self.num_columns)
-
-    @cached_property
-    def full_rank(self) -> bool:
-        """:meth:`is_full_rank` at the default tolerance, computed once.
-
-        The factorization is frozen, so the verdict never changes; the
-        engine consults it on *every* solve, which made the four numpy
-        reductions inside :meth:`is_full_rank` the single largest cost
-        of a warm small-tree inference (~40% of ``infer_many``).
-        """
-        return self.is_full_rank()
+        return bool(np.min(diag) > 1e-12 * scale * self.num_columns)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Least-squares solve for a 1-D rhs or a 2-D multi-RHS block.

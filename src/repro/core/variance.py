@@ -44,7 +44,6 @@ the order scipy's ``csr_matmat``/``csc_matvec`` accumulate ``A^T A`` and
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +57,7 @@ from repro.core.covariance import (
 )
 from repro.probing.snapshot import MeasurementCampaign
 from repro.topology.routing import within_group_pairs
+from repro.utils import check_count
 
 VARIANCE_METHODS = ("wls", "normal", "nnls")
 
@@ -171,9 +171,7 @@ def estimate_link_variances_from_moments(
     """
     if method not in VARIANCE_METHODS:
         raise ValueError(f"unknown method {method!r}, want one of {VARIANCE_METHODS}")
-    if isinstance(num_snapshots, bool) or not isinstance(num_snapshots, numbers.Integral):
-        raise ValueError(f"num_snapshots must be an integer, got {num_snapshots!r}")
-    if num_snapshots < 2:
+    if check_count("num_snapshots", num_snapshots) < 2:
         raise ValueError("variance estimation needs at least two snapshots")
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (pairs.num_pairs,):

@@ -48,7 +48,6 @@ from repro.experiments.base import (
     scale_params,
 )
 from repro.lossmodel import LLRD1
-from repro.netsim.sim import TrafficConfig
 from repro.probing import ProberConfig
 from repro.runner import ParallelRunner, TrialSpec
 from repro.utils.rng import derive_seed
@@ -122,7 +121,7 @@ def trial(spec: TrialSpec) -> dict:
             ),
             model=LLRD1,
             num_training=params.snapshots,
-            traffic=TrafficConfig(kind=arm),
+            traffic=arm,
             estimators=(
                 EstimatorSpec("lia"),
                 EstimatorSpec("scfs", {"link_threshold": LLRD1.threshold}),

@@ -23,7 +23,6 @@ Format (documented, versioned)::
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Dict, List, Sequence, Union
@@ -33,6 +32,7 @@ import numpy as np
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
 from repro.topology.graph import Network, Path
 from repro.topology.routing import RoutingMatrix
+from repro.utils import check_count
 
 FORMAT_TAG = "repro-campaign/1"
 
@@ -88,10 +88,7 @@ def paths_from_list(payload: Sequence[Dict], network: Network) -> List[Path]:
     for index, entry in enumerate(payload):
         links = []
         for i in entry["links"]:
-            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-                raise ValueError(
-                    f"path {index} link index must be an integer, got {i!r}"
-                )
+            check_count(f"path {index} link index", i)
             if not 0 <= i < network.num_links:
                 raise ValueError(
                     f"path {index} names link {i}, but the network has "

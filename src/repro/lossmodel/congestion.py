@@ -19,8 +19,8 @@ link for link.
 Determinism: the ``seed`` argument (an outer RNG in campaign use) is
 collapsed into a single root integer, from which the simulator spawns
 one stream per flow — the drop matrix is a pure function of
-``(paths, traffic, loss_rates, num_probes, root seed)`` regardless of
-backend or job count.
+``(paths, loss_rates, num_probes, root seed)`` regardless of backend or
+job count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.lossmodel.processes import LossProcess
-from repro.netsim.sim.config import TrafficConfig
 from repro.netsim.sim.simulator import CongestionSimulator, SnapshotTrace
 from repro.utils.rng import SeedLike, as_rng
 
@@ -41,21 +40,8 @@ _FALLBACK_TAG = 0x0FA11BAC
 class CongestionLossProcess(LossProcess):
     """Loss realisations produced by queue overflow in a packet simulator."""
 
-    def __init__(
-        self,
-        paths: Sequence[object],
-        num_links: int,
-        traffic: Optional[TrafficConfig] = None,
-    ) -> None:
-        if traffic is None:
-            traffic = TrafficConfig(kind="congestion")
-        if not traffic.is_congestion:
-            raise ValueError(
-                f"CongestionLossProcess needs kind='congestion', "
-                f"got {traffic.kind!r}"
-            )
-        self.traffic = traffic
-        self.simulator = CongestionSimulator(paths, num_links, traffic)
+    def __init__(self, paths: Sequence[object], num_links: int) -> None:
+        self.simulator = CongestionSimulator(paths, num_links)
         self.num_links = int(num_links)
         #: Trace of the most recent snapshot — the delay byproducts the
         #: congestion experiments feed into the delay estimator.

@@ -44,7 +44,6 @@ bounded over days of traffic.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -58,6 +57,7 @@ from repro.core.variance import (
 )
 from repro.probing.snapshot import Snapshot
 from repro.topology.routing import RoutingMatrix
+from repro.utils import check_count
 
 
 #: Every :class:`_RollingMoments` path sum is re-summed from the stored
@@ -280,9 +280,8 @@ class OnlineLossMonitor:
         localize_always: bool = False,
         incremental_limit: int = 2,
     ) -> None:
-        for name, value in (("window", window), ("refresh_interval", refresh_interval)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_count("window", window)
+        check_count("refresh_interval", refresh_interval)
         if window < 2:
             raise ValueError("window must be at least 2")
         if refresh_interval < 1:

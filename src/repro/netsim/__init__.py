@@ -32,7 +32,6 @@ from repro.netsim.sim import (
     TRAFFIC_KINDS,
     CongestionSimulator,
     SnapshotTrace,
-    TrafficConfig,
 )
 from repro.netsim.traceroute import (
     Hop,
@@ -58,7 +57,6 @@ __all__ = [
     "TracerouteConfig",
     "TracerouteRecord",
     "TracerouteSimulator",
-    "TrafficConfig",
     "build_address_plan",
     "build_measured_topology",
     "classify_congested_columns",

@@ -12,8 +12,9 @@ The package is layered bottom-up:
   the background congestion controllers (CBR / AIMD / rate prober);
 * :mod:`~repro.netsim.sim.simulator` — the per-snapshot orchestrator
   producing ``(num_links, num_probes)`` drop and delay realisations;
-* :mod:`~repro.netsim.sim.config` — the declarative ``TrafficConfig``
-  stage consumed by ``Scenario`` and the CLI.
+* :mod:`~repro.netsim.sim.config` — ``TRAFFIC_KINDS``, the traffic
+  stage choice of ``Scenario`` and the CLI, and the named constants
+  that size the links and calibrate the background traffic.
 """
 
 from repro.netsim.sim.cc import (
@@ -24,7 +25,7 @@ from repro.netsim.sim.cc import (
     RateProber,
 )
 from repro.netsim.sim.clock import EventScheduler
-from repro.netsim.sim.config import TRAFFIC_KINDS, TrafficConfig
+from repro.netsim.sim.config import TRAFFIC_KINDS
 from repro.netsim.sim.host import Host, ProbeTap
 from repro.netsim.sim.link import SimLink
 from repro.netsim.sim.pacer import Pacer
@@ -49,5 +50,4 @@ __all__ = [
     "SimLink",
     "SnapshotTrace",
     "TRAFFIC_KINDS",
-    "TrafficConfig",
 ]

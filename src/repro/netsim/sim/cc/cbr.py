@@ -18,6 +18,11 @@ from typing import Optional
 import numpy as np
 
 from repro.netsim.sim.cc.base import CongestionController
+from repro.netsim.sim.config import (
+    BURST_SLOTS,
+    OVERFLOW_OCCUPANCY,
+    OVERLOAD_FACTOR,
+)
 
 
 class ConstantBitRate(CongestionController):
@@ -55,47 +60,38 @@ class OnOffCBR(CongestionController):
 
     @classmethod
     def for_target_loss(
-        cls,
-        target_loss: float,
-        capacity: float,
-        buffer: int,
-        overload_factor: float = 2.0,
-        burst_slots: float = 3.0,
-        overflow_occupancy: float = 0.75,
+        cls, target_loss: float, capacity: float, buffer: int
     ) -> "OnOffCBR":
         """Calibrate ON/OFF means so overflow drops ~``target_loss`` probes.
 
-        During ON the source sends at ``overload_factor * capacity``, so
-        the queue gains ``(overload_factor - 1) * capacity`` packets per
-        slot and reaches the *buffer* limit after a fill time; from then
-        until OFF the queue hovers at the limit and a probe arriving in
-        that window is dropped with probability ``overflow_occupancy``
-        (the queue briefly opens one slot after each departure).  Setting
+        ``OVERLOAD_FACTOR``, ``BURST_SLOTS`` and ``OVERFLOW_OCCUPANCY``
+        are constants of :mod:`repro.netsim.sim.config`.  During ON the
+        source sends at ``OVERLOAD_FACTOR * capacity``, so the queue
+        gains ``(OVERLOAD_FACTOR - 1) * capacity`` packets per slot and
+        reaches the *buffer* limit after a fill time; from then until OFF
+        the queue hovers at the limit and a probe arriving in that window
+        is dropped with probability ``OVERFLOW_OCCUPANCY`` (the queue
+        briefly opens one slot after each departure).  Setting
 
-            mean ON  = fill + burst_slots
+            mean ON  = fill + BURST_SLOTS
             mean OFF = overflow time / target - mean ON
 
         makes the long-run overflow-time fraction ``target_loss /
-        overflow_occupancy``, i.e. an expected probe-drop fraction of
-        ``target_loss``, in mean bursts of ``burst_slots`` consecutive
+        OVERFLOW_OCCUPANCY``, i.e. an expected probe-drop fraction of
+        ``target_loss``, in mean bursts of ``BURST_SLOTS`` consecutive
         slots.  The calibration is approximate by design — cross traffic
         and the probe load itself shift it — and the congestion
         experiments treat it as such.
         """
         if not 0 < target_loss < 1:
             raise ValueError(f"target loss must be in (0, 1), got {target_loss}")
-        if overload_factor <= 1:
-            raise ValueError("overload_factor must exceed 1 to fill the queue")
-        if not 0 < overflow_occupancy <= 1:
-            raise ValueError("overflow_occupancy must be in (0, 1]")
-        fill = buffer / ((overload_factor - 1.0) * capacity)
-        overflow = max(burst_slots, 1e-6)
-        mean_on = fill + overflow
-        duty = min(target_loss / overflow_occupancy, 0.98)
-        cycle = overflow / duty
+        fill = buffer / ((OVERLOAD_FACTOR - 1.0) * capacity)
+        mean_on = fill + BURST_SLOTS
+        duty = min(target_loss / OVERFLOW_OCCUPANCY, 0.98)
+        cycle = BURST_SLOTS / duty
         mean_off = max(cycle - mean_on, 1e-3)
         return cls(
-            on_rate=overload_factor * capacity,
+            on_rate=OVERLOAD_FACTOR * capacity,
             mean_on=mean_on,
             mean_off=mean_off,
         )

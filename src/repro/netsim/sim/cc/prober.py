@@ -1,9 +1,9 @@
 """A BBR-like rate prober: burst above baseline, measure, adopt.
 
 The state machine follows the net-rl ``ProbeController`` idiom: the
-flow periodically enters a PROBE phase sending at ``probe_gain`` times
-its baseline rate until it has sent at least ``min_probe_packets`` over
-at least ``min_probe_duration``; the acks of that burst yield a
+flow periodically enters a PROBE phase sending at ``PROBE_GAIN`` times
+its baseline rate until it has sent at least ``MIN_PROBE_PACKETS`` over
+at least ``MIN_PROBE_DURATION`` slots; the acks of that burst yield a
 delivered-rate estimate
 
     est = min(send_rate, receive_rate)
@@ -29,31 +29,30 @@ PROBE = 1
 class RateProber(CongestionController):
     """Periodic multiplicative rate probing with min(send, recv) estimation."""
 
+    #: PROBE-phase send rate relative to the baseline.
+    PROBE_GAIN = 3.0
+    #: The baseline adopted after a probe, relative to its estimate.
+    DRAIN_FACTOR = 0.9
+    #: Slots of CRUISE between the end of one probe and the next.
+    PROBE_PERIOD = 40.0
+    #: A probe ends once it has sent this many packets over at least
+    #: this many slots.
+    MIN_PROBE_PACKETS = 5
+    MIN_PROBE_DURATION = 1.5
+    #: Multiplicative backoff on a loss (at most once per slot).
+    LOSS_BETA = 0.9
+
     def __init__(
         self,
         initial_rate: float,
-        probe_gain: float = 3.0,
-        drain_factor: float = 0.9,
-        probe_period: float = 40.0,
-        min_probe_packets: int = 5,
-        min_probe_duration: float = 1.5,
         min_rate: float = 0.1,
         max_rate: float = float("inf"),
-        loss_beta: float = 0.9,
     ) -> None:
         if initial_rate <= 0 or min_rate <= 0:
             raise ValueError("rates must be positive")
-        if probe_gain <= 1:
-            raise ValueError(f"probe_gain must exceed 1, got {probe_gain}")
         super().__init__(initial_rate)
-        self.probe_gain = float(probe_gain)
-        self.drain_factor = float(drain_factor)
-        self.probe_period = float(probe_period)
-        self.min_probe_packets = int(min_probe_packets)
-        self.min_probe_duration = float(min_probe_duration)
         self.min_rate = float(min_rate)
         self.max_rate = float(max_rate)
-        self.loss_beta = float(loss_beta)
 
         self.state = PROBE  # start with an initial exponential probe
         self.probes_completed = 0
@@ -72,7 +71,7 @@ class RateProber(CongestionController):
         if self.state == CRUISE and now >= self._next_probe_at:
             self._enter_probe(now)
         if self.state == PROBE:
-            return min(self.max_rate, self.rate * self.probe_gain)
+            return min(self.max_rate, self.rate * self.PROBE_GAIN)
         return self.rate
 
     def _enter_probe(self, now: float) -> None:
@@ -106,8 +105,8 @@ class RateProber(CongestionController):
         self._last_ack = now
         self._acked_size += packet.size
         if (
-            self._sent_count >= self.min_probe_packets
-            and now - self._probe_start >= self.min_probe_duration
+            self._sent_count >= self.MIN_PROBE_PACKETS
+            and now - self._probe_start >= self.MIN_PROBE_DURATION
         ):
             self._finish_probe(now)
 
@@ -120,14 +119,14 @@ class RateProber(CongestionController):
             estimate = min(send_rate, recv_rate)
             self.rate = min(
                 self.max_rate,
-                max(self.min_rate, self.drain_factor * estimate),
+                max(self.min_rate, self.DRAIN_FACTOR * estimate),
             )
         self.state = CRUISE
         self.probes_completed += 1
-        self._next_probe_at = now + self.probe_period
+        self._next_probe_at = now + self.PROBE_PERIOD
 
     def on_loss(self, now: float, packet: Packet) -> None:
         if now - self._last_backoff < 1.0:
             return
         self._last_backoff = now
-        self.rate = max(self.min_rate, self.rate * self.loss_beta)
+        self.rate = max(self.min_rate, self.rate * self.LOSS_BETA)

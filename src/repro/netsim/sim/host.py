@@ -23,18 +23,27 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.netsim.sim.cc.base import CongestionController
 from repro.netsim.sim.clock import EventScheduler
-from repro.netsim.sim.config import check_count, check_real
+from repro.netsim.sim.config import PROBE_SIZE
 from repro.netsim.sim.link import SimLink
 from repro.netsim.sim.pacer import Pacer
 from repro.netsim.sim.packet import Packet
+from repro.utils import check_count, check_real
 
 
 class Host:
     """One congestion-controlled flow: controller -> pacer -> first link."""
+
+    #: Size of every packet a host sends, in service units.
+    PACKET_SIZE = 1.0
+    #: Reverse-path latency for acks and loss notifications, on top of
+    #: the route's propagation delay: the forward propagation is
+    #: simulated hop by hop, the return path is modelled as one lump
+    #: (no reverse queueing).
+    ACK_MARGIN = 0.05
 
     __slots__ = (
         "flow_id",
@@ -42,7 +51,6 @@ class Host:
         "cc",
         "pacer",
         "scheduler",
-        "packet_size",
         "start_time",
         "stop_time",
         "ack_delay",
@@ -58,16 +66,12 @@ class Host:
         route: Sequence[SimLink],
         cc: CongestionController,
         scheduler: EventScheduler,
-        packet_size: float = 1.0,
         bucket: float = 2.0,
         start_time: float = 0.0,
         stop_time: float = float("inf"),
-        ack_delay: Optional[float] = None,
     ) -> None:
         if not route:
             raise ValueError("a host needs a route of at least one link")
-        if check_real("packet_size", packet_size) <= 0:
-            raise ValueError(f"packet size must be positive, got {packet_size}")
         check_real("start_time", start_time)
         if math.isnan(stop_time):
             raise ValueError("stop_time must not be NaN")
@@ -75,20 +79,12 @@ class Host:
         self.route = tuple(route)
         self.cc = cc
         self.scheduler = scheduler
-        self.packet_size = float(packet_size)
         self.start_time = float(start_time)
         self.stop_time = float(stop_time)
-        # Reverse-path latency for acks and loss notifications: the
-        # forward propagation is simulated hop by hop, the return path is
-        # modelled as one lump (no reverse queueing).
-        if ack_delay is None:
-            ack_delay = sum(link.delay for link in route) + 0.05
-        if check_real("ack_delay", ack_delay) < 0:
-            raise ValueError(f"ack_delay must be >= 0, got {ack_delay}")
-        self.ack_delay = float(ack_delay)
+        self.ack_delay = sum(link.delay for link in route) + self.ACK_MARGIN
         self.pacer = Pacer(
             rate=max(cc.pacing_rate(start_time), 0.0),
-            bucket=max(bucket, packet_size),
+            bucket=max(bucket, self.PACKET_SIZE),
             start=start_time,
         )
         self.packets_sent = 0
@@ -133,7 +129,7 @@ class Host:
         if rate <= 0.0:
             wake = cc.wake_time(now)
             return False, math.inf if wake == math.inf else min(max(wake, now), stop_time)
-        size = self.packet_size
+        size = self.PACKET_SIZE
         sent, next_time = self.pacer.pace(now, rate, size)
         if sent:
             self.packets_sent += 1
@@ -147,7 +143,7 @@ class Host:
         sent, next_time = self._pace(now)
         if sent:
             sequence = self.packets_sent - 1
-            packet = Packet(self.flow_id, sequence, self.route, now, self.packet_size)
+            packet = Packet(self.flow_id, sequence, self.route, now, self.PACKET_SIZE)
             self.cc.on_sent(now, packet)
             self.route[0].enqueue(packet)
         if next_time != math.inf:
@@ -158,7 +154,7 @@ class Host:
         now = self.next_time
         sent, self.next_time = self._pace(now)
         if sent:
-            self.route[0].admit(now, self.packet_size)
+            self.route[0].admit(now, self.PACKET_SIZE)
 
     # -- feedback (invoked by the simulator's link callbacks) ------------------
 
@@ -193,7 +189,7 @@ class ProbeTap:
         link: SimLink,
         num_probes: int,
         phase: float = 0.0,
-        probe_size: float = 0.05,
+        probe_size: float = PROBE_SIZE,
     ) -> None:
         if check_count("num_probes", num_probes) <= 0:
             raise ValueError(f"num_probes must be positive, got {num_probes}")

@@ -36,7 +36,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from repro.netsim.sim.clock import EventScheduler
-from repro.netsim.sim.config import check_count, check_real
+from repro.utils import check_count, check_real
 from repro.netsim.sim.packet import Packet
 
 #: ``on_drop(packet, link, now)`` — arrival found the buffer full.

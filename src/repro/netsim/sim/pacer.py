@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from repro.netsim.sim.config import check_real
+from repro.utils import check_real
 
 
 class Pacer:
@@ -31,27 +31,20 @@ class Pacer:
         self._tokens = float(bucket)  # start full: first packet goes now
         self._updated = float(start)
 
-    def set_rate(self, rate: float, now: float) -> None:
-        """Change the refill rate, crediting tokens accrued so far."""
-        if rate < 0:
-            raise ValueError(f"pacing rate must be non-negative, got {rate}")
-        self._refill(now)
-        self.rate = float(rate)
-
     def pace(self, now: float, rate: float, size: float) -> tuple[bool, float]:
         """Set the rate, try to send *size*, and report the next ready time.
 
-        One refill does the work of :meth:`set_rate`, :meth:`try_send`
-        and :meth:`ready_time` called in that order at the same *now*,
-        with the same float operations: returns ``(sent, ready)`` where
-        *ready* is the earliest time the next *size* tokens are there
-        (``now`` if they already are, ``inf`` at rate 0).
+        Tokens accrued since the last call are credited at the old rate,
+        then the new *rate* applies.  Returns ``(sent, ready)``: whether
+        *size* tokens were there and were spent, and the earliest time
+        the next *size* tokens are there (``now`` if they already are,
+        ``inf`` at rate 0).
         """
         if rate < 0:
             raise ValueError(f"pacing rate must be non-negative, got {rate}")
         tokens = self._tokens
         if now > self._updated:
-            # accrual up to now runs at the old rate, as in set_rate
+            # accrual up to now runs at the old rate
             tokens = min(self.bucket, tokens + (now - self._updated) * self.rate)
             self._updated = now
         self.rate = rate
@@ -66,41 +59,10 @@ class Pacer:
             return sent, math.inf
         ready = now + deficit / rate
         if ready <= now:
-            ready = math.nextafter(now, math.inf)  # see ready_time
-        return sent, ready
-
-    def _refill(self, now: float) -> None:
-        if now > self._updated:
-            self._tokens = min(
-                self.bucket, self._tokens + (now - self._updated) * self.rate
-            )
-            self._updated = now
-
-    def tokens(self, now: float) -> float:
-        self._refill(now)
-        return self._tokens
-
-    def try_send(self, now: float, size: float = 1.0) -> bool:
-        """Consume *size* tokens if available; ``False`` means wait."""
-        self._refill(now)
-        if self._tokens + 1e-12 < size:
-            return False
-        self._tokens -= size
-        return True
-
-    def ready_time(self, now: float, size: float = 1.0) -> float:
-        """Earliest time *size* tokens will be available (``inf`` at rate 0)."""
-        self._refill(now)
-        deficit = size - self._tokens
-        if deficit <= 1e-12:
-            return now
-        if self.rate <= 0.0:
-            return float("inf")
-        ready = now + deficit / self.rate
-        if ready <= now:
-            # The deficit is real (try_send would refuse) but the wait is
-            # below float resolution at this timestamp; one representable
-            # tick accrues more than the deficit, so step exactly there
-            # instead of livelocking the caller at a frozen clock.
+            # The deficit is real (a send now would be refused) but the
+            # wait is below float resolution at this timestamp; one
+            # representable tick accrues more than the deficit, so step
+            # exactly there instead of livelocking the caller at a
+            # frozen clock.
             ready = math.nextafter(now, math.inf)
-        return ready
+        return sent, ready

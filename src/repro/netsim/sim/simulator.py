@@ -25,8 +25,9 @@ Determinism: every stochastic choice draws from a stream spawned off
 one ``SeedSequence([seed])`` in a fixed order (tap phases, then one
 stream per link driver, then one per cross flow), the event loop
 breaks ties by scheduling sequence and the links by the tie rule above,
-so a snapshot trace is a pure function of ``(topology, config,
-loss_rates, num_probes, seed)``.
+so a snapshot trace is a pure function of ``(topology, loss_rates,
+num_probes, seed)``.  Link sizing and cross-traffic calibration are the
+constants of :mod:`repro.netsim.sim.config`.
 """
 
 from __future__ import annotations
@@ -38,10 +39,21 @@ import numpy as np
 
 from repro.netsim.sim.cc import AIMDController, OnOffCBR, RateProber
 from repro.netsim.sim.clock import EventScheduler
-from repro.netsim.sim.config import TrafficConfig, check_count
+from repro.netsim.sim.config import (
+    BUFFER_PACKETS,
+    CAPACITY_PER_SLOT,
+    CROSS_MAX_FRACTION,
+    CROSS_RATE_FRACTION,
+    NUM_AIMD_FLOWS,
+    NUM_PROBER_FLOWS,
+    PROBE_SIZE,
+    PROP_DELAY_SLOTS,
+    SLOT_MS,
+)
 from repro.netsim.sim.host import Host, ProbeTap
 from repro.netsim.sim.link import SimLink
 from repro.netsim.sim.packet import Packet
+from repro.utils import check_count
 
 #: Assigned rates at or below this are treated as loss-free: no driver
 #: is attached (the queue then only overflows under cross-flow bursts).
@@ -80,19 +92,11 @@ class SnapshotTrace:
 class CongestionSimulator:
     """Event-driven loss/delay realisations over one probing layout."""
 
-    def __init__(
-        self,
-        paths: Sequence[object],
-        num_links: int,
-        config: Optional[TrafficConfig] = None,
-    ) -> None:
+    def __init__(self, paths: Sequence[object], num_links: int) -> None:
         if num_links <= 0:
             raise ValueError(f"num_links must be positive, got {num_links}")
         if not paths:
             raise ValueError("need at least one probing path")
-        self.config = config if config is not None else TrafficConfig(
-            kind="congestion"
-        )
         self.num_links = int(num_links)
         self._paths: List[tuple] = [_as_link_indices(p) for p in paths]
         for path in self._paths:
@@ -139,9 +143,8 @@ class CongestionSimulator:
         if check_count("num_probes", num_probes) <= 0:
             raise ValueError(f"num_probes must be positive, got {num_probes}")
         check_count("seed", seed)
-        cfg = self.config
         num_active = self.num_active_links
-        num_cross = cfg.num_aimd_flows + cfg.num_prober_flows
+        num_cross = NUM_AIMD_FLOWS + NUM_PROBER_FLOWS
 
         seq = np.random.SeedSequence([int(seed)])
         streams = [
@@ -154,7 +157,7 @@ class CongestionSimulator:
         # Run past the horizon so in-flight probes of the last slot clear
         # every queue (worst case: full buffer ahead plus propagation).
         horizon = float(num_probes)
-        end = horizon + (cfg.buffer_packets / cfg.capacity_per_slot + (cfg.prop_delay_slots + 1.0))
+        end = horizon + (BUFFER_PACKETS / CAPACITY_PER_SLOT + (PROP_DELAY_SLOTS + 1.0))
         hosts: Dict[int, Host] = {}
 
         def on_drop(packet: Packet, link: SimLink, now: float) -> None:
@@ -166,9 +169,9 @@ class CongestionSimulator:
         links: Dict[int, SimLink] = {
             int(k): SimLink(
                 index=int(k),
-                rate=cfg.capacity_per_slot,
-                delay=cfg.prop_delay_slots,
-                buffer=cfg.buffer_packets,
+                rate=CAPACITY_PER_SLOT,
+                delay=PROP_DELAY_SLOTS,
+                buffer=BUFFER_PACKETS,
                 scheduler=scheduler,
                 on_drop=on_drop,
                 on_deliver=on_deliver,
@@ -184,7 +187,7 @@ class CongestionSimulator:
                 link=links[int(k)],
                 num_probes=num_probes,
                 phase=float(phases[r]),
-                probe_size=cfg.probe_size,
+                probe_size=PROBE_SIZE,
             )
             for r, k in enumerate(self.active_links)
         ]
@@ -198,12 +201,7 @@ class CongestionSimulator:
             if target <= MIN_DRIVER_LOSS:
                 continue
             cc = OnOffCBR.for_target_loss(
-                min(target, 0.95),
-                capacity=cfg.capacity_per_slot,
-                buffer=cfg.buffer_packets,
-                overload_factor=cfg.overload_factor,
-                burst_slots=cfg.burst_slots,
-                overflow_occupancy=cfg.overflow_occupancy,
+                min(target, 0.95), capacity=CAPACITY_PER_SLOT, buffer=BUFFER_PACKETS
             )
             cc.bind(rng)
             host = Host(
@@ -220,13 +218,13 @@ class CongestionSimulator:
             flow_id += 1
 
         # Multi-hop cross traffic over randomly chosen probing paths.
-        cross_rate = cfg.cross_rate_fraction * cfg.capacity_per_slot
-        cross_cap = cfg.cross_max_fraction * cfg.capacity_per_slot
+        cross_rate = CROSS_RATE_FRACTION * CAPACITY_PER_SLOT
+        cross_cap = CROSS_MAX_FRACTION * CAPACITY_PER_SLOT
         for c in range(num_cross):
             rng = flow_streams[num_active + c]
             route_links = self._paths[int(rng.integers(len(self._paths)))]
             route = tuple(links[i] for i in route_links)
-            if c < cfg.num_aimd_flows:
+            if c < NUM_AIMD_FLOWS:
                 cc = AIMDController(
                     initial_rate=max(cross_rate, 0.1),
                     min_rate=0.1,
@@ -259,7 +257,7 @@ class CongestionSimulator:
         # Dropped probes, and those delivered after the run's end, get the
         # full-buffer sojourn — the delay a probe would have seen had one
         # more slot been free — keeping the delay matrix smooth at losses.
-        full_sojourn = cfg.buffer_packets / cfg.capacity_per_slot + cfg.prop_delay_slots
+        full_sojourn = BUFFER_PACKETS / CAPACITY_PER_SLOT + PROP_DELAY_SLOTS
         drops = np.empty((num_active, num_probes), dtype=bool)
         delays = np.empty((num_active, num_probes))
         for r, tap in enumerate(taps):
@@ -271,7 +269,7 @@ class CongestionSimulator:
         trace = SnapshotTrace(
             active_links=self.active_links,
             drops=drops,
-            delays_ms=delays * cfg.slot_ms,
+            delays_ms=delays * SLOT_MS,
             events=scheduler.events_dispatched,
             packets_forwarded=packets_forwarded,
             background_sent=sum(h.packets_sent for h in hosts.values()),

@@ -22,7 +22,6 @@ driven by per-link congestion propensities (the Section 7 churn regime).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,6 +41,7 @@ from repro.lossmodel.processes import LossProcess
 from repro.topology.graph import Path, path_link_arrays
 from repro.topology.routing import RoutingMatrix
 from repro.probing.snapshot import MeasurementCampaign, Snapshot
+from repro.utils import check_count
 from repro.utils.rng import SeedLike, as_rng
 
 FIDELITY_MODES = ("packet", "flow")
@@ -86,12 +86,7 @@ class ProberConfig:
     path_sampling_noise: bool = True
 
     def __post_init__(self) -> None:
-        count = self.probes_per_snapshot
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(
-                f"probes_per_snapshot must be an integer, got {count!r}"
-            )
-        if count <= 0:
+        if check_count("probes_per_snapshot", self.probes_per_snapshot) <= 0:
             raise ValueError("probes_per_snapshot must be positive")
         if not 0 <= self.congestion_probability <= 1:
             raise ValueError("congestion_probability must be in [0, 1]")

@@ -14,7 +14,6 @@ a probe) before taking logs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -22,13 +21,24 @@ import numpy as np
 
 from repro.lossmodel.assignment import SnapshotGroundTruth
 from repro.topology.routing import RoutingMatrix
+from repro.utils import check_count
 
 
 def _check_num_probes(count: int) -> None:
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-        raise ValueError(f"num_probes must be an integer, got {count!r}")
-    if count <= 0:
+    if check_count("num_probes", count) <= 0:
         raise ValueError(f"num_probes must be positive, got {count}")
+
+
+def continuity_floor(num_probes: int, floor: Optional[float] = None) -> float:
+    """The log transform's floor: *floor*, by default ``0.5 / num_probes``.
+
+    ``ValueError`` unless the floor is in ``(0, 1]``.
+    """
+    if floor is None:
+        floor = 0.5 / float(num_probes)
+    if not 0 < floor <= 1:
+        raise ValueError(f"floor must be in (0, 1], got {floor}")
+    return floor
 
 
 def log_with_floor(
@@ -40,10 +50,7 @@ def log_with_floor(
     ``[floor, 1]`` so the log is finite and non-positive.
     """
     _check_num_probes(num_probes)
-    if floor is None:
-        floor = 0.5 / float(num_probes)
-    if not 0 < floor <= 1:
-        raise ValueError(f"floor must be in (0, 1], got {floor}")
+    floor = continuity_floor(num_probes, floor)
     rates = np.asarray(transmission_rates, dtype=np.float64)
     return np.log(np.clip(rates, floor, 1.0))
 
@@ -153,13 +160,12 @@ class MeasurementCampaign:
         if not self.snapshots:
             raise ValueError("campaign is empty")
         rates = np.vstack([s.path_transmission for s in self.snapshots])
-        if floor is None:
-            # One clip and one log, with each row's own 0.5 / S floor.
-            probes = [[s.num_probes] for s in self.snapshots]
-            floor = 0.5 / np.array(probes, dtype=np.float64)
-        elif not 0 < floor <= 1:
-            raise ValueError(f"floor must be in (0, 1], got {floor}")
-        return np.log(np.clip(rates, floor, 1.0))
+        # One clip and one log, with each row's own floor.
+        floors = np.array(
+            [[continuity_floor(s.num_probes, floor)] for s in self.snapshots],
+            dtype=np.float64,
+        )
+        return np.log(np.clip(rates, floors, 1.0))
 
     def split_training_target(
         self, num_training: Optional[int] = None

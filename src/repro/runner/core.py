@@ -30,7 +30,6 @@ shards on disk.  Guarantees:
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Union
@@ -50,6 +49,7 @@ from repro.runner.store import (
     ResultStore,
     ResultView,
 )
+from repro.utils import check_count
 
 
 class ShardExecutionError(RuntimeError):
@@ -170,9 +170,8 @@ class ParallelRunner:
         backend: Union[str, ExecutionBackend, None] = None,
         store_dir: Optional[os.PathLike] = None,
     ) -> None:
-        for name, value in (("n_jobs", n_jobs), ("shard_size", shard_size)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_count("n_jobs", n_jobs)
+        check_count("shard_size", shard_size)
         if n_jobs == 0 or n_jobs < -1:
             raise ValueError(
                 f"n_jobs must be a positive count or -1 (all cores), got {n_jobs}"

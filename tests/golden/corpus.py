@@ -126,7 +126,7 @@ def compute() -> Dict[str, Dict]:
     """Every corpus entry, computed in this process."""
     from repro.cli import main
     from repro.experiments import EXPERIMENTS
-    from repro.netsim.sim import CongestionSimulator, TrafficConfig
+    from repro.netsim.sim import CongestionSimulator
 
     corpus = {}
     for name, run in EXPERIMENTS.items():
@@ -147,7 +147,7 @@ def compute() -> Dict[str, Dict]:
     paths = [(0, 1, 2), (0, 1, 3), (0, 4, 5), (0, 4, 6), (7, 8), (7, 9), (10, 11), (10, 2)]
     rates = np.zeros(12)
     rates[[1, 5, 8]] = (0.05, 0.1, 0.03)
-    simulator = CongestionSimulator(paths, 12, TrafficConfig(kind="congestion"))
+    simulator = CongestionSimulator(paths, 12)
     trace = simulator.run_snapshot(rates, 600, 17)
     counts = ("events", "packets_forwarded", "background_sent", "probe_drops")
     corpus["netsim/trace"] = {

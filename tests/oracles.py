@@ -8,16 +8,19 @@ phase 1's flat-array normal equations to the ``scipy.sparse`` products
 they replaced, the routing matrix's ``reduceat`` aggregations to
 per-virtual-link loops, the campaign's one-shot log matrix to
 per-snapshot logs, the monitor's mask-diffed link states to the seed's
-set-based bookkeeping, event for event, and the packet simulator (its
-departure-time FIFO and its link-local taps and drivers) to a run with
-every source on the event heap and an event-driven link that scheduled
-every service completion, trace for trace.  The seed's per-slot Gilbert
+set-based bookkeeping, event for event, the pacer's one-refill
+``pace`` to the refill / rate / send / ready-time calls it fused, and
+the packet simulator (its departure-time FIFO and its link-local taps
+and drivers) to a run with every source on the event heap and an
+event-driven link that scheduled every service completion, trace for
+trace.  The seed's per-slot Gilbert
 chain is the control of the sojourn sampler's law tests: both must pass
 them.  Do not use any of these outside the tests.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -27,6 +30,7 @@ from scipy import sparse
 from repro.core.augmented import IntersectingPairs, pair_row_index
 from repro.core.variance import _equation_weights
 from repro.monitor.online import AnomalyEvent
+from repro.netsim.sim.pacer import Pacer
 from repro.netsim.sim.packet import Packet
 
 
@@ -270,6 +274,49 @@ def update_states_reference(
     return events
 
 
+class SplitPacer(Pacer):
+    """The token bucket as separate refill, rate, send and ready-time calls.
+
+    ``set_rate``, ``try_send`` and ``ready_time`` called in that order
+    at one ``now`` are :meth:`Pacer.pace`, float for float.
+    """
+
+    __slots__ = ()
+
+    def _refill(self, now: float) -> None:
+        if now > self._updated:
+            self._tokens = min(
+                self.bucket, self._tokens + (now - self._updated) * self.rate
+            )
+            self._updated = now
+
+    def set_rate(self, rate: float, now: float) -> None:
+        """Change the refill rate, crediting tokens accrued so far."""
+        self._refill(now)
+        self.rate = float(rate)
+
+    def try_send(self, now: float, size: float) -> bool:
+        """Consume *size* tokens if available; ``False`` means wait."""
+        self._refill(now)
+        if self._tokens + 1e-12 < size:
+            return False
+        self._tokens -= size
+        return True
+
+    def ready_time(self, now: float, size: float) -> float:
+        """Earliest time *size* tokens will be available (``inf`` at rate 0)."""
+        self._refill(now)
+        deficit = size - self._tokens
+        if deficit <= 1e-12:
+            return now
+        if self.rate <= 0.0:
+            return float("inf")
+        ready = now + deficit / self.rate
+        if ready <= now:
+            ready = math.nextafter(now, math.inf)
+        return ready
+
+
 class EventDrivenSimLink:
     """The event-driven FIFO link: one event per service completion.
 
@@ -363,19 +410,19 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
     Taps are :class:`HeapProbeTap`\\ s, the calibrated drivers are
     started with ``Host.start`` (so their acks and losses are events
     too), and links are :class:`EventDrivenSimLink`\\ s.  The streams,
-    flows and push order are those of the simulator; only ``events``
-    differs in the returned trace.
+    flows and push order are those of the simulator, and so are the
+    constants, read off the simulator module (a test may monkeypatch
+    them there); only ``events`` differs in the returned trace.
     """
-    from repro.netsim.sim import simulator as simulator_module
+    from repro.netsim.sim import simulator as sim
     from repro.netsim.sim.cc import OnOffCBR
     from repro.netsim.sim.clock import EventScheduler
     from repro.netsim.sim.host import Host
 
     rates = np.asarray(loss_rates, dtype=np.float64)
-    cfg = simulator.config
     active_links = simulator.active_links
     num_active = simulator.num_active_links
-    num_cross = cfg.num_aimd_flows + cfg.num_prober_flows
+    num_cross = sim.NUM_AIMD_FLOWS + sim.NUM_PROBER_FLOWS
     seq = np.random.SeedSequence([int(seed)])
     streams = [
         np.random.default_rng(child)
@@ -385,10 +432,10 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
 
     scheduler = EventScheduler()
     drops = np.zeros((num_active, num_probes), dtype=bool)
-    full_sojourn = cfg.buffer_packets / cfg.capacity_per_slot + cfg.prop_delay_slots
+    full_sojourn = sim.BUFFER_PACKETS / sim.CAPACITY_PER_SLOT + sim.PROP_DELAY_SLOTS
     delays = np.full((num_active, num_probes), full_sojourn)
     horizon = float(num_probes)
-    end = horizon + (cfg.buffer_packets / cfg.capacity_per_slot + (cfg.prop_delay_slots + 1.0))
+    end = horizon + (sim.BUFFER_PACKETS / sim.CAPACITY_PER_SLOT + (sim.PROP_DELAY_SLOTS + 1.0))
     hosts: Dict[int, Host] = {}
     row_of = {int(k): r for r, k in enumerate(active_links)}
     probe_drops = 0
@@ -412,8 +459,8 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
 
     links = {
         int(k): EventDrivenSimLink(
-            int(k), cfg.capacity_per_slot, cfg.prop_delay_slots,
-            cfg.buffer_packets, scheduler, on_drop, on_deliver,
+            int(k), sim.CAPACITY_PER_SLOT, sim.PROP_DELAY_SLOTS,
+            sim.BUFFER_PACKETS, scheduler, on_drop, on_deliver,
         )
         for k in active_links
     }
@@ -421,22 +468,19 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
     for r, k in enumerate(active_links):
         HeapProbeTap(
             -1 - r, links[int(k)], num_probes, scheduler,
-            float(phases[r]), cfg.probe_size,
+            float(phases[r]), sim.PROBE_SIZE,
         ).start()
 
     flow_id = 0
     for r, k in enumerate(active_links):
         target = float(rates[int(k)])
         rng = flow_streams[r]
-        if target <= simulator_module.MIN_DRIVER_LOSS:
+        if target <= sim.MIN_DRIVER_LOSS:
             continue
         cc = OnOffCBR.for_target_loss(
             min(target, 0.95),
-            capacity=cfg.capacity_per_slot,
-            buffer=cfg.buffer_packets,
-            overload_factor=cfg.overload_factor,
-            burst_slots=cfg.burst_slots,
-            overflow_occupancy=cfg.overflow_occupancy,
+            capacity=sim.CAPACITY_PER_SLOT,
+            buffer=sim.BUFFER_PACKETS,
         )
         cc.bind(rng)
         hosts[flow_id] = Host(
@@ -446,14 +490,14 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
         hosts[flow_id].start()
         flow_id += 1
 
-    cross_rate = cfg.cross_rate_fraction * cfg.capacity_per_slot
-    cross_cap = cfg.cross_max_fraction * cfg.capacity_per_slot
+    cross_rate = sim.CROSS_RATE_FRACTION * sim.CAPACITY_PER_SLOT
+    cross_cap = sim.CROSS_MAX_FRACTION * sim.CAPACITY_PER_SLOT
     for c in range(num_cross):
         rng = flow_streams[num_active + c]
         route_links = simulator._paths[int(rng.integers(len(simulator._paths)))]
         controller = (
-            simulator_module.AIMDController if c < cfg.num_aimd_flows
-            else simulator_module.RateProber
+            sim.AIMDController if c < sim.NUM_AIMD_FLOWS
+            else sim.RateProber
         )
         cc = controller(
             initial_rate=max(cross_rate, 0.1), min_rate=0.1, max_rate=cross_cap
@@ -467,10 +511,10 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
         flow_id += 1
 
     scheduler.run_until(end)
-    return simulator_module.SnapshotTrace(
+    return sim.SnapshotTrace(
         active_links=active_links,
         drops=drops,
-        delays_ms=delays * cfg.slot_ms,
+        delays_ms=delays * sim.SLOT_MS,
         events=scheduler.events_dispatched,
         packets_forwarded=sum(link.served for link in links.values()),
         background_sent=sum(h.packets_sent for h in hosts.values()),

@@ -355,15 +355,19 @@ class TestScenario:
         with pytest.raises(ValueError, match="exceeds"):
             scenario.evaluate(prepared, campaign)
 
-    def test_congestion_traffic_excludes_explicit_process(self):
+    @pytest.mark.parametrize(
+        "traffic, with_process, message",
+        [
+            ("wireless", False, "traffic must be one of"),
+            ("congestion", True, "its own loss process"),
+        ],
+    )
+    def test_rejects_bad_traffic(self, traffic, with_process, message):
         from repro.lossmodel import GilbertProcess
-        from repro.netsim.sim import TrafficConfig
 
-        with pytest.raises(ValueError, match="its own loss process"):
-            Scenario(
-                process=GilbertProcess(stay_bad=0.5),
-                traffic=TrafficConfig(kind="congestion"),
-            )
+        process = GilbertProcess(stay_bad=0.5) if with_process else None
+        with pytest.raises(ValueError, match=message):
+            Scenario(traffic=traffic, process=process)
 
 
 class TestEvaluateForest:

@@ -726,6 +726,20 @@ class TestInferMany:
     def test_empty_runs(self):
         assert infer_many([]) == []
 
+    def test_engine_floors_match_loop(self):
+        """Each tree's explicit floor is applied as its ``infer`` applies it."""
+        runs = _forest(3)
+        for (engine, _, _), floor in zip(runs, (0.01, None, 0.2)):
+            engine.floor = floor
+        assert_matches_loop(runs, infer_many(runs))
+
+    @pytest.mark.parametrize("floor", [0.0, 1.5, float("nan")])
+    def test_rejects_bad_engine_floor(self, floor):
+        runs = _forest(2)
+        runs[1][0].floor = floor
+        with pytest.raises(ValueError, match="floor must be in"):
+            infer_many(runs)
+
     def test_empty_kept_set_tree(self, small_tree, tree_campaign):
         """A tree whose reduction keeps nothing still lands rate 1.0."""
         _, _, routing = small_tree
@@ -769,5 +783,5 @@ class TestInferMany:
         rng = np.random.default_rng(1)
         factorization = QRFactorization.factorize(rng.normal(size=(12, 5)))
         assert "full_rank" not in factorization.__dict__
-        assert factorization.full_rank == factorization.is_full_rank()
+        assert factorization.full_rank is True
         assert "full_rank" in factorization.__dict__

@@ -19,10 +19,8 @@ from repro.netsim.sim import (
     ProbeTap,
     RateProber,
     SimLink,
-    TrafficConfig,
 )
-
-CONGESTION = TrafficConfig(kind="congestion")
+from repro.netsim.sim import simulator as simulator_module
 
 
 #: Event times and follow-up delays drawn from small exact-binary sets,
@@ -162,35 +160,33 @@ class TestClockAndScheduler:
 class TestPacer:
     def test_starts_full_then_paces(self):
         pacer = Pacer(rate=2.0, bucket=1.0)
-        assert pacer.try_send(0.0)          # bucket starts full
-        assert not pacer.try_send(0.0)      # and is now empty
-        assert pacer.ready_time(0.0) == pytest.approx(0.5)
-        assert pacer.try_send(0.5)
+        assert pacer.pace(0.0, 2.0, 1.0) == (True, 0.5)   # bucket starts full
+        assert pacer.pace(0.0, 2.0, 1.0) == (False, 0.5)  # and is now empty
+        assert pacer.pace(0.5, 2.0, 1.0)[0]
 
     def test_bucket_caps_accrual(self):
         pacer = Pacer(rate=10.0, bucket=2.0)
-        assert pacer.tokens(100.0) == 2.0
+        # 1000 slots accrue only the bucket's 2 tokens: spending them
+        # leaves a full 2-token wait
+        assert pacer.pace(100.0, 10.0, 2.0) == (True, 100.0 + 2.0 / 10.0)
 
     def test_zero_rate_never_ready(self):
         pacer = Pacer(rate=0.0, bucket=1.0)
-        assert pacer.try_send(0.0)
-        assert pacer.ready_time(0.0) == float("inf")
+        assert pacer.pace(0.0, 0.0, 1.0) == (True, math.inf)
 
     def test_ready_time_always_advances(self):
         """Regression: a sub-epsilon deficit must not freeze the clock.
 
         With a deficit smaller than one float ulp of `now`,
         ``now + deficit/rate == now`` in float64; hosts rescheduling at
-        ``ready_time`` would then livelock at a frozen timestamp.
+        that ready time would then livelock at a frozen timestamp.
         """
         now = 529.041046
         pacer = Pacer(rate=40.0, bucket=2.0, start=now)
-        # deficit above try_send's 1e-12 slack, but deficit/rate under
+        # deficit above the send's 1e-12 slack, but deficit/rate under
         # half an ulp of `now`, so now + deficit/rate rounds back to now
         pacer._tokens = 1.0 - 2e-12
-        assert not pacer.try_send(now)
-        ready = pacer.ready_time(now)
-        assert ready == math.nextafter(now, math.inf)
+        assert pacer.pace(now, 40.0, 1.0) == (False, math.nextafter(now, math.inf))
 
     def test_ready_time_never_returns_now_while_refusing(self):
         """Any refused send must get a strictly later retry time."""
@@ -198,17 +194,16 @@ class TestPacer:
         for deficit in (2e-12, 1e-11, 1e-9, 1e-4):
             pacer = Pacer(rate=40.0, bucket=2.0, start=now)
             pacer._tokens = 1.0 - deficit
-            if pacer.try_send(now):
+            sent, ready = pacer.pace(now, 40.0, 1.0)
+            if sent:
                 continue
-            assert pacer.ready_time(now) > now
+            assert ready > now
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Pacer(rate=-1.0)
         with pytest.raises(ValueError):
             Pacer(rate=1.0, bucket=0.0)
-        with pytest.raises(ValueError):
-            Pacer(rate=1.0).set_rate(-1.0, 0.0)
         with pytest.raises(ValueError):
             Pacer(rate=1.0).pace(0.0, -1.0, 1.0)
 
@@ -230,9 +225,11 @@ class TestPacer:
         size=st.sampled_from([0.05, 1.0, 1.5]),
     )
     def test_pace_equals_set_rate_try_send_ready_time(self, steps, size):
-        """``pace`` is the old three-call sequence, float for float."""
+        """``pace`` is the split three-call sequence, float for float."""
+        from tests.oracles import SplitPacer
+
         fused = Pacer(rate=1.0, bucket=2.0)
-        split = Pacer(rate=1.0, bucket=2.0)
+        split = SplitPacer(rate=1.0, bucket=2.0)
         now = 0.0
         for gap, rate in steps:
             now += gap
@@ -376,10 +373,7 @@ class TestSimLink:
 
 class TestOnOffCBR:
     def test_calibration_arithmetic(self):
-        cc = OnOffCBR.for_target_loss(
-            0.05, capacity=20.0, buffer=12, overload_factor=2.0,
-            burst_slots=3.0, overflow_occupancy=0.75,
-        )
+        cc = OnOffCBR.for_target_loss(0.05, capacity=20.0, buffer=12)
         fill = 12 / 20.0
         assert cc.rate == pytest.approx(40.0)
         assert cc.mean_on == pytest.approx(fill + 3.0)
@@ -410,9 +404,6 @@ class TestOnOffCBR:
         with pytest.raises(ValueError):
             OnOffCBR.for_target_loss(0.0, capacity=20.0, buffer=12)
         with pytest.raises(ValueError):
-            OnOffCBR.for_target_loss(0.1, capacity=20.0, buffer=12,
-                                     overload_factor=1.0)
-        with pytest.raises(ValueError):
             OnOffCBR(on_rate=40.0, mean_on=0.0, mean_off=1.0)
 
 
@@ -425,7 +416,7 @@ class TestControllers:
         )
 
     def test_aimd_sawtooth(self):
-        cc = AIMDController(initial_rate=4.0, min_rate=0.1, beta=0.5)
+        cc = AIMDController(initial_rate=4.0, min_rate=0.1)
         cc.on_loss(10.0, self._packet())
         assert cc.rate == pytest.approx(2.0)
         # refractory: a second loss within one RTT does not halve again
@@ -442,21 +433,22 @@ class TestControllers:
         assert cc.rate == 5.0
 
     def test_rate_prober_adopts_probe_estimate(self):
-        cc = RateProber(initial_rate=2.0, min_probe_packets=2,
-                        min_probe_duration=0.5, drain_factor=1.0)
+        cc = RateProber(initial_rate=2.0)
         assert cc.pacing_rate(0.0) == pytest.approx(6.0)  # probing at 3x
-        for i in range(3):
+        # five packets over at least 1.5 slots end the probe
+        for i in range(5):
             p = self._packet(sent_at=0.5 * i)
             cc.on_sent(0.5 * i, p)
             cc.on_ack(0.5 * i + 0.25, p, rtt=0.25)
         assert cc.state == 0  # back to CRUISE
         assert cc.probes_completed == 1
-        assert cc.min_rate <= cc.rate <= cc.max_rate
+        # 5 units sent over 2 slots and acked over 2 slots, drained by 0.9
+        assert cc.rate == pytest.approx(0.9 * 2.5)
 
     def test_rate_prober_backs_off_on_loss(self):
-        cc = RateProber(initial_rate=10.0, loss_beta=0.5)
+        cc = RateProber(initial_rate=10.0)
         cc.on_loss(5.0, self._packet())
-        assert cc.rate == pytest.approx(5.0)
+        assert cc.rate == pytest.approx(9.0)
 
 
 class TestHostAndTap:
@@ -562,10 +554,7 @@ class TestHostAndTap:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("packet_size", float("nan")),
             ("start_time", float("nan")),
-            ("ack_delay", float("nan")),
-            ("ack_delay", -1.0),
             ("stop_time", float("nan")),
             ("bucket", float("nan")),
         ],
@@ -582,43 +571,6 @@ class TestHostAndTap:
             )
 
 
-class TestTrafficConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            TrafficConfig(kind="wireless")
-        with pytest.raises(ValueError):
-            TrafficConfig(buffer_packets=0)
-        with pytest.raises(ValueError):
-            TrafficConfig(overload_factor=1.0)
-        with pytest.raises(ValueError):
-            TrafficConfig(cross_rate_fraction=0.5, cross_max_fraction=0.4)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("capacity_per_slot", float("nan")),
-            ("probe_size", float("nan")),
-            ("prop_delay_slots", float("inf")),
-            ("buffer_packets", 12.7),
-            ("num_aimd_flows", 1.5),
-        ],
-    )
-    def test_rejects_malformed_numbers(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            TrafficConfig(kind="congestion", **{field: value})
-
-    def test_integral_numbers_load(self):
-        cfg = TrafficConfig(
-            kind="congestion", capacity_per_slot=20, buffer_packets=8.0
-        )
-        assert cfg.capacity_per_slot == 20.0
-        assert cfg.buffer_packets == 8 and isinstance(cfg.buffer_packets, int)
-
-    def test_is_congestion(self):
-        assert not TrafficConfig().is_congestion
-        assert TrafficConfig(kind="congestion").is_congestion
-
-
 class TestCongestionSimulator:
     PATHS = [(0, 1), (0, 2), (3,)]
 
@@ -628,7 +580,7 @@ class TestCongestionSimulator:
         return rates
 
     def test_trace_shapes_and_active_links(self):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         assert list(sim.active_links) == [0, 1, 2, 3]
         trace = sim.run_snapshot(self._rates(), 60, seed=3)
         assert trace.drops.shape == (4, 60)
@@ -637,7 +589,7 @@ class TestCongestionSimulator:
         assert trace.events > 0 and trace.packets_forwarded > 0
 
     def test_driven_link_loses_and_quiet_links_do_not(self):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         fractions = np.zeros(4)
         for seed in range(5):
             fractions += sim.run_snapshot(self._rates(), 400, seed).loss_fractions()
@@ -646,7 +598,7 @@ class TestCongestionSimulator:
         assert fractions[[0, 2, 3]].max() < 0.01  # cross traffic alone is mild
 
     def test_same_seed_is_bit_identical(self):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         a = sim.run_snapshot(self._rates(), 200, seed=11)
         b = sim.run_snapshot(self._rates(), 200, seed=11)
         assert np.array_equal(a.drops, b.drops)
@@ -654,13 +606,13 @@ class TestCongestionSimulator:
         assert a.events == b.events
 
     def test_different_seeds_differ(self):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         a = sim.run_snapshot(self._rates(), 400, seed=11)
         b = sim.run_snapshot(self._rates(), 400, seed=12)
         assert not np.array_equal(a.drops, b.drops)
 
     def test_expand_drops_pads_inactive_rows(self):
-        sim = CongestionSimulator(self.PATHS, 6, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 6)
         trace = sim.run_snapshot(np.zeros(6), 50, seed=0)
         full = sim.expand_drops(trace)
         assert full.shape == (6, 50)
@@ -668,10 +620,10 @@ class TestCongestionSimulator:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CongestionSimulator([], 5, CONGESTION)
+            CongestionSimulator([], 5)
         with pytest.raises(ValueError):
-            CongestionSimulator([(0, 7)], 5, CONGESTION)
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+            CongestionSimulator([(0, 7)], 5)
+        sim = CongestionSimulator(self.PATHS, 5)
         with pytest.raises(ValueError):
             sim.run_snapshot(np.zeros(3), 50, seed=0)
         with pytest.raises(ValueError):
@@ -679,18 +631,18 @@ class TestCongestionSimulator:
 
     @pytest.mark.parametrize("num_probes", [2.5, True])
     def test_rejects_non_integral_num_probes(self, num_probes):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         with pytest.raises(ValueError, match="num_probes"):
             sim.run_snapshot(self._rates(), num_probes, seed=0)
 
     @pytest.mark.parametrize("seed", [2.7, True])
     def test_rejects_non_integral_seed(self, seed):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         with pytest.raises(ValueError, match="seed"):
             sim.run_snapshot(self._rates(), 40, seed=seed)
 
     def test_accepts_numpy_integer_counts(self):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         a = sim.run_snapshot(self._rates(), np.int64(40), seed=np.int32(3))
         b = sim.run_snapshot(self._rates(), 40, seed=3)
         assert a.drops.tobytes() == b.drops.tobytes()
@@ -700,7 +652,7 @@ class TestCongestionSimulator:
         "bad", [-0.01, float("nan"), float("inf"), 1.5],
     )
     def test_rejects_malformed_rates(self, bad):
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         rates = self._rates()
         rates[[2, 4]] = bad
         with pytest.raises(ValueError, match="link 2 "):
@@ -708,7 +660,7 @@ class TestCongestionSimulator:
 
     def test_accepts_boundary_rates(self):
         """0 and 1 are valid; rates above 0.95 calibrate as 0.95."""
-        sim = CongestionSimulator(self.PATHS, 5, CONGESTION)
+        sim = CongestionSimulator(self.PATHS, 5)
         rates = np.array([0.0, 1.0, 0.0, 0.0, 1.0])
         clamped = rates.copy()
         clamped[[1, 4]] = 0.95
@@ -732,10 +684,10 @@ class TestDepartureTimeOracle:
         (7, 8), (7, 9), (10, 11), (10, 2),
     ]
 
-    def _both(self, paths, rates, num_probes, seed, config=CONGESTION):
+    def _both(self, paths, rates, num_probes, seed):
         from tests.oracles import reference_run_snapshot
 
-        sim = CongestionSimulator(paths, len(rates), config)
+        sim = CongestionSimulator(paths, len(rates))
         trace = sim.run_snapshot(rates, num_probes, seed)
         return trace, reference_run_snapshot(sim, rates, num_probes, seed)
 
@@ -815,7 +767,6 @@ class TestDepartureTimeOracle:
         reference, and every packet sent well before the horizon must
         have come back as exactly one ack or loss.
         """
-        from repro.netsim.sim import simulator as simulator_module
         from tests.oracles import reference_run_snapshot
 
         log = []
@@ -840,7 +791,7 @@ class TestDepartureTimeOracle:
         monkeypatch.setattr(simulator_module, "RateProber", recording(RateProber))
         rates = np.zeros(12)
         rates[[0, 1, 5, 8]] = (0.1, 0.05, 0.1, 0.03)
-        sim = CongestionSimulator(self.CORPUS_PATHS, 12, CONGESTION)
+        sim = CongestionSimulator(self.CORPUS_PATHS, 12)
         sim.run_snapshot(rates, 400, 5)
         ours, log[:] = list(log), []
         reference_run_snapshot(sim, rates, 400, 5)
@@ -848,13 +799,15 @@ class TestDepartureTimeOracle:
         kinds = {kind for kind, *_ in ours}
         assert kinds == {"sent", "ack", "loss"}
         flows = {flow for _, _, flow, _ in ours}
-        assert len(flows) == CONGESTION.num_aimd_flows + CONGESTION.num_prober_flows
+        assert len(flows) == (
+            simulator_module.NUM_AIMD_FLOWS + simulator_module.NUM_PROBER_FLOWS
+        )
         sent = {(f, q) for kind, t, f, q in ours if kind == "sent" and t < 400 - 5}
         answered = [(f, q) for kind, _, f, q in ours if kind != "sent"]
         assert len(answered) == len(set(answered))  # never both, never twice
         assert sent <= set(answered)
 
-    def test_delivery_after_the_run_keeps_the_full_buffer_sojourn(self):
+    def test_delivery_after_the_run_keeps_the_full_buffer_sojourn(self, monkeypatch):
         """A probe too large to clear its link by ``horizon + tail``.
 
         With 60 service units at 20 per slot the probe leaves 3 slots
@@ -862,25 +815,19 @@ class TestDepartureTimeOracle:
         The event-driven link never fires that delivery; the FIFO knows
         it at enqueue and must not record it either.
         """
-        config = TrafficConfig(
-            kind="congestion", probe_size=60.0,
-            num_aimd_flows=0, num_prober_flows=0,
-        )
-        trace, reference = self._both([(0,)], np.zeros(1), 1, 0, config)
-        full_sojourn = (
-            config.buffer_packets / config.capacity_per_slot + config.prop_delay_slots
-        )
-        assert trace.delays_ms[0, 0] == full_sojourn * config.slot_ms
+        monkeypatch.setattr(simulator_module, "PROBE_SIZE", 60.0)
+        monkeypatch.setattr(simulator_module, "NUM_AIMD_FLOWS", 0)
+        monkeypatch.setattr(simulator_module, "NUM_PROBER_FLOWS", 0)
+        trace, reference = self._both([(0,)], np.zeros(1), 1, 0)
+        sim = simulator_module
+        full_sojourn = sim.BUFFER_PACKETS / sim.CAPACITY_PER_SLOT + sim.PROP_DELAY_SLOTS
+        assert trace.delays_ms[0, 0] == full_sojourn * sim.SLOT_MS
         assert not trace.drops.any() and trace.packets_forwarded == 0
         self._assert_same_trace(trace, reference)
 
 
 class TestCongestionLossProcess:
     PATHS = [(0, 1), (2,)]
-
-    def test_rejects_analytic_traffic(self):
-        with pytest.raises(ValueError, match="kind='congestion'"):
-            CongestionLossProcess(self.PATHS, 4, traffic=TrafficConfig())
 
     def test_shape_and_fallback_rows(self):
         process = CongestionLossProcess(self.PATHS, 4)
@@ -928,7 +875,7 @@ class TestEndToEndCampaign:
                 tree_nodes=20, num_end_hosts=5, snapshots=4, probes=120
             ),
             num_training=4,
-            traffic=TrafficConfig(kind="congestion"),
+            traffic="congestion",
             estimators=(EstimatorSpec("lia"),),
         )
         prepared = scenario.prepare(3)
@@ -958,7 +905,7 @@ class TestEndToEndCampaign:
                 tree_nodes=25, num_end_hosts=6, snapshots=8, probes=300
             ),
             num_training=8,
-            traffic=TrafficConfig(kind="congestion"),
+            traffic="congestion",
             estimators=(EstimatorSpec("lia"),),
         )
         outcome = scenario.run(seed=0)

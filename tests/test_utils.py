@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.utils import check_count, check_real
 from repro.utils.rng import as_rng, derive_seed, spawn_rngs
 from repro.utils.tables import TextTable
 
@@ -34,6 +35,28 @@ class TestRng:
 
     def test_derive_seed_none(self):
         assert derive_seed(None, 4) is None
+
+
+class TestChecks:
+    @pytest.mark.parametrize("value", [3, -1, np.int64(3), np.int32(0)])
+    def test_count_accepts_integers(self, value):
+        assert check_count("n", value) is value
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_count_rejects_bool_and_non_integral(self, value):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            check_count("n", value)
+
+    @pytest.mark.parametrize("value", [0, 2.5, np.float64(-1.0), np.int64(4)])
+    def test_real_accepts_finite_numbers(self, value):
+        assert check_real("x", value) is value
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), False, "1.0", None]
+    )
+    def test_real_rejects_bool_non_finite_and_non_numbers(self, value):
+        with pytest.raises(ValueError, match="^x must be a finite number"):
+            check_real("x", value)
 
 
 class TestTextTable:

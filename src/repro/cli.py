@@ -49,7 +49,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.api import registry
+from repro.api import Scenario, registry
 from repro.core.variance import VARIANCE_METHODS
 from repro.experiments import EXPERIMENTS, SCALES
 from repro.netsim.sim.config import TRAFFIC_KINDS
@@ -89,7 +89,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.io import CampaignDocument, save_campaign
     from repro.lossmodel import INTERNET, LLRD1, LLRD2
-    from repro.probing import ProberConfig, ProbingSimulator
+    from repro.probing import ProberConfig
 
     models = {"llrd1": LLRD1, "llrd2": LLRD2, "internet": INTERNET}
     prepared = _prepare(args)
@@ -99,18 +99,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         congestion_probability=args.congestion,
         truth_mode=args.truth_mode,
     )
-    process = None
-    if args.traffic == "congestion":
-        from repro.lossmodel import CongestionLossProcess
-
-        process = CongestionLossProcess(paths, topology.network.num_links)
-    simulator = ProbingSimulator(
-        paths,
-        topology.network.num_links,
-        model=models[args.model],
-        process=process,
-        config=config,
-    )
+    scenario = Scenario(prober=config, model=models[args.model], traffic=args.traffic)
+    simulator = scenario.build_simulator(prepared)
     campaign = simulator.run_campaign(args.snapshots, routing, seed=args.seed)
     document = CampaignDocument(
         network=topology.network,

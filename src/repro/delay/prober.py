@@ -109,7 +109,8 @@ class DelayProbingSimulator:
             raise ValueError("congestion_probability must be in [0, 1]")
         if probes_per_snapshot <= 0:
             raise ValueError("probes_per_snapshot must be positive")
-        self._path_links = path_link_arrays(paths, num_physical_links)
+        indptr, indices = path_link_arrays(paths, num_physical_links)
+        self._path_links = np.split(indices, indptr[1:-1])
         rng = as_rng(seed)
         self.paths = list(paths)
         self.num_physical_links = num_physical_links

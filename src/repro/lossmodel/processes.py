@@ -17,8 +17,8 @@ fidelity for speed:
     the probe sent at that index.  All paths crossing a link observe the
     same realisation, which is exactly Assumption S.1.  The matrix is
     dense but mostly False at realistic rates: the Gilbert process
-    writes only its bad runs into it, and the packet prober reads back
-    only its True entries.
+    writes only its bad runs into it, and the packet prober packs each
+    row into 64-bit words before combining rows per path.
 
 ``sample_loss_fractions(loss_rates, num_probes, seed)``
     Per-link fraction of dropped probes for the snapshot (the flow-level

@@ -24,17 +24,17 @@ class AIMDController(CongestionController):
     BETA = 0.5
     #: Smoothed RTT before the first ack, in slots.
     RTT_GUESS = 1.0
+    #: The floor a loss backoff never takes the rate below.
+    MIN_RATE = 0.1
 
     def __init__(
         self,
         initial_rate: float,
-        min_rate: float = 0.1,
         max_rate: float = float("inf"),
     ) -> None:
-        if initial_rate <= 0 or min_rate <= 0:
+        if initial_rate <= 0:
             raise ValueError("rates must be positive")
         super().__init__(initial_rate)
-        self.min_rate = float(min_rate)
         self.max_rate = float(max_rate)
         self.srtt = self.RTT_GUESS
         self._last_backoff = float("-inf")
@@ -57,4 +57,4 @@ class AIMDController(CongestionController):
             return  # one halving per RTT window, like Reno
         self._last_backoff = now
         self.backoffs += 1
-        self.rate = max(self.min_rate, self.rate * self.BETA)
+        self.rate = max(self.MIN_RATE, self.rate * self.BETA)

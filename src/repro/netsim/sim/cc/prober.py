@@ -41,17 +41,17 @@ class RateProber(CongestionController):
     MIN_PROBE_DURATION = 1.5
     #: Multiplicative backoff on a loss (at most once per slot).
     LOSS_BETA = 0.9
+    #: The floor a loss backoff never takes the rate below.
+    MIN_RATE = 0.1
 
     def __init__(
         self,
         initial_rate: float,
-        min_rate: float = 0.1,
         max_rate: float = float("inf"),
     ) -> None:
-        if initial_rate <= 0 or min_rate <= 0:
+        if initial_rate <= 0:
             raise ValueError("rates must be positive")
         super().__init__(initial_rate)
-        self.min_rate = float(min_rate)
         self.max_rate = float(max_rate)
 
         self.state = PROBE  # start with an initial exponential probe
@@ -119,7 +119,7 @@ class RateProber(CongestionController):
             estimate = min(send_rate, recv_rate)
             self.rate = min(
                 self.max_rate,
-                max(self.min_rate, self.DRAIN_FACTOR * estimate),
+                max(self.MIN_RATE, self.DRAIN_FACTOR * estimate),
             )
         self.state = CRUISE
         self.probes_completed += 1
@@ -129,4 +129,4 @@ class RateProber(CongestionController):
         if now - self._last_backoff < 1.0:
             return
         self._last_backoff = now
-        self.rate = max(self.min_rate, self.rate * self.LOSS_BETA)
+        self.rate = max(self.MIN_RATE, self.rate * self.LOSS_BETA)

@@ -209,7 +209,6 @@ class CongestionSimulator:
                 route=(links[int(k)],),
                 cc=cc,
                 scheduler=scheduler,
-                bucket=2.0,
                 start_time=float(rng.random()),
                 stop_time=horizon,
             )
@@ -225,24 +224,15 @@ class CongestionSimulator:
             route_links = self._paths[int(rng.integers(len(self._paths)))]
             route = tuple(links[i] for i in route_links)
             if c < NUM_AIMD_FLOWS:
-                cc = AIMDController(
-                    initial_rate=max(cross_rate, 0.1),
-                    min_rate=0.1,
-                    max_rate=cross_cap,
-                )
+                cc = AIMDController(initial_rate=cross_rate, max_rate=cross_cap)
             else:
-                cc = RateProber(
-                    initial_rate=max(cross_rate, 0.1),
-                    min_rate=0.1,
-                    max_rate=cross_cap,
-                )
+                cc = RateProber(initial_rate=cross_rate, max_rate=cross_cap)
             cc.bind(rng)
             host = Host(
                 flow_id=flow_id,
                 route=route,
                 cc=cc,
                 scheduler=scheduler,
-                bucket=2.0,
                 start_time=float(rng.random()),
                 stop_time=horizon,
             )

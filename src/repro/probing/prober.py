@@ -8,7 +8,9 @@ modes exercise the same downstream estimator code:
   (a boolean drop sequence indexed by probe slot); a path's probe survives
   when *no* traversed link drops that slot.  All paths crossing a link see
   the same realisation, which makes Assumption S.1 hold exactly and
-  induces the cross-path covariance LIA feeds on.
+  induces the cross-path covariance LIA feeds on.  Each link's sequence
+  is packed into 64-bit words, so a path's lost slots are the popcount
+  of the OR of its links' words.
 * ``"flow"`` — each link contributes its snapshot loss *fraction*; a
   path's transmission rate is the product of per-link survival fractions,
   optionally re-sampled through a binomial to model path-level sampling
@@ -132,30 +134,20 @@ class ProbingSimulator:
             raise ValueError("need at least one probing path")
         if num_physical_links <= 0:
             raise ValueError("num_physical_links must be positive")
-        path_links = path_link_arrays(paths, num_physical_links)
         self.paths = list(paths)
         self.num_physical_links = num_physical_links
         self.model = model
         self.process = process if process is not None else GilbertProcess()
         self.config = config if config is not None else ProberConfig()
+        # Path ``i`` crosses links ``indices[indptr[i]:indptr[i + 1]]``.
+        indptr, self._path_links = path_link_arrays(paths, num_physical_links)
+        self._path_starts = indptr[:-1]
         # Sparse (paths x physical links) membership matrix: flow mode's
         # path rates are one matmul with the per-link log survivals.
-        indptr = np.zeros(len(self.paths) + 1, dtype=np.int64)
-        np.cumsum([links.size for links in path_links], out=indptr[1:])
-        indices = np.concatenate(path_links)
         self._membership = sparse.csr_matrix(
-            (
-                np.ones(indices.size, dtype=np.float64),
-                indices,
-                indptr,
-            ),
+            (np.ones(self._path_links.size), self._path_links, indptr),
             shape=(len(self.paths), num_physical_links),
         )
-        # Its transpose for packet mode: the paths through link ``l`` are
-        # ``_link_paths[_link_ptr[l]:_link_ptr[l + 1]]``.
-        by_link = self._membership.tocsc()
-        self._link_ptr = by_link.indptr.astype(np.int64)
-        self._link_paths = by_link.indices.astype(np.int64)
 
     # -- single snapshot -----------------------------------------------------
 
@@ -193,22 +185,22 @@ class ProbingSimulator:
         num_probes = self.config.probes_per_snapshot
         drops = self.process.sample_states(truth.loss_rates, num_probes, seed=rng)
         # A probe is lost on a path iff some link of the path dropped its
-        # slot.  Drops are sparse, so each dropped (link, slot) is fanned
-        # out to the paths through that link and marked in a path x slot
-        # mask.
+        # slot.  Each link's row is packed into 64-bit words (zero padding
+        # bits), a path's words are the OR of its links' words (no path is
+        # empty, so no ``reduceat`` segment is), and popcounts summed per
+        # row (a matmul: ``sum(axis=1)`` over a few uint8 columns is
+        # slower) give the lost and dropped slot counts.
         num_slots = drops.shape[1]
-        link, slot = np.divmod(np.flatnonzero(drops), num_slots)
-        begin = self._link_ptr[link]
-        fanout = self._link_ptr[link + 1] - begin
-        index = np.arange(int(fanout.sum())) + np.repeat(
-            begin - (np.cumsum(fanout) - fanout), fanout
+        packed = np.packbits(drops, axis=1)
+        words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), np.uint8)
+        words[:, : packed.shape[1]] = packed
+        words = words.view(np.uint64)
+        per_row = np.ones(words.shape[1], dtype=np.int64)
+        lost = np.bitwise_or.reduceat(
+            words[self._path_links], self._path_starts, axis=0
         )
-        lost = np.zeros((len(self.paths), num_slots), dtype=bool)
-        lost.ravel()[
-            self._link_paths[index] * num_slots + np.repeat(slot, fanout)
-        ] = True
-        rates = 1.0 - np.count_nonzero(lost, axis=1) / num_slots
-        dropped = np.bincount(link, minlength=drops.shape[0])
+        rates = 1.0 - (np.bitwise_count(lost) @ per_row) / num_slots
+        dropped = np.bitwise_count(words) @ per_row
         return rates, dropped / num_slots
 
     def _measure_flow(

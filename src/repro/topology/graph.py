@@ -11,7 +11,6 @@ tree (a prerequisite of Assumption T.2, no route fluttering).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -134,46 +133,58 @@ class Network:
 
     # -- routing -----------------------------------------------------------
 
-    def shortest_path_tree(self, source: NodeId) -> Dict[NodeId, Link]:
-        """Deterministic Dijkstra (unit weights) from *source*.
+    def shortest_path_trees(
+        self, sources: Sequence[NodeId]
+    ) -> List[Dict[NodeId, Link]]:
+        """Shortest-path trees (unit weights) from every source in one BFS.
 
-        Returns a parent map ``node -> incoming Link`` on the shortest-path
-        tree.  Ties are broken by preferring the smallest predecessor node
-        id, then the smallest link index; the tree is therefore a pure
-        function of the graph, which realises Assumption T.1.
+        Returns one parent map ``node -> incoming Link`` per source.  The
+        search is level-synchronous over the links sorted by (head, tail),
+        so the first candidate link into a node is the one from its
+        smallest predecessor node id (no two links share endpoints).  The
+        trees are therefore a pure function of the graph, which realises
+        Assumption T.1.
         """
-        if not self.has_node(source):
-            raise KeyError(f"unknown source node {source}")
-        dist: Dict[NodeId, int] = {source: 0}
-        parent: Dict[NodeId, Link] = {}
-        # Heap entries carry the tie-break key so that the first settled
-        # label for a node is the canonical one.
-        heap: List[Tuple[int, NodeId, int, NodeId]] = [(0, -1, -1, source)]
-        settled = set()
-        while heap:
-            d, _, _, node = heapq.heappop(heap)
-            if node in settled:
-                continue
-            settled.add(node)
-            for link in self._out[node]:
-                nd = d + 1
-                known = dist.get(link.head)
-                if known is None or nd < known or (
-                    nd == known
-                    and link.head not in settled
-                    and (node, link.index)
-                    < (parent[link.head].tail, parent[link.head].index)
-                ):
-                    dist[link.head] = nd
-                    parent[link.head] = link
-                    heapq.heappush(heap, (nd, node, link.index, link.head))
-        return parent
+        for source in sources:
+            if not self.has_node(source):
+                raise KeyError(f"unknown source node {source}")
+        size = max(self._out, default=-1) + 1
+        tail = np.fromiter((link.tail for link in self._links), np.int64)
+        head = np.fromiter((link.head for link in self._links), np.int64)
+        order = np.lexsort((tail, head))
+        tail, head = tail[order], head[order]
+        parent = np.full((len(sources), size), -1, dtype=np.int64)
+        seen = np.zeros((len(sources), size), dtype=bool)
+        seen[np.arange(len(sources)), np.array(sources, dtype=np.int64)] = True
+        frontier = seen.copy()
+        while True:
+            row, edge = np.nonzero(frontier[:, tail] & ~seen[:, head])
+            if not row.size:
+                break
+            node = head[edge]
+            first = np.ones(row.size, dtype=bool)
+            first[1:] = (row[1:] != row[:-1]) | (node[1:] != node[:-1])
+            row, node = row[first], node[first]
+            parent[row, node] = order[edge[first]]
+            seen[row, node] = True
+            frontier[:] = False
+            frontier[row, node] = True
+        trees = []
+        for row_links in parent:
+            nodes = np.flatnonzero(row_links >= 0)
+            links = [self._links[i] for i in row_links[nodes].tolist()]
+            trees.append(dict(zip(nodes.tolist(), links)))
+        return trees
+
+    def shortest_path_tree(self, source: NodeId) -> Dict[NodeId, Link]:
+        """The one-source case of :meth:`shortest_path_trees`."""
+        return self.shortest_path_trees([source])[0]
 
     def route(self, source: NodeId, dest: NodeId) -> Optional[List[Link]]:
         """Canonical shortest path ``source -> dest`` as a list of links.
 
         Returns ``None`` when *dest* is unreachable.  For batch routing use
-        :meth:`routes_from`, which amortises the Dijkstra run.
+        :meth:`routes_from`, which amortises the search.
         """
         routes = self.routes_from(source, [dest])
         return routes.get(dest)
@@ -182,23 +193,7 @@ class Network:
         self, source: NodeId, dests: Iterable[NodeId]
     ) -> Dict[NodeId, List[Link]]:
         """Canonical shortest paths from *source* to every node in *dests*."""
-        parent = self.shortest_path_tree(source)
-        out: Dict[NodeId, List[Link]] = {}
-        for dest in dests:
-            if dest == source:
-                out[dest] = []
-                continue
-            if dest not in parent:
-                continue  # unreachable; caller decides how to handle
-            hops: List[Link] = []
-            node = dest
-            while node != source:
-                link = parent[node]
-                hops.append(link)
-                node = link.tail
-            hops.reverse()
-            out[dest] = hops
-        return out
+        return _walk_routes(self.shortest_path_tree(source), source, dests)
 
     def is_connected_from(self, source: NodeId) -> bool:
         """True when every node is reachable from *source*."""
@@ -263,8 +258,9 @@ def build_paths(
     destination is unreachable unless *skip_unreachable* is set.
     """
     paths: List[Path] = []
-    for beacon in beacons:
-        routes = network.routes_from(beacon, destinations)
+    trees = network.shortest_path_trees(beacons)
+    for beacon, tree in zip(beacons, trees):
+        routes = _walk_routes(tree, beacon, destinations)
         for dest in destinations:
             if dest == beacon:
                 continue
@@ -279,20 +275,50 @@ def build_paths(
     return paths
 
 
-def path_link_arrays(paths: Sequence[Path], num_links: int) -> List[np.ndarray]:
-    """Each path's physical link indices, checked against ``0..num_links - 1``.
+def _walk_routes(
+    tree: Dict[NodeId, Link], source: NodeId, dests: Iterable[NodeId]
+) -> Dict[NodeId, List[Link]]:
+    """The paths from *source* to *dests* along its parent map *tree*."""
+    out: Dict[NodeId, List[Link]] = {}
+    for dest in dests:
+        if dest == source:
+            out[dest] = []
+            continue
+        if dest not in tree:
+            continue  # unreachable; caller decides how to handle
+        hops: List[Link] = []
+        node = dest
+        while node != source:
+            link = tree[node]
+            hops.append(link)
+            node = link.tail
+        hops.reverse()
+        out[dest] = hops
+    return out
 
-    The simulators index per-link arrays with these, so a negative or
-    too-large index would silently wrap or read past the end.
+
+def path_link_arrays(
+    paths: Sequence[Path], num_links: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The paths' physical link indices as flat ``(indptr, indices)`` rows.
+
+    Path ``i`` crosses links ``indices[indptr[i]:indptr[i + 1]]``, each
+    checked against ``0..num_links - 1``: the simulators index per-link
+    arrays with these, so a negative or too-large index would silently
+    wrap or read past the end.
     """
-    arrays = []
-    for row, path in enumerate(paths):
-        links = np.fromiter((link.index for link in path.links), dtype=np.int64)
-        bad = links[(links < 0) | (links >= num_links)]
-        if bad.size:
-            raise ValueError(
-                f"path {row} names link {int(bad[0])}, but the network has "
-                f"links 0..{num_links - 1}"
-            )
-        arrays.append(links)
-    return arrays
+    indptr = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum([len(path.links) for path in paths], out=indptr[1:])
+    indices = np.fromiter(
+        (link.index for path in paths for link in path.links),
+        dtype=np.int64,
+        count=int(indptr[-1]),
+    )
+    bad = np.flatnonzero((indices < 0) | (indices >= num_links))
+    if bad.size:
+        row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+        raise ValueError(
+            f"path {row} names link {int(indices[bad[0]])}, but the network "
+            f"has links 0..{num_links - 1}"
+        )
+    return indptr, indices

@@ -15,11 +15,15 @@ and drivers) to a run with every source on the event heap and an
 event-driven link that scheduled every service completion, trace for
 trace.  The seed's per-slot Gilbert
 chain is the control of the sojourn sampler's law tests: both must pass
-them.  Do not use any of these outside the tests.
+them.  The packet prober's packed-word loss counts are pinned to the
+fan-out scan that marked each dropped slot on every path through its
+link, and the one-BFS routes of every beacon to a heap Dijkstra per
+source.  Do not use any of these outside the tests.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
@@ -97,6 +101,71 @@ def gilbert_states_reference(
         current = np.where(current, uniforms[t] < stay, uniforms[t] < g2b)
         states[:, t + 1] = current
     return states
+
+
+def shortest_path_tree_reference(network, source) -> Dict[int, object]:
+    """The seed's heap Dijkstra (unit weights) from *source*.
+
+    Heap entries carry the tie-break key (predecessor node id, then link
+    index), so the first settled label for a node is the canonical one.
+    """
+    if not network.has_node(source):
+        raise KeyError(f"unknown source node {source}")
+    dist = {source: 0}
+    parent: Dict[int, object] = {}
+    heap: List[Tuple[int, int, int, int]] = [(0, -1, -1, source)]
+    settled = set()
+    while heap:
+        d, _, _, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for link in network.out_links(node):
+            nd = d + 1
+            known = dist.get(link.head)
+            if known is None or nd < known or (
+                nd == known
+                and link.head not in settled
+                and (node, link.index)
+                < (parent[link.head].tail, parent[link.head].index)
+            ):
+                dist[link.head] = nd
+                parent[link.head] = link
+                heapq.heappush(heap, (nd, node, link.index, link.head))
+    return parent
+
+
+def packet_counts_reference(
+    paths, num_links: int, drops: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The packet prober's fan-out scan of a ``(links, probes)`` drop matrix.
+
+    Each dropped (link, slot) is marked on every path through that link
+    in a paths x slots mask; returns the path transmission rates and the
+    per-link dropped fractions.
+    """
+    membership = sparse.csr_matrix(
+        (
+            np.ones(sum(len(p.links) for p in paths)),
+            [link.index for p in paths for link in p.links],
+            np.cumsum([0] + [len(p.links) for p in paths]),
+        ),
+        shape=(len(paths), num_links),
+    ).tocsc()
+    link_ptr = membership.indptr.astype(np.int64)
+    link_paths = membership.indices.astype(np.int64)
+    num_slots = drops.shape[1]
+    link, slot = np.divmod(np.flatnonzero(drops), num_slots)
+    begin = link_ptr[link]
+    fanout = link_ptr[link + 1] - begin
+    index = np.arange(int(fanout.sum())) + np.repeat(
+        begin - (np.cumsum(fanout) - fanout), fanout
+    )
+    lost = np.zeros((len(paths), num_slots), dtype=bool)
+    lost.ravel()[link_paths[index] * num_slots + np.repeat(slot, fanout)] = True
+    rates = 1.0 - np.count_nonzero(lost, axis=1) / num_slots
+    dropped = np.bincount(link, minlength=drops.shape[0])
+    return rates, dropped / num_slots
 
 
 def intersecting_pairs_reference(routing_matrix: np.ndarray) -> IntersectingPairs:
@@ -484,7 +553,7 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
         )
         cc.bind(rng)
         hosts[flow_id] = Host(
-            flow_id, (links[int(k)],), cc, scheduler, bucket=2.0,
+            flow_id, (links[int(k)],), cc, scheduler,
             start_time=float(rng.random()), stop_time=horizon,
         )
         hosts[flow_id].start()
@@ -499,13 +568,11 @@ def reference_run_snapshot(simulator, loss_rates, num_probes, seed):
             sim.AIMDController if c < sim.NUM_AIMD_FLOWS
             else sim.RateProber
         )
-        cc = controller(
-            initial_rate=max(cross_rate, 0.1), min_rate=0.1, max_rate=cross_cap
-        )
+        cc = controller(initial_rate=cross_rate, max_rate=cross_cap)
         cc.bind(rng)
         hosts[flow_id] = Host(
             flow_id, tuple(links[i] for i in route_links), cc, scheduler,
-            bucket=2.0, start_time=float(rng.random()), stop_time=horizon,
+            start_time=float(rng.random()), stop_time=horizon,
         )
         hosts[flow_id].start()
         flow_id += 1

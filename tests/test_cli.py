@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -225,6 +227,49 @@ class TestSimulateInfer:
         )
         assert code == 0
         assert main(["infer", str(doc)]) == 0
+
+
+@pytest.mark.parametrize("traffic", ["analytic", "congestion"])
+def test_simulate_writes_the_hand_wired_document(tmp_path, traffic):
+    """``simulate`` builds its prober through the Scenario, byte for byte."""
+    from types import SimpleNamespace
+
+    from repro.io import CampaignDocument, save_campaign
+    from repro.lossmodel import LLRD2, CongestionLossProcess
+    from repro.probing import ProberConfig, ProbingSimulator
+    from repro.topology.prepare import prepare_topology
+
+    written = tmp_path / "cli.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["simulate", "--topology", "tree", "--size", "24", "--hosts", "4",
+              "--snapshots", "3", "--probes", "150", "--congestion", "0.2",
+              "--model", "llrd2", "--truth-mode", "redraw",
+              "--traffic", traffic, "--seed", "3", "--out", str(written)])
+    sizing = SimpleNamespace(tree_nodes=24, mesh_nodes=24, num_end_hosts=4)
+    prepared = prepare_topology("tree", sizing, 3)
+    network = prepared.topology.network
+    process = None
+    if traffic == "congestion":
+        process = CongestionLossProcess(prepared.paths, network.num_links)
+    config = ProberConfig(
+        probes_per_snapshot=150, congestion_probability=0.2, truth_mode="redraw"
+    )
+    simulator = ProbingSimulator(
+        prepared.paths, network.num_links, model=LLRD2, process=process, config=config
+    )
+    campaign = simulator.run_campaign(3, prepared.routing, seed=3)
+    expected = tmp_path / "hand.json"
+    save_campaign(
+        CampaignDocument(
+            network=network,
+            beacons=prepared.topology.beacons,
+            destinations=prepared.topology.destinations,
+            paths=prepared.paths,
+            snapshots=list(campaign.snapshots),
+        ),
+        expected,
+    )
+    assert written.read_bytes() == expected.read_bytes()
 
 
 def test_infer_rejects_nan_rate(tmp_path):

@@ -416,7 +416,7 @@ class TestControllers:
         )
 
     def test_aimd_sawtooth(self):
-        cc = AIMDController(initial_rate=4.0, min_rate=0.1)
+        cc = AIMDController(initial_rate=4.0)
         cc.on_loss(10.0, self._packet())
         assert cc.rate == pytest.approx(2.0)
         # refractory: a second loss within one RTT does not halve again

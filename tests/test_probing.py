@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from tests.oracles import log_matrix_reference
+from tests.oracles import log_matrix_reference, packet_counts_reference
 from repro.delay import DelayProbingSimulator
+from repro.experiments.base import scale_params
 from repro.lossmodel import LLRD2, BernoulliProcess, GilbertProcess
-from repro.lossmodel.assignment import draw_snapshot_truth
+from repro.lossmodel.assignment import SnapshotGroundTruth, draw_snapshot_truth
+from repro.lossmodel.processes import LossProcess
 from repro.probing import (
     MeasurementCampaign,
     ProberConfig,
@@ -15,6 +17,7 @@ from repro.probing import (
     log_with_floor,
 )
 from repro.topology.graph import Link, Path
+from repro.topology.prepare import MESH_TOPOLOGY_KINDS, prepare_topology
 
 
 class TestLogFloor:
@@ -155,6 +158,71 @@ class TestPacketCounts:
             snap.path_transmission, 1.0 - (counts > 0).mean(axis=1)
         )
         assert np.array_equal(snap.realized_loss_fractions, drops.mean(axis=1))
+
+
+class RecordingProcess(LossProcess):
+    """Gilbert losses that keep the last drop matrix handed to the prober."""
+
+    def __init__(self):
+        self.drops = None
+
+    def sample_states(self, loss_rates, num_probes, seed=None):
+        self.drops = GilbertProcess().sample_states(loss_rates, num_probes, seed)
+        return self.drops
+
+
+class TestPackedScan:
+    """The packed 64-bit word counts against the fan-out scan, bit for bit."""
+
+    _prepared = {}
+
+    @classmethod
+    def paths_for(cls, kind):
+        """The family's tiny-scale paths plus a one-link path."""
+        if kind not in cls._prepared:
+            prepared = prepare_topology(kind, scale_params("tiny"), 3)
+            paths = list(prepared.paths)
+            link = paths[0].links[0]
+            paths.append(
+                Path(index=len(paths), source=link.tail, dest=link.head, links=(link,))
+            )
+            cls._prepared[kind] = (paths, prepared.topology.network.num_links)
+        return cls._prepared[kind]
+
+    @staticmethod
+    def measure(paths, num_links, loss_rates, num_probes):
+        process = RecordingProcess()
+        config = ProberConfig(probes_per_snapshot=num_probes)
+        sim = ProbingSimulator(paths, num_links, process=process, config=config)
+        truth = SnapshotGroundTruth(congested=loss_rates > 0, loss_rates=loss_rates)
+        snap = sim.run_snapshot(seed=4, truth=truth)
+        want = packet_counts_reference(paths, num_links, process.drops)
+        return snap, process.drops, want
+
+    @pytest.mark.parametrize("num_probes", [1, 63, 64, 65, 600])
+    @pytest.mark.parametrize("kind", ("tree",) + MESH_TOPOLOGY_KINDS)
+    def test_matches_fanout_scan(self, kind, num_probes):
+        paths, num_links = self.paths_for(kind)
+        rates = draw_snapshot_truth(num_links, 0.3, LLRD2, seed=5).loss_rates.copy()
+        rates[paths[-1].links[0].index] = 1.0  # an all-dropped row
+        snap, drops, (want_rates, want_fractions) = self.measure(
+            paths, num_links, rates, num_probes
+        )
+        assert drops[paths[-1].links[0].index].all()
+        assert np.array_equal(snap.path_transmission, want_rates)
+        assert np.array_equal(snap.realized_loss_fractions, want_fractions)
+        assert snap.path_transmission[-1] == 0.0
+
+    @pytest.mark.parametrize("num_probes", [1, 64, 65])
+    def test_all_clear_snapshot(self, num_probes):
+        paths, num_links = self.paths_for("tree")
+        snap, drops, (want_rates, want_fractions) = self.measure(
+            paths, num_links, np.zeros(num_links), num_probes
+        )
+        assert not drops.any()
+        assert np.array_equal(snap.path_transmission, np.ones(len(paths)))
+        assert np.array_equal(snap.path_transmission, want_rates)
+        assert np.array_equal(snap.realized_loss_fractions, want_fractions)
 
 
 class TestInputValidation:

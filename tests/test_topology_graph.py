@@ -2,7 +2,10 @@
 
 import pytest
 
+from tests.oracles import shortest_path_tree_reference
+from repro.experiments.base import scale_params
 from repro.topology.graph import Network, Path, build_paths
+from repro.topology.prepare import MESH_TOPOLOGY_KINDS, make_topology
 
 
 def line_network(n: int) -> Network:
@@ -112,6 +115,63 @@ class TestRouting:
         net = line_network(4)
         assert net.is_connected_from(0)
         assert not net.is_connected_from(3)  # directed line
+
+
+class TestBatchedRoutes:
+    """Every source's tree from one BFS against a heap Dijkstra per source."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ("tree",) + MESH_TOPOLOGY_KINDS)
+    def test_generator_families(self, kind, seed):
+        net = make_topology(kind, scale_params("tiny"), seed).network
+        sources = list(net.nodes())
+        trees = net.shortest_path_trees(sources)
+        assert trees == [shortest_path_tree_reference(net, s) for s in sources]
+
+    def test_smallest_predecessor_wins_over_link_order(self):
+        net = Network()
+        net.add_link(0, 2)
+        net.add_link(0, 1)
+        net.add_link(2, 3)  # added before 1 -> 3, but 1 < 2 is the parent
+        net.add_link(1, 3)
+        assert [h.tail for h in net.route(0, 3)] == [0, 1]
+        assert net.shortest_path_tree(0) == shortest_path_tree_reference(net, 0)
+
+    def test_sparse_node_ids(self):
+        net = Network()
+        net.add_duplex(3, 9)
+        net.add_duplex(9, 40)
+        net.add_node(17)  # isolated
+        for source in (3, 9, 17, 40):
+            want = shortest_path_tree_reference(net, source)
+            assert net.shortest_path_tree(source) == want
+        assert not net.is_connected_from(3)
+
+    def test_no_beacons_no_paths(self):
+        assert line_network(3).shortest_path_trees([]) == []
+        assert build_paths(line_network(3), [], [2]) == []
+
+    def test_unknown_source_in_batch_raises(self):
+        with pytest.raises(KeyError, match="99"):
+            line_network(3).shortest_path_trees([0, 99])
+
+    @staticmethod
+    def two_islands() -> Network:
+        net = Network()
+        net.add_duplex(0, 1)
+        net.add_duplex(1, 2)
+        net.add_duplex(3, 4)
+        return net
+
+    def test_disconnected_skip_unreachable(self):
+        paths = build_paths(self.two_islands(), [0, 3], [2, 4], skip_unreachable=True)
+        assert [(p.source, p.dest) for p in paths] == [(0, 2), (3, 4)]
+        assert [p.index for p in paths] == [0, 1]
+        assert [h.tail for h in paths[0].links] == [0, 1]
+
+    def test_disconnected_raises(self):
+        with pytest.raises(ValueError, match="destination 4 unreachable from 0"):
+            build_paths(self.two_islands(), [0, 3], [2, 4])
 
 
 class TestPath:

@@ -5,6 +5,10 @@ in between: they meet, diverge, and meet again.  Theorem 1 requires that no
 pair of probing paths flutters.  The paper removes fluttering paths from the
 routing matrix before inference (Section 7.1 removed 52 of 48 151 paths); we
 provide the same filter.
+
+Detection sorts the paths' flat ``(indptr, indices)`` rows by link and
+reads each sharing pair's count and position span of shared links with
+``reduceat``, with no per-pair Python loop.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.topology.graph import Path
+from repro.topology.graph import Path, flatten_paths
 from repro.topology.routing import within_group_pairs
 
 
@@ -52,11 +56,13 @@ def paths_flutter(path_a: Path, path_b: Path) -> bool:
 def find_fluttering_pairs(paths: Sequence[Path]) -> List[Tuple[int, int]]:
     """All fluttering pairs, as (row, row) index tuples with row_a < row_b.
 
-    Works on the path-by-link incidence with each link's position on its
-    path.  Every pair of incidences of one link on two paths is one
-    shared link of that pair; a pair sharing at most one link can never
-    flutter.  For a pair of simple paths, its shared links are
-    contiguous along a path exactly when their positions there span
+    Works on the paths' flat ``(indptr, indices)`` rows
+    (:func:`~repro.topology.graph.flatten_paths`, the arrays the routing
+    matrix and the prober read) as the path-by-link incidence, with each
+    link's position on its path.  Every pair of incidences of one link on
+    two paths is one shared link of that pair; a pair sharing at most one
+    link can never flutter.  For a pair of simple paths, its shared links
+    are contiguous along a path exactly when their positions there span
     ``count`` consecutive slots, so the pair flutters when
     ``max - min + 1 != count`` on either path.  A path that visits a
     link twice breaks that count, so its candidate pairs are settled by
@@ -64,12 +70,8 @@ def find_fluttering_pairs(paths: Sequence[Path]) -> List[Tuple[int, int]]:
     :func:`~repro.topology.routing.within_group_pairs`, the enumeration
     that also builds the augmented matrix's intersecting pairs.
     """
-    lengths = np.fromiter((len(p.links) for p in paths), dtype=np.int64)
-    links = np.fromiter(
-        (link.index for p in paths for link in p.links),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
+    indptr, links = flatten_paths(paths)
+    lengths = np.diff(indptr)
     path_of = np.repeat(np.arange(lengths.size), lengths)
     position = np.arange(links.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     # Group incidences by link; a stable sort keeps paths ascending.
@@ -130,18 +132,8 @@ def remove_fluttering_paths(
         removed.add(victim)
         pairs = [p for p in pairs if victim not in p]
 
-    kept: List[Path] = []
-    for i, path in enumerate(paths):
-        if i in removed:
-            continue
-        kept.append(
-            Path(
-                index=len(kept),
-                source=path.source,
-                dest=path.dest,
-                links=path.links,
-            )
-        )
+    survivors = [path for i, path in enumerate(paths) if i not in removed]
+    kept = [Path(k, path.source, path.dest, path.links) for k, path in enumerate(survivors)]
     return kept, sorted(removed)
 
 

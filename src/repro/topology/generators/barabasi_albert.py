@@ -8,11 +8,9 @@ directed link pairs.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-
 from repro.topology.generators.common import (
     GeneratedTopology,
+    preferential_attachment_edges,
     select_end_hosts,
     undirected_edges_to_network,
 )
@@ -28,34 +26,15 @@ def barabasi_albert(
 ) -> GeneratedTopology:
     """Generate a BA topology; low-degree nodes become the end-hosts.
 
-    The repeated-nodes trick gives degree-proportional sampling in O(1)
-    per draw: every edge endpoint is appended to ``targets_pool``, and a
-    uniform draw from the pool is a preferential draw over nodes.
+    The repeated-nodes trick of
+    :func:`~repro.topology.generators.common.preferential_attachment_edges`
+    gives degree-proportional sampling in O(1) per draw.
     """
     if attachment < 1:
         raise ValueError(f"attachment must be >= 1, got {attachment}")
     if num_nodes <= attachment + 1:
         raise ValueError("num_nodes must exceed attachment + 1")
-    rng = as_rng(seed)
-
-    edges: List[Tuple[int, int]] = []
-    pool: List[int] = []
-    # Seed clique over the first (attachment + 1) nodes keeps early draws
-    # well defined and the graph connected from the start.
-    seed_size = attachment + 1
-    for a in range(seed_size):
-        for b in range(a + 1, seed_size):
-            edges.append((a, b))
-            pool.extend((a, b))
-
-    for node in range(seed_size, num_nodes):
-        chosen: set = set()
-        while len(chosen) < attachment:
-            chosen.add(int(pool[int(rng.integers(len(pool)))]))
-        for target in sorted(chosen):
-            edges.append((node, target))
-            pool.extend((node, target))
-
+    edges = preferential_attachment_edges(as_rng(seed), num_nodes, attachment)
     net = undirected_edges_to_network(num_nodes, edges)
     hosts = select_end_hosts(net, num_end_hosts)
     return GeneratedTopology(

@@ -36,13 +36,7 @@ class GeneratedTopology:
     @property
     def end_hosts(self) -> List[NodeId]:
         """Beacons and destinations, deduplicated, in stable order."""
-        seen: Set[NodeId] = set()
-        hosts: List[NodeId] = []
-        for node in list(self.beacons) + list(self.destinations):
-            if node not in seen:
-                seen.add(node)
-                hosts.append(node)
-        return hosts
+        return list(dict.fromkeys(list(self.beacons) + list(self.destinations)))
 
     def summary(self) -> str:
         return (
@@ -72,18 +66,46 @@ def select_end_hosts(network: Network, count: int) -> List[NodeId]:
 def undirected_edges_to_network(
     num_nodes: int, edges: Iterable[Tuple[int, int]]
 ) -> Network:
-    """Materialise an undirected edge list as a duplex directed Network."""
-    net = Network()
-    for node in range(num_nodes):
-        net.add_node(node)
-    seen: Set[Tuple[int, int]] = set()
-    for a, b in edges:
-        key = (min(a, b), max(a, b))
-        if key in seen or a == b:
-            continue
-        seen.add(key)
-        net.add_duplex(a, b)
-    return net
+    """Materialise an undirected edge list as a duplex directed Network.
+
+    Self-loops and repeats of an edge (in either orientation) are dropped;
+    the k-th kept edge ``(a, b)`` becomes links ``2k`` (``a -> b``) and
+    ``2k + 1`` (``b -> a``), built by :meth:`Network.from_links`.
+    """
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    a, b = pairs[:, 0], pairs[:, 1]
+    proper = np.flatnonzero(a != b)
+    key = np.minimum(a, b) * max(num_nodes, 1) + np.maximum(a, b)
+    _, first = np.unique(key[proper], return_index=True)
+    kept = proper[np.sort(first)]
+    tails = np.stack((a[kept], b[kept]), axis=1).reshape(-1)
+    heads = np.stack((b[kept], a[kept]), axis=1).reshape(-1)
+    return Network.from_links(num_nodes, tails, heads)
+
+
+def preferential_attachment_edges(
+    rng: np.random.Generator, num_nodes: int, attachment: int
+) -> List[Tuple[int, int]]:
+    """Barabási–Albert growth from an ``attachment + 1`` clique seed.
+
+    Every edge endpoint is appended to a pool, so a uniform draw from the
+    pool is a degree-proportional draw over nodes; each new node redraws
+    until it has ``attachment`` distinct targets.
+    """
+    edges: List[Tuple[int, int]] = []
+    pool: List[int] = []
+    for a in range(attachment + 1):
+        for b in range(a + 1, attachment + 1):
+            edges.append((a, b))
+            pool.extend((a, b))
+    for node in range(attachment + 1, num_nodes):
+        chosen: Set[int] = set()
+        while len(chosen) < attachment:
+            chosen.add(int(pool[int(rng.integers(len(pool)))]))
+        for target in sorted(chosen):
+            edges.append((node, target))
+            pool.extend((node, target))
+    return edges
 
 
 def connect_components(

@@ -19,10 +19,13 @@ exactly the contrast the paper draws between the two data sets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List
 
 
-from repro.topology.generators.common import GeneratedTopology
+from repro.topology.generators.common import (
+    GeneratedTopology,
+    preferential_attachment_edges,
+)
 from repro.topology.graph import Network
 from repro.utils.rng import SeedLike, as_rng
 
@@ -43,21 +46,7 @@ def dimes_like(
         raise ValueError("transit_fraction must be in (0, 1)")
     rng = as_rng(seed)
 
-    # AS-level preferential attachment via the repeated-endpoints pool.
-    as_edges: List[Tuple[int, int]] = []
-    pool: List[int] = []
-    seed_size = attachment + 1
-    for a in range(seed_size):
-        for b in range(a + 1, seed_size):
-            as_edges.append((a, b))
-            pool.extend((a, b))
-    for asn in range(seed_size, num_ases):
-        chosen: Set[int] = set()
-        while len(chosen) < attachment:
-            chosen.add(int(pool[int(rng.integers(len(pool)))]))
-        for target in sorted(chosen):
-            as_edges.append((asn, target))
-            pool.extend((asn, target))
+    as_edges = preferential_attachment_edges(rng, num_ases, attachment)
 
     degree: Dict[int, int] = {asn: 0 for asn in range(num_ases)}
     for a, b in as_edges:

@@ -10,12 +10,16 @@ unlike the classical flat Waxman whose edge count grows quadratically.
 
 Every undirected edge becomes a duplex pair of directed links, since each
 direction is an independent tomography unknown.
+
+The kernel is computed once, as one n x n array, and each node draws its
+targets with an inline copy of ``Generator.choice(replace=False, p=...)``:
+the same draws without its per-call overhead.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,22 +56,47 @@ def waxman_growth_edges(
     for a in range(seed_size):
         for b in range(a + 1, seed_size):
             edges.append((a, b))
+    # The kernel of every node pair in place (two n x n arrays at most);
+    # row ``node``'s first ``node`` entries are its draw's weights.
+    kernel = np.subtract.outer(xy[:, 0], xy[:, 0])
+    np.hypot(kernel, np.subtract.outer(xy[:, 1], xy[:, 1]), out=kernel)
+    kernel /= -beta * max_dist
+    np.exp(kernel, out=kernel)
+    kernel *= alpha
     for node in range(seed_size, num_nodes):
-        d = np.hypot(
-            xy[:node, 0] - xy[node, 0], xy[:node, 1] - xy[node, 1]
-        )
-        kernel = alpha * np.exp(-d / (beta * max_dist))
-        total = kernel.sum()
+        total = kernel[node, :node].sum()
         if total <= 0:
             probabilities = np.full(node, 1.0 / node)
         else:
-            probabilities = kernel / total
-        targets = rng.choice(
-            node, size=links_per_node, replace=False, p=probabilities
-        )
-        for target in sorted(int(t) for t in targets):
+            probabilities = kernel[node, :node] / total
+        for target in sorted(_weighted_sample(rng, probabilities, links_per_node)):
             edges.append((node, target))
     return edges
+
+
+def _weighted_sample(rng: np.random.Generator, p: np.ndarray, size: int) -> List[int]:
+    """``rng.choice(len(p), size, replace=False, p=p)``, draw for draw.
+
+    numpy's loop without its per-call checks: one uniform per missing
+    target through the normalised cumulative sum, first occurrences kept,
+    and a redraw with the targets found so far zeroed.  The targets and
+    the generator's state afterwards equal ``rng.choice``'s.
+    """
+    found: List[int] = []
+    weights = p
+    while len(found) < size:
+        uniforms = rng.random(size - len(found))
+        if found:
+            if np.count_nonzero(p > 0) < size:
+                raise ValueError("fewer non-zero probabilities than targets")
+            weights = p.copy()
+            weights[found] = 0
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        for target in cdf.searchsorted(uniforms, side="right").tolist():
+            if target not in found:
+                found.append(target)
+    return found
 
 
 def waxman(
@@ -93,9 +122,7 @@ def waxman(
     edges = waxman_growth_edges(rng, xy, links_per_node, alpha, beta)
     net = undirected_edges_to_network(num_nodes, edges)
     hosts = select_end_hosts(net, num_end_hosts)
-    positions: Dict[int, Tuple[float, float]] = {
-        i: (float(xy[i, 0]), float(xy[i, 1])) for i in range(num_nodes)
-    }
+    positions = dict(enumerate(map(tuple, xy.tolist())))
     return GeneratedTopology(
         name=name,
         network=net,

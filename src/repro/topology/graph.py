@@ -7,14 +7,22 @@ shortest-path routing.  Routing is *destination-consistent*: ties are broken
 by a canonical ordering so that repeated computations give identical paths
 (Assumption T.1, time-invariant routing) and paths from one source form a
 tree (a prerequisite of Assumption T.2, no route fluttering).
+
+Routing works on arrays: one BFS gives every beacon's parent link and
+depth at every node, and :func:`build_paths` walks all routes back from
+them at once, one gather per hop, into flat ``(indptr, indices)`` rows
+that become :class:`Path` objects; array consumers re-flatten the paths
+with :func:`flatten_paths`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.utils.checks import check_count
 
 NodeId = int
 
@@ -90,6 +98,34 @@ class Network:
         """Add both directions between *a* and *b*."""
         return self.add_link(a, b), self.add_link(b, a)
 
+    @classmethod
+    def from_links(cls, num_nodes: int, tails, heads) -> "Network":
+        """Nodes ``0..num_nodes - 1`` and links ``tails[i] -> heads[i]``.
+
+        What :meth:`add_link` per link would build, checks included, in
+        one pass: link ``i`` gets index ``i``.
+        """
+        tails, heads = np.asarray(tails, np.int64), np.asarray(heads, np.int64)
+        key = tails * num_nodes + heads
+        first = np.zeros(key.size, dtype=bool)
+        first[np.unique(key, return_index=True)[1]] = True
+        outside = (np.minimum(tails, heads) < 0) | (np.maximum(tails, heads) >= num_nodes)
+        for bad, what in ((outside, f"leaves nodes 0..{num_nodes - 1}"),
+                          (tails == heads, "is a self-loop"), (~first, "is a duplicate")):
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"link {tails[k]}->{heads[k]} {what}")
+        net = cls()
+        net._out = {node: [] for node in range(num_nodes)}
+        net._in = {node: [] for node in range(num_nodes)}
+        tails, heads = tails.tolist(), heads.tolist()
+        net._links = list(map(Link, range(len(tails)), tails, heads))
+        for link, tail, head in zip(net._links, tails, heads):
+            net._out[tail].append(link)
+            net._in[head].append(link)
+        net._by_endpoints = dict(zip(zip(tails, heads), net._links))
+        return net
+
     # -- queries -----------------------------------------------------------
 
     @property
@@ -133,17 +169,17 @@ class Network:
 
     # -- routing -----------------------------------------------------------
 
-    def shortest_path_trees(
-        self, sources: Sequence[NodeId]
-    ) -> List[Dict[NodeId, Link]]:
-        """Shortest-path trees (unit weights) from every source in one BFS.
+    def _bfs(self, sources: Sequence[NodeId]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(parent, depth, tail)`` of a BFS (unit weights) from every source.
 
-        Returns one parent map ``node -> incoming Link`` per source.  The
-        search is level-synchronous over the links sorted by (head, tail),
-        so the first candidate link into a node is the one from its
-        smallest predecessor node id (no two links share endpoints).  The
-        trees are therefore a pure function of the graph, which realises
-        Assumption T.1.
+        ``parent[s, v]`` is the index of the link into node ``v`` on the
+        tree of ``sources[s]`` (-1 off the tree or at the source) and
+        ``depth[s, v]`` its hop count (-1 when unreachable); ``tail[i]`` is
+        link ``i``'s tail.  The search is level-synchronous over the links
+        sorted by (head, tail), so the first candidate link into a node is
+        the one from its smallest predecessor node id (no two links share
+        endpoints).  The trees are therefore a pure function of the graph,
+        which realises Assumption T.1.
         """
         for source in sources:
             if not self.has_node(source):
@@ -152,25 +188,28 @@ class Network:
         tail = np.fromiter((link.tail for link in self._links), np.int64)
         head = np.fromiter((link.head for link in self._links), np.int64)
         order = np.lexsort((tail, head))
-        tail, head = tail[order], head[order]
+        sorted_tail, sorted_head = tail[order], head[order]
         parent = np.full((len(sources), size), -1, dtype=np.int64)
-        seen = np.zeros((len(sources), size), dtype=bool)
-        seen[np.arange(len(sources)), np.array(sources, dtype=np.int64)] = True
-        frontier = seen.copy()
+        depth = np.full((len(sources), size), -1, dtype=np.int64)
+        depth[np.arange(len(sources)), np.array(sources, dtype=np.int64)] = 0
+        level = 0
         while True:
-            row, edge = np.nonzero(frontier[:, tail] & ~seen[:, head])
+            frontier = depth[:, sorted_tail] == level
+            row, edge = np.nonzero(frontier & (depth[:, sorted_head] < 0))
             if not row.size:
-                break
-            node = head[edge]
+                return parent, depth, tail
+            level += 1
+            node = sorted_head[edge]
             first = np.ones(row.size, dtype=bool)
             first[1:] = (row[1:] != row[:-1]) | (node[1:] != node[:-1])
             row, node = row[first], node[first]
             parent[row, node] = order[edge[first]]
-            seen[row, node] = True
-            frontier[:] = False
-            frontier[row, node] = True
+            depth[row, node] = level
+
+    def shortest_path_trees(self, sources: Sequence[NodeId]) -> List[Dict[NodeId, Link]]:
+        """One parent map ``node -> incoming Link`` per source, from :meth:`_bfs`."""
         trees = []
-        for row_links in parent:
+        for row_links in self._bfs(sources)[0]:
             nodes = np.flatnonzero(row_links >= 0)
             links = [self._links[i] for i in row_links[nodes].tolist()]
             trees.append(dict(zip(nodes.tolist(), links)))
@@ -183,17 +222,13 @@ class Network:
     def route(self, source: NodeId, dest: NodeId) -> Optional[List[Link]]:
         """Canonical shortest path ``source -> dest`` as a list of links.
 
-        Returns ``None`` when *dest* is unreachable.  For batch routing use
-        :meth:`routes_from`, which amortises the search.
+        Empty when *dest* is *source*; ``None`` when it is unreachable.
+        For batch routing use :func:`build_paths`.
         """
-        routes = self.routes_from(source, [dest])
-        return routes.get(dest)
-
-    def routes_from(
-        self, source: NodeId, dests: Iterable[NodeId]
-    ) -> Dict[NodeId, List[Link]]:
-        """Canonical shortest paths from *source* to every node in *dests*."""
-        return _walk_routes(self.shortest_path_tree(source), source, dests)
+        if dest == source:
+            return []
+        paths = build_paths(self, [source], [dest], skip_unreachable=True)
+        return list(paths[0].links) if paths else None
 
     def is_connected_from(self, source: NodeId) -> bool:
         """True when every node is reachable from *source*."""
@@ -245,6 +280,20 @@ class Path:
         return f"P{self.index}({self.source}->{self.dest}, {self.length} hops)"
 
 
+def _endpoints(network: Network, role: str, nodes: Sequence[NodeId]) -> List[NodeId]:
+    """*nodes* as a list, each checked to be a distinct integer node id."""
+    nodes = list(nodes)
+    for node in nodes:
+        if type(node) is not int:
+            check_count(role, node)
+        if not network.has_node(node):
+            raise KeyError(f"unknown {role} node {node}")
+    if len(set(nodes)) < len(nodes):
+        repeated = next(node for k, node in enumerate(nodes) if node in nodes[:k])
+        raise ValueError(f"{role} {repeated} is repeated")
+    return nodes
+
+
 def build_paths(
     network: Network,
     beacons: Sequence[NodeId],
@@ -254,66 +303,60 @@ def build_paths(
     """Compute the canonical probing paths beacon -> destination.
 
     One path per (beacon, destination) pair with ``beacon != destination``,
-    mirroring Section 3: every beacon probes every destination.  Raises if a
-    destination is unreachable unless *skip_unreachable* is set.
+    beacon-major, mirroring Section 3: every beacon probes every
+    destination.  Raises ``KeyError`` for an endpoint that is not a node,
+    ``ValueError`` for one that is not an integer or is repeated, and
+    ``ValueError`` if a destination is unreachable unless
+    *skip_unreachable* is set.
     """
-    paths: List[Path] = []
-    trees = network.shortest_path_trees(beacons)
-    for beacon, tree in zip(beacons, trees):
-        routes = _walk_routes(tree, beacon, destinations)
-        for dest in destinations:
-            if dest == beacon:
-                continue
-            hops = routes.get(dest)
-            if hops is None:
-                if skip_unreachable:
-                    continue
-                raise ValueError(f"destination {dest} unreachable from {beacon}")
-            paths.append(
-                Path(index=len(paths), source=beacon, dest=dest, links=tuple(hops))
-            )
-    return paths
+    beacons = _endpoints(network, "source", beacons)
+    parent, depth, tail = network._bfs(beacons)
+    sources = np.array(beacons, dtype=np.int64)
+    dests = np.array(_endpoints(network, "destination", destinations), dtype=np.int64)
+    row, column = np.nonzero(sources[:, None] != dests[None, :])
+    dest = dests[column]
+    length = depth[row, dest]
+    unreachable = length < 0
+    if unreachable.any():
+        if not skip_unreachable:
+            k = int(np.argmax(unreachable))
+            raise ValueError(f"destination {dest[k]} unreachable from {sources[row[k]]}")
+        row, dest, length = row[~unreachable], dest[~unreachable], length[~unreachable]
+    indptr = np.zeros(row.size + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    # Walk every route back from its destination, one gather per hop,
+    # filling its flat row from the last slot.
+    slot, node, walking = indptr[1:] - 1, dest, row
+    while slot.size:
+        link = parent[walking, node]
+        indices[slot] = link
+        node = tail[link]
+        more = node != sources[walking]
+        slot, node, walking = slot[more] - 1, node[more], walking[more]
+    hops = [network._links[i] for i in indices.tolist()]
+    bounds = indptr.tolist()
+    return [
+        Path(index=i, source=source, dest=dest, links=tuple(hops[bounds[i]:bounds[i + 1]]))
+        for i, (source, dest) in enumerate(zip(sources[row].tolist(), dest.tolist()))
+    ]
 
 
-def _walk_routes(
-    tree: Dict[NodeId, Link], source: NodeId, dests: Iterable[NodeId]
-) -> Dict[NodeId, List[Link]]:
-    """The paths from *source* to *dests* along its parent map *tree*."""
-    out: Dict[NodeId, List[Link]] = {}
-    for dest in dests:
-        if dest == source:
-            out[dest] = []
-            continue
-        if dest not in tree:
-            continue  # unreachable; caller decides how to handle
-        hops: List[Link] = []
-        node = dest
-        while node != source:
-            link = tree[node]
-            hops.append(link)
-            node = link.tail
-        hops.reverse()
-        out[dest] = hops
-    return out
-
-
-def path_link_arrays(
-    paths: Sequence[Path], num_links: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The paths' physical link indices as flat ``(indptr, indices)`` rows.
-
-    Path ``i`` crosses links ``indices[indptr[i]:indptr[i + 1]]``, each
-    checked against ``0..num_links - 1``: the simulators index per-link
-    arrays with these, so a negative or too-large index would silently
-    wrap or read past the end.
-    """
+def flatten_paths(paths: Sequence[Path]) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(indptr, indices)`` rows: path ``i`` crosses ``indices[indptr[i]:indptr[i + 1]]``."""
     indptr = np.zeros(len(paths) + 1, dtype=np.int64)
     np.cumsum([len(path.links) for path in paths], out=indptr[1:])
-    indices = np.fromiter(
-        (link.index for path in paths for link in path.links),
-        dtype=np.int64,
-        count=int(indptr[-1]),
-    )
+    links = (link.index for path in paths for link in path.links)
+    return indptr, np.fromiter(links, dtype=np.int64, count=int(indptr[-1]))
+
+
+def path_link_arrays(paths: Sequence[Path], num_links: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`flatten_paths`, each index checked against ``0..num_links - 1``.
+
+    The simulators index per-link arrays with these, so a negative or
+    too-large index would silently wrap or read past the end.
+    """
+    indptr, indices = flatten_paths(paths)
     bad = np.flatnonzero((indices < 0) | (indices >= num_links))
     if bad.size:
         row = int(np.searchsorted(indptr, bad[0], side="right")) - 1

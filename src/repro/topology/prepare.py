@@ -41,46 +41,23 @@ MESH_TOPOLOGY_KINDS = (
 
 def make_topology(kind: str, params, seed: Optional[int]) -> GeneratedTopology:
     """Build one of the paper's evaluation topologies at the given sizing."""
+    nodes, hosts = params.mesh_nodes, params.num_end_hosts
     if kind == "tree":
         return random_tree(num_nodes=params.tree_nodes, seed=seed)
     if kind == "waxman":
-        return waxman(
-            num_nodes=params.mesh_nodes,
-            num_end_hosts=params.num_end_hosts,
-            seed=seed,
-        )
+        return waxman(num_nodes=nodes, num_end_hosts=hosts, seed=seed)
     if kind == "barabasi-albert":
-        return barabasi_albert(
-            num_nodes=params.mesh_nodes,
-            num_end_hosts=params.num_end_hosts,
-            seed=seed,
-        )
+        return barabasi_albert(num_nodes=nodes, num_end_hosts=hosts, seed=seed)
     if kind == "hierarchical-td":
-        routers = max(2, params.mesh_nodes // 20)
         return hierarchical_top_down(
-            num_ases=20,
-            routers_per_as=routers,
-            num_end_hosts=params.num_end_hosts,
-            seed=seed,
+            num_ases=20, routers_per_as=max(2, nodes // 20), num_end_hosts=hosts, seed=seed
         )
     if kind == "hierarchical-bu":
-        return hierarchical_bottom_up(
-            num_nodes=params.mesh_nodes,
-            num_end_hosts=params.num_end_hosts,
-            seed=seed,
-        )
+        return hierarchical_bottom_up(num_nodes=nodes, num_end_hosts=hosts, seed=seed)
     if kind == "planetlab":
-        return planetlab_like(
-            num_sites=max(4, params.num_end_hosts // 2),
-            hosts_per_site=2,
-            seed=seed,
-        )
+        return planetlab_like(num_sites=max(4, hosts // 2), hosts_per_site=2, seed=seed)
     if kind == "dimes":
-        return dimes_like(
-            num_ases=max(10, params.mesh_nodes // 12),
-            num_hosts=params.num_end_hosts,
-            seed=seed,
-        )
+        return dimes_like(num_ases=max(10, nodes // 12), num_hosts=hosts, seed=seed)
     raise ValueError(f"unknown topology kind {kind!r}")
 
 
@@ -97,18 +74,9 @@ class PreparedTopology:
 def prepare_topology(kind: str, params, seed: Optional[int]) -> PreparedTopology:
     """Generate, route, enforce T.2 and reduce — the full Section 3 front end."""
     topology = make_topology(kind, params, seed)
-    paths = build_paths(
-        topology.network, topology.beacons, topology.destinations
-    )
-    removed = 0
+    paths = build_paths(topology.network, topology.beacons, topology.destinations)
+    dropped: List[int] = []
     pairs = find_fluttering_pairs(paths)
     if pairs:
         paths, dropped = remove_fluttering_paths(paths, pairs)
-        removed = len(dropped)
-    routing = RoutingMatrix.from_paths(paths)
-    return PreparedTopology(
-        topology=topology,
-        paths=paths,
-        routing=routing,
-        num_removed_fluttering=removed,
-    )
+    return PreparedTopology(topology, paths, RoutingMatrix.from_paths(paths), len(dropped))

@@ -13,17 +13,22 @@ reductions are applied, exactly as in the paper:
 
 After both steps, the columns of ``R`` are distinct and non-zero, which is
 the precondition of the identifiability results in Section 4.
+
+Both work on the paths' flat ``(indptr, indices)`` rows: each covered
+link's set of paths is packed into 64-bit words (``np.packbits``), one
+``lexsort`` of the words groups the aliases, and one fancy-index
+assignment fills the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.topology.graph import Link, Path
+from repro.topology.graph import Link, Path, flatten_paths
 
 
 def require_binary(matrix) -> np.ndarray:
@@ -121,6 +126,12 @@ class RoutingMatrix:
         self.paths = list(paths)
         self.virtual_links = list(virtual_links)
         self._phys_to_col: Dict[int, int] = {}
+        # One run per column in a gather of (identity, *physical): the
+        # identity's slot 0, then the members shifted by one.
+        # ``reduceat`` over the runs aggregates every column at once; a
+        # sum that starts from zero adds up exactly as ``ndarray.sum``.
+        gather: List[int] = []
+        run_starts: List[int] = []
         for position, vlink in enumerate(self.virtual_links):
             if vlink.column != position:
                 raise ValueError(
@@ -129,60 +140,58 @@ class RoutingMatrix:
                 )
             if not vlink.members:
                 raise ValueError(f"virtual link of column {position} has no members")
+            run_starts.append(len(gather))
+            gather.append(0)
             for member in vlink.members:
                 self._phys_to_col[member.index] = position
-        # One run per column in a gather of (identity, *physical): the
-        # identity's slot 0, then the members shifted by one.
-        # ``reduceat`` over the runs aggregates every column at once; a
-        # sum that starts from zero adds up exactly as ``ndarray.sum``.
-        self._gather = 1 + np.array(
-            [i for vlink in self.virtual_links for i in (-1, *vlink.member_indices())],
-            dtype=np.intp,
-        )
-        sizes = np.array([vlink.size + 1 for vlink in self.virtual_links], dtype=np.intp)
-        self._run_starts = np.cumsum(sizes) - sizes
+                gather.append(member.index + 1)
+        self._gather = np.array(gather, dtype=np.intp)
+        self._run_starts = np.array(run_starts, dtype=np.intp)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_paths(
-        cls, paths: Sequence[Path], reduce_aliases: bool = True
-    ) -> "RoutingMatrix":
+    def from_paths(cls, paths: Sequence[Path]) -> "RoutingMatrix":
         """Build the reduced routing matrix from probing paths.
 
-        With ``reduce_aliases=False`` only the coverage reduction is applied
-        (useful for tests and for exhibiting the rank deficiency the paper
-        starts from); columns may then be duplicated.
+        Row ``i`` describes ``paths[i]``, so each path's ``index`` must be
+        its position.  Each covered link's column of the path-by-link
+        incidence is packed into 64-bit words (``np.packbits``) and the
+        words are sorted; links with equal words are aliases and share one
+        virtual link, its members in index order.  Columns run by smallest
+        member index.
         """
         if not paths:
             raise ValueError("cannot build a routing matrix from zero paths")
-        membership: Dict[int, List[int]] = {}
-        link_objects: Dict[int, Link] = {}
-        for path in paths:
-            for link in path.links:
-                membership.setdefault(link.index, []).append(path.index)
-                link_objects[link.index] = link
-
-        groups: Dict[Tuple[FrozenSet[int], int], List[int]] = {}
-        if reduce_aliases:
-            by_signature: Dict[FrozenSet[int], List[int]] = {}
-            for link_index, rows in membership.items():
-                by_signature.setdefault(frozenset(rows), []).append(link_index)
-            for signature, link_indices in by_signature.items():
-                groups[(signature, min(link_indices))] = sorted(link_indices)
-        else:
-            for link_index, rows in membership.items():
-                groups[(frozenset(rows), link_index)] = [link_index]
-
-        # Deterministic column order: by smallest member physical index.
-        ordered = sorted(groups.items(), key=lambda item: item[0][1])
-        virtual_links: List[VirtualLink] = []
-        matrix = np.zeros((len(paths), len(ordered)), dtype=np.uint8)
-        for column, ((signature, _), link_indices) in enumerate(ordered):
-            members = tuple(link_objects[i] for i in link_indices)
-            virtual_links.append(VirtualLink(column=column, members=members))
-            for row in signature:
-                matrix[row, column] = 1
+        for position, path in enumerate(paths):
+            if path.index != position:
+                raise ValueError(f"path {path} has index {path.index} at position "
+                                 f"{position}; paths must be indexed 0..{len(paths) - 1}")
+        indptr, indices = flatten_paths(paths)
+        rows = np.repeat(np.arange(len(paths)), np.diff(indptr))
+        covered, link_of = np.unique(indices, return_inverse=True)
+        # Each covered link's set of paths as bits in whole 64-bit words.
+        bits = np.zeros((covered.size, -(-len(paths) // 64) * 64), dtype=bool)
+        bits[link_of, rows] = True
+        words = np.packbits(bits, axis=1).view(np.uint64)
+        # Sorting the words brings aliases together.  Covered links run in
+        # index order, so a group's smallest position is its smallest
+        # member, and the columns go by it.
+        order = np.lexsort(words.T)
+        starts = np.ones(covered.size, dtype=bool)
+        starts[1:] = (words[order[1:]] != words[order[:-1]]).any(axis=1)
+        group = np.empty_like(order)
+        group[order] = np.cumsum(starts) - 1
+        smallest = np.minimum.reduceat(order, np.flatnonzero(starts))
+        column = np.argsort(np.argsort(smallest))[group]
+        matrix = np.zeros((len(paths), smallest.size), dtype=np.uint8)
+        matrix[rows, column[link_of]] = 1
+        # A link index's ``Link`` is the one at its last incidence.
+        link_of_index = {link.index: link for path in paths for link in path.links}
+        members: List[List[Link]] = [[] for _ in range(smallest.size)]
+        for c, index in zip(column.tolist(), covered.tolist()):
+            members[c].append(link_of_index[index])
+        virtual_links = [VirtualLink(c, tuple(links)) for c, links in enumerate(members)]
         return cls(matrix=matrix, paths=paths, virtual_links=virtual_links)
 
     # -- shape and lookup ----------------------------------------------------
@@ -199,9 +208,6 @@ class RoutingMatrix:
     def column_of_physical(self, link_index: int) -> Optional[int]:
         """Column carrying physical link *link_index*, or None if uncovered."""
         return self._phys_to_col.get(link_index)
-
-    def row(self, path_index: int) -> np.ndarray:
-        return self.matrix[path_index]
 
     def columns_of_path(self, path_index: int) -> np.ndarray:
         """Indices of the virtual links traversed by one path."""

@@ -18,7 +18,11 @@ chain is the control of the sojourn sampler's law tests: both must pass
 them.  The packet prober's packed-word loss counts are pinned to the
 fan-out scan that marked each dropped slot on every path through its
 link, and the one-BFS routes of every beacon to a heap Dijkstra per
-source.  Do not use any of these outside the tests.
+source.  The topology front end is pinned to its seed bodies: the Waxman
+growth with one ``rng.choice`` per node, the duplex network built by
+``add_duplex`` per edge, the path build that walked each beacon's parent
+map per destination, and the alias reduction over per-link dicts of
+frozensets.  Do not use any of these outside the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -36,6 +40,8 @@ from repro.core.variance import _equation_weights
 from repro.monitor.online import AnomalyEvent
 from repro.netsim.sim.pacer import Pacer
 from repro.netsim.sim.packet import Packet
+from repro.topology.graph import Link, Network, Path
+from repro.topology.routing import RoutingMatrix, VirtualLink
 
 
 class SeedColumnBasis:
@@ -133,6 +139,110 @@ def shortest_path_tree_reference(network, source) -> Dict[int, object]:
                 parent[link.head] = link
                 heapq.heappush(heap, (nd, node, link.index, link.head))
     return parent
+
+
+def waxman_growth_edges_reference(
+    rng: np.random.Generator,
+    xy: np.ndarray,
+    links_per_node: int = 2,
+    alpha: float = 0.15,
+    beta: float = 0.2,
+) -> List[Tuple[int, int]]:
+    """The seed Waxman growth: the kernel per node and one ``rng.choice``."""
+    num_nodes = len(xy)
+    max_dist = math.sqrt(2.0)
+    edges: List[Tuple[int, int]] = []
+    seed_size = links_per_node + 1
+    for a in range(seed_size):
+        for b in range(a + 1, seed_size):
+            edges.append((a, b))
+    for node in range(seed_size, num_nodes):
+        d = np.hypot(xy[:node, 0] - xy[node, 0], xy[:node, 1] - xy[node, 1])
+        kernel = alpha * np.exp(-d / (beta * max_dist))
+        total = kernel.sum()
+        if total <= 0:
+            probabilities = np.full(node, 1.0 / node)
+        else:
+            probabilities = kernel / total
+        targets = rng.choice(node, size=links_per_node, replace=False, p=probabilities)
+        for target in sorted(int(t) for t in targets):
+            edges.append((node, target))
+    return edges
+
+
+def undirected_edges_to_network_reference(num_nodes: int, edges) -> Network:
+    """The seed duplex network: ``add_duplex`` per new undirected edge."""
+    net = Network()
+    for node in range(num_nodes):
+        net.add_node(node)
+    seen = set()
+    for a, b in edges:
+        key = (min(a, b), max(a, b))
+        if key in seen or a == b:
+            continue
+        seen.add(key)
+        net.add_duplex(a, b)
+    return net
+
+
+def build_paths_reference(network, beacons, destinations, skip_unreachable=False):
+    """The seed path build: each beacon's parent map walked per destination.
+
+    The parent maps come from :func:`shortest_path_tree_reference`, so the
+    reference shares no routing code with :func:`build_paths`.
+    """
+    paths: List[Path] = []
+    for beacon in beacons:
+        tree = shortest_path_tree_reference(network, beacon)
+        for dest in destinations:
+            if dest == beacon:
+                continue
+            if dest not in tree:
+                if skip_unreachable:
+                    continue
+                raise ValueError(f"destination {dest} unreachable from {beacon}")
+            hops = []
+            node = dest
+            while node != beacon:
+                link = tree[node]
+                hops.append(link)
+                node = link.tail
+            hops.reverse()
+            paths.append(
+                Path(index=len(paths), source=beacon, dest=dest, links=tuple(hops))
+            )
+    return paths
+
+
+def routing_matrix_reference(paths) -> RoutingMatrix:
+    """The seed alias reduction: per-link dicts of frozensets of paths.
+
+    Rows are placed by ``path.index``; a link's ``Link`` object is its
+    last incidence's.
+    """
+    membership: Dict[int, List[int]] = {}
+    link_objects: Dict[int, Link] = {}
+    for path in paths:
+        for link in path.links:
+            membership.setdefault(link.index, []).append(path.index)
+            link_objects[link.index] = link
+    by_signature: Dict[FrozenSet[int], List[int]] = {}
+    for link_index, rows in membership.items():
+        by_signature.setdefault(frozenset(rows), []).append(link_index)
+    groups = {
+        (signature, min(link_indices)): sorted(link_indices)
+        for signature, link_indices in by_signature.items()
+    }
+    # Deterministic column order: by smallest member physical index.
+    ordered = sorted(groups.items(), key=lambda item: item[0][1])
+    virtual_links: List[VirtualLink] = []
+    matrix = np.zeros((len(paths), len(ordered)), dtype=np.uint8)
+    for column, ((signature, _), link_indices) in enumerate(ordered):
+        members = tuple(link_objects[i] for i in link_indices)
+        virtual_links.append(VirtualLink(column=column, members=members))
+        for row in signature:
+            matrix[row, column] = 1
+    return RoutingMatrix(matrix=matrix, paths=paths, virtual_links=virtual_links)
 
 
 def packet_counts_reference(

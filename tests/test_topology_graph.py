@@ -1,5 +1,6 @@
 """Unit tests for the directed graph model and routing."""
 
+import numpy as np
 import pytest
 
 from tests.oracles import shortest_path_tree_reference
@@ -81,7 +82,7 @@ class TestRouting:
 
     def test_route_to_self_is_empty(self):
         net = line_network(3)
-        assert net.routes_from(0, [0])[0] == []
+        assert net.route(0, 0) == []
 
     def test_shortest_path_is_shortest(self):
         net = Network()
@@ -238,3 +239,29 @@ class TestBuildPaths:
     def test_indices_are_dense(self, figure2):
         _, paths, _ = figure2
         assert [p.index for p in paths] == list(range(len(paths)))
+
+    @pytest.mark.parametrize(
+        "beacons, destinations, error, match",
+        [
+            ([0], [9], KeyError, "unknown destination node 9"),
+            ([9], [1], KeyError, "unknown source node 9"),
+            ([0, 0], [2], ValueError, "source 0 is repeated"),
+            ([0], [2, 1, 2], ValueError, "destination 2 is repeated"),
+            ([0.0], [2], ValueError, "source must be an integer, got 0.0"),
+            ([0], [2.0], ValueError, "destination must be an integer, got 2.0"),
+            ([True], [2], ValueError, "source must be an integer, got True"),
+            ([0], [False, 2], ValueError, "destination must be an integer, got False"),
+        ],
+        ids=[
+            "unknown-destination", "unknown-source", "repeated-beacon",
+            "repeated-destination", "float-beacon", "float-destination",
+            "bool-beacon", "bool-destination",
+        ],
+    )
+    def test_hostile_endpoints_rejected(self, beacons, destinations, error, match):
+        with pytest.raises(error, match=match):
+            build_paths(line_network(3), beacons, destinations)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        paths = build_paths(line_network(3), [np.int64(0)], [np.int32(2)])
+        assert [(type(p.source), p.source, p.dest) for p in paths] == [(int, 0, 2)]

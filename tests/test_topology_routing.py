@@ -37,11 +37,6 @@ class TestAliasReduction:
         assert len(cols) == routing.num_links
         assert routing.matrix.sum(axis=0).min() >= 1
 
-    def test_without_reduction_keeps_duplicates(self):
-        net, paths = chain_with_branch()
-        raw = RoutingMatrix.from_paths(paths, reduce_aliases=False)
-        assert raw.num_links == 4
-
     def test_uncovered_links_dropped(self):
         net = Network()
         net.add_link(0, 1)
@@ -205,3 +200,16 @@ class TestValidation:
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
             RoutingMatrix.from_paths([])
+
+    def test_paths_out_of_index_order_rejected(self):
+        """Rows went by ``index`` while ``paths`` kept list order."""
+        _, (a, b, _) = self.three_paths()
+        with pytest.raises(ValueError, match="P1.* has index 1 at position 0"):
+            RoutingMatrix.from_paths([b, a])
+
+    def test_index_out_of_range_rejected(self):
+        """Used to raise a bare ``IndexError`` from the matrix fill."""
+        links, _ = self.three_paths()
+        far = Path(index=5, source=links[0].tail, dest=links[0].head, links=(links[0],))
+        with pytest.raises(ValueError, match="has index 5 at position 0"):
+            RoutingMatrix.from_paths([far])

@@ -129,10 +129,10 @@ def test_mesh_infer_loop_warm(benchmark, bench_mesh, mesh_estimate):
 
 
 def test_mesh_greedy_independent_columns(benchmark, bench_mesh, mesh_estimate):
-    """Batched-MGS greedy column scan over the full mesh matrix."""
+    """Batched-MGS greedy column scan over the full uint8 mesh matrix."""
     prepared, _, _ = bench_mesh
     descending = np.argsort(mesh_estimate.variances)[::-1]
-    sweep = benchmark(basis_sweep, prepared.routing.to_sparse(), descending)
+    sweep = benchmark(basis_sweep, prepared.routing.matrix, descending)
     assert len(sweep.kept) > 0
 
 

@@ -38,8 +38,8 @@ from repro.core.augmented import IntersectingPairs, intersecting_pairs
 from repro.core.linalg import (
     IncrementalColumnBasis,
     QRFactorization,
-    as_csc,
     basis_sweep,
+    column_source,
     dense_column,
     solve_upper_triangular,
 )
@@ -108,16 +108,18 @@ class CacheInfo:
 class _LRUCache:
     """The store, eviction and counters both engine caches share.
 
-    Holds the routing matrix as CSC, for cheap dense column reads, and
-    at most :data:`CACHE_ENTRIES` entries.  *incremental_limit* is how
-    many columns a request may differ from a cached entry and still be
-    served from it incrementally; 0 turns incremental reuse off.
+    Holds the routing matrix as given (uint8 for a
+    :class:`~repro.topology.routing.RoutingMatrix`), reading float64
+    columns out of it on demand, and at most :data:`CACHE_ENTRIES`
+    entries.  *incremental_limit* is how many columns a request may
+    differ from a cached entry and still be served from it
+    incrementally; 0 turns incremental reuse off.
     """
 
     def __init__(self, matrix, incremental_limit: int = 0) -> None:
         if incremental_limit < 0:
             raise ValueError("incremental_limit must be non-negative")
-        self._matrix = as_csc(matrix)
+        self._matrix = column_source(matrix)
         self.incremental_limit = incremental_limit
         self._cache: OrderedDict = OrderedDict()
         self.hits = 0
@@ -183,17 +185,10 @@ class FactorizationCache(_LRUCache):
     """
 
     def block(self, kept: np.ndarray) -> np.ndarray:
-        """The dense kept-column block ``R*`` (never the full matrix)."""
-        kept = np.asarray(kept, dtype=np.int64)
-        matrix = self._matrix
-        counts = matrix.indptr[kept + 1] - matrix.indptr[kept]
-        # The kept columns' entry positions, column after column.
-        entries = np.repeat(matrix.indptr[kept] - np.cumsum(counts) + counts, counts)
-        entries += np.arange(entries.size)
-        out = np.zeros((matrix.shape[0], kept.size), dtype=np.float64, order="F")
-        columns = np.repeat(np.arange(kept.size), counts)
-        out[matrix.indices[entries], columns] = matrix.data[entries]
-        return out
+        """The float64 kept-column block ``R*`` in Fortran order (LAPACK's
+        layout), gathered from the matrix's transpose in one fancy index;
+        the full matrix is never converted."""
+        return self._matrix.T[np.asarray(kept, dtype=np.int64)].astype(np.float64).T
 
     def solve(self, kept: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Least-squares ``R* x = rhs`` for this kept-column set.
@@ -528,9 +523,10 @@ class InferenceEngine:
         self.congestion_threshold = congestion_threshold
         self.cutoff_scale = cutoff_scale
         self._pairs: Optional[IntersectingPairs] = None
-        matrix = as_csc(routing.matrix)
-        self._factorizations = FactorizationCache(matrix, incremental_limit)
-        self._reductions = ReductionCache(matrix, incremental_limit)
+        self._factorizations = FactorizationCache(
+            routing.matrix, incremental_limit
+        )
+        self._reductions = ReductionCache(routing.matrix, incremental_limit)
 
     # -- cached structures ----------------------------------------------------
 

@@ -9,6 +9,11 @@ joins.  The module also holds the incremental Gram–Schmidt column
 selector used by the full-rank reduction strategies.  Everything is
 cross-checked against numpy/scipy in the test suite.
 
+Columns are read straight from the routing matrix's dense array (uint8
+for a :class:`~repro.topology.routing.RoutingMatrix`): one column, or
+one kept block, is converted to float64 when a kernel needs it, and
+the whole matrix never is.
+
 The incremental basis stores its vectors in a preallocated 2-D array,
 so each orthogonalisation is two ``B.T @ v`` / ``B @ w`` matvecs instead
 of a Python loop over basis vectors.  The seed's modified Gram–Schmidt
@@ -18,13 +23,13 @@ equivalence tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as scipy_linalg
-from scipy import sparse
 from scipy.linalg import lapack as scipy_lapack
 
 from repro.core import kernels
@@ -91,9 +96,7 @@ class QRFactorization:
         matrix: np.ndarray,
         columns: Optional[Sequence[int]] = None,
     ) -> "QRFactorization":
-        """Factorize a dense (or sparse, densified) matrix by economy LAPACK QR."""
-        if sparse.issparse(matrix):
-            matrix = matrix.toarray()
+        """Factorize a dense matrix by economy LAPACK QR."""
         A = np.asarray(matrix, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("matrix must be two-dimensional")
@@ -105,10 +108,11 @@ class QRFactorization:
         if len(cols) != A.shape[1]:
             raise ValueError("one column label per matrix column required")
         q, r = scipy_linalg.qr(A, mode="economic", check_finite=False)
-        # LAPACK hands back Fortran-order arrays; the update/downdate
-        # kernels want C-contiguous Q, and paying the layout copy once
-        # here keeps it out of every incremental refresh.
-        return cls(q=np.ascontiguousarray(q), r=np.triu(r), columns=cols)
+        # LAPACK hands back a Fortran-order Q; the update/downdate
+        # kernels want it C-contiguous, and paying the layout copy once
+        # here keeps it out of every incremental refresh.  scipy already
+        # hands back R upper triangular.
+        return cls(q=np.ascontiguousarray(q), r=r, columns=cols)
 
     @property
     def num_rows(self) -> int:
@@ -123,15 +127,15 @@ class QRFactorization:
         """Whether every pivot clears a relative tolerance, computed once.
 
         The factorization is frozen, so the verdict never changes.  The
-        engine consults it on *every* solve, and these four numpy
+        engine consults it on *every* solve, and these numpy
         reductions, run per call, were the single largest cost of a warm
         small-tree inference (~40% of ``infer_many``).
         """
         if self.num_columns == 0:
             return True
-        diag = np.abs(np.diag(self.r))
-        scale = max(float(np.max(np.abs(self.r))), 1.0)
-        return bool(np.min(diag) > 1e-12 * scale * self.num_columns)
+        magnitudes = np.abs(self.r)
+        scale = max(float(magnitudes.max()), 1.0)
+        return bool(magnitudes.diagonal().min() > 1e-12 * scale * self.num_columns)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Least-squares solve for a 1-D rhs or a 2-D multi-RHS block.
@@ -230,47 +234,27 @@ class QRFactorization:
         return QRFactorization(q=q, r=np.triu(r), columns=inserted)
 
 
-def column_source(matrix):
-    """*matrix* in a form :func:`dense_column` reads without densifying it.
+def column_source(matrix) -> np.ndarray:
+    """*matrix* as a two-dimensional array, without a copy or a cast.
 
-    Sparse input becomes float64 CSC, dense input a float64 array.  A
-    float64 CSC input comes back as is, so a caller that converts once
-    can hand the result to every consumer for free.
+    Readers cast the columns they need to float64 (one column through
+    :func:`dense_column`), so a uint8 routing matrix is never copied
+    whole.
     """
-    if sparse.issparse(matrix):
-        return matrix.tocsc().astype(np.float64, copy=False)
-    dense = np.asarray(matrix, dtype=np.float64)
+    dense = np.asarray(matrix)
     if dense.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     return dense
 
 
-def as_csc(matrix) -> sparse.csc_matrix:
-    """*matrix* (dense or sparse) as a float64 CSC matrix; a dense one in
-    one sparse construction, straight from its non-zero pattern."""
-    if sparse.issparse(matrix):
-        return column_source(matrix)
-    dense = np.asarray(matrix)
-    if dense.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    columns, rows = np.nonzero(dense.T)
-    indptr = np.searchsorted(columns, np.arange(dense.shape[1] + 1))
-    values = dense[rows, columns].astype(np.float64)
-    return sparse.csc_matrix((values, rows, indptr), shape=dense.shape)
-
-
-def dense_column(matrix, index: int) -> np.ndarray:
-    """Column *index* of a :func:`column_source` result as a fresh vector."""
-    if isinstance(matrix, np.ndarray):
-        return matrix[:, index].copy()
-    out = np.zeros(matrix.shape[0], dtype=np.float64)
-    start, end = matrix.indptr[index], matrix.indptr[index + 1]
-    out[matrix.indices[start:end]] = matrix.data[start:end]
-    return out
+def dense_column(matrix: np.ndarray, index: int) -> np.ndarray:
+    """Column *index* of a :func:`column_source` result as a fresh
+    float64 vector."""
+    return matrix[:, index].astype(np.float64)
 
 
 def qr_column_rank(matrix, rel_tol: float = 1e-9) -> int:
-    """Numerical column rank via the incremental basis (dense or sparse).
+    """Numerical column rank via the incremental basis.
 
     Unpivoted QR is not rank revealing (a dependent column can still leave
     a non-negligible diagonal entry further right), so we count columns
@@ -338,12 +322,13 @@ class IncrementalColumnBasis:
             raise ValueError(
                 f"expected column of length {self.dimension}, got {v.shape}"
             )
-        norm0 = float(np.linalg.norm(v))
+        # sqrt(v . v) is np.linalg.norm's own body for a real vector.
+        norm0 = math.sqrt(v.dot(v))
         if norm0 == 0.0:
             return False
         if self._rank:
             v = kernels.cgs2_project(self._storage, self._rank, v)
-        norm1 = float(np.linalg.norm(v))
+        norm1 = math.sqrt(v.dot(v))
         if norm1 <= self.rel_tol * norm0:
             return False
         self._grow()
@@ -367,9 +352,9 @@ def basis_sweep(
 ) -> BasisSweep:
     """Offer *candidates* in order to one fresh incremental basis.
 
-    Accepts dense arrays and scipy sparse matrices (CSC/CSR) without
-    densifying the whole matrix.  ``kept`` lists the accepted column
-    indices in scan order, and ``basis`` spans exactly them.  Every
+    Reads each offered column out of *matrix* (any dtype) as float64,
+    never converting the whole matrix.  ``kept`` lists the accepted
+    column indices in scan order, and ``basis`` spans exactly them.  Every
     column the sweep rejected is dependent on accepted ones, so ``kept``
     is a maximal independent subset of the scanned columns.  With
     *stop_at_rejection* the sweep ends at its first rejection instead:

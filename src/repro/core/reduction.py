@@ -7,11 +7,12 @@ removed from ``R`` until the remainder ``R*`` has full column rank; the
 reduced system ``Y = R* X*`` is then solvable, and the removed (best
 performing) links get loss rate ~ 0.
 
-:func:`reduce_to_full_rank` accepts the routing matrix as a dense array
-**or** a scipy sparse matrix (CSR/CSC) and extracts columns without ever
-densifying the full matrix.  The reduced system ``Y = R* X*`` itself is
-solved by :meth:`repro.core.engine.FactorizationCache.solve`, against a
-cached factorization of ``R*``.
+:func:`reduce_to_full_rank` reads the routing matrix's columns in its
+own dtype (uint8 for a :class:`~repro.topology.routing.RoutingMatrix`)
+and converts each offered column to float64 alone, never the whole
+matrix.  The reduced system ``Y = R* X*`` itself is solved by
+:meth:`repro.core.engine.FactorizationCache.solve`, against a cached
+factorization of ``R*``.
 
 Four strategies (ablated against each other in the benchmarks), each
 one :func:`~repro.core.linalg.basis_sweep` that differs only in the
@@ -57,9 +58,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
-from repro.core.linalg import basis_sweep
+from repro.core.linalg import basis_sweep, column_source
 
 REDUCTION_STRATEGIES = ("threshold", "gap", "paper", "greedy")
 
@@ -84,10 +84,31 @@ class ReductionResult:
     def from_kept(
         cls, kept: Sequence[int], num_columns: int, strategy: str
     ) -> "ReductionResult":
-        """The result keeping *kept* (any order) out of *num_columns*."""
-        kept_arr = np.array(sorted(int(c) for c in kept), dtype=np.int64)
-        removed = np.setdiff1d(np.arange(num_columns, dtype=np.int64), kept_arr)
-        return cls(kept_columns=kept_arr, removed_columns=removed, strategy=strategy)
+        """The result keeping *kept* (any order) out of *num_columns*.
+
+        Raises ``ValueError`` unless *kept* holds distinct integer
+        columns in ``[0, num_columns)``; booleans are not columns.
+        """
+        if not isinstance(kept, np.ndarray):
+            kept = list(kept)
+            if any(isinstance(c, (bool, np.bool_)) for c in kept):
+                raise ValueError("kept columns must be integers, not booleans")
+        kept_arr = np.asarray(kept)
+        if kept_arr.size and (kept_arr.ndim != 1 or kept_arr.dtype.kind not in "iu"):
+            raise ValueError(f"kept columns must be integers, got {kept!r}")
+        kept_arr = np.sort(kept_arr).astype(np.int64, copy=False)
+        if kept_arr.size and (kept_arr[0] < 0 or kept_arr[-1] >= num_columns):
+            raise ValueError(
+                f"kept columns must lie in [0, {num_columns}), got {kept!r}"
+            )
+        removed = np.ones(num_columns, dtype=bool)
+        removed[kept_arr] = False
+        removed_arr = np.flatnonzero(removed).astype(np.int64, copy=False)
+        if kept_arr.size + removed_arr.size != num_columns:
+            raise ValueError(f"kept columns repeat: {kept!r}")
+        return cls(
+            kept_columns=kept_arr, removed_columns=removed_arr, strategy=strategy
+        )
 
 
 def reduce_to_full_rank(
@@ -98,17 +119,12 @@ def reduce_to_full_rank(
 ) -> ReductionResult:
     """Select the columns of ``R*`` given per-column variances.
 
-    *routing_matrix* may be dense or scipy sparse.  *variance_cutoff* is
-    required by (and only used with) the ``"threshold"`` strategy.
+    *routing_matrix* is a dense array of any numeric dtype.
+    *variance_cutoff* is required by (and only used with) the
+    ``"threshold"`` strategy.
     """
-    if sparse.issparse(routing_matrix):
-        R = routing_matrix
-        num_cols = R.shape[1]
-    else:
-        R = np.asarray(routing_matrix, dtype=np.float64)
-        if R.ndim != 2:
-            raise ValueError("routing matrix must be two-dimensional")
-        num_cols = R.shape[1]
+    R = column_source(routing_matrix)
+    num_cols = R.shape[1]
     v = np.asarray(variances, dtype=np.float64)
     if v.shape != (num_cols,):
         raise ValueError(

@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.augmented import IntersectingPairs, intersecting_pairs
 from repro.core.covariance import sample_covariance_pairs
 from repro.core.engine import FactorizationCache, ReductionCache
-from repro.core.linalg import as_csc
 from repro.core.variance import (
     VARIANCE_METHODS,
     estimate_link_variances_from_moments,
@@ -99,9 +98,8 @@ class DelayInferenceAlgorithm:
         self.variance_cutoff_ms2 = variance_cutoff_ms2
         self.variance_method = variance_method
         self._pairs: Optional[IntersectingPairs] = None
-        matrix = as_csc(routing.matrix)
-        self._factorizations = FactorizationCache(matrix)
-        self._reductions = ReductionCache(matrix)
+        self._factorizations = FactorizationCache(routing.matrix)
+        self._reductions = ReductionCache(routing.matrix)
 
     @property
     def pairs(self) -> IntersectingPairs:

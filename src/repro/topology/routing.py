@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.topology.graph import Link, Path, flatten_paths
 
@@ -102,8 +101,8 @@ class RoutingMatrix:
     ----------
     matrix:
         ``(num_paths, num_columns)`` dense uint8 array.  Tomography-scale
-        matrices (thousands of paths) fit comfortably; a sparse view is
-        available through :meth:`to_sparse`.
+        matrices (thousands of paths) fit comfortably, and the inference
+        engine reads its float64 columns straight out of it.
     paths:
         The probing paths, row ``i`` of :attr:`matrix` describing
         ``paths[i]``.
@@ -225,19 +224,16 @@ class RoutingMatrix:
     def to_dense(self, dtype=np.float64) -> np.ndarray:
         return self.matrix.astype(dtype)
 
-    def to_sparse(self, dtype=np.float64) -> sparse.csr_matrix:
-        return sparse.csr_matrix(self.matrix.astype(dtype))
-
     def rank(self) -> int:
         """Numerical column rank via the incremental-basis primitive.
 
         Avoids the dense SVD of ``matrix_rank``: the basis sweep works
-        column by column on the sparse view, the same kernel the phase-2
-        reduction uses.
+        column by column on the uint8 matrix, the same kernel the
+        phase-2 reduction uses.
         """
         from repro.core.linalg import qr_column_rank
 
-        return qr_column_rank(self.to_sparse())
+        return qr_column_rank(self.matrix)
 
     # -- ground-truth aggregation ----------------------------------------------
 

@@ -22,7 +22,9 @@ source.  The topology front end is pinned to its seed bodies: the Waxman
 growth with one ``rng.choice`` per node, the duplex network built by
 ``add_duplex`` per edge, the path build that walked each beacon's parent
 map per destination, and the alias reduction over per-link dicts of
-frozensets.  Do not use any of these outside the tests.
+frozensets.  Phase 2's column reads out of the routing matrix's uint8
+array are pinned to the float64 CSC copy the seed read them from.  Do
+not use any of these outside the tests.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro.core import engine as core_engine
+from repro.core import linalg as core_linalg
+from repro.core import reduction as core_reduction
 from repro.core.augmented import IntersectingPairs, pair_row_index
 from repro.core.variance import _equation_weights
 from repro.monitor.online import AnomalyEvent
@@ -328,6 +333,62 @@ def intersecting_pairs_reference(routing_matrix: np.ndarray) -> IntersectingPair
         pair_i=pair_i,
         pair_j=pair_j,
         num_links=n_links,
+    )
+
+
+def as_csc_reference(matrix) -> sparse.csc_matrix:
+    """The seed's phase-2 column source: *matrix* as a float64 CSC
+    matrix, a dense one built straight from its non-zero pattern."""
+    if sparse.issparse(matrix):
+        return matrix.tocsc().astype(np.float64, copy=False)
+    dense = np.asarray(matrix)
+    if dense.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    columns, rows = np.nonzero(dense.T)
+    indptr = np.searchsorted(columns, np.arange(dense.shape[1] + 1))
+    values = dense[rows, columns].astype(np.float64)
+    return sparse.csc_matrix((values, rows, indptr), shape=dense.shape)
+
+
+def csc_column_reference(matrix: sparse.csc_matrix, index: int) -> np.ndarray:
+    """Column *index* of a CSC matrix, scattered into a fresh vector."""
+    out = np.zeros(matrix.shape[0], dtype=np.float64)
+    start, end = matrix.indptr[index], matrix.indptr[index + 1]
+    out[matrix.indices[start:end]] = matrix.data[start:end]
+    return out
+
+
+def csc_block_reference(matrix: sparse.csc_matrix, kept) -> np.ndarray:
+    """The seed's ``FactorizationCache.block``: the kept CSC columns'
+    entries scattered into a Fortran-order float64 block."""
+    kept = np.asarray(kept, dtype=np.int64)
+    counts = matrix.indptr[kept + 1] - matrix.indptr[kept]
+    # The kept columns' entry positions, column after column.
+    entries = np.repeat(matrix.indptr[kept] - np.cumsum(counts) + counts, counts)
+    entries += np.arange(entries.size)
+    out = np.zeros((matrix.shape[0], kept.size), dtype=np.float64, order="F")
+    columns = np.repeat(np.arange(kept.size), counts)
+    out[matrix.indices[entries], columns] = matrix.data[entries]
+    return out
+
+
+def read_phase2_columns_from_csc(patch) -> None:
+    """Route every phase-2 column read through the seed's CSC source.
+
+    *patch* is a ``pytest`` monkeypatch (or its ``context()``).  The
+    engine's caches, the reduction and the basis sweep then hold the
+    routing matrix as float64 CSC, read single columns out of it with
+    :func:`csc_column_reference` and kept blocks with
+    :func:`csc_block_reference`, as the seed did.
+    """
+    for module in (core_engine, core_linalg, core_reduction):
+        patch.setattr(module, "column_source", as_csc_reference)
+    for module in (core_engine, core_linalg):
+        patch.setattr(module, "dense_column", csc_column_reference)
+    patch.setattr(
+        core_engine.FactorizationCache,
+        "block",
+        lambda self, kept: csc_block_reference(self._matrix, kept),
     )
 
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.core.covariance import CovarianceSummary
 from repro.core.engine import (
@@ -37,7 +36,7 @@ class TestFactorizationCache:
 
     def test_hit_and_miss_accounting(self):
         R = np.eye(6)
-        cache = FactorizationCache(sparse.csr_matrix(R))
+        cache = FactorizationCache(R)
         kept = np.array([0, 2])
         first = cache.factorization(kept)
         second = cache.factorization(np.array([0, 2]))

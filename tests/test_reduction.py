@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import InferenceEngine
-from repro.core.reduction import reduce_to_full_rank
+from repro.core.reduction import ReductionResult, reduce_to_full_rank
 
 
 def solve_reduced(routing, y, reduction):
@@ -137,6 +137,49 @@ class TestGapStrategy:
         assert set(result.kept_columns.tolist()) == {1, 4}
 
 
+class TestFromKept:
+    def test_sorts_and_complements(self):
+        result = ReductionResult.from_kept([4, 0, 2], 6, "greedy")
+        assert result.kept_columns.tolist() == [0, 2, 4]
+        assert result.removed_columns.tolist() == [1, 3, 5]
+        assert result.kept_columns.dtype == result.removed_columns.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "kept", [[], set(), frozenset(), np.array([], dtype=np.int64)]
+    )
+    def test_empty_keeps_nothing(self, kept):
+        result = ReductionResult.from_kept(kept, 3, "threshold")
+        assert result.kept_columns.dtype == np.int64
+        assert result.num_kept == 0
+        assert result.removed_columns.tolist() == [0, 1, 2]
+
+    def test_integer_collections_accepted(self):
+        for kept in (frozenset({3, 1}), (np.int32(3), 1), np.array([3, 1], dtype=np.uint8)):
+            result = ReductionResult.from_kept(kept, 5, "threshold")
+            assert result.kept_columns.tolist() == [1, 3]
+            assert result.removed_columns.tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize(
+        "kept, match",
+        [
+            ([-1], "lie in"),
+            ([1, 1, 7], "lie in"),
+            ([5], "lie in"),
+            ([1, 1], "repeat"),
+            (np.array([2, 0, 2]), "repeat"),
+            ([True, 2.7], "booleans"),
+            ([np.True_], "booleans"),
+            (np.array([True, False]), "integers"),
+            ([2.7], "integers"),
+            ([1.0, 2.0], "integers"),
+            (np.array([[0, 1]]), "integers"),
+        ],
+    )
+    def test_bad_columns_rejected(self, kept, match):
+        with pytest.raises(ValueError, match=match):
+            ReductionResult.from_kept(kept, 5, "paper")
+
+
 class TestReducedSolve:
     def test_exact_recovery_when_all_kept(self, figure2):
         _, _, routing = figure2
@@ -189,8 +232,6 @@ class TestReducedSolve:
         # A hand-built reduction keeping every column of the figure-2
         # matrix, which has more columns than rows: no QR exists, and the
         # solve falls back to minimum-norm lstsq.
-        from repro.core.reduction import ReductionResult
-
         _, _, routing = figure2
         R = routing.to_dense()
         assert routing.num_links > routing.num_paths

@@ -81,12 +81,6 @@ class TestMatrixProperties:
         assert set(grouped) == {0, 1}
         assert sorted(sum(grouped.values(), [])) == list(range(6))
 
-    def test_sparse_equals_dense(self, small_tree):
-        _, _, routing = small_tree
-        assert np.array_equal(
-            routing.to_sparse().toarray(), routing.to_dense()
-        )
-
     def test_columns_of_path(self, figure1):
         _, _, routing = figure1
         assert list(routing.columns_of_path(0)) == [0, 1]

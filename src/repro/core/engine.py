@@ -20,8 +20,12 @@ kept-column set (:class:`FactorizationCache`).  The reduced system is
 solved in one place, :meth:`FactorizationCache.solve`: single
 snapshots, :meth:`InferenceEngine.infer_batch` (a whole window as one
 multi-RHS triangular solve) and :func:`infer_many` (many independent
-trees in one pass) all call it.  The delay and monitoring layers reuse
-the same caches.
+trees in one pass) all call it.  An engine with ``incremental_limit >
+0`` (the online monitor's) already answers only to working precision,
+so its solve uses corrected semi-normal equations on ``R`` and the kept
+block's nonzeros instead of the ``Q^T`` product; every other engine
+solves through ``Q``.  The delay and monitoring layers reuse the same
+caches.
 """
 
 from __future__ import annotations
@@ -56,11 +60,21 @@ from repro.core.variance import (
 )
 from repro.probing.snapshot import MeasurementCampaign, Snapshot, continuity_floor
 from repro.topology.routing import RoutingMatrix
+from repro.utils import check_count, check_real
 
 #: Entries each engine cache holds before it evicts the least recently
 #: used one.  An entry is one ``R*`` factorization or one reduction, so
 #: the count bounds the caches' memory too.
 CACHE_ENTRIES = 8
+
+#: Below this reciprocal condition estimate of ``R``
+#: (:attr:`~repro.core.linalg.QRFactorization.rcond`) an incremental
+#: engine solves through ``Q`` instead of by corrected semi-normal
+#: equations.  One correction step leaves CSNE about as accurate as QR
+#: while ``u cond(R*)^2`` stays well below 1 (Björck 1987); at 1e-6 that
+#: product is at most about 1e-4 here.  ``tests/test_monitor_solve.py``
+#: pins both sides of the line.
+CSNE_MIN_RCOND = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ class _LRUCache:
     """
 
     def __init__(self, matrix, incremental_limit: int = 0) -> None:
-        if incremental_limit < 0:
+        if check_count("incremental_limit", incremental_limit) < 0:
             raise ValueError("incremental_limit must be non-negative")
         self._matrix = column_source(matrix)
         self.incremental_limit = incremental_limit
@@ -159,6 +173,16 @@ class _LRUCache:
         return dense_column(self._matrix, index)
 
 
+@dataclass
+class _FactorizationEntry:
+    """One cached factorization and, once a semi-normal solve has read
+    them, the nonzeros of its kept block: path rows, positions in the
+    kept set and values.  The two live and are evicted together."""
+
+    factorization: QRFactorization
+    nonzeros: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+
 class FactorizationCache(_LRUCache):
     """LRU cache of thin QR factorizations of kept-column blocks ``R*``.
 
@@ -180,9 +204,17 @@ class FactorizationCache(_LRUCache):
     (:meth:`~repro.core.linalg.QRFactorization.add_column`), covering
     the congestion-churn pattern where links re-enter the kept set.
     Updated/downdated factors equal a fresh QR only to working
-    precision, so batch experiment pipelines keep the limit at 0 and
+    precision, and so does the solve of such an engine: with the limit
+    above 0 it never reads ``Q`` for a well-conditioned ``R*`` (see
+    :meth:`solve`).  Batch experiment pipelines keep the limit at 0 and
     stay bit-identical to a cold engine.
     """
+
+    def __init__(self, matrix, incremental_limit: int = 0) -> None:
+        super().__init__(matrix, incremental_limit)
+        # (columns, rows, values) of every nonzero, column-major; read
+        # on the first semi-normal solve.
+        self._nonzeros: Optional[Tuple[np.ndarray, ...]] = None
 
     def block(self, kept: np.ndarray) -> np.ndarray:
         """The float64 kept-column block ``R*`` in Fortran order (LAPACK's
@@ -194,24 +226,100 @@ class FactorizationCache(_LRUCache):
         """Least-squares ``R* x = rhs`` for this kept-column set.
 
         *rhs* is one vector ``(n_p,)`` or a multi-RHS block ``(n_p, s)``.
-        A full-rank ``R*`` is solved through its cached factorization, one
-        ``Q^T`` product and one triangular solve; a rank-deficient kept
-        set (only a hand-built reduction has one, possibly with more
-        columns than rows) gets the minimum-norm ``lstsq`` answer on the
-        dense block instead.
+        A full-rank ``R*`` is solved through its cached factorization.
+        With ``incremental_limit`` at 0 that is one ``Q^T`` product and
+        one triangular solve.  Above 0, and while ``R`` is no worse
+        conditioned than :data:`CSNE_MIN_RCOND` allows, it is the
+        corrected semi-normal equations instead, which read ``R`` and
+        the kept block's nonzeros but not the ``n_p x k`` ``Q``::
+
+            x0 = R^-1 R^-T (R*^T y)
+            x  = x0 + R^-1 R^-T (R*^T (y - R* x0))
+
+        A rank-deficient kept set (only a hand-built reduction has one,
+        possibly with more columns than rows) gets the minimum-norm
+        ``lstsq`` answer on the dense block instead.
         """
         if rhs.shape[0] != self._matrix.shape[0]:
             raise ValueError(
                 f"rhs has {rhs.shape[0]} rows; R* has {self._matrix.shape[0]}"
             )
+        kept = np.asarray(kept, dtype=np.int64)
+        if len(kept) == 0:
+            return np.zeros((0,) + rhs.shape[1:], dtype=np.float64)
         if len(kept) <= rhs.shape[0]:
             factorization = self.factorization(kept)
             if factorization.full_rank:
+                if (
+                    self.incremental_limit
+                    and factorization.rcond >= CSNE_MIN_RCOND
+                ):
+                    return self._solve_seminormal(kept, factorization, rhs)
                 return solve_upper_triangular(
                     factorization.r, factorization.q.T @ rhs
                 )
         x, *_ = np.linalg.lstsq(self.block(kept), rhs, rcond=None)
         return x
+
+    def _solve_seminormal(
+        self, kept: np.ndarray, factorization: QRFactorization, rhs: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`solve`'s corrected semi-normal equations, for a 1-D or
+        2-D *rhs*: each product with ``R*`` or ``R*^T`` is one
+        ``bincount`` over the kept block's nonzeros, each ``R^-T`` and
+        ``R^-1`` one ``trtrs``."""
+        rows, positions, values = self._kept_nonzeros(kept)
+        r = factorization.r
+        num_rows, k = rhs.shape[0], factorization.num_columns
+        y = rhs.reshape(num_rows, -1)
+        lanes = y.shape[1]
+        if lanes == 1:
+            row_bins, column_bins = rows, positions
+        else:
+            offsets = np.arange(lanes)
+            row_bins = (rows[:, None] * lanes + offsets).ravel()
+            column_bins = (positions[:, None] * lanes + offsets).ravel()
+            values = np.repeat(values, lanes)
+
+        def normal_solve(residual: np.ndarray) -> np.ndarray:
+            # R^-1 R^-T (R*^T residual)
+            g = np.bincount(
+                column_bins,
+                weights=values * residual[rows].ravel(),
+                minlength=k * lanes,
+            ).reshape(k, lanes)
+            return solve_upper_triangular(
+                r, solve_upper_triangular(r, g, transpose=True)
+            )
+
+        x = normal_solve(y)
+        fitted = np.bincount(
+            row_bins, weights=values * x[positions].ravel(), minlength=y.size
+        ).reshape(y.shape)
+        x += normal_solve(y - fitted)
+        return x.reshape((k,) + rhs.shape[1:])
+
+    def _kept_nonzeros(
+        self, kept: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept block's nonzeros, stored with its cached entry: the
+        matrix's nonzeros (read once per cache) masked through a
+        column-to-kept-position map, never a scan of the block."""
+        entry = self._cache[kept.tobytes()]
+        if entry.nonzeros is None:
+            if self._nonzeros is None:
+                columns, rows = np.nonzero(self._matrix.T)
+                values = np.asarray(
+                    self._matrix[rows, columns], dtype=np.float64
+                ).reshape(-1)
+                self._nonzeros = (columns, rows, values)
+            columns, rows, values = self._nonzeros
+            position = np.full(self._matrix.shape[1], -1, dtype=np.int64)
+            position[kept] = np.arange(len(kept))
+            local = position[columns]
+            mask = local >= 0
+            entry.nonzeros = (rows[mask], local[mask], values[mask])
+        return entry.nonzeros
 
     def factorization(self, kept: np.ndarray) -> QRFactorization:
         """The (cached) thin QR of ``R*`` for this kept-column set."""
@@ -219,7 +327,7 @@ class FactorizationCache(_LRUCache):
         key = kept.tobytes()
         cached = self._lookup(key)
         if cached is not None:
-            return cached
+            return cached.factorization
         factorization = self._downdate_from_superset(kept)
         if factorization is not None:
             self.downdates += 1
@@ -232,7 +340,7 @@ class FactorizationCache(_LRUCache):
                 factorization = QRFactorization.factorize(
                     self.block(kept), columns=kept
                 )
-        self._store(key, factorization)
+        self._store(key, _FactorizationEntry(factorization))
         return factorization
 
     def _downdate_from_superset(
@@ -251,7 +359,8 @@ class FactorizationCache(_LRUCache):
             return None
         wanted = set(int(c) for c in kept)
         best: Optional[QRFactorization] = None
-        for candidate in reversed(self._cache.values()):
+        for entry in reversed(self._cache.values()):
+            candidate = entry.factorization
             extra = len(candidate.columns) - len(wanted)
             if not 0 < extra <= self.incremental_limit:
                 continue
@@ -291,7 +400,8 @@ class FactorizationCache(_LRUCache):
         wanted = tuple(int(c) for c in kept)
         wanted_set = set(wanted)
         best: Optional[QRFactorization] = None
-        for candidate in reversed(self._cache.values()):
+        for entry in reversed(self._cache.values()):
+            candidate = entry.factorization
             missing = len(wanted) - len(candidate.columns)
             if not 0 < missing <= self.incremental_limit:
                 continue
@@ -490,9 +600,11 @@ class InferenceEngine:
         How many columns a kept set may differ from a cached one and
         still be served incrementally: Givens downdates and CGS2 column
         adds of the cached ``R*`` factorization, and sweep-free reuse of
-        the phase-2 reduction.  Incremental answers equal a fresh
-        computation only to working precision, so the default 0 keeps
-        batch pipelines bit-identical;
+        the phase-2 reduction.  Above 0 the reduced system is also
+        solved by corrected semi-normal equations
+        (:meth:`FactorizationCache.solve`).  Incremental answers equal a
+        fresh computation only to working precision, so the default 0
+        keeps batch pipelines bit-identical;
         :class:`repro.monitor.OnlineLossMonitor` sets 2.
     """
 
@@ -513,7 +625,7 @@ class InferenceEngine:
             raise ValueError(f"unknown reduction strategy {reduction_strategy!r}")
         if not 0 < congestion_threshold < 1:
             raise ValueError("congestion_threshold must be in (0, 1)")
-        if cutoff_scale <= 0:
+        if check_real("cutoff_scale", cutoff_scale) <= 0:
             raise ValueError("cutoff_scale must be positive")
         self.routing = routing
         self.variance_method = variance_method

@@ -41,24 +41,28 @@ from repro.core import kernels
 ADD_COLUMN_REL_TOL = 1e-9
 
 
-def solve_upper_triangular(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``r x = b`` (upper triangular) straight through LAPACK ``trtrs``.
+def solve_upper_triangular(
+    r: np.ndarray, b: np.ndarray, transpose: bool = False
+) -> np.ndarray:
+    """Solve ``r x = b`` (upper triangular) straight through LAPACK ``trtrs``;
+    with *transpose*, solve ``r^T x = b``.
 
-    Bit-identical to ``scipy.linalg.solve_triangular(r, b, lower=False)``
-    while skipping ~10x of per-call wrapper overhead — the batched
-    ``infer_many`` path issues one of these per tree, so the constant
-    matters.  scipy avoids copying a C-contiguous matrix into Fortran
-    order by solving the transposed system (``trtrs(r.T, b, lower=True,
-    trans=True)``); mirroring that dispatch exactly is what makes the
-    results identical to the last bit, not just to precision.
+    Bit-identical to ``scipy.linalg.solve_triangular(r, b, lower=False,
+    trans=transpose)`` while skipping ~10x of per-call wrapper overhead
+    — the batched ``infer_many`` path issues one of these per tree, so
+    the constant matters.  scipy avoids copying a C-contiguous matrix
+    into Fortran order by solving the transposed system (``trtrs(r.T, b,
+    lower=True, trans=not transpose)``); mirroring that dispatch exactly
+    is what makes the results identical to the last bit, not just to
+    precision.
     """
     if r.flags.c_contiguous:
         x, info = scipy_lapack.dtrtrs(
-            r.T, b, lower=1, trans=1, unitdiag=0, overwrite_b=0
+            r.T, b, lower=1, trans=int(not transpose), unitdiag=0, overwrite_b=0
         )
     else:
         x, info = scipy_lapack.dtrtrs(
-            r, b, lower=0, trans=0, unitdiag=0, overwrite_b=0
+            r, b, lower=0, trans=int(transpose), unitdiag=0, overwrite_b=0
         )
     if info > 0:
         raise scipy_linalg.LinAlgError(
@@ -136,6 +140,27 @@ class QRFactorization:
         magnitudes = np.abs(self.r)
         scale = max(float(magnitudes.max()), 1.0)
         return bool(magnitudes.diagonal().min() > 1e-12 * scale * self.num_columns)
+
+    @cached_property
+    def rcond(self) -> float:
+        """LAPACK ``dtrcon``'s estimate of ``1 / cond_1(R)``, computed once.
+
+        ``R`` has the condition number of the factorized block (in the
+        2-norm exactly; the 1-norm estimate is within a factor of the
+        column count), so this says how far a solve that never touches
+        ``Q`` can be trusted.  A C-contiguous ``R`` is passed as the
+        lower-triangular ``R^T`` with the infinity norm, the same number
+        without a layout copy.
+        """
+        if self.num_columns == 0:
+            return 1.0
+        if self.r.flags.c_contiguous:
+            rcond, info = scipy_lapack.dtrcon(self.r.T, norm="I", uplo="L")
+        else:
+            rcond, info = scipy_lapack.dtrcon(self.r, norm="1", uplo="U")
+        if info != 0:
+            raise ValueError(f"illegal trcon argument {-info}")
+        return float(rcond)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Least-squares solve for a 1-D rhs or a 2-D multi-RHS block.

@@ -18,8 +18,10 @@ running service that sentence implies:
 * the expensive intersecting-pairs structure is built once, and the
   :class:`~repro.core.engine.InferenceEngine` underneath memoizes the
   phase-2 reduction per estimate and the ``R*`` factorization per
-  kept-column set, so between variance refreshes each localisation is a
-  pair of triangular solves.  A refresh that changes the kept set by at
+  kept-column set, so between variance refreshes each localisation is
+  two ``R^T R`` solves (four triangular solves) plus two sparse
+  products with ``R*``: the corrected semi-normal equations, which
+  never read the ``paths x kept`` ``Q``.  A refresh that changes the kept set by at
   most ``incremental_limit`` columns never refactorizes from scratch:
   a shrink — a watched link clearing — Givens-downdates the cached
   factorization
@@ -378,7 +380,7 @@ class OnlineLossMonitor:
 
         if self.localize_always or report.screened_anomalous or (self._onset >= 0).any():
             # The engine's reduction memo and factorization cache make
-            # this a pair of triangular solves between variance refreshes.
+            # this a few triangular solves between variance refreshes.
             result = self.engine.infer(snapshot, self._estimate)
             report.loss_rates = result.loss_rates
             report.events = self._update_states(result.loss_rates)

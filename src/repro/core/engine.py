@@ -70,10 +70,11 @@ CACHE_ENTRIES = 8
 #: Below this reciprocal condition estimate of ``R``
 #: (:attr:`~repro.core.linalg.QRFactorization.rcond`) an incremental
 #: engine solves through ``Q`` instead of by corrected semi-normal
-#: equations.  One correction step leaves CSNE about as accurate as QR
-#: while ``u cond(R*)^2`` stays well below 1 (Björck 1987); at 1e-6 that
-#: product is at most about 1e-4 here.  ``tests/test_monitor_solve.py``
-#: pins both sides of the line.
+#: equations.  After one correction step the CSNE error tracks QR's on a
+#: consistent system and grows like ``u cond(R*)^2`` with a residual
+#: (Björck 1987), so it stays small while that product is well below 1:
+#: at this floor it is about 1e-4.  ``tests/test_monitor_solve.py`` pins
+#: both sides of the line.
 CSNE_MIN_RCOND = 1e-6
 
 

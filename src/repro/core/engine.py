@@ -13,10 +13,11 @@ augmented matrix ``A`` is built once per network, per-snapshot inference
 should cost little more than a pair of triangular solves.
 :class:`InferenceEngine` (exported under the paper's name as
 ``LossInferenceAlgorithm`` too) owns the cached
-:class:`~repro.core.augmented.IntersectingPairs`, memoizes phase-2
-reductions keyed by (variance vector, cutoff) (:class:`ReductionCache`),
-and memoizes the thin QR factorization of ``R*`` keyed by the
-kept-column set (:class:`FactorizationCache`).  The reduced system is
+:class:`~repro.core.augmented.IntersectingPairs` and remembers two
+things, one entry each: the last phase-2 reduction, keyed by (variance
+vector, cutoff) (:class:`ReductionCache`), and the last thin QR
+factorization of ``R*``, keyed by the kept-column set
+(:class:`FactorizationCache`).  The reduced system is
 solved in one place, :meth:`FactorizationCache.solve`: single
 snapshots, :meth:`InferenceEngine.infer_batch` (a whole window as one
 multi-RHS triangular solve) and :func:`infer_many` (many independent
@@ -31,7 +32,6 @@ caches.
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,11 +61,6 @@ from repro.core.variance import (
 from repro.probing.snapshot import MeasurementCampaign, Snapshot, continuity_floor
 from repro.topology.routing import RoutingMatrix
 from repro.utils import check_count, check_real
-
-#: Entries each engine cache holds before it evicts the least recently
-#: used one.  An entry is one ``R*`` factorization or one reduction, so
-#: the count bounds the caches' memory too.
-CACHE_ENTRIES = 8
 
 #: Below this reciprocal condition estimate of ``R``
 #: (:attr:`~repro.core.linalg.QRFactorization.rcond`) an incremental
@@ -113,21 +108,20 @@ class CacheInfo:
     misses: int
     updates: int
     downdates: int
-    evictions: int
-    entries: int
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
 
-class _LRUCache:
-    """The store, eviction and counters both engine caches share.
+class _LastEntryCache:
+    """The one-entry store and the counters both engine caches share.
 
     Holds the routing matrix as given (uint8 for a
     :class:`~repro.topology.routing.RoutingMatrix`), reading float64
-    columns out of it on demand, and at most :data:`CACHE_ENTRIES`
-    entries.  *incremental_limit* is how many columns a request may
-    differ from a cached entry and still be served from it
+    columns out of it on demand, and the last request's key and entry:
+    a request is a hit only when it repeats the last one, and every
+    other request replaces it.  *incremental_limit* is how many columns
+    a request may differ from the last entry and still be served from it
     incrementally; 0 turns incremental reuse off.
     """
 
@@ -136,15 +130,12 @@ class _LRUCache:
             raise ValueError("incremental_limit must be non-negative")
         self._matrix = column_source(matrix)
         self.incremental_limit = incremental_limit
-        self._cache: OrderedDict = OrderedDict()
+        self._key = None
+        self._entry = None
         self.hits = 0
         self.misses = 0
         self.updates = 0
         self.downdates = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(
@@ -152,40 +143,32 @@ class _LRUCache:
             misses=self.misses,
             updates=self.updates,
             downdates=self.downdates,
-            evictions=self.evictions,
-            entries=len(self._cache),
         )
 
     def _lookup(self, key):
-        """The entry under *key* (counted as a hit), or ``None``."""
-        entry = self._cache.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._cache.move_to_end(key)
-        return entry
+        """The last entry if *key* repeats its key (counted as a hit),
+        or ``None``."""
+        if key != self._key:
+            return None
+        self.hits += 1
+        return self._entry
 
     def _store(self, key, entry) -> None:
-        self._cache[key] = entry
-        if len(self._cache) > CACHE_ENTRIES:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-
-    def _column(self, index: int) -> np.ndarray:
-        return dense_column(self._matrix, index)
+        self._key, self._entry = key, entry
 
 
 @dataclass
 class _FactorizationEntry:
     """One cached factorization and, once a semi-normal solve has read
     them, the nonzeros of its kept block: path rows, positions in the
-    kept set and values.  The two live and are evicted together."""
+    kept set and values.  The two are replaced together."""
 
     factorization: QRFactorization
     nonzeros: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
-class FactorizationCache(_LRUCache):
-    """LRU cache of thin QR factorizations of kept-column blocks ``R*``.
+class FactorizationCache(_LastEntryCache):
+    """The thin QR factorization of the last kept-column block ``R*``.
 
     Hands out :class:`~repro.core.linalg.QRFactorization` objects keyed
     by the kept-column index set.  Consecutive inferences with the same
@@ -193,17 +176,15 @@ class FactorizationCache(_LRUCache):
     experiments, every batch — pay for one factorization total, and
     :meth:`solve` is the one solve of the reduced system ``Y = R* X*``.
 
-    With ``incremental_limit > 0``, a requested kept set that is a
-    subset of a cached one missing at most that many columns — the
-    rolling-monitor pattern where a variance refresh exonerates a link
-    or two — is served by *downdating* the cached factorization with
-    Givens rotations
-    (:meth:`~repro.core.linalg.QRFactorization.remove_column`) instead
-    of refactorizing from scratch: O(m k) per removed column versus
-    O(m k^2) for a fresh QR.  A kept set that is a *superset* of a
-    cached one is served by CGS2 column adds
-    (:meth:`~repro.core.linalg.QRFactorization.add_column`), covering
-    the congestion-churn pattern where links re-enter the kept set.
+    With ``incremental_limit > 0``, a request that differs from the last
+    kept set by at most that many columns is served by revising the last
+    factorization (:meth:`_revise`) instead of refactorizing from
+    scratch.  A subset — the rolling-monitor pattern where a variance
+    refresh exonerates a link or two — is *downdated* with Givens
+    rotations (:meth:`~repro.core.linalg.QRFactorization.remove_column`):
+    O(m k) per removed column versus O(m k^2) for a fresh QR.  A superset
+    — congestion churn, where links re-enter the kept set — is grown by
+    CGS2 column adds (:meth:`~repro.core.linalg.QRFactorization.add_column`).
     Updated/downdated factors equal a fresh QR only to working
     precision, and so does the solve of such an engine: with the limit
     above 0 it never reads ``Q`` for a well-conditioned ``R*`` (see
@@ -303,10 +284,11 @@ class FactorizationCache(_LRUCache):
     def _kept_nonzeros(
         self, kept: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kept block's nonzeros, stored with its cached entry: the
-        matrix's nonzeros (read once per cache) masked through a
+        """The kept block's nonzeros, stored with the entry
+        :meth:`factorization` just returned for *kept*: the matrix's
+        nonzeros (read once per cache) masked through a
         column-to-kept-position map, never a scan of the block."""
-        entry = self._cache[kept.tobytes()]
+        entry = self._entry
         if entry.nonzeros is None:
             if self._nonzeros is None:
                 columns, rows = np.nonzero(self._matrix.T)
@@ -329,93 +311,45 @@ class FactorizationCache(_LRUCache):
         cached = self._lookup(key)
         if cached is not None:
             return cached.factorization
-        factorization = self._downdate_from_superset(kept)
-        if factorization is not None:
-            self.downdates += 1
-        else:
-            factorization = self._update_from_subset(kept)
-            if factorization is not None:
-                self.updates += 1
-            else:
-                self.misses += 1
-                factorization = QRFactorization.factorize(
-                    self.block(kept), columns=kept
-                )
+        factorization = self._revise(kept)
+        if factorization is None:
+            self.misses += 1
+            factorization = QRFactorization.factorize(
+                self.block(kept), columns=kept
+            )
         self._store(key, _FactorizationEntry(factorization))
         return factorization
 
-    def _downdate_from_superset(
-        self, kept: np.ndarray
-    ) -> Optional[QRFactorization]:
-        """Givens-downdate a cached superset factorization, if one is close.
+    def _revise(self, kept: np.ndarray) -> Optional[QRFactorization]:
+        """Revise the last factorization into *kept*'s, if it is close.
 
-        Scans most-recently-used first for a full-rank cached
-        factorization whose column set contains *kept* with at most
-        ``incremental_limit`` extras; the best (fewest-extras) candidate
-        is shrunk column by column.  Returns ``None`` when no candidate
-        exists or the downdated factorization lost full rank (the caller
-        then refactorizes from scratch).
+        *kept* may drop at most ``incremental_limit`` of the last
+        full-rank factorization's columns, which are Givens-downdated
+        out, or add at most that many, which are offered one CGS2 column
+        add at a time in sorted position.  Returns ``None`` — the caller
+        then refactorizes from scratch — for any other request, on a
+        (numerically) dependent added column, when the revised column
+        order is not *kept*'s (the engine's kept arrays are sorted; a
+        hand-built unsorted request is not), or when the revised
+        factorization lost full rank.
         """
-        if self.incremental_limit == 0 or not len(self._cache):
+        if not self.incremental_limit or self._entry is None:
             return None
-        wanted = set(int(c) for c in kept)
-        best: Optional[QRFactorization] = None
-        for entry in reversed(self._cache.values()):
-            candidate = entry.factorization
-            extra = len(candidate.columns) - len(wanted)
-            if not 0 < extra <= self.incremental_limit:
-                continue
-            if best is not None and extra >= len(best.columns) - len(wanted):
-                continue
-            if wanted.issubset(candidate.columns) and candidate.full_rank:
-                best = candidate
-                if extra == 1:
-                    break
-        if best is None:
+        factorization = self._entry.factorization
+        wanted = tuple(int(c) for c in kept)
+        dropped = set(factorization.columns).difference(wanted)
+        added = set(wanted).difference(factorization.columns)
+        if (
+            bool(dropped) == bool(added)  # not purely a shrink or a growth
+            or len(dropped) + len(added) > self.incremental_limit
+            or not factorization.full_rank
+        ):
             return None
-        factorization = best
         for position in reversed(
-            [i for i, c in enumerate(best.columns) if c not in wanted]
+            [i for i, c in enumerate(factorization.columns) if c in dropped]
         ):
             factorization = factorization.remove_column(position)
-        if not factorization.full_rank:
-            return None  # numerically degraded; fall back to a fresh QR
-        return factorization
-
-    def _update_from_subset(
-        self, kept: np.ndarray
-    ) -> Optional[QRFactorization]:
-        """Column-add a cached subset factorization, if one is close.
-
-        The mirror image of :meth:`_downdate_from_superset`: scans
-        most-recently-used first for a full-rank cached factorization
-        whose column set is contained in *kept* missing at most
-        ``incremental_limit`` columns; the best (fewest-missing)
-        candidate is grown one CGS2 column offer at a time.  Returns
-        ``None`` when no candidate exists, a missing column turns out
-        (numerically) dependent, or the grown column order cannot match
-        *kept* — the caller then refactorizes from scratch.
-        """
-        if self.incremental_limit == 0 or not len(self._cache):
-            return None
-        wanted = tuple(int(c) for c in kept)
-        wanted_set = set(wanted)
-        best: Optional[QRFactorization] = None
-        for entry in reversed(self._cache.values()):
-            candidate = entry.factorization
-            missing = len(wanted) - len(candidate.columns)
-            if not 0 < missing <= self.incremental_limit:
-                continue
-            if best is not None and missing >= len(wanted) - len(best.columns):
-                continue
-            if wanted_set.issuperset(candidate.columns) and candidate.full_rank:
-                best = candidate
-                if missing == 1:
-                    break
-        if best is None:
-            return None
-        factorization = best
-        for column in sorted(wanted_set.difference(best.columns)):
+        for column in sorted(added):
             position = int(
                 np.searchsorted(
                     np.asarray(factorization.columns, dtype=np.int64), column
@@ -423,17 +357,16 @@ class FactorizationCache(_LRUCache):
             )
             try:
                 factorization = factorization.add_column(
-                    self._column(column), column, position
+                    dense_column(self._matrix, column), column, position
                 )
             except scipy_linalg.LinAlgError:
-                return None  # dependent column; fall back to a fresh QR
-        if factorization.columns != wanted:
-            # The engine's kept arrays are sorted, so sorted-position
-            # inserts reproduce them; a hand-built unsorted request
-            # cannot be matched by updating.
+                return None
+        if factorization.columns != wanted or not factorization.full_rank:
             return None
-        if not factorization.full_rank:
-            return None  # numerically degraded; fall back to a fresh QR
+        if dropped:
+            self.downdates += 1
+        else:
+            self.updates += 1
         return factorization
 
 
@@ -456,8 +389,8 @@ class _ReductionEntry:
     span: Optional[frozenset] = None
 
 
-class ReductionCache(_LRUCache):
-    """LRU memo of phase-2 column reductions for one routing matrix.
+class ReductionCache(_LastEntryCache):
+    """The last phase-2 column reduction for one routing matrix.
 
     Keyed by (strategy, variance vector, cutoff): a rolling monitor — or
     any consumer re-inferring against one variance estimate — re-reduces
@@ -472,8 +405,8 @@ class ReductionCache(_LRUCache):
     :func:`~repro.core.linalg.basis_sweep`, the bodies
     :func:`~repro.core.reduction.reduce_to_full_rank` runs — and keeps
     the candidates and the sweep's basis.  A refresh whose above-cutoff
-    candidate set matches a cached one reuses its sweep outright, and
-    one with at most ``incremental_limit`` columns outside a cached
+    candidate set matches the last one reuses its sweep outright, and
+    one with at most ``incremental_limit`` columns outside the last
     all-accepted entry's span offers only those columns against a copy
     of its orthonormal basis — O(n_p k) per column instead of the
     O(n_p k^2) full basis sweep.  A shrink offers nothing and keeps the
@@ -533,43 +466,43 @@ class ReductionCache(_LRUCache):
     # -- threshold-strategy incremental reuse --------------------------------
 
     def _reuse(self, candidates: np.ndarray) -> Optional[_ReductionEntry]:
-        """Serve a new candidate set from a cached sweep, if one covers it.
+        """Serve a new candidate set from the last sweep, if it covers it.
 
-        An entry covers *candidates* when at most ``incremental_limit``
-        of them lie outside its span.  Those are offered against a copy
-        of its basis; if each enlarges the span, the candidates are a
-        subset of an independent set and a cold sweep — in any scan
-        order — would keep all of them.  A rejection means the cold
-        sweep could keep a different subset, so the next entry is tried
-        and, failing all, the caller runs the sweep.
+        The last entry covers *candidates* when at most
+        ``incremental_limit`` of them lie outside its span.  Those are
+        offered against a copy of its basis; if each enlarges the span,
+        the candidates are a subset of an independent set and a cold
+        sweep — in any scan order — would keep all of them.  A rejection
+        means the cold sweep could keep a different subset, so the
+        caller runs the sweep.
         """
-        cand_key = candidates.tobytes()
+        entry = self._entry
+        if entry is None or entry.candidates is None:
+            return None
+        if entry.candidates.tobytes() == candidates.tobytes():
+            # Identical scan — identical sweep, basis and all.
+            return entry
+        if entry.basis is None:
+            return None
         cand_set = frozenset(int(c) for c in candidates)
-        for entry in reversed(self._cache.values()):
-            if entry.candidates is None:
-                continue
-            if entry.candidates.tobytes() == cand_key:
-                # Identical scan — identical sweep, basis and all.
-                return entry
-            if entry.basis is None:
-                continue
-            outside = sorted(cand_set - entry.span)
-            if len(outside) > self.incremental_limit:
-                continue
-            basis = entry.basis
-            if outside:
-                basis = copy.deepcopy(basis)
-                if not all(basis.try_add(self._column(c)) for c in outside):
-                    continue
-            return _ReductionEntry(
-                result=ReductionResult.from_kept(
-                    cand_set, self._matrix.shape[1], "threshold"
-                ),
-                candidates=candidates,
-                basis=basis,
-                span=entry.span.union(outside),
-            )
-        return None
+        outside = sorted(cand_set - entry.span)
+        if len(outside) > self.incremental_limit:
+            return None
+        basis = entry.basis
+        if outside:
+            basis = copy.deepcopy(basis)
+            if not all(
+                basis.try_add(dense_column(self._matrix, c)) for c in outside
+            ):
+                return None
+        return _ReductionEntry(
+            result=ReductionResult.from_kept(
+                cand_set, self._matrix.shape[1], "threshold"
+            ),
+            candidates=candidates,
+            basis=basis,
+            span=entry.span.union(outside),
+        )
 
 
 class InferenceEngine:
@@ -598,7 +531,7 @@ class InferenceEngine:
         link the LLRD models produce, and is validated across scales in
         the ablation benchmarks.
     incremental_limit:
-        How many columns a kept set may differ from a cached one and
+        How many columns a kept set may differ from the last one and
         still be served incrementally: Givens downdates and CGS2 column
         adds of the cached ``R*`` factorization, and sweep-free reuse of
         the phase-2 reduction.  Above 0 the reduced system is also
@@ -771,9 +704,7 @@ class InferenceEngine:
         """
         snapshots = list(snapshots)
         results: List[Optional[LIAResult]] = [None] * len(snapshots)
-        groups: "OrderedDict[bytes, Tuple[ReductionResult, List[int]]]" = (
-            OrderedDict()
-        )
+        groups: Dict[bytes, Tuple[ReductionResult, List[int]]] = {}
         for index, snapshot in enumerate(snapshots):
             self._check_snapshot(snapshot)
             reduction = self.reduce(estimate, snapshot.num_probes)

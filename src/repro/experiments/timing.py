@@ -179,17 +179,7 @@ def run(
         [f"forest: {trees}-tree batched solve", payload["forest_batched"]]
     )
 
-    cache_table = TextTable(
-        [
-            "cache",
-            "hits",
-            "misses",
-            "updates",
-            "downdates",
-            "evictions",
-            "entries",
-        ]
-    )
+    cache_table = TextTable(["cache", "hits", "misses", "updates", "downdates"])
     for cache_name, info in payload["cache_info"].items():
         cache_table.add_row(
             [
@@ -198,8 +188,6 @@ def run(
                 info["misses"],
                 info["updates"],
                 info["downdates"],
-                info["evictions"],
-                info["entries"],
             ]
         )
 

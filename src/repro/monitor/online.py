@@ -38,9 +38,8 @@ running service that sentence implies:
   ``onset`` / ``cleared`` events with durations — the Section 7.2.2
   run-length analysis as a live signal.
 
-The engine caches hold a fixed number of entries
-(:data:`~repro.core.engine.CACHE_ENTRIES`), so monitor state stays
-bounded over days of traffic.
+The engine keeps one entry per cache (the last reduction and the last
+factorization), so monitor state stays bounded over days of traffic.
 """
 
 from __future__ import annotations
@@ -324,24 +323,8 @@ class OnlineLossMonitor:
         """True once the training window is full."""
         return self._moments.count >= self.window
 
-    @property
-    def factorization_downdates(self) -> int:
-        """Refreshes absorbed by a Givens downdate instead of a fresh QR.
-
-        Incremented when a variance refresh shrank the kept-column set
-        within ``incremental_limit`` and the engine reused the previous
-        ``R*`` factorization via column-removal downdates.  (One counter
-        of the fuller :meth:`cache_info` picture.)
-        """
-        return self.engine.factorization_cache.downdates
-
-    @property
-    def factorization_updates(self) -> int:
-        """Refreshes absorbed by CGS2 column adds instead of a fresh QR."""
-        return self.engine.factorization_cache.updates
-
     def cache_info(self) -> Dict[str, CacheInfo]:
-        """Hit/miss/update/downdate/eviction counters of both engine caches."""
+        """Hit/miss/update/downdate counters of both engine caches."""
         return self.engine.cache_info()
 
     def currently_congested(self) -> List[int]:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.covariance import CovarianceSummary
 from repro.core.engine import (
-    CACHE_ENTRIES,
     FactorizationCache,
     InferenceEngine,
     ReductionCache,
@@ -43,23 +42,14 @@ class TestFactorizationCache:
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_lru_eviction(self):
-        R = np.eye(CACHE_ENTRIES + 1)
-        cache = FactorizationCache(R)
-        a = cache.factorization(np.array([0]))
-        for column in range(1, CACHE_ENTRIES + 1):
-            cache.factorization(np.array([column]))  # the last evicts [0]
-        assert len(cache) == CACHE_ENTRIES
-        assert cache.evictions == 1
+    def test_second_kept_set_replaces_the_first(self):
+        """The cache remembers the last request only."""
+        cache = FactorizationCache(np.eye(4))
+        first = cache.factorization(np.array([0]))
+        cache.factorization(np.array([1]))
         again = cache.factorization(np.array([0]))
-        assert again is not a
-
-    def test_reduction_cache_shares_the_entry_bound(self):
-        cache = ReductionCache(np.eye(4))
-        for scale in range(CACHE_ENTRIES + 1):
-            cache.reduce(np.full(4, 1.0 + scale), "greedy")
-        assert len(cache) == CACHE_ENTRIES
-        assert cache.cache_info().evictions == 1
+        assert again is not first
+        assert cache.hits == 0 and cache.misses == 3
 
 
 class TestFactorizationDowndate:
@@ -112,6 +102,19 @@ class TestFactorizationDowndate:
         cache.factorization(np.arange(7))
         assert cache.downdates == 0
         assert cache.misses == 2
+
+    def test_unsorted_subset_refactorizes_in_its_order(self, matrix):
+        """A downdate keeps the cached column order, so a subset asked for
+        in another order is factorized afresh, in the order asked for."""
+        cache = FactorizationCache(matrix, incremental_limit=2)
+        cache.factorization(np.array([0, 1, 2]))
+        kept = np.array([2, 0])
+        rhs = np.linspace(-1.0, 1.0, matrix.shape[0])
+        x = cache.solve(kept, rhs)
+        assert cache.factorization(kept).columns == (2, 0)
+        assert cache.downdates == 0
+        expected, *_ = np.linalg.lstsq(matrix[:, kept], rhs, rcond=None)
+        assert np.allclose(x, expected, rtol=0, atol=1e-10)
 
     def test_downdated_entry_is_cached(self, matrix):
         cache = FactorizationCache(matrix, incremental_limit=2)
@@ -263,7 +266,7 @@ class TestFactorizationUpdate:
 
 
 class TestCacheBudgets:
-    """Both caches count hits, misses, updates, downdates and evictions."""
+    """Both caches count hits, misses, updates and downdates."""
 
     @pytest.fixture()
     def matrix(self):
@@ -277,22 +280,20 @@ class TestCacheBudgets:
         cache.factorization(np.arange(6))
         cache.factorization(np.arange(6))  # hit
         cache.factorization(np.arange(5))  # downdate
-        cache.factorization(np.arange(7))  # update from the 6-column entry
+        cache.factorization(np.arange(7))  # update from the 5-column entry
         info = cache.cache_info()
         assert info.as_dict() == {
             "hits": 1,
             "misses": 1,
             "updates": 1,
             "downdates": 1,
-            "evictions": 0,
-            "entries": 3,
         }
 
     def test_engine_cache_info_keys(self, small_tree):
         _, _, routing = small_tree
         info = InferenceEngine(routing).cache_info()
         assert set(info) == {"factorization", "reduction"}
-        assert all(value.entries == 0 for value in info.values())
+        assert all(not any(value.as_dict().values()) for value in info.values())
 
 
 class TestReductionReuse:
@@ -393,29 +394,26 @@ class TestReductionReuse:
             ReductionCache(np.eye(2), incremental_limit=-1)
 
     @staticmethod
-    def bases(cache):
-        """Each cached basis's accepted columns, copied."""
-        return {
-            id(entry.basis): np.array(entry.basis.basis_matrix)
-            for entry in cache._cache.values()
-            if entry.basis is not None
-        }
+    def last_basis(cache):
+        """The last entry's basis and a copy of its accepted columns."""
+        basis = cache._entry.basis
+        return basis, np.array(basis.basis_matrix)
 
     def test_shrink_grow_readd_never_sweeps_again(self, matrix):
         cache = ReductionCache(matrix, incremental_limit=2)
         self.reduce(cache, [0, 3, 5, 8])
+        entries = [cache._entry]
         # Shrink (3 drops out), grow (9 joins), then 3 is re-added: the
         # shrink keeps 3 in the covering span, so re-adding it offers
         # nothing, and a distinct scan order rules out an exact reuse.
         steps = ([0, 5, 8], [0, 5, 8, 9], [9, 8, 5, 3, 0])
         for columns in steps:
-            before = self.bases(cache)
+            basis, accepted = self.last_basis(cache)
             reduced = self.reduce(cache, columns)
             assert list(reduced.kept_columns) == sorted(columns)
-            for key, basis in before.items():
-                assert np.array_equal(self.bases(cache)[key], basis)
+            assert np.array_equal(basis.basis_matrix, accepted)
+            entries.append(cache._entry)
         assert cache.misses == 1 and cache.updates == 3
-        entries = list(cache._cache.values())
         # The shrink shares its parent's basis; the re-add shares the
         # grown one, whose span covers every column seen.
         assert entries[1].basis is entries[0].basis
@@ -435,7 +433,7 @@ class TestReductionReuse:
         cache = ReductionCache(dependent, incremental_limit=2)
         self.reduce(cache, [0, 3, 5])
         self.reduce(cache, [0, 5])  # 3 stays in the covering span
-        before = self.bases(cache)
+        basis, accepted = self.last_basis(cache)
         grown = self.reduce(cache, [0, 5, 11])
         # Column 11 is independent of {0, 5} but not of the span
         # {0, 3, 5}, so the offer is rejected and the cold sweep runs.
@@ -448,8 +446,7 @@ class TestReductionReuse:
         )
         assert np.array_equal(grown.kept_columns, cold.kept_columns)
         assert list(grown.kept_columns) == [0, 5, 11]
-        for key, basis in before.items():
-            assert np.array_equal(self.bases(cache)[key], basis)
+        assert np.array_equal(basis.basis_matrix, accepted)
 
 
 class TestBatchByteIdentity:
@@ -626,6 +623,17 @@ class TestInferBatch:
         cache = lia.factorization_cache
         lia.infer_batch(tree_campaign.snapshots[-8:], estimate)
         assert cache.misses == 1
+
+    def test_batch_reduces_once_per_estimate(self, small_tree, tree_campaign):
+        """N snapshots against one estimate: one reduction, N - 1 hits."""
+        _, _, routing = small_tree
+        lia = InferenceEngine(routing)
+        training, _ = tree_campaign.split_training_target()
+        estimate = lia.learn_variances(training)
+        tail = tree_campaign.snapshots[-8:]
+        lia.infer_batch(tail, estimate)
+        info = lia.cache_info()["reduction"]
+        assert (info.misses, info.hits) == (1, len(tail) - 1)
 
     def test_empty_batch(self, trained):
         _, lia, _, _, estimate = trained

@@ -129,7 +129,7 @@ class TestMonitor:
         monitor = OnlineLossMonitor(routing)
         info = monitor.cache_info()
         assert set(info) == {"factorization", "reduction"}
-        assert all(value.entries == 0 for value in info.values())
+        assert all(not any(value.as_dict().values()) for value in info.values())
 
     @pytest.mark.parametrize(
         "refresh_interval, expected", [(1, [3, 5, 7, 9, 11, 13]), (2, [3, 6, 9, 12])]
@@ -218,7 +218,7 @@ class TestRefreshDowndate:
                 saw_all_varying |= flagged == set(varying)
 
         assert saw_all_varying  # all three links localized while varying
-        assert monitor.factorization_downdates >= 1
+        assert monitor.cache_info()["factorization"].downdates >= 1
         assert clearing not in monitor.currently_congested()
 
 
@@ -252,7 +252,7 @@ class TestRefreshUpdate:
         for t in range(28):
             report = monitor.observe(self.snapshot_at(routing, t, joining))
 
-        assert monitor.factorization_updates >= 1
+        assert monitor.cache_info()["factorization"].updates >= 1
         assert monitor.cache_info()["reduction"].updates >= 1
         assert joining in monitor.currently_congested()
 
@@ -268,7 +268,7 @@ class TestRefreshUpdate:
         cold_report = None
         for t in range(28):
             cold_report = cold.observe(self.snapshot_at(routing, t, joining))
-        assert cold.factorization_updates == 0
+        assert cold.cache_info()["factorization"].updates == 0
         assert np.allclose(
             report.loss_rates, cold_report.loss_rates, atol=1e-8
         )
